@@ -90,18 +90,10 @@ type Event struct {
 	// CRC is the IEEE CRC-32 of the record's canonical encoding (the JSON
 	// of the event with CRC itself zeroed), detecting silent on-disk
 	// corruption. Zero means "no checksum": records written before
-	// checksumming was introduced still replay.
+	// checksumming was introduced still replay. It must stay the last
+	// field: recovery finds the canonical bytes by cutting the closing crc
+	// member off the record as written (see recordChecksum).
 	CRC uint32 `json:"crc,omitempty"`
-}
-
-// checksum computes the event's CRC over its canonical encoding.
-func (e Event) checksum() (uint32, error) {
-	e.CRC = 0
-	buf, err := json.Marshal(e)
-	if err != nil {
-		return 0, fmt.Errorf("eventlog: encode: %w", err)
-	}
-	return crc32.ChecksumIEEE(buf), nil
 }
 
 // validate checks kind-specific invariants before an event is persisted.
@@ -158,10 +150,11 @@ type Options struct {
 	// default. Ignored unless SyncEveryAppend is set.
 	SerialCommit bool
 	// Metrics optionally receives the WAL pipeline metrics: accepted
-	// appends, group commits, records per commit and write+fsync wall time.
-	// Nil disables instrumentation.
+	// appends, group commits, records per commit, write+fsync wall time,
+	// and the records recovered at open. Nil disables instrumentation.
 	Metrics *obs.Registry
-	// Tracer optionally records a "wal.commit" span per write+fsync batch.
+	// Tracer optionally records a "wal.recover" span for the recovery at
+	// open and a "wal.commit" span per write+fsync batch.
 	Tracer *obs.Tracer
 }
 
@@ -271,37 +264,54 @@ func Open(path string, syncEveryAppend bool) (*Log, error) {
 
 // OpenOptions is Open with explicit Options.
 func OpenOptions(path string, opts Options) (*Log, error) {
-	events, valid, err := readAll(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-	var seq int64
-	if n := len(events); n > 0 {
-		seq = events[n-1].Seq
-	}
-	if info, statErr := os.Stat(path); statErr == nil && info.Size() > valid {
-		// Crash recovery: drop the torn tail so appends continue from the
-		// end of the last complete record.
-		if err := os.Truncate(path, valid); err != nil {
-			return nil, fmt.Errorf("eventlog: truncate torn tail of %s: %w", path, err)
-		}
-	}
+	return openLog(path, opts, func(Event) error { return nil })
+}
+
+// openLog opens (creating if needed) the log at path for appending after
+// reading it exactly once: every valid record is handed to replay in
+// order, a torn tail is truncated, and the sequence resumes after the last
+// record. Nothing is truncated or appended when the scan or replay fails.
+func openLog(path string, opts Options, replay func(Event) error) (*Log, error) {
 	_, statErr := os.Stat(path)
 	created := errors.Is(statErr, os.ErrNotExist)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("eventlog: open %s: %w", path, err)
+	}
+	fail := func(err error) (*Log, error) {
+		f.Close()
+		return nil, err
+	}
+	sp := opts.Tracer.Start("wal.recover")
+	defer sp.End()
+	end, err := scanRecords(f, scanEnd{}, replay)
+	if err != nil {
+		return fail(err)
+	}
+	// Sequences start at 1 and are contiguous, so the last one counts the
+	// records recovered.
+	sp.SetAttrInt("replayed_records", end.last)
+	opts.Metrics.Gauge(obs.MetricWALRecoveryReplayedRecords, "Records replayed by the most recent recovery.").Set(float64(end.last))
+	info, err := f.Stat()
+	if err != nil {
+		return fail(fmt.Errorf("eventlog: stat %s: %w", path, err))
+	}
+	if info.Size() > end.valid {
+		// Crash recovery: drop the torn tail so appends continue from the
+		// end of the last complete record.
+		if err := f.Truncate(end.valid); err != nil {
+			return fail(fmt.Errorf("eventlog: truncate torn tail of %s: %w", path, err))
+		}
 	}
 	if created {
 		// Make the new file's directory entry durable: without the parent
 		// fsync a crash shortly after boot can lose the whole log file even
 		// though every appended record was fsynced into it.
 		if err := syncDir(filepath.Dir(path)); err != nil {
-			f.Close()
-			return nil, err
+			return fail(err)
 		}
 	}
-	return newLog(f, seq, opts), nil
+	return newLog(f, end.last, opts), nil
 }
 
 // Append persists one event, assigning and returning its sequence number.
@@ -621,61 +631,12 @@ func (l *Log) Close() error {
 // write-ahead-log recovery semantics; corruption elsewhere — including a
 // CRC mismatch on a checksummed record — is an error.
 func ReadAll(path string) ([]Event, error) {
-	events, _, err := readAll(path)
-	return events, err
-}
-
-// readAll is ReadAll plus the byte offset of the end of the last complete,
-// valid record — the point Open truncates a torn tail back to.
-func readAll(path string) ([]Event, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-
 	var events []Event
-	var valid int64
-	reader := bufio.NewReader(f)
-	var prevSeq int64
-	for {
-		line, err := reader.ReadBytes('\n')
-		if len(line) > 0 && err == nil {
-			var e Event
-			if jsonErr := json.Unmarshal(line, &e); jsonErr != nil {
-				return nil, valid, fmt.Errorf("eventlog: corrupt event after seq %d: %w", prevSeq, jsonErr)
-			}
-			if e.Seq != prevSeq+1 {
-				return nil, valid, fmt.Errorf("eventlog: sequence gap: %d follows %d", e.Seq, prevSeq)
-			}
-			if vErr := e.validate(); vErr != nil {
-				return nil, valid, vErr
-			}
-			if e.CRC != 0 {
-				// Checksummed record: verify against the canonical encoding.
-				// Records without a CRC (older logs) replay unverified.
-				want := e.CRC
-				got, sumErr := e.checksum()
-				if sumErr != nil {
-					return nil, valid, sumErr
-				}
-				if got != want {
-					return nil, valid, fmt.Errorf(
-						"eventlog: checksum mismatch on seq %d: record is corrupt", e.Seq)
-				}
-				e.CRC = 0
-			}
-			prevSeq = e.Seq
-			events = append(events, e)
-			valid += int64(len(line))
-			continue
-		}
-		if errors.Is(err, io.EOF) {
-			// A partial line without a newline is a torn final write.
-			return events, valid, nil
-		}
-		if err != nil {
-			return nil, valid, fmt.Errorf("eventlog: read: %w", err)
-		}
+	if err := scanFile(path, func(e Event) error {
+		events = append(events, e)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
+	return events, nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"melody"
@@ -31,13 +30,12 @@ func OpenPersistent(path string, p *melody.Platform) (*PersistentPlatform, *Log,
 // cmd/melody-load uses it to benchmark the serial-commit baseline against
 // the group-commit pipeline.
 func OpenPersistentOptions(path string, p *melody.Platform, opts Options) (*PersistentPlatform, *Log, error) {
-	// A missing log file is a first boot, not an error.
-	if err := Replay(path, p); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, fmt.Errorf("eventlog: recover from %s: %w", path, err)
+	if p == nil {
+		return nil, nil, errors.New("eventlog: recover needs a platform")
 	}
-	log, err := OpenOptions(path, opts)
+	log, err := openLog(path, opts, replayInto(p))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("eventlog: recover from %s: %w", path, err)
 	}
 	rec, err := NewRecorder(p, log)
 	if err != nil {
@@ -60,31 +58,23 @@ func OpenPersistentSegmented(dir string, p *melody.Platform, opts SegmentedOptio
 	if p == nil {
 		return nil, nil, errors.New("eventlog: recover needs a platform")
 	}
-	slog, recovered, err := OpenSegmented(dir, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	fail := func(err error) (*PersistentPlatform, *SegmentedLog, error) {
-		slog.Close()
-		return nil, nil, err
-	}
-	if snap := recovered.Snapshot; snap != nil {
+	slog, _, err := recoverSegmented(dir, opts, func(snap *Snapshot) error {
 		var ps melody.PlatformSnapshot
 		if err := json.Unmarshal(snap.State, &ps); err != nil {
-			return fail(fmt.Errorf("eventlog: decode platform snapshot at seq %d: %w", snap.Seq, err))
+			return fmt.Errorf("eventlog: decode platform snapshot at seq %d: %w", snap.Seq, err)
 		}
 		if err := p.RestoreSnapshot(&ps); err != nil {
-			return fail(fmt.Errorf("eventlog: restore snapshot at seq %d: %w", snap.Seq, err))
+			return fmt.Errorf("eventlog: restore snapshot at seq %d: %w", snap.Seq, err)
 		}
-	}
-	for _, e := range recovered.Events {
-		if err := apply(p, e); err != nil {
-			return fail(fmt.Errorf("eventlog: replay seq %d (%s): %w", e.Seq, e.Kind, err))
-		}
+		return nil
+	}, replayInto(p))
+	if err != nil {
+		return nil, nil, err
 	}
 	rec, err := NewRecorder(p, slog.Log)
 	if err != nil {
-		return fail(err)
+		slog.Close()
+		return nil, nil, err
 	}
 	rec.seg = slog
 	return &PersistentPlatform{rec: rec}, slog, nil
@@ -103,23 +93,19 @@ func ReplaySegments(dir string, p *melody.Platform) error {
 	if err != nil {
 		return err
 	}
-	expect := int64(0)
+	replay := replayInto(p)
+	var prev scanEnd
 	for i, seg := range segs {
-		if expect != 0 && seg.base != expect {
-			return fmt.Errorf("eventlog: segment chain gap: %s starts at %d, want %d", seg.name, seg.base, expect)
-		}
-		_, events, _, _, err := readSegment(filepath.Join(dir, seg.name))
+		_, end, err := scanSegment(filepath.Join(dir, seg.name), func(h SegmentHeader) error {
+			if i > 0 && h.Base != prev.last+1 {
+				return fmt.Errorf("eventlog: segment chain gap: %s starts at %d, want %d", seg.name, h.Base, prev.last+1)
+			}
+			return nil
+		}, replay)
 		if err != nil {
 			return err
 		}
-		if i < len(segs)-1 && len(events) > 0 {
-			expect = events[len(events)-1].Seq + 1
-		}
-		for _, e := range events {
-			if err := apply(p, e); err != nil {
-				return fmt.Errorf("eventlog: replay seq %d (%s): %w", e.Seq, e.Kind, err)
-			}
-		}
+		prev = end
 	}
 	return nil
 }

@@ -261,21 +261,24 @@ func (r *Recorder) SnapshotErr() error {
 // Replay applies every event from the log at path to a fresh platform,
 // rebuilding its state after a crash or restart. The platform must have
 // been constructed with the same configuration (auction intervals and
-// estimator parameters) as the one that wrote the log.
+// estimator parameters) as the one that wrote the log. The log is read
+// once, decoding ahead of the replay; on error the platform holds a
+// replayed prefix and must be discarded.
 func Replay(path string, p *melody.Platform) error {
 	if p == nil {
 		return errors.New("eventlog: replay needs a platform")
 	}
-	events, err := ReadAll(path)
-	if err != nil {
-		return err
-	}
-	for _, e := range events {
+	return scanFile(path, replayInto(p))
+}
+
+// replayInto returns the replay callback that applies each event to p.
+func replayInto(p *melody.Platform) func(Event) error {
+	return func(e Event) error {
 		if err := apply(p, e); err != nil {
 			return fmt.Errorf("eventlog: replay seq %d (%s): %w", e.Seq, e.Kind, err)
 		}
+		return nil
 	}
-	return nil
 }
 
 func apply(p *melody.Platform, e Event) error {

@@ -259,14 +259,10 @@ func TestPromotedPlatformMatchesFullReplay(t *testing.T) {
 	}
 	oracle := newPlatform(t)
 	for _, s := range segs {
-		_, events, _, _, err := readSegment(filepath.Join(replicaDir, s.name))
-		if err != nil {
-			t.Fatalf("read %s: %v", s.name, err)
-		}
-		for _, e := range events {
-			if err := apply(oracle, e); err != nil {
-				t.Fatalf("oracle apply seq %d: %v", e.Seq, err)
-			}
+		if _, _, err := scanSegment(filepath.Join(replicaDir, s.name), nil, func(e Event) error {
+			return apply(oracle, e)
+		}); err != nil {
+			t.Fatalf("oracle replay of %s: %v", s.name, err)
 		}
 	}
 

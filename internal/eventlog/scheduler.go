@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 
 	"melody"
@@ -47,13 +46,14 @@ func NewPersistentScheduler(s *melody.RunScheduler, log *Log) (*PersistentSchedu
 // OpenPersistentOptions, and the backend cmd/melody-platform uses for
 // -multi -wal.
 func OpenPersistentScheduler(path string, s *melody.RunScheduler, opts Options) (*PersistentScheduler, *Log, error) {
-	// A missing log file is a first boot, not an error.
-	if err := ReplayScheduler(path, s); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, fmt.Errorf("eventlog: recover from %s: %w", path, err)
+	if s == nil {
+		return nil, nil, errors.New("eventlog: recover needs a scheduler")
 	}
-	log, err := OpenOptions(path, opts)
+	// One pass over the file both replays it and finds the end appends
+	// resume from; a missing log file is a first boot.
+	log, err := openLog(path, opts, replayIntoScheduler(s))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("eventlog: recover from %s: %w", path, err)
 	}
 	ps, err := NewPersistentScheduler(s, log)
 	if err != nil {
@@ -275,21 +275,25 @@ func (ps *PersistentScheduler) Forecast(tenant, workerID string, steps int) (mel
 // been constructed with the same configuration (auction intervals,
 // estimator factory, epoch cadence) as the one that wrote the log. Events
 // without a run ID are rejected for the kinds that need one — a single-run
-// log replays into a Platform via Replay, not here.
+// log replays into a Platform via Replay, not here. The log is read once,
+// decoding ahead of the replay; on error the scheduler holds a replayed
+// prefix and must be discarded.
 func ReplayScheduler(path string, s *melody.RunScheduler) error {
 	if s == nil {
 		return errors.New("eventlog: replay needs a scheduler")
 	}
-	events, err := ReadAll(path)
-	if err != nil {
-		return err
-	}
-	for _, e := range events {
+	return scanFile(path, replayIntoScheduler(s))
+}
+
+// replayIntoScheduler returns the replay callback that applies each event
+// to s.
+func replayIntoScheduler(s *melody.RunScheduler) func(Event) error {
+	return func(e Event) error {
 		if err := applyScheduler(s, e); err != nil {
 			return fmt.Errorf("eventlog: replay seq %d (%s): %w", e.Seq, e.Kind, err)
 		}
+		return nil
 	}
-	return nil
 }
 
 func applyScheduler(s *melody.RunScheduler, e Event) error {

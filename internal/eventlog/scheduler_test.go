@@ -13,7 +13,7 @@ import (
 // newSchedulerForLog builds a run scheduler with the reference
 // configuration and a funded ledger; replay requires writer and reader to
 // be constructed identically.
-func newSchedulerForLog(t *testing.T, funded float64, epochEvery int) (*melody.RunScheduler, *melody.Ledger) {
+func newSchedulerForLog(t testing.TB, funded float64, epochEvery int) (*melody.RunScheduler, *melody.Ledger) {
 	t.Helper()
 	money := melody.NewLedger()
 	if _, err := money.Deposit(melody.RequesterAccount, funded, "test funding"); err != nil {

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -356,16 +355,17 @@ func (sw *segmentWriter) Close() error {
 	return sw.f.Close()
 }
 
-// readSegment scans one segment file: header first, then event records with
-// the single-file scan's integrity rules (contiguous sequences from the
-// header's base, per-record CRCs). It returns the events, the byte offset
-// of the end of the last complete record (the torn-tail truncation point)
-// and the CRC of the valid prefix (the chain value the next segment's
-// header must carry).
-func readSegment(path string) (SegmentHeader, []Event, int64, uint32, error) {
+// scanSegment scans one segment file: header first, then event records
+// with the single-file scan's integrity rules (contiguous sequences from the
+// header's base, per-record CRCs), each handed to fn in order. check, when
+// non-nil, vets the header before any record reaches fn. The returned
+// position is the end of the last complete record (the torn-tail truncation
+// point) and the CRC of the valid prefix, header included (the chain value
+// the next segment's header must carry).
+func scanSegment(path string, check func(SegmentHeader) error, fn func(Event) error) (SegmentHeader, scanEnd, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return SegmentHeader{}, nil, 0, 0, err
+		return SegmentHeader{}, scanEnd{}, err
 	}
 	defer f.Close()
 
@@ -374,56 +374,28 @@ func readSegment(path string) (SegmentHeader, []Event, int64, uint32, error) {
 	if err != nil {
 		// A segment is installed only after its header is durable, so a
 		// torn or missing header is corruption, not a crash artifact.
-		return SegmentHeader{}, nil, 0, 0, fmt.Errorf("eventlog: segment %s: unreadable header: %w", path, err)
+		return SegmentHeader{}, scanEnd{}, fmt.Errorf("eventlog: segment %s: unreadable header: %w", path, err)
 	}
 	header, err := DecodeSegmentHeader(headerLine)
 	if err != nil {
-		return SegmentHeader{}, nil, 0, 0, fmt.Errorf("eventlog: segment %s: %w", path, err)
+		return SegmentHeader{}, scanEnd{}, fmt.Errorf("eventlog: segment %s: %w", path, err)
 	}
-
-	var events []Event
-	valid := int64(len(headerLine))
-	crc := crc32.ChecksumIEEE(headerLine)
-	prevSeq := header.Base - 1
-	for {
-		line, err := reader.ReadBytes('\n')
-		if len(line) > 0 && err == nil {
-			var e Event
-			if jsonErr := json.Unmarshal(line, &e); jsonErr != nil {
-				return header, nil, valid, crc, fmt.Errorf("eventlog: segment %s: corrupt event after seq %d: %w", path, prevSeq, jsonErr)
-			}
-			if e.Seq != prevSeq+1 {
-				return header, nil, valid, crc, fmt.Errorf("eventlog: segment %s: sequence gap: %d follows %d", path, e.Seq, prevSeq)
-			}
-			if vErr := e.validate(); vErr != nil {
-				return header, nil, valid, crc, vErr
-			}
-			if e.CRC != 0 {
-				want := e.CRC
-				got, sumErr := e.checksum()
-				if sumErr != nil {
-					return header, nil, valid, crc, sumErr
-				}
-				if got != want {
-					return header, nil, valid, crc, fmt.Errorf("eventlog: segment %s: checksum mismatch on seq %d", path, e.Seq)
-				}
-				e.CRC = 0
-			}
-			prevSeq = e.Seq
-			events = append(events, e)
-			valid += int64(len(line))
-			crc = crc32.Update(crc, crc32.IEEETable, line)
-			continue
-		}
-		if errors.Is(err, io.EOF) {
-			// A partial final line is a torn write; the caller decides
-			// whether that is tolerable (active segment) or fatal (sealed).
-			return header, events, valid, crc, nil
-		}
-		if err != nil {
-			return header, events, valid, crc, fmt.Errorf("eventlog: segment %s: read: %w", path, err)
+	if check != nil {
+		if err := check(header); err != nil {
+			return header, scanEnd{}, err
 		}
 	}
+	// A partial final line is a torn write; the caller decides whether that
+	// is tolerable (active segment) or fatal (sealed).
+	end, err := scanRecords(reader, scanEnd{
+		valid: int64(len(headerLine)),
+		last:  header.Base - 1,
+		crc:   crc32.ChecksumIEEE(headerLine),
+	}, fn)
+	if err != nil {
+		return header, end, fmt.Errorf("%w (segment %s)", err, path)
+	}
+	return header, end, nil
 }
 
 // scanSegmentDir lists the segment files in dir sorted by base sequence,

@@ -78,32 +78,70 @@ func (s *SegmentedLog) Dir() string { return s.dir }
 // and resume appending to the last segment. The returned RecoveredState
 // carries the snapshot and tail events the caller replays.
 func OpenSegmented(dir string, opts SegmentedOptions) (*SegmentedLog, *RecoveredState, error) {
+	rec := &RecoveredState{}
+	s, skipped, err := recoverSegmented(dir, opts,
+		func(snap *Snapshot) error {
+			rec.Snapshot = snap
+			return nil
+		},
+		func(e Event) error {
+			rec.Events = append(rec.Events, e)
+			return nil
+		})
+	if err != nil {
+		return nil, nil, err
+	}
+	rec.SkippedSegments = skipped
+	return s, rec, nil
+}
+
+// recoverSegmented is OpenSegmented streaming its recovery into the caller:
+// restore receives the newest valid snapshot (not called when there is
+// none) before any record, and replay receives each tail record above the
+// snapshot in order, while later records are still being decoded. Each
+// segment is read once, and the log is opened for appending — torn tail
+// truncated — only after every record has replayed. It returns the number
+// of sealed segments the snapshot let recovery skip.
+func recoverSegmented(dir string, opts SegmentedOptions, restore func(*Snapshot) error, replay func(Event) error) (*SegmentedLog, int, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("eventlog: create %s: %w", dir, err)
+		return nil, 0, fmt.Errorf("eventlog: create %s: %w", dir, err)
 	}
 	sp := opts.Tracer.Start("wal.recover")
 	defer sp.End()
 	if _, err := removeTempDebris(dir); err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	snap, snapName, err := newestSnapshot(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	var snapSeq int64
 	if snap != nil {
 		snapSeq = snap.Seq
+		if err := restore(snap); err != nil {
+			return nil, 0, err
+		}
 	}
 
 	segs, err := scanSegmentDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 
-	rec := &RecoveredState{Snapshot: snap}
+	var skipped, replayed int
+	tail := func(e Event) error {
+		if e.Seq <= snapSeq {
+			return nil
+		}
+		if replayed == 0 && e.Seq != snapSeq+1 {
+			return fmt.Errorf("eventlog: recovery gap: snapshot covers %d but the tail starts at %d", snapSeq, e.Seq)
+		}
+		replayed++
+		return replay(e)
+	}
 	seq := snapSeq
 	var active *segmentWriter
 	switch {
@@ -114,7 +152,7 @@ func OpenSegmented(dir string, opts SegmentedOptions) (*SegmentedLog, *Recovered
 			Magic: SegmentMagic, Version: segmentVersion, Base: snapSeq + 1,
 		}, nil)
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 		active = &segmentWriter{
 			dir: dir, f: f, base: snapSeq + 1, last: snapSeq,
@@ -133,72 +171,62 @@ func OpenSegmented(dir string, opts SegmentedOptions) (*SegmentedLog, *Recovered
 				firstRead = i + 1
 			}
 		}
-		rec.SkippedSegments = firstRead
+		skipped = firstRead
 		var prev *sealedSegment
 		var lastHeader SegmentHeader
 		var lastValid int64
 		var lastCRC uint32
 		for i := firstRead; i < len(segs); i++ {
-			path := filepath.Join(dir, segs[i].name)
-			header, events, valid, crc, err := readSegment(path)
+			header, end, err := scanSegment(filepath.Join(dir, segs[i].name), func(header SegmentHeader) error {
+				if header.Base != segs[i].base {
+					return fmt.Errorf("eventlog: segment %s header base %d does not match its name", segs[i].name, header.Base)
+				}
+				if prev != nil {
+					if header.Base != prev.last+1 {
+						return fmt.Errorf("eventlog: segment chain gap: %s starts at %d after %d", segs[i].name, header.Base, prev.last)
+					}
+					if header.PrevCRC != prev.crc {
+						return fmt.Errorf("eventlog: segment chain broken: %s prev checksum mismatch", segs[i].name)
+					}
+				}
+				return nil
+			}, tail)
 			if err != nil {
-				return nil, nil, err
+				return nil, 0, err
 			}
-			if header.Base != segs[i].base {
-				return nil, nil, fmt.Errorf("eventlog: segment %s header base %d does not match its name", segs[i].name, header.Base)
-			}
-			if prev != nil {
-				if header.Base != prev.last+1 {
-					return nil, nil, fmt.Errorf("eventlog: segment chain gap: %s starts at %d after %d", segs[i].name, header.Base, prev.last)
-				}
-				if header.PrevCRC != prev.crc {
-					return nil, nil, fmt.Errorf("eventlog: segment chain broken: %s prev checksum mismatch", segs[i].name)
-				}
-			}
-			last := header.Base - 1
-			if n := len(events); n > 0 {
-				last = events[n-1].Seq
-			}
+			last := end.last
 			if i < len(segs)-1 {
-				if valid != segs[i].size {
-					return nil, nil, fmt.Errorf("eventlog: sealed segment %s has a torn tail", segs[i].name)
+				if end.valid != segs[i].size {
+					return nil, 0, fmt.Errorf("eventlog: sealed segment %s has a torn tail", segs[i].name)
 				}
 				if last != segs[i].last {
-					return nil, nil, fmt.Errorf("eventlog: segment %s ends at seq %d but the next segment expects %d",
+					return nil, 0, fmt.Errorf("eventlog: segment %s ends at seq %d but the next segment expects %d",
 						segs[i].name, last, segs[i].last)
 				}
-				segs[i].crc = crc
+				segs[i].crc = end.crc
 				prev = &segs[i]
 			} else {
 				lastHeader = header
-				lastValid = valid
-				lastCRC = crc
-			}
-			for _, e := range events {
-				if e.Seq > snapSeq {
-					rec.Events = append(rec.Events, e)
-				}
+				lastValid = end.valid
+				lastCRC = end.crc
 			}
 			if last > seq {
 				seq = last
 			}
 		}
-		if len(rec.Events) > 0 && rec.Events[0].Seq != snapSeq+1 {
-			return nil, nil, fmt.Errorf("eventlog: recovery gap: snapshot covers %d but the tail starts at %d", snapSeq, rec.Events[0].Seq)
-		}
 		if snapSeq > seq {
-			return nil, nil, fmt.Errorf("eventlog: snapshot covers seq %d but the log ends at %d", snapSeq, seq)
+			return nil, 0, fmt.Errorf("eventlog: snapshot covers seq %d but the log ends at %d", snapSeq, seq)
 		}
 
 		lastPath := filepath.Join(dir, segs[len(segs)-1].name)
 		if info, statErr := os.Stat(lastPath); statErr == nil && info.Size() > lastValid {
 			if err := os.Truncate(lastPath, lastValid); err != nil {
-				return nil, nil, fmt.Errorf("eventlog: truncate torn tail of %s: %w", lastPath, err)
+				return nil, 0, fmt.Errorf("eventlog: truncate torn tail of %s: %w", lastPath, err)
 			}
 		}
 		f, err := os.OpenFile(lastPath, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			return nil, nil, fmt.Errorf("eventlog: open %s: %w", lastPath, err)
+			return nil, 0, fmt.Errorf("eventlog: open %s: %w", lastPath, err)
 		}
 		active = &segmentWriter{
 			dir: dir, f: f, base: lastHeader.Base, last: seq,
@@ -233,11 +261,11 @@ func OpenSegmented(dir string, opts SegmentedOptions) (*SegmentedLog, *Recovered
 		replayed:  opts.Metrics.Gauge(obs.MetricWALRecoveryReplayedRecords, "Records replayed by the most recent recovery."),
 		tracer:    opts.Tracer,
 	}
-	s.replayed.Set(float64(len(rec.Events)))
-	sp.SetAttrInt("replayed_records", int64(len(rec.Events)))
-	sp.SetAttrInt("skipped_segments", int64(rec.SkippedSegments))
+	s.replayed.Set(float64(replayed))
+	sp.SetAttrInt("replayed_records", int64(replayed))
+	sp.SetAttrInt("skipped_segments", int64(skipped))
 	sp.SetAttrInt("snapshot_seq", snapSeq)
-	return s, rec, nil
+	return s, skipped, nil
 }
 
 // ShouldSnapshot reports whether enough records have accumulated since the
