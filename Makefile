@@ -66,6 +66,7 @@ fuzz-smoke:
 	$(GO) test ./internal/eventlog/ -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/platform/ -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lds/ -run '^$$' -fuzz '^FuzzKalmanFilter$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lds/ -run '^$$' -fuzz '^FuzzEMStats$$' -fuzztime $(FUZZTIME)
 
 # load-smoke drives a short seeded load run through the real serving path
 # (loopback HTTP server, WAL group-commit backend, batched bids) and fails

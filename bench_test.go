@@ -210,10 +210,10 @@ func BenchmarkEMLearning(b *testing.B) {
 }
 
 // BenchmarkQualityObserve measures Algorithm 3's steady state: one
-// ten-score run absorbed into a worker whose ring buffer is already full,
+// ten-score run absorbed into a worker whose score window is already full,
 // including the periodic EM re-estimation amortized over EMPeriod runs.
-// ReportAllocs witnesses the buffer-reuse work: the ring recycles evicted
-// run slices and the EM/smoother scratch lives in a per-worker workspace.
+// ReportAllocs witnesses the buffer reuse: the window compacts evicted
+// scores in place and the EM/smoother scratch is the estimator's own.
 func BenchmarkQualityObserve(b *testing.B) {
 	est, err := quality.NewMelody(quality.MelodyConfig{
 		Init:     lds.State{Mean: 5.5, Var: 2.25},
@@ -230,7 +230,7 @@ func BenchmarkQualityObserve(b *testing.B) {
 	for i := range scores {
 		scores[i] = r.Normal(5, 2)
 	}
-	// Fill the 60-run window so every timed Observe evicts and recycles.
+	// Fill the 60-run window so every timed Observe evicts and reuses space.
 	for run := 0; run < 70; run++ {
 		if err := est.Observe("w", scores); err != nil {
 			b.Fatal(err)
@@ -246,8 +246,8 @@ func BenchmarkQualityObserve(b *testing.B) {
 }
 
 // BenchmarkEMLearningWorkspace is BenchmarkEMLearning through a reused
-// lds.Workspace — the estimator's per-worker steady state, where smoother
-// scratch survives across EM invocations.
+// lds.Workspace — the estimator's steady state, where one scratch
+// workspace serves every worker's EM in turn.
 func BenchmarkEMLearningWorkspace(b *testing.B) {
 	r := stats.NewRNG(5)
 	history := make([][]float64, 60)

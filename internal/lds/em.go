@@ -60,10 +60,17 @@ func EM(start Params, init State, history [][]float64, cfg EMConfig) (EMResult, 
 	return new(Workspace).EM(start, init, history, cfg)
 }
 
-// EM is the buffer-reusing form of the package-level EM: every iteration's
-// smoother pass runs in the workspace's buffers, so repeated re-estimation
-// over the same worker allocates nothing once the buffers have grown to the
-// window length.
+// EM is the buffer-reusing form of the package-level EM: repeated
+// re-estimation through one workspace allocates nothing once its buffers
+// have grown to the history length.
+//
+// Each run's score count and sum are computed once per call (rejecting
+// non-finite scores there), the buffers are sized once, and every
+// iteration's forward filter runs on those sums with the parameters
+// validated once: an M-step only ever returns valid parameters. The
+// filter's float expressions are Update's, evaluated in the same order, so
+// the result is bit-identical to smoothing the raw history with Smooth on
+// every iteration.
 func (ws *Workspace) EM(start Params, init State, history [][]float64, cfg EMConfig) (EMResult, error) {
 	cfg = cfg.withDefaults()
 	if err := start.Validate(); err != nil {
@@ -82,15 +89,19 @@ func (ws *Workspace) EM(start Params, init State, history [][]float64, cfg EMCon
 	if totalScores == 0 {
 		return EMResult{}, errors.New("lds: cannot learn from a history with no scores")
 	}
+	if err := ws.sumRuns(history); err != nil {
+		return EMResult{}, err
+	}
+	ws.size(len(history))
 
 	cur := start
 	res := EMResult{Params: cur}
 	for iter := 1; iter <= cfg.MaxIter; iter++ {
-		sm, err := ws.Smooth(cur, init, history)
-		if err != nil {
+		if err := ws.filterSums(cur, init); err != nil {
 			return EMResult{}, fmt.Errorf("EM iteration %d: %w", iter, err)
 		}
-		next, err := mStep(sm, history, init, cfg.VarFloor)
+		ws.backward(cur)
+		next, err := mStep(&ws.sm, history, init, cfg.VarFloor)
 		if err != nil {
 			return EMResult{}, fmt.Errorf("EM iteration %d: %w", iter, err)
 		}
@@ -110,6 +121,55 @@ func (ws *Workspace) EM(start Params, init State, history [][]float64, cfg EMCon
 	}
 	res.LogLikelihood = ll
 	return res, nil
+}
+
+// sumRuns records each run's score count and score sum, summed in order
+// from zero exactly as Update sums them.
+func (ws *Workspace) sumRuns(history [][]float64) error {
+	if cap(ws.runs) < len(history) {
+		ws.runs = make([]runSums, 0, len(history))
+	}
+	ws.runs = ws.runs[:0]
+	for r, scores := range history {
+		var sum float64
+		for _, s := range scores {
+			if math.IsNaN(s) || math.IsInf(s, 0) {
+				return fmt.Errorf("run %d: lds: score %v is not finite", r+1, s)
+			}
+			sum += s
+		}
+		ws.runs = append(ws.runs, runSums{n: float64(len(scores)), sum: sum})
+	}
+	return nil
+}
+
+// filterSums is Smooth's forward pass over the per-run sums of sumRuns,
+// with p already validated: each step is Update(p, filtered[t-1], S_t),
+// including its check that the previous belief is proper.
+func (ws *Workspace) filterSums(p Params, init State) error {
+	filtered, predicted := ws.filtered, ws.predicted
+	filtered[0] = init
+	for t := 1; t < len(filtered); t++ {
+		prev := filtered[t-1]
+		// Update's prev.Validate(), inlined: a finite mean (m-m is NaN for
+		// NaN and ±Inf) and a positive finite variance.
+		if prev.Mean-prev.Mean != 0 || !(prev.Var > 0 && prev.Var <= math.MaxFloat64) {
+			return fmt.Errorf("run %d: %w", t, prev.Validate())
+		}
+		k := p.A*p.A*prev.Var + p.Gamma // K = a^2*sigma_{r-1} + gamma
+		predicted[t] = k
+		run := ws.runs[t-1]
+		if run.n == 0 {
+			filtered[t] = State{Mean: p.A * prev.Mean, Var: k}
+			continue
+		}
+		denom := run.n*k + p.Eta
+		filtered[t] = State{
+			Mean: (p.A*p.Eta*prev.Mean + k*run.sum) / denom, // Eq. (17)
+			Var:  k * p.Eta / denom,                         // Eq. (18)
+		}
+	}
+	return nil
 }
 
 // mStep computes the closed-form M-step from smoothed statistics.

@@ -44,8 +44,7 @@ func (ws *Workspace) Smooth(p Params, init State, history [][]float64) (*Smoothe
 	// Forward pass. filtered[t], predicted[t] for t = 0..n, where
 	// predicted[t] is the prior variance P_t = a^2*V_{t-1} + gamma used by
 	// the backward gain (predicted[0] unused).
-	ws.filtered = growStates(ws.filtered, n+1)
-	ws.predicted = growFloats(ws.predicted, n+1)
+	ws.size(n)
 	filtered := ws.filtered
 	predicted := ws.predicted
 	filtered[0] = init
@@ -57,12 +56,15 @@ func (ws *Workspace) Smooth(p Params, init State, history [][]float64) (*Smoothe
 		}
 		filtered[t] = next
 	}
+	ws.backward(p)
+	return &ws.sm, nil
+}
 
-	// Backward pass.
-	ws.sm.Mean = growFloats(ws.sm.Mean, n+1)
-	ws.sm.Var = growFloats(ws.sm.Var, n+1)
-	ws.sm.CrossCov = growFloats(ws.sm.CrossCov, n+1)
-	sm := &ws.sm
+// backward runs the RTS recursion over the workspace's forward pass
+// (filtered and predicted, sized by size), filling ws.sm.
+func (ws *Workspace) backward(p Params) {
+	filtered, predicted, sm := ws.filtered, ws.predicted, &ws.sm
+	n := len(filtered) - 1
 	sm.Mean[n] = filtered[n].Mean
 	sm.Var[n] = filtered[n].Var
 	for t := n - 1; t >= 0; t-- {
@@ -73,7 +75,6 @@ func (ws *Workspace) Smooth(p Params, init State, history [][]float64) (*Smoothe
 		// Lag-one covariance Cov(q_{t+1}, q_t | all) = J_t * V_{t+1|T}.
 		sm.CrossCov[t+1] = j * sm.Var[t+1]
 	}
-	return sm, nil
 }
 
 // Runs returns the number of runs R covered by the smoothed history.

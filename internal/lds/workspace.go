@@ -1,22 +1,39 @@
 package lds
 
-// Workspace holds reusable buffers for the smoother, EM, the filter and the
-// innovation diagnostics, so repeated inference over the same worker (the
-// estimator's per-run hot path) runs allocation-free once the buffers have
-// grown to the history length. A Workspace is not safe for concurrent use;
-// give each worker (or goroutine) its own. The zero value is ready to use.
+// Workspace holds reusable buffers for the smoother and EM, so repeated
+// inference (the estimator's per-run hot path) runs allocation-free once
+// the buffers have grown to the history length. The buffers carry nothing
+// from one call to the next, so one Workspace can serve any number of
+// workers in turn. A Workspace is not safe for concurrent use: give each
+// goroutine its own. The zero value is ready to use.
 //
 // Results returned by Workspace methods alias its buffers and are valid
-// only until the next call on the same Workspace; the package-level Smooth,
-// EM, Filter and Innovations wrappers use a fresh Workspace per call and
-// stay safe to retain.
+// only until the next call on the same Workspace; the package-level Smooth
+// and EM wrappers use a fresh Workspace per call and stay safe to retain.
 type Workspace struct {
 	filtered  []State
 	predicted []float64
 	sm        Smoothed
+	runs      []runSums // per EM call
 }
 
-// states returns a zeroed State buffer of length n.
+// runSums is one run's score count and score sum, the only view of the
+// run's scores the EM forward filter needs.
+type runSums struct {
+	n, sum float64
+}
+
+// size readies the forward- and backward-pass buffers for n runs (n+1
+// states, index 0 being the initial belief).
+func (ws *Workspace) size(n int) {
+	ws.filtered = growStates(ws.filtered, n+1)
+	ws.predicted = growFloats(ws.predicted, n+1)
+	ws.sm.Mean = growFloats(ws.sm.Mean, n+1)
+	ws.sm.Var = growFloats(ws.sm.Var, n+1)
+	ws.sm.CrossCov = growFloats(ws.sm.CrossCov, n+1)
+}
+
+// growStates returns a State buffer of length n.
 func growStates(buf []State, n int) []State {
 	if cap(buf) < n {
 		return make([]State, n)

@@ -73,6 +73,9 @@ const (
 	MetricEMReestimateSeconds = "melody_em_reestimate_seconds"
 	MetricEMRunsTotal         = "melody_em_runs_total"
 	MetricEMLogLikelihood     = "melody_em_log_likelihood"
+	// Workers whose belief diverged (non-finite) and were restarted from
+	// the initial belief and theta^0 (internal/quality).
+	MetricEstimatorRestartsTotal = "melody_estimator_restarts_total"
 )
 
 // RegisterBaseline pre-registers the platform's standard metric families so
@@ -116,4 +119,5 @@ func RegisterBaseline(r *Registry) {
 	r.Histogram(MetricEMReestimateSeconds, "Wall time of one per-worker EM re-estimation.", TimeBuckets())
 	r.Counter(MetricEMRunsTotal, "EM re-estimations performed.")
 	r.Gauge(MetricEMLogLikelihood, "Final log marginal likelihood of the latest EM re-estimation.")
+	r.Counter(MetricEstimatorRestartsTotal, "Diverged workers restarted from the initial belief.")
 }

@@ -154,9 +154,10 @@ func TestObserveBatchSizeMismatch(t *testing.T) {
 	}
 }
 
-// TestWindowMemoryBounded guards the slice-aliasing fix: after far more
-// runs than the window, the retained history must hold exactly window runs
-// and reuse ring slots instead of growing the backing array.
+// TestWindowMemoryBounded guards the window's memory: after far more runs
+// than the window, it must hold exactly window runs, keep its score slice
+// within a small multiple of the live scores, and push without allocating
+// (evicted space is compacted and reused).
 func TestWindowMemoryBounded(t *testing.T) {
 	cfg := batchTestConfig()
 	cfg.EMWindow = 10
@@ -170,31 +171,56 @@ func TestWindowMemoryBounded(t *testing.T) {
 		}
 	}
 	w := m.workers["w"]
-	if got := len(w.hist.buf); got != cfg.EMWindow {
-		t.Errorf("ring backing holds %d slots, want %d", got, cfg.EMWindow)
+	if got := len(w.hist.counts); got != cfg.EMWindow {
+		t.Errorf("count ring holds %d slots, want %d", got, cfg.EMWindow)
 	}
-	if got := w.hist.count; got != cfg.EMWindow {
-		t.Errorf("ring count %d, want %d", got, cfg.EMWindow)
+	if got := w.hist.runs; got != cfg.EMWindow {
+		t.Errorf("window holds %d runs, want %d", got, cfg.EMWindow)
 	}
-	if view := w.hist.view(); len(view) != cfg.EMWindow {
+	if view := w.hist.view(nil); len(view) != cfg.EMWindow {
 		t.Errorf("view length %d, want %d", len(view), cfg.EMWindow)
+	}
+	if live, c := len(w.hist.vals)-w.hist.lo, cap(w.hist.vals); live != 2*cfg.EMWindow || c > 4*live {
+		t.Errorf("score slice holds %d live scores in capacity %d", live, c)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := m.Observe("w", []float64{5, 6}); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("steady-state Observe allocates %v times per run", allocs)
 	}
 }
 
-// TestScoreHistoryRingOrder checks chronological ordering across the wrap.
+// TestScoreHistoryRingOrder checks chronological ordering across the ring's
+// wrap and the score slice's in-place compaction, with runs of varying
+// length (empty ones included), and that every evicted run is returned
+// intact before its space is reused.
 func TestScoreHistoryRingOrder(t *testing.T) {
-	h := scoreHistory{window: 3}
-	for i := 1; i <= 7; i++ {
-		if _, ok := h.evictIfFull(); ok != (i > 3) {
+	const window = 3
+	var h scoreWindow
+	var pushed [][]float64
+	for i := 1; i <= 40; i++ {
+		ev, ok := h.evict(window)
+		if ok != (i > window) {
 			t.Fatalf("push %d: unexpected eviction state %v", i, ok)
 		}
-		h.push([]float64{float64(i)})
-	}
-	view := h.view()
-	want := []float64{5, 6, 7}
-	for i, run := range view {
-		if run[0] != want[i] {
-			t.Fatalf("view = %v, want runs %v", view, want)
+		if ok {
+			if want := pushed[i-window-1]; fmt.Sprint(ev) != fmt.Sprint(want) {
+				t.Fatalf("push %d: evicted %v, want %v", i, ev, want)
+			}
+		}
+		run := make([]float64, i%4)
+		for k := range run {
+			run[k] = float64(i) + float64(k)/10
+		}
+		pushed = append(pushed, run)
+		h.push(window, run)
+
+		view := h.view(nil)
+		want := pushed[max(0, len(pushed)-window):]
+		if fmt.Sprint(view) != fmt.Sprint(want) {
+			t.Fatalf("push %d: view = %v, want runs %v", i, view, want)
 		}
 	}
 }

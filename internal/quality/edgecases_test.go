@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"melody/internal/lds"
+	"melody/internal/obs"
 	"melody/internal/quality"
 	"melody/internal/verify"
 )
@@ -100,5 +101,70 @@ func TestEstimatorSingleWorkerPool(t *testing.T) {
 		if err := verify.CheckEstimator(e, []string{"solo"}, runs); err != nil {
 			t.Errorf("%s: %v", e.Name(), err)
 		}
+	}
+}
+
+// TestDivergedWorkerRestarts: with a > 1 and no scores, each run multiplies
+// a worker's predicted variance by a^2 until it overflows to +Inf. For
+// a = 1.036 the 10,009th update overflows, and every update from the
+// 10,010th on used to fail. The worker must instead restart, at the update
+// that overflowed, from the initial belief and theta^0 with an empty
+// window — exactly the state of a worker first seen at that run — and the
+// restart must be counted.
+func TestDivergedWorkerRestarts(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := quality.MelodyConfig{
+		Init:     lds.State{Mean: 5.5, Var: 2.25},
+		Params:   lds.Params{A: 1.036, Gamma: 0.3, Eta: 9},
+		EMPeriod: 10,
+		EMWindow: 60,
+		Metrics:  reg,
+	}
+	m, err := quality.NewMelody(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarts := reg.Counter(obs.MetricEstimatorRestartsTotal, "")
+	const runs = 12000
+	restartRun := 0
+	for run := 1; run <= runs; run++ {
+		if err := m.Observe("w", nil); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if restartRun == 0 && restarts.Value() > 0 {
+			restartRun = run
+		}
+	}
+	post, _ := m.Posterior("w")
+	if err := post.Validate(); err != nil {
+		t.Fatalf("posterior after %d empty runs: %v", runs, err)
+	}
+	if got := restarts.Value(); got != 1 {
+		t.Fatalf("%d restarts counted, want 1", got)
+	}
+	if restartRun != 10009 {
+		t.Errorf("restart at run %d, want 10009", restartRun)
+	}
+
+	cfg.Metrics = nil
+	fresh, err := quality.NewMelody(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := restartRun; run <= runs; run++ {
+		if err := fresh.Observe("w", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := m.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("restarted worker differs from one first seen at run %d", restartRun)
 	}
 }

@@ -62,82 +62,118 @@ func (c MelodyConfig) Validate() error {
 	return nil
 }
 
-// scoreHistory retains the per-run score sets EM learns from. With a
-// positive window it is a fixed-capacity ring: evicted runs hand their
-// backing slices back for reuse, so a long deployment holds exactly
-// O(window) memory instead of retaining every evicted run in a shared
-// backing array (the slice-aliasing leak of the seed's history[1:]
-// re-slicing). With window zero the history grows unboundedly, as the
+// scoreWindow is a worker's EM score history: a ring of per-run score
+// counts plus the scores of those runs, oldest first, in one contiguous
+// slice (vals[lo:]). Evicting the oldest run only advances lo; push
+// compacts the live scores to the front in place when the slice is full,
+// so a long deployment holds O(window) memory and steady-state pushes
+// allocate nothing. With window zero the history grows unboundedly, as the
 // paper's full-history variant requires.
-type scoreHistory struct {
-	window int // 0 = unbounded
-	buf    [][]float64
-	start  int // index of the oldest run when bounded
-	count  int
-	linear [][]float64 // scratch for a wrapped ring's chronological view
+type scoreWindow struct {
+	counts []int32 // ring of run score counts; full once len == window
+	start  int     // ring index of the oldest run
+	runs   int
+	vals   []float64
+	lo     int // vals[lo:] are the retained runs' scores
 }
 
-// evictIfFull removes and returns the oldest run's scores when the ring is
-// at capacity, so the caller can fold it into the window-start prior and
-// recycle the slice.
-func (h *scoreHistory) evictIfFull() ([]float64, bool) {
-	if h.window <= 0 || h.count < h.window {
+// ring maps the i-th oldest retained run to its slot in counts.
+func (h *scoreWindow) ring(i int) int {
+	if i += h.start; i >= len(h.counts) {
+		i -= len(h.counts)
+	}
+	return i
+}
+
+// evict removes the oldest run when the window is at capacity and returns
+// its scores, so the caller can fold them into the window-start prior. The
+// slice aliases the window and is valid until the next push.
+func (h *scoreWindow) evict(window int) ([]float64, bool) {
+	if window <= 0 || h.runs < window {
 		return nil, false
 	}
-	ev := h.buf[h.start]
-	h.buf[h.start] = nil
-	h.start = (h.start + 1) % h.window
-	h.count--
+	n := int(h.counts[h.start])
+	ev := h.vals[h.lo : h.lo+n]
+	h.lo += n
+	h.start = h.ring(1)
+	h.runs--
 	return ev, true
 }
 
-// push appends the newest run's scores.
-func (h *scoreHistory) push(scores []float64) {
-	if h.window <= 0 || len(h.buf) < h.window {
-		h.buf = append(h.buf, scores)
+// push appends the newest run's scores (copied).
+func (h *scoreWindow) push(window int, scores []float64) {
+	if window <= 0 || len(h.counts) < window {
+		h.counts = append(h.counts, int32(len(scores)))
 	} else {
-		h.buf[(h.start+h.count)%h.window] = scores
+		h.counts[h.ring(h.runs)] = int32(len(scores))
 	}
-	h.count++
+	h.runs++
+	if len(h.vals)+len(scores) > cap(h.vals) && h.lo > 0 {
+		h.vals = h.vals[:copy(h.vals, h.vals[h.lo:])]
+		h.lo = 0
+	}
+	h.vals = append(h.vals, scores...)
 }
 
-// view returns the retained runs in chronological order. The result may
-// alias internal scratch and is valid until the next push.
-func (h *scoreHistory) view() [][]float64 {
-	if h.start == 0 {
-		return h.buf[:h.count]
-	}
-	h.linear = h.linear[:0]
-	for i := 0; i < h.count; i++ {
-		h.linear = append(h.linear, h.buf[(h.start+i)%len(h.buf)])
-	}
-	return h.linear
+// clear empties the window, keeping its backing arrays.
+func (h *scoreWindow) clear() {
+	*h = scoreWindow{counts: h.counts[:0], vals: h.vals[:0]}
 }
 
 // hasScores reports whether any retained run carries at least one score.
-func (h *scoreHistory) hasScores() bool {
-	for i := 0; i < h.count; i++ {
-		if len(h.buf[(h.start+i)%len(h.buf)]) > 0 {
-			return true
-		}
+func (h *scoreWindow) hasScores() bool { return len(h.vals) > h.lo }
+
+// view appends the retained runs to dst[:0] in chronological order; the
+// runs alias the window.
+func (h *scoreWindow) view(dst [][]float64) [][]float64 {
+	dst = dst[:0]
+	for i, off := 0, h.lo; i < h.runs; i++ {
+		n := int(h.counts[h.ring(i)])
+		dst = append(dst, h.vals[off:off+n:off+n])
+		off += n
 	}
-	return false
+	return dst
 }
 
-// melodyWorker is the per-worker state of Algorithm 3. Each worker owns its
-// inference buffers, so independent workers can be updated concurrently.
+// melodyWorker is the per-worker state of Algorithm 3: model state only.
+// Inference scratch lives in the estimator (one scratch per goroutine), so
+// a tracked worker costs its beliefs, theta and its score window.
 type melodyWorker struct {
 	posterior lds.State
 	params    lds.Params
-	hist      scoreHistory
 	// windowInit is the filtered posterior just before the oldest run still
 	// in history. EM uses it as the window's initial state so a sliding
 	// window does not keep re-anchoring the chain at the global prior.
 	windowInit lds.State
 	sinceEM    int
-	ws         lds.Workspace    // reusable smoother/EM buffers
-	inn        []lds.Innovation // reusable misfit-diagnostic buffer
-	gen        uint64           // last ObserveBatch generation that touched this worker
+	gen        uint64 // last ObserveBatch generation that touched this worker
+	hist       scoreWindow
+}
+
+// scratch is one goroutine's inference working memory: the smoother/EM
+// workspace, the window's chronological view and the innovations buffer.
+// Nothing in it outlives the worker update that uses it.
+type scratch struct {
+	ws   lds.Workspace
+	view [][]float64
+	inn  []lds.Innovation
+}
+
+// history returns the worker's retained runs in chronological order,
+// aliasing the window through the scratch view.
+func (sc *scratch) history(w *melodyWorker) [][]float64 {
+	sc.view = w.hist.view(sc.view)
+	return sc.view
+}
+
+// misfit is the worker's model-misfit score over its retained window.
+func (sc *scratch) misfit(w *melodyWorker) (float64, error) {
+	innovations, err := lds.InnovationsInto(sc.inn[:0], w.params, w.windowInit, sc.history(w))
+	if err != nil {
+		return 0, err
+	}
+	sc.inn = innovations
+	return lds.MisfitScore(innovations)
 }
 
 // Melody is the paper's quality estimator: each worker's latent quality is
@@ -145,9 +181,12 @@ type melodyWorker struct {
 // hyper-parameters theta = {a, gamma, eta} are re-learned with EM every
 // EMPeriod runs (Algorithm 3).
 //
-// Melody is not safe for concurrent use, but ObserveBatch internally shards
-// its independent per-worker updates across a bounded goroutine pool and is
-// bit-identical to the equivalent sequence of Observe calls.
+// Melody is not safe for concurrent use with its mutating methods, but
+// ObserveBatch internally shards its independent per-worker updates across
+// a bounded goroutine pool and is bit-identical to the equivalent sequence
+// of Observe calls. The read paths — Estimate, Posterior, Params, Forecast
+// and SnapshotState — write nothing, so any number of them may run at once
+// while no update is in progress.
 type Melody struct {
 	cfg     MelodyConfig
 	workers map[string]*melodyWorker
@@ -155,12 +194,18 @@ type Melody struct {
 	// duplicate IDs inside one batch are detected without a per-batch set.
 	batchGen uint64
 
-	// EM instrumentation handles; nil (no-op) when cfg.Metrics is nil. The
+	// scratch serves Observe, Misfit and serial batches; shards holds one
+	// scratch per concurrent ObserveBatch shard, reused across batches.
+	scratch scratch
+	shards  []scratch
+
+	// Instrumentation handles; nil (no-op) when cfg.Metrics is nil. The
 	// handles are internally atomic, so concurrent ObserveBatch shards can
 	// record through them without coordination.
 	emSeconds *obs.Histogram
 	emRuns    *obs.Counter
 	emLoglik  *obs.Gauge
+	restarts  *obs.Counter
 }
 
 var (
@@ -179,6 +224,7 @@ func NewMelody(cfg MelodyConfig) (*Melody, error) {
 		emSeconds: cfg.Metrics.Histogram(obs.MetricEMReestimateSeconds, "Wall time of one per-worker EM re-estimation.", obs.TimeBuckets()),
 		emRuns:    cfg.Metrics.Counter(obs.MetricEMRunsTotal, "EM re-estimations performed."),
 		emLoglik:  cfg.Metrics.Gauge(obs.MetricEMLogLikelihood, "Final log marginal likelihood of the latest EM re-estimation."),
+		restarts:  cfg.Metrics.Counter(obs.MetricEstimatorRestartsTotal, "Diverged workers restarted from the initial belief."),
 	}, nil
 }
 
@@ -237,12 +283,7 @@ func (m *Melody) Misfit(workerID string) (float64, bool, error) {
 	if !found || !w.hist.hasScores() {
 		return 0, false, nil
 	}
-	innovations, err := lds.InnovationsInto(w.inn[:0], w.params, w.windowInit, w.hist.view())
-	w.inn = innovations
-	if err != nil {
-		return 0, false, fmt.Errorf("quality: worker %s: %w", workerID, err)
-	}
-	score, err := lds.MisfitScore(innovations)
+	score, err := m.scratch.misfit(w)
 	if err != nil {
 		return 0, false, fmt.Errorf("quality: worker %s: %w", workerID, err)
 	}
@@ -257,7 +298,6 @@ func (m *Melody) lookup(workerID string) *melodyWorker {
 			posterior:  m.cfg.Init,
 			params:     m.cfg.Params,
 			windowInit: m.cfg.Init,
-			hist:       scoreHistory{window: m.cfg.EMWindow},
 		}
 		m.workers[workerID] = w
 	}
@@ -268,13 +308,25 @@ func (m *Melody) lookup(workerID string) *melodyWorker {
 // EM re-estimation when the worker's parameters have not been updated for
 // EMPeriod runs (Algorithm 3, lines 6-8).
 func (m *Melody) Observe(workerID string, scores []float64) error {
-	return m.observeWorker(m.lookup(workerID), workerID, scores)
+	return m.observeWorker(m.lookup(workerID), workerID, scores, &m.scratch)
+}
+
+// restart returns a diverged worker to the unseen-worker state: the
+// configured initial belief and theta^0 with an empty window.
+func (m *Melody) restart(w *melodyWorker) {
+	w.posterior = m.cfg.Init
+	w.params = m.cfg.Params
+	w.windowInit = m.cfg.Init
+	w.sinceEM = 0
+	w.hist.clear()
+	m.restarts.Inc()
 }
 
 // observeWorker is the single-worker update shared by Observe and
-// ObserveBatch. It touches only the given worker's state plus the read-only
-// configuration, so distinct workers can be updated concurrently.
-func (m *Melody) observeWorker(w *melodyWorker, workerID string, scores []float64) error {
+// ObserveBatch. It touches only the given worker's state, the read-only
+// configuration and the caller's scratch, so distinct workers can be
+// updated concurrently, each goroutine with its own scratch.
+func (m *Melody) observeWorker(w *melodyWorker, workerID string, scores []float64, sc *scratch) error {
 	if err := validateScores(scores); err != nil {
 		return err
 	}
@@ -282,24 +334,28 @@ func (m *Melody) observeWorker(w *melodyWorker, workerID string, scores []float6
 	if err != nil {
 		return fmt.Errorf("quality: worker %s: %w", workerID, err)
 	}
-	w.posterior = next
-
 	// Slide the window: fold the evicted run into the window-start prior
-	// with the filter, so EM sees a correctly anchored chain; its slice is
-	// then recycled as the backing for the newest run's copy.
-	var recorded []float64
-	if evicted, ok := w.hist.evictIfFull(); ok {
-		advanced, err := lds.Update(w.params, w.windowInit, evicted)
-		if err != nil {
+	// with the filter, so EM sees a correctly anchored chain, before push
+	// may reuse its space.
+	anchor := w.windowInit
+	if evicted, ok := w.hist.evict(m.cfg.EMWindow); ok {
+		if anchor, err = lds.Update(w.params, anchor, evicted); err != nil {
 			return fmt.Errorf("quality: worker %s window: %w", workerID, err)
 		}
-		w.windowInit = advanced
-		recorded = evicted[:0]
 	}
-	if cap(recorded) < len(scores) {
-		recorded = make([]float64, 0, len(scores))
+	if next.Validate() != nil || anchor.Validate() != nil {
+		// The belief diverged (e.g. a > 1 with no scores for thousands of
+		// runs overflows the variance), and every later update would fail
+		// on it. Restart the worker as unseen and apply this run to that.
+		m.restart(w)
+		if next, err = lds.Update(w.params, w.posterior, scores); err != nil {
+			return fmt.Errorf("quality: worker %s: %w", workerID, err)
+		}
+		anchor = w.windowInit
 	}
-	w.hist.push(append(recorded, scores...))
+	w.posterior = next
+	w.windowInit = anchor
+	w.hist.push(m.cfg.EMWindow, scores)
 
 	if m.cfg.EMPeriod > 0 {
 		w.sinceEM++
@@ -307,14 +363,11 @@ func (m *Melody) observeWorker(w *melodyWorker, workerID string, scores []float6
 		if !due && m.cfg.MisfitTrigger > 0 && w.hist.hasScores() {
 			// Adaptive re-estimation: a persistently surprised model
 			// re-learns immediately instead of waiting out the period.
-			innovations, err := lds.InnovationsInto(w.inn[:0], w.params, w.windowInit, w.hist.view())
-			w.inn = innovations
+			score, err := sc.misfit(w)
 			if err != nil {
 				return fmt.Errorf("quality: worker %s diagnostics: %w", workerID, err)
 			}
-			if score, err := lds.MisfitScore(innovations); err == nil && score > m.cfg.MisfitTrigger {
-				due = true
-			}
+			due = score > m.cfg.MisfitTrigger
 		}
 		if due {
 			w.sinceEM = 0
@@ -322,7 +375,7 @@ func (m *Melody) observeWorker(w *melodyWorker, workerID string, scores []float6
 				sp := m.cfg.Tracer.Start("em.reestimate")
 				sp.SetAttr("worker", workerID)
 				start := time.Now()
-				res, err := w.ws.EM(w.params, w.windowInit, w.hist.view(), m.cfg.EM)
+				res, err := sc.ws.EM(w.params, w.windowInit, sc.history(w), m.cfg.EM)
 				m.emSeconds.Observe(time.Since(start).Seconds())
 				sp.End()
 				if err != nil {
@@ -379,7 +432,7 @@ func (m *Melody) ObserveBatch(ids []string, scores [][]float64) error {
 	if duplicates || concurrency <= 1 || len(ids) < minParallelBatch {
 		var errs []error
 		for i := range ids {
-			if err := m.observeWorker(workers[i], ids[i], scores[i]); err != nil {
+			if err := m.observeWorker(workers[i], ids[i], scores[i], &m.scratch); err != nil {
 				errs = append(errs, err)
 			}
 		}
@@ -388,19 +441,22 @@ func (m *Melody) ObserveBatch(ids []string, scores [][]float64) error {
 
 	errs := make([]error, len(ids))
 	chunk := (len(ids) + concurrency - 1) / concurrency
+	if shards := (len(ids) + chunk - 1) / chunk; len(m.shards) < shards {
+		m.shards = append(m.shards, make([]scratch, shards-len(m.shards))...)
+	}
 	var wg sync.WaitGroup
-	for lo := 0; lo < len(ids); lo += chunk {
+	for shard, lo := 0, 0; lo < len(ids); shard, lo = shard+1, lo+chunk {
 		hi := lo + chunk
 		if hi > len(ids) {
 			hi = len(ids)
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(sc *scratch, lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				errs[i] = m.observeWorker(workers[i], ids[i], scores[i])
+				errs[i] = m.observeWorker(workers[i], ids[i], scores[i], sc)
 			}
-		}(lo, hi)
+		}(&m.shards[shard], lo, hi)
 	}
 	wg.Wait()
 	return errors.Join(errs...)

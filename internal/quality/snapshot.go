@@ -9,9 +9,9 @@ import (
 )
 
 // workerSnapshot is the serialized dynamic state of one tracked worker:
-// everything that influences future estimates. Inference scratch buffers
-// (smoother workspaces, innovation slices) are rebuilt lazily and are not
-// state.
+// everything that influences future estimates. Inference scratch (smoother
+// workspace, window view, innovations) belongs to the estimator's
+// goroutines, not to workers, and is not state.
 type workerSnapshot struct {
 	ID         string      `json:"id"`
 	Posterior  lds.State   `json:"posterior"`
@@ -37,7 +37,8 @@ const snapshotVersion = 1
 // posteriors, hyper-parameters, EM score history and window anchors) so a
 // platform snapshot can restore it bit-identically: floats survive the JSON
 // round-trip exactly (Go encodes float64 with the shortest representation
-// that parses back to the same value).
+// that parses back to the same value). It only reads the estimator, so
+// concurrent calls are safe while no update runs.
 func (m *Melody) SnapshotState() ([]byte, error) {
 	snap := melodySnapshot{Version: snapshotVersion}
 	ids := make([]string, 0, len(m.workers))
@@ -54,9 +55,13 @@ func (m *Melody) SnapshotState() ([]byte, error) {
 			WindowInit: w.windowInit,
 			SinceEM:    w.sinceEM,
 		}
-		for _, run := range w.hist.view() {
-			// Deep-copy each run's scores: view may alias ring scratch.
-			ws.History = append(ws.History, append([]float64(nil), run...))
+		// The runs alias the window, which Marshal reads before returning;
+		// an empty run encodes as null, as in every version-1 snapshot.
+		ws.History = w.hist.view(nil)
+		for i, run := range ws.History {
+			if len(run) == 0 {
+				ws.History[i] = nil
+			}
 		}
 		snap.Workers = append(snap.Workers, ws)
 	}
@@ -93,10 +98,9 @@ func (m *Melody) RestoreState(data []byte) error {
 			params:     ws.Params,
 			windowInit: ws.WindowInit,
 			sinceEM:    ws.SinceEM,
-			hist:       scoreHistory{window: m.cfg.EMWindow},
 		}
 		for _, run := range ws.History {
-			w.hist.push(append([]float64(nil), run...))
+			w.hist.push(m.cfg.EMWindow, run)
 		}
 		m.workers[ws.ID] = w
 	}
