@@ -119,16 +119,17 @@ type AuctionState struct {
 	remAlt     []int
 	repairFrom int
 
-	// Per-run arenas. taskSeen is epoch-stamped like gone: per-run task
-	// duplicate detection without a per-run map clear. rawTasks remembers the
-	// caller's task list verbatim so steady-state runs over an unchanged list
-	// (the common persistent-auction pattern) skip validation and re-sorting.
+	// Per-run arenas. taskSeen holds the task IDs of the list last
+	// validated, for duplicate detection; it is cleared at the start of each
+	// validation, so it never holds more than one run's tasks, and its buckets
+	// are reused. rawTasks remembers the caller's task list verbatim so
+	// steady-state runs over an unchanged list (the common persistent-auction
+	// pattern) skip validation and re-sorting.
 	pre        preAllocResult
 	tasks      []Task
 	rawTasks   []Task
 	tasksReady bool
-	taskSeen   map[string]uint64
-	taskEpoch  uint64
+	taskSeen   map[string]struct{}
 	offsets    []int
 	out        Outcome // reused outcome backing store (ReuseOutcome)
 
@@ -159,7 +160,7 @@ func NewAuctionState(cfg Config, opts AuctionStateOptions) (*AuctionState, error
 		opts:     opts,
 		byID:     make(map[string]Worker),
 		gone:     make(map[string]uint64),
-		taskSeen: make(map[string]uint64),
+		taskSeen: make(map[string]struct{}),
 		tracer:   opts.Tracer,
 	}
 	if reg := opts.Metrics; reg != nil {
@@ -575,15 +576,15 @@ func (s *AuctionState) prepareTasks(tasks []Task, budget float64) error {
 		return nil
 	}
 	s.tasksReady = false
-	s.taskEpoch++
+	clear(s.taskSeen)
 	for _, t := range tasks {
 		if err := validateTask(t); err != nil {
 			return err
 		}
-		if s.taskSeen[t.ID] == s.taskEpoch {
+		if _, dup := s.taskSeen[t.ID]; dup {
 			return fmt.Errorf("core: duplicate task ID %q", t.ID)
 		}
-		s.taskSeen[t.ID] = s.taskEpoch
+		s.taskSeen[t.ID] = struct{}{}
 	}
 	s.rawTasks = append(s.rawTasks[:0], tasks...)
 	s.tasks = append(s.tasks[:0], tasks...)

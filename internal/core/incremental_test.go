@@ -252,6 +252,42 @@ func TestAuctionStateRunTwiceIdentical(t *testing.T) {
 	}
 }
 
+// TestAuctionStateTaskSetBounded: runs whose task IDs are fresh every run,
+// as a platform's are, leave the duplicate-task detector holding at most
+// one run's tasks, and it still catches a duplicate within a run.
+func TestAuctionStateTaskSetBounded(t *testing.T) {
+	st, err := NewAuctionState(diffConfig(), AuctionStateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := stats.NewRNG(17)
+	if err := st.Apply(WorkerDelta{Upserts: randomInstance(r, 50, 1).Workers}); err != nil {
+		t.Fatal(err)
+	}
+	largest := 0
+	var tasks []Task
+	for run := 0; run < 5000; run++ {
+		tasks = randomTasks(r, 1+r.Intn(8))
+		for j := range tasks {
+			tasks[j].ID = fmt.Sprintf("run%d-%s", run, tasks[j].ID)
+		}
+		largest = max(largest, len(tasks))
+		if _, err := st.RunMelody(tasks, r.Uniform(0, 200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(st.taskSeen) > largest {
+		t.Errorf("after 5000 runs the task set holds %d IDs, want at most %d", len(st.taskSeen), largest)
+	}
+	dup := append([]Task{tasks[0]}, tasks...)
+	if _, err := st.RunMelody(dup, 100); err == nil || !strings.Contains(err.Error(), "duplicate task ID") {
+		t.Errorf("duplicate task ID: err = %v", err)
+	}
+	if _, err := st.RunMelody(tasks[:1], 100); err != nil {
+		t.Errorf("a task ID from an earlier run was rejected: %v", err)
+	}
+}
+
 // TestAuctionStateReuseOutcome asserts the arena-backed outcome equals the
 // fresh one and that steady-state runs with it allocate (near) nothing.
 func TestAuctionStateReuseOutcome(t *testing.T) {

@@ -73,10 +73,10 @@ func (s *EpochSettler) Pending() float64 {
 
 // pay moves one assignment's payment from escrow into the pool and
 // accrues it to the worker, atomically with respect to Settle.
-func (s *EpochSettler) pay(worker Account, amount float64, memo string) error {
+func (s *EpochSettler) pay(worker Account, amount float64, memo memoParts) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := s.ledger.Transfer(KindPayment, Escrow, EpochPool, amount, memo); err != nil {
+	if _, err := s.ledger.transfer(KindPayment, Escrow, EpochPool, amount, memo); err != nil {
 		return err
 	}
 	s.pending[worker] += amount
@@ -123,8 +123,8 @@ func (s *EpochSettler) settleLocked() error {
 		if amount <= 0 {
 			continue
 		}
-		if _, err := s.ledger.Transfer(KindPayout, EpochPool, w, amount,
-			fmt.Sprintf("epoch %d payout", epoch)); err != nil {
+		if _, err := s.ledger.transfer(KindPayout, EpochPool, w, amount,
+			memoParts{form: memoPayout, num: int64(epoch)}); err != nil {
 			return fmt.Errorf("ledger: epoch %d payout to %q: %w", epoch, w, err)
 		}
 	}
@@ -136,8 +136,8 @@ func (s *EpochSettler) settleLocked() error {
 		if residue > 1e-6 {
 			return fmt.Errorf("ledger: epoch %d left %.9f in the pool", epoch, residue)
 		}
-		if _, err := s.ledger.Transfer(KindRefund, EpochPool, Requester, residue,
-			fmt.Sprintf("epoch %d rounding residue", epoch)); err != nil {
+		if _, err := s.ledger.transfer(KindRefund, EpochPool, Requester, residue,
+			memoParts{form: memoResidue, num: int64(epoch)}); err != nil {
 			return err
 		}
 	}

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -54,13 +56,93 @@ type Entry struct {
 type Ledger struct {
 	mu       sync.Mutex
 	balances map[Account]float64
-	entries  []Entry
-	seq      int64
+	// journal is the entry history, one record per entry: entry i has Seq
+	// i+1. Records name accounts and kinds by their index in names.
+	journal []record
+	names   []string
+	ids     map[string]uint32
+}
+
+// record is one journal entry in 48 bytes. Its memo is kept as its parts
+// and formatted only when an Entry is built, so a payment's memo costs no
+// more than the task ID string its outcome already holds.
+type record struct {
+	amount         float64
+	text           string
+	num            int64
+	from, to, kind uint32
+	form           memoForm
+}
+
+// memoForm is the shape of an entry's memo.
+type memoForm uint8
+
+// The memo forms: a verbatim memo is its text; every other form is its
+// affixes around the run or epoch number, followed by the text.
+const (
+	memoVerbatim memoForm = iota
+	memoBudget
+	memoPayment
+	memoRefund
+	memoPayout
+	memoResidue
+)
+
+var memoAffixes = [...][2]string{
+	memoBudget:  {"run ", " budget"},
+	memoPayment: {"run ", " task "},
+	memoRefund:  {"run ", " refund"},
+	memoPayout:  {"epoch ", " payout"},
+	memoResidue: {"epoch ", " rounding residue"},
+}
+
+// memoParts is a memo as its form, its run or epoch number, and its text:
+// what follows the affixes (a payment's task ID), or the whole of a
+// verbatim memo.
+type memoParts struct {
+	form memoForm
+	num  int64
+	text string
+}
+
+// String formats the memo as the settlement paths write it.
+func (m memoParts) String() string {
+	if m.form == memoVerbatim {
+		return m.text
+	}
+	a := memoAffixes[m.form]
+	var buf [64]byte
+	b := append(buf[:0], a[0]...)
+	b = strconv.AppendInt(b, m.num, 10)
+	b = append(b, a[1]...)
+	return string(append(b, m.text...))
+}
+
+// parseMemo splits a memo into the parts that format back to it; a memo in
+// no settlement form stays verbatim.
+func parseMemo(memo string) memoParts {
+	for form := memoBudget; int(form) < len(memoAffixes); form++ {
+		a := memoAffixes[form]
+		rest, ok := strings.CutPrefix(memo, a[0])
+		if !ok {
+			continue
+		}
+		digits, text, ok := strings.Cut(rest, a[1])
+		if !ok {
+			continue
+		}
+		num, err := strconv.ParseInt(digits, 10, 64)
+		if err != nil || strconv.FormatInt(num, 10) != digits {
+			continue
+		}
+		return memoParts{form: form, num: num, text: strings.Clone(text)}
+	}
+	return memoParts{text: memo}
 }
 
 // New returns an empty ledger.
 func New() *Ledger {
-	return &Ledger{balances: make(map[Account]float64)}
+	return &Ledger{balances: make(map[Account]float64), ids: make(map[string]uint32)}
 }
 
 // Deposit credits external money into an account.
@@ -71,11 +153,16 @@ func (l *Ledger) Deposit(to Account, amount float64, memo string) (int64, error)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.balances[to] += amount
-	return l.record(KindDeposit, "", to, amount, memo), nil
+	return l.write(KindDeposit, "", to, amount, memoParts{text: memo}), nil
 }
 
 // Transfer moves money between accounts, failing on insufficient funds.
 func (l *Ledger) Transfer(kind EntryKind, from, to Account, amount float64, memo string) (int64, error) {
+	return l.transfer(kind, from, to, amount, memoParts{text: memo})
+}
+
+// transfer is Transfer with the memo given as its parts.
+func (l *Ledger) transfer(kind EntryKind, from, to Account, amount float64, memo memoParts) (int64, error) {
 	if err := checkAmount(amount); err != nil {
 		return 0, err
 	}
@@ -90,16 +177,28 @@ func (l *Ledger) Transfer(kind EntryKind, from, to Account, amount float64, memo
 	}
 	l.balances[from] -= amount
 	l.balances[to] += amount
-	return l.record(kind, from, to, amount, memo), nil
+	return l.write(kind, from, to, amount, memo), nil
 }
 
-// record appends an entry; callers hold l.mu.
-func (l *Ledger) record(kind EntryKind, from, to Account, amount float64, memo string) int64 {
-	l.seq++
-	l.entries = append(l.entries, Entry{
-		Seq: l.seq, Kind: kind, From: from, To: to, Amount: amount, Memo: memo,
+// write appends an entry and returns its Seq; callers hold l.mu.
+func (l *Ledger) write(kind EntryKind, from, to Account, amount float64, memo memoParts) int64 {
+	l.journal = append(l.journal, record{
+		amount: amount, text: memo.text, num: memo.num, form: memo.form,
+		from: l.intern(string(from)), to: l.intern(string(to)), kind: l.intern(string(kind)),
 	})
-	return l.seq
+	return int64(len(l.journal))
+}
+
+// intern returns name's index in l.names, adding it on first use; callers
+// hold l.mu.
+func (l *Ledger) intern(name string) uint32 {
+	id, ok := l.ids[name]
+	if !ok {
+		id = uint32(len(l.names))
+		l.names = append(l.names, name)
+		l.ids[name] = id
+	}
+	return id
 }
 
 // Balance returns an account's balance (zero for unknown accounts).
@@ -113,8 +212,23 @@ func (l *Ledger) Balance(a Account) float64 {
 func (l *Ledger) Entries() []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Entry, len(l.entries))
-	copy(out, l.entries)
+	return l.entriesLocked()
+}
+
+// entriesLocked builds the history's entries; callers hold l.mu.
+func (l *Ledger) entriesLocked() []Entry {
+	out := make([]Entry, len(l.journal))
+	for i := range l.journal {
+		r := &l.journal[i]
+		out[i] = Entry{
+			Seq:    int64(i + 1),
+			Kind:   EntryKind(l.names[r.kind]),
+			From:   Account(l.names[r.from]),
+			To:     Account(l.names[r.to]),
+			Amount: r.amount,
+			Memo:   memoParts{form: r.form, num: r.num, text: r.text}.String(),
+		}
+	}
 	return out
 }
 
@@ -160,7 +274,7 @@ type RunSettlement struct {
 
 // OpenRun escrows the run's budget from the requester account.
 func (l *Ledger) OpenRun(run int, budget float64) (*RunSettlement, error) {
-	if _, err := l.Transfer(KindEscrow, Requester, Escrow, budget, fmt.Sprintf("run %d budget", run)); err != nil {
+	if _, err := l.transfer(KindEscrow, Requester, Escrow, budget, memoParts{form: memoBudget, num: int64(run)}); err != nil {
 		return nil, err
 	}
 	return &RunSettlement{ledger: l, run: run, budget: budget, open: true}, nil
@@ -177,12 +291,12 @@ func (s *RunSettlement) Pay(worker Account, amount float64, taskID string) error
 		return fmt.Errorf("ledger: run %d payment %.6f would exceed budget %.6f (spent %.6f)",
 			s.run, amount, s.budget, s.spent)
 	}
-	memo := fmt.Sprintf("run %d task %s", s.run, taskID)
+	memo := memoParts{form: memoPayment, num: int64(s.run), text: taskID}
 	if s.epoch != nil {
 		if err := s.epoch.pay(worker, amount, memo); err != nil {
 			return err
 		}
-	} else if _, err := s.ledger.Transfer(KindPayment, Escrow, worker, amount, memo); err != nil {
+	} else if _, err := s.ledger.transfer(KindPayment, Escrow, worker, amount, memo); err != nil {
 		return err
 	}
 	s.spent += amount
@@ -200,8 +314,8 @@ func (s *RunSettlement) Close() error {
 	if remainder <= 1e-12 {
 		return nil
 	}
-	_, err := s.ledger.Transfer(KindRefund, Escrow, Requester, remainder,
-		fmt.Sprintf("run %d refund", s.run))
+	_, err := s.ledger.transfer(KindRefund, Escrow, Requester, remainder,
+		memoParts{form: memoRefund, num: int64(s.run)})
 	return err
 }
 

@@ -1,6 +1,9 @@
 package ledger
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // Snapshot is a point-in-time copy of the ledger's full state: every
 // balance, the complete entry history and the entry sequence counter. It is
@@ -18,16 +21,15 @@ type Snapshot struct {
 func (l *Ledger) Snapshot() *Snapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := &Snapshot{Seq: l.seq}
+	s := &Snapshot{Seq: int64(len(l.journal))}
 	if len(l.balances) > 0 {
 		s.Balances = make(map[Account]float64, len(l.balances))
 		for a, b := range l.balances {
 			s.Balances[a] = b
 		}
 	}
-	if len(l.entries) > 0 {
-		s.Entries = make([]Entry, len(l.entries))
-		copy(s.Entries, l.entries)
+	if len(l.journal) > 0 {
+		s.Entries = l.entriesLocked()
 	}
 	return s
 }
@@ -37,9 +39,21 @@ func (l *Ledger) Snapshot() *Snapshot {
 // the restore — in particular boot-time deposits an operator repeats on
 // every start, which the snapshot already contains — is discarded, so a
 // recovery can never double-count funding.
+//
+// An entry's Seq is its position in the history, so the snapshot's entries
+// must be numbered 1…n with Seq = n, as every snapshot the ledger writes
+// is; any other snapshot is rejected and the ledger left unchanged.
 func (l *Ledger) Restore(s *Snapshot) error {
 	if s == nil {
 		return errors.New("ledger: restore needs a snapshot")
+	}
+	if s.Seq != int64(len(s.Entries)) {
+		return fmt.Errorf("ledger: snapshot sequence %d does not match its %d entries", s.Seq, len(s.Entries))
+	}
+	for i, e := range s.Entries {
+		if e.Seq != int64(i+1) {
+			return fmt.Errorf("ledger: snapshot entry %d has sequence %d", i+1, e.Seq)
+		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -47,11 +61,10 @@ func (l *Ledger) Restore(s *Snapshot) error {
 	for a, b := range s.Balances {
 		l.balances[a] = b
 	}
-	l.entries = nil
-	if len(s.Entries) > 0 {
-		l.entries = make([]Entry, len(s.Entries))
-		copy(l.entries, s.Entries)
+	l.journal = make([]record, 0, len(s.Entries))
+	l.names, l.ids = nil, make(map[string]uint32)
+	for _, e := range s.Entries {
+		l.write(e.Kind, e.From, e.To, e.Amount, parseMemo(e.Memo))
 	}
-	l.seq = s.Seq
 	return nil
 }

@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -60,6 +61,44 @@ func TestLedgerRestoreValidation(t *testing.T) {
 	l := New()
 	if err := l.Restore(nil); err == nil {
 		t.Error("nil snapshot accepted")
+	}
+	if _, err := l.Deposit(Requester, 50, "funding"); err != nil {
+		t.Fatal(err)
+	}
+	want := l.Snapshot()
+	entry := func(seq int64) Entry {
+		return Entry{Seq: seq, Kind: KindDeposit, To: Requester, Amount: 1, Memo: "m"}
+	}
+	// An entry's Seq is its position, so a snapshot numbered any other way
+	// than 1…n with Seq = n is rejected, leaving the ledger as it was.
+	for name, snap := range map[string]*Snapshot{
+		"seq past entries":    {Entries: []Entry{entry(1)}, Seq: 2},
+		"seq without entries": {Seq: 3},
+		"gap":                 {Entries: []Entry{entry(1), entry(3)}, Seq: 3},
+		"starts at 2":         {Entries: []Entry{entry(2)}, Seq: 1},
+		"repeated":            {Entries: []Entry{entry(1), entry(1)}, Seq: 2},
+	} {
+		if err := l.Restore(snap); err == nil {
+			t.Errorf("%s: snapshot accepted", name)
+		}
+		if got := l.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: rejected restore changed the ledger to %+v", name, got)
+		}
+	}
+}
+
+// TestMemoRoundTrip: a restored entry's memo formats back to the text it
+// was restored from, whether or not it reads like a settlement memo.
+func TestMemoRoundTrip(t *testing.T) {
+	for _, memo := range []string{
+		"", "funding", "run 3 budget", "run 3 task t1", "run 3 task ", "run 3 task a task b",
+		"run 3 refund", "epoch 12 payout", "epoch 12 rounding residue", "run -4 budget",
+		"run 03 budget", "run +3 budget", "run -0 refund", "run 3 budget ", "run 3 budget budget",
+		"run  3 refund", "run 3 payout", "epoch 1 task t", "run 99999999999999999999 budget",
+	} {
+		if got := parseMemo(memo).String(); got != memo {
+			t.Errorf("memo %q formats back as %q", memo, got)
+		}
 	}
 }
 

@@ -99,8 +99,8 @@ type runState struct {
 	phase   Phase
 	tasks   []melody.Task // open spec for replay detection; nil after resume
 	budget  float64
-	spec    bool // whether tasks/budget record the open spec
-	outcome *OutcomeResponse
+	spec    bool            // whether tasks/budget record the open spec
+	outcome *melody.Outcome // the backend's own; nothing mutates it after close
 	answers []Answer
 	timer   *time.Timer // pending phase-deadline action, nil when disarmed
 	span    *obs.ActiveSpan
@@ -218,8 +218,7 @@ func (s *Server) resumeRun(id, tenant string, num int, outcome *melody.Outcome) 
 	rs.mu.Lock()
 	if outcome != nil {
 		rs.phase = PhaseScoring
-		resp := toOutcomeResponse(outcome)
-		rs.outcome = &resp
+		rs.outcome = outcome
 		s.scheduleRunLocked(rs, s.scoreDeadline, s.deadlineFinish)
 		s.startRunSpanLocked(rs, "run.scoring")
 		s.log.Info("resumed run in scoring phase", "run", id)
@@ -914,12 +913,12 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	resp, err := s.closeRun(r.Context(), rs)
+	out, err := s.closeRun(r.Context(), rs)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, toOutcomeResponse(out))
 }
 
 // closeRun is the close path shared by the HTTP handler and the
@@ -927,16 +926,15 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 // recorded outcome (the backend's close is idempotent) without restarting
 // the scoring deadline — even after the run finished, so late retries
 // stay safe.
-func (s *Server) closeRun(ctx context.Context, rs *runState) (OutcomeResponse, error) {
+func (s *Server) closeRun(ctx context.Context, rs *runState) (*melody.Outcome, error) {
 	rs.mu.Lock()
-	if rs.outcome != nil {
-		resp := *rs.outcome
+	if out := rs.outcome; out != nil {
 		rs.mu.Unlock()
-		return resp, nil
+		return out, nil
 	}
 	if rs.done {
 		rs.mu.Unlock()
-		return OutcomeResponse{}, fmt.Errorf("%w: run %s finished", melody.ErrNoRunOpen, rs.id)
+		return nil, fmt.Errorf("%w: run %s finished", melody.ErrNoRunOpen, rs.id)
 	}
 	rs.mu.Unlock()
 
@@ -948,21 +946,20 @@ func (s *Server) closeRun(ctx context.Context, rs *runState) (OutcomeResponse, e
 		out, err = s.platform.CloseAuction(ctx)
 	}
 	if err != nil {
-		return OutcomeResponse{}, err
+		return nil, err
 	}
-	resp := toOutcomeResponse(out)
 	rs.mu.Lock()
 	if rs.outcome == nil {
-		rs.outcome = &resp
+		rs.outcome = out
 		rs.phase = PhaseScoring
 		s.scheduleRunLocked(rs, s.scoreDeadline, s.deadlineFinish)
 		s.startRunSpanLocked(rs, "run.scoring")
 	}
-	resp = *rs.outcome
+	out = rs.outcome
 	rs.mu.Unlock()
 	s.log.Info("auction closed", "run", rs.id,
-		"selected_tasks", len(resp.SelectedTasks), "payment", resp.TotalPayment)
-	return resp, nil
+		"selected_tasks", len(out.SelectedTasks), "payment", out.TotalPayment)
+	return out, nil
 }
 
 func (s *Server) handleOutcome(w http.ResponseWriter, r *http.Request) {
@@ -981,7 +978,7 @@ func (s *Server) handleOutcome(w http.ResponseWriter, r *http.Request) {
 		writeError(w, melody.ErrAuctionOpen)
 		return
 	}
-	writeJSON(w, http.StatusOK, *out)
+	writeJSON(w, http.StatusOK, toOutcomeResponse(out))
 }
 
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {

@@ -371,16 +371,19 @@ func putBuf(b *bytes.Buffer) {
 	bufPool.Put(b)
 }
 
-// toOutcomeResponse converts a core outcome to its wire form.
+// toOutcomeResponse converts a core outcome to its wire form for one
+// response. The response shares the outcome's task list, which nothing
+// mutates after close; empty lists stay nil, so they encode as null.
 func toOutcomeResponse(out *melody.Outcome) OutcomeResponse {
-	resp := OutcomeResponse{
-		SelectedTasks: append([]string(nil), out.SelectedTasks...),
-		TotalPayment:  out.TotalPayment,
+	resp := OutcomeResponse{TotalPayment: out.TotalPayment}
+	if len(out.SelectedTasks) > 0 {
+		resp.SelectedTasks = out.SelectedTasks
 	}
-	for _, a := range out.Assignments {
-		resp.Assignments = append(resp.Assignments, AssignmentSpec{
-			WorkerID: a.WorkerID, TaskID: a.TaskID, Payment: a.Payment,
-		})
+	if len(out.Assignments) > 0 {
+		resp.Assignments = make([]AssignmentSpec, len(out.Assignments))
+		for i, a := range out.Assignments {
+			resp.Assignments[i] = AssignmentSpec(a)
+		}
 	}
 	return resp
 }
