@@ -62,6 +62,7 @@ fuzz-smoke:
 	$(GO) test ./internal/verify/ -run '^$$' -fuzz '^FuzzMelodyAuction$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/verify/ -run '^$$' -fuzz '^FuzzIncrementalAuction$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eventlog/ -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/eventlog/ -run '^$$' -fuzz '^FuzzRecordDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eventlog/ -run '^$$' -fuzz '^FuzzSegmentHeaderDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eventlog/ -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/platform/ -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME)

@@ -27,6 +27,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -183,14 +184,13 @@ type Log struct {
 	// failure poisoning are identical to the single-file engine.
 	seg *segmentWriter
 
-	// pending accumulates encoded records awaiting the next commit; enc
-	// writes through an indirection so the committer can swap buffers.
+	// pending accumulates encoded records awaiting the next commit; the
+	// committer swaps it with spare.
 	pending *bytes.Buffer
 	spare   *bytes.Buffer
-	enc     *json.Encoder
-	crcBuf  bytes.Buffer // scratch for canonical (CRC-zeroed) encodings
-	crcEnc  *json.Encoder
-	scratch Event // reused so Encode's any-boxing never allocates
+	enc     *json.Encoder // writes into encBuf
+	encBuf  bytes.Buffer  // scratch for one record's canonical encoding
+	scratch Event         // reused so Encode's any-boxing never allocates
 
 	durable int64 // highest sequence number known to be on disk
 	failed  error // sticky ErrFailed-wrapped durability failure
@@ -216,12 +216,6 @@ type Log struct {
 	tracer    *obs.Tracer
 }
 
-// pendingWriter routes the encoder's output to the log's current pending
-// buffer, surviving the committer's buffer swaps.
-type pendingWriter struct{ l *Log }
-
-func (pw pendingWriter) Write(p []byte) (int, error) { return pw.l.pending.Write(p) }
-
 // newLog assembles a Log over an already-positioned commit target.
 func newLog(f commitTarget, seq int64, opts Options) *Log {
 	l := &Log{
@@ -233,8 +227,7 @@ func newLog(f commitTarget, seq int64, opts Options) *Log {
 		pending: new(bytes.Buffer),
 		spare:   new(bytes.Buffer),
 	}
-	l.enc = json.NewEncoder(pendingWriter{l})
-	l.crcEnc = json.NewEncoder(&l.crcBuf)
+	l.enc = json.NewEncoder(&l.encBuf)
 	l.work = sync.NewCond(&l.mu)
 	l.doneCh = make(chan struct{})
 	l.appends = opts.Metrics.Counter(obs.MetricWALAppendsTotal, "Durable WAL appends accepted.")
@@ -420,25 +413,36 @@ func (l *Log) AppendAsync(e Event) (int64, func(context.Context) error, error) {
 
 // encodeLocked appends e's record bytes to the pending buffer: the JSON of
 // the event with its CRC populated, newline-terminated — byte-identical to
-// json.Marshal plus '\n'. All scratch buffers are reused, so a steady-state
-// append allocates nothing. Callers hold l.mu.
+// json.Marshal plus '\n'. The event is encoded once, canonically, with CRC
+// zeroed and so omitted; see appendRecord for the checksummed record. All
+// scratch buffers are reused, so a steady-state append allocates nothing.
+// Callers hold l.mu.
 func (l *Log) encodeLocked(e Event) error {
-	l.crcBuf.Reset()
+	l.encBuf.Reset()
 	l.scratch = e
 	l.scratch.CRC = 0
-	if err := l.crcEnc.Encode(&l.scratch); err != nil {
-		return fmt.Errorf("eventlog: encode: %w", err)
-	}
-	canon := l.crcBuf.Bytes()
-	// The encoder terminates the value with '\n'; the checksum covers the
-	// canonical value bytes only.
-	l.scratch.CRC = crc32.ChecksumIEEE(canon[:len(canon)-1])
-	mark := l.pending.Len()
 	if err := l.enc.Encode(&l.scratch); err != nil {
-		l.pending.Truncate(mark)
 		return fmt.Errorf("eventlog: encode: %w", err)
 	}
+	l.pending.Write(appendRecord(l.pending.AvailableBuffer(), l.encBuf.Bytes()))
 	return nil
+}
+
+// appendRecord appends to dst the record whose canonical encoding is canon,
+// as the encoder writes it: ending in "}\n". CRC is Event's last field, so
+// the record is canon with the crc member spliced in before the closing
+// brace. A zero CRC is omitted like any empty omitempty field, which leaves
+// canon as it is.
+func appendRecord(dst, canon []byte) []byte {
+	n := len(canon) - 1 // the value, without the encoder's newline
+	crc := crc32.ChecksumIEEE(canon[:n])
+	if crc == 0 {
+		return append(dst, canon...)
+	}
+	dst = append(dst, canon[:n-1]...)
+	dst = append(dst, crcMember...)
+	dst = strconv.AppendUint(dst, uint64(crc), 10)
+	return append(dst, "}\n"...)
 }
 
 // failLocked poisons the log after a durability failure. Callers hold l.mu.

@@ -2,8 +2,10 @@ package eventlog
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -89,6 +91,59 @@ func FuzzWALReplay(f *testing.F) {
 		last := replayed[len(replayed)-1]
 		if last.Seq != seq || last.Kind != KindRegister || last.Worker != "fuzz" {
 			t.Fatalf("appended event came back as %+v", last)
+		}
+	})
+}
+
+// decodeRecordReference is decodeRecord without the layout parser: every
+// record is decoded by json.Unmarshal. FuzzRecordDecode holds decodeRecord
+// to it.
+func decodeRecordReference(line []byte, prev int64) (Event, error) {
+	var e Event
+	if err := json.Unmarshal(line, &e); err != nil {
+		return Event{}, fmt.Errorf("eventlog: corrupt event after seq %d: %w", prev, err)
+	}
+	if e.Seq != prev+1 {
+		return Event{}, fmt.Errorf("eventlog: sequence gap: %d follows %d", e.Seq, prev)
+	}
+	if err := e.validate(); err != nil {
+		return Event{}, err
+	}
+	if e.CRC != 0 {
+		if sum, ok := recordChecksum(line); !ok || sum != e.CRC {
+			return Event{}, fmt.Errorf("eventlog: checksum mismatch on seq %d: record is corrupt", e.Seq)
+		}
+		e.CRC = 0
+	}
+	return e, nil
+}
+
+// FuzzRecordDecode is the differential check of the layout parser. For any
+// bytes, decodeRecord must return the same event and the same error text
+// as decodeRecordReference. Each input is decoded after sequence 0 and,
+// when it decodes to another sequence, right before that one, so the
+// validation and checksum checks are compared as well as the decode.
+// Whenever parseRecord accepts an input, json.Unmarshal must decode it to
+// the same event.
+//
+// Explore with `go test ./internal/eventlog -run '^$' -fuzz FuzzRecordDecode`.
+func FuzzRecordDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var ref Event
+		refErr := json.Unmarshal(line, &ref)
+		if e, ok := parseRecord(line); ok && (refErr != nil || !reflect.DeepEqual(e, ref)) {
+			t.Fatalf("parseRecord accepted %q as %+v; json.Unmarshal gives %+v, %v", line, e, ref, refErr)
+		}
+		prevs := []int64{0}
+		if refErr == nil && ref.Seq != 1 {
+			prevs = append(prevs, ref.Seq-1)
+		}
+		for _, prev := range prevs {
+			got, err := decodeRecord(line, prev)
+			want, wantErr := decodeRecordReference(line, prev)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("decodeRecord(%q, %d) = %+v, %v; reference gives %+v, %v", line, prev, got, err, want, wantErr)
+			}
 		}
 	})
 }

@@ -6,9 +6,15 @@ package eventlog
 // steady-state append allocates nothing.
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -160,7 +166,8 @@ func TestSerialCommitBaseline(t *testing.T) {
 
 // TestAppendFormatByteIdentical verifies that the pipeline's encoder emits
 // exactly json.Marshal(event) + '\n' with the CRC populated — the format
-// the seed's serial path wrote and the replay corpus depends on.
+// the seed's serial path wrote and the replay corpus depends on — for
+// single-run events, run- and tenant-tagged ones, and a full tenant policy.
 func TestAppendFormatByteIdentical(t *testing.T) {
 	events := []Event{
 		{Kind: KindRegister, Worker: "w1"},
@@ -169,6 +176,14 @@ func TestAppendFormatByteIdentical(t *testing.T) {
 		{Kind: KindClose},
 		{Kind: KindScore, Worker: "w1", Task: "t<&>", Score: 7},
 		{Kind: KindFinish},
+		{Kind: KindTenantPolicy, Tenant: "tenant0",
+			Policy: &PolicyRecord{BudgetQuota: -1, EpochBudgetQuota: 2.5e9, MaxRuns: 7, Weight: 0.5}},
+		{Kind: KindOpenRun, Run: "t0-r000001", Tenant: "tenant0", Budget: 1e-7,
+			Tasks: []TaskRecord{{ID: "t0-r000001-k0", Threshold: 5}, {ID: "k<&>", Threshold: 1e21}}},
+		{Kind: KindBid, Run: "t0-r000001", Worker: "t0-w0001", Cost: 1.37, Frequency: 3},
+		{Kind: KindClose, Run: "t0-r000001"},
+		{Kind: KindScore, Run: "t0-r000001", Worker: "t0-w0001", Task: "t0-r000001-k0", Score: 6.5},
+		{Kind: KindFinish, Run: "t0-r000001"},
 	}
 	var want []byte
 	for i, e := range events {
@@ -198,6 +213,76 @@ func TestAppendFormatByteIdentical(t *testing.T) {
 			t.Errorf("%s mode bytes differ from canonical format:\n got %q\nwant %q",
 				mode.name, target.data, want)
 		}
+	}
+}
+
+// zeroCRCEvent returns a register event whose canonical encoding has CRC
+// 0, by solving for the last four bytes of its worker ID. For a fixed
+// length, CRC-32 is affine over GF(2) in the message bits: with the four
+// bytes read as the 32 bits of x, the checksum is crc(0) ^ M·x. A solution
+// is kept once all four bytes are ones the encoder writes unescaped.
+func zeroCRCEvent(t *testing.T) Event {
+	t.Helper()
+	escaped := func(c byte) bool { return c < ' ' || c >= 0x7f || strings.IndexByte(`"\<>&`, c) >= 0 }
+	quad := func(x uint32) []byte { return []byte{byte(x), byte(x >> 8), byte(x >> 16), byte(x >> 24)} }
+	for n := 0; n < 10000; n++ {
+		worker := func(x uint32) string { return fmt.Sprintf("w%d-%s", n, quad(x)) }
+		crc := func(x uint32) uint32 {
+			return crc32.ChecksumIEEE([]byte(`{"seq":1,"kind":"register","worker":"` + worker(x) + `"}`))
+		}
+		c0 := crc(0)
+		// basis[b] is a combination of columns (which ones: combo[b]) whose
+		// highest set bit is b.
+		var basis, combo [32]uint32
+		for j := 0; j < 32; j++ {
+			v, m := crc(1<<j)^c0, uint32(1)<<j
+			for b := 31; b >= 0 && v != 0; b-- {
+				if v>>b&1 == 0 {
+					continue
+				}
+				if basis[b] == 0 {
+					basis[b], combo[b] = v, m
+					break
+				}
+				v, m = v^basis[b], m^combo[b]
+			}
+		}
+		x, rest := uint32(0), c0
+		for b := 31; b >= 0; b-- {
+			if rest>>b&1 == 1 && basis[b] != 0 {
+				rest, x = rest^basis[b], x^combo[b]
+			}
+		}
+		if rest != 0 || slices.ContainsFunc(quad(x), escaped) {
+			continue
+		}
+		e := Event{Seq: 1, Kind: KindRegister, Worker: worker(x)}
+		if sum, err := e.checksum(); err != nil || sum != 0 {
+			t.Fatalf("solved worker %q gives CRC %d (%v), want 0", e.Worker, sum, err)
+		}
+		return e
+	}
+	t.Fatal("no worker ID with a zero CRC found")
+	return Event{}
+}
+
+// TestAppendZeroCRCRecord covers the one record with no crc member: when
+// the canonical encoding's CRC is 0, the encoder omits it like any empty
+// omitempty field, so the record is the canonical encoding as it is, and
+// recovery reads it back as an unchecksummed record.
+func TestAppendZeroCRCRecord(t *testing.T) {
+	e := zeroCRCEvent(t)
+	want, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n')
+	if got := encodeRecords(t, 0, e); !bytes.Equal(got, want) {
+		t.Errorf("zero-CRC record %q, want %q", got, want)
+	}
+	got, err := decodeAll(want)
+	if err != nil || len(got) != 1 || !reflect.DeepEqual(got[0], e) {
+		t.Errorf("zero-CRC record read back as %+v, %v; want %+v", got, err, e)
 	}
 }
 

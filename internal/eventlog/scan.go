@@ -66,10 +66,14 @@ func recordChecksum(line []byte) (sum uint32, ok bool) {
 // the log's integrity rules: it must follow sequence prev, satisfy its
 // kind's invariants, and, when it carries a CRC, match it. Records without
 // a CRC (written before checksumming existed) are accepted unverified.
+// Records in the writer's own layout skip reflection (see parseRecord);
+// every other record, and so every malformed one, takes json.Unmarshal.
 func decodeRecord(line []byte, prev int64) (Event, error) {
-	var e Event
-	if err := json.Unmarshal(line, &e); err != nil {
-		return Event{}, fmt.Errorf("eventlog: corrupt event after seq %d: %w", prev, err)
+	e, ok := parseRecord(line)
+	if !ok {
+		if err := json.Unmarshal(line, &e); err != nil {
+			return Event{}, fmt.Errorf("eventlog: corrupt event after seq %d: %w", prev, err)
+		}
 	}
 	if e.Seq != prev+1 {
 		return Event{}, fmt.Errorf("eventlog: sequence gap: %d follows %d", e.Seq, prev)

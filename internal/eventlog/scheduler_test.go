@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -219,6 +220,81 @@ func TestOpenPersistentSchedulerResume(t *testing.T) {
 	info, err := s3.Run("r1")
 	if err != nil || !info.Finished {
 		t.Errorf("third boot: Run(r1) = %+v, %v; want finished", info, err)
+	}
+}
+
+// TestOpenRunsListsOnlyOpenRuns drives two tenants' runs interleaved, with
+// finishes in both orders, and leaves one run per tenant open. Both live
+// and after ReplayScheduler, OpenRuns lists exactly the open runs in open
+// order, and the scheduler's open-order slice holds nothing else: a
+// finished run leaves it, so boot-time OpenRuns calls stay proportional
+// to the open runs, not to the history.
+func TestOpenRunsListsOnlyOpenRuns(t *testing.T) {
+	ctx := context.Background()
+	const rounds = 5
+	path := filepath.Join(t.TempDir(), "open.wal")
+	live, _ := newSchedulerForLog(t, 100*(2*rounds+2), 0)
+	ps, log, err := OpenPersistentScheduler(path, live, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(runID string) {
+		t.Helper()
+		if err := ps.OpenRun(ctx, runID, runID[:1], []melody.Task{{ID: runID + "-k0", Threshold: 10}}, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	finish := func(runID string) {
+		t.Helper()
+		if err := ps.SubmitBid(ctx, runID, runID[:1]+"-w0", melody.Bid{Cost: 1.5, Frequency: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ps.CloseAuction(ctx, runID); err != nil {
+			t.Fatal(err)
+		}
+		if err := ps.FinishRun(ctx, runID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range []string{"a-w0", "b-w0"} {
+		if err := ps.RegisterWorker(ctx, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		a, b := fmt.Sprintf("a-r%d", r), fmt.Sprintf("b-r%d", r)
+		open(a)
+		open(b)
+		if r%2 == 0 {
+			a, b = b, a
+		}
+		finish(a)
+		finish(b)
+	}
+	open("b-last")
+	open("a-last")
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed, _ := newSchedulerForLog(t, 100*(2*rounds+2), 0)
+	if err := ReplayScheduler(path, replayed); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"b-last", "a-last"}
+	for name, s := range map[string]*melody.RunScheduler{"live": live, "replayed": replayed} {
+		var got []string
+		for _, info := range s.OpenRuns() {
+			got = append(got, info.ID)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: OpenRuns = %v, want %v", name, got, want)
+		}
+		if n := reflect.ValueOf(s).Elem().FieldByName("order").Len(); n != len(want) {
+			t.Errorf("%s: open order holds %d runs, want the %d open ones", name, n, len(want))
+		}
+		if s.CompletedRuns() != 2*rounds {
+			t.Errorf("%s: %d completed runs, want %d", name, s.CompletedRuns(), 2*rounds)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -92,7 +93,7 @@ type RunScheduler struct {
 	tenants    map[string]*Platform
 	tenantOpen map[string]string // tenant -> its open run ID
 	runs       map[string]*schedRun
-	order      []string // run IDs in open order
+	order      []string // open run IDs in open order
 	completed  int
 	tstates    map[string]*tenantState // tenant -> policy + spend ledger
 }
@@ -198,24 +199,18 @@ func (s *RunScheduler) Tenants() []string {
 // OpenRuns returns every not-yet-finished run in open order.
 func (s *RunScheduler) OpenRuns() []RunInfo {
 	s.mu.RLock()
-	ids := make([]string, len(s.order))
-	copy(ids, s.order)
-	runsByID := make(map[string]*schedRun, len(ids))
-	for _, id := range ids {
-		runsByID[id] = s.runs[id]
+	open := make([]*schedRun, len(s.order))
+	for i, id := range s.order {
+		open[i] = s.runs[id]
 	}
 	s.mu.RUnlock()
-	out := make([]RunInfo, 0, len(ids))
-	for _, id := range ids {
-		r := runsByID[id]
-		if r == nil {
-			continue
-		}
+	out := make([]RunInfo, 0, len(open))
+	for _, r := range open {
 		r.mu.Lock()
 		info := RunInfo{ID: r.id, Tenant: r.tenant, AuctionClosed: r.outcome != nil,
 			Finished: r.done, Outcome: r.outcome}
 		r.mu.Unlock()
-		if !info.Finished {
+		if !info.Finished { // a finish marks the run done before dropping it
 			out = append(out, info)
 		}
 	}
@@ -364,17 +359,19 @@ func (s *RunScheduler) OpenRun(ctx context.Context, runID, tenant string, tasks 
 		s.mu.Lock()
 		delete(s.runs, runID)
 		delete(s.tenantOpen, tenant)
-		for i, id := range s.order {
-			if id == runID {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
+		s.dropOpenLocked(runID)
 		s.releaseRunLocked(tenant)
 		s.mu.Unlock()
 		return err
 	}
 	return nil
+}
+
+// dropOpenLocked removes a run from the open order. Callers hold s.mu.
+func (s *RunScheduler) dropOpenLocked(runID string) {
+	if i := slices.Index(s.order, runID); i >= 0 {
+		s.order = slices.Delete(s.order, i, i+1)
+	}
 }
 
 // reopen handles OpenRun on an already-known run ID: the retry path.
@@ -529,6 +526,7 @@ func (s *RunScheduler) FinishRun(ctx context.Context, runID string) error {
 	}
 	s.mu.Lock()
 	delete(s.tenantOpen, r.tenant)
+	s.dropOpenLocked(r.id)
 	s.completed++
 	s.settleRunLocked(r.tenant, spend)
 	s.mu.Unlock()
