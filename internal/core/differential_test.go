@@ -89,7 +89,7 @@ func seedMelodyRun(cfg Config, in Instance) (*Outcome, error) {
 		}
 		return candidates[i].task.ID < candidates[j].task.ID
 	})
-	out := &Outcome{TaskPayment: make(map[string]float64)}
+	out := &Outcome{}
 	budget := in.Budget
 	for _, c := range candidates {
 		if c.total > budget {
@@ -97,7 +97,7 @@ func seedMelodyRun(cfg Config, in Instance) (*Outcome, error) {
 		}
 		budget -= c.total
 		out.SelectedTasks = append(out.SelectedTasks, c.task.ID)
-		out.TaskPayment[c.task.ID] = c.total
+		out.TaskPayments = append(out.TaskPayments, c.total)
 		out.TotalPayment += c.total
 		for i, w := range c.winners {
 			out.Assignments = append(out.Assignments, Assignment{
@@ -173,7 +173,7 @@ func seedRandomRun(cfg Config, rng *stats.RNG, in Instance) (*Outcome, error) {
 		remaining[w.ID] = w.Bid.Frequency
 	}
 	taskOrder := rng.Perm(len(in.Tasks))
-	out := &Outcome{TaskPayment: make(map[string]float64)}
+	out := &Outcome{}
 	budget := in.Budget
 	for _, ti := range taskOrder {
 		task := in.Tasks[ti]
@@ -183,7 +183,7 @@ func seedRandomRun(cfg Config, rng *stats.RNG, in Instance) (*Outcome, error) {
 		}
 		budget -= total
 		out.SelectedTasks = append(out.SelectedTasks, task.ID)
-		out.TaskPayment[task.ID] = total
+		out.TaskPayments = append(out.TaskPayments, total)
 		out.TotalPayment += total
 		for i, w := range winners {
 			remaining[w.ID]--

@@ -54,7 +54,7 @@ func (m *MelodyDual) Run(in Instance) (*Outcome, error) {
 	}
 
 	pre := preAllocateAll(m.cfg, in)
-	out := &Outcome{TaskPayment: make(map[string]float64, len(pre.candidates))}
+	out := &Outcome{}
 	k := len(pre.candidates)
 	if k > m.target {
 		k = m.target

@@ -58,8 +58,8 @@ func TestDualMatchesPrimalCheapestPrefix(t *testing.T) {
 	// The primal, with unlimited budget, accepts candidates in ascending
 	// P_j too, so the first `target` selected tasks and payments coincide.
 	var primalPrefix float64
-	for _, id := range primal.SelectedTasks[:target] {
-		primalPrefix += primal.TaskPayment[id]
+	for _, p := range primal.TaskPayments[:target] {
+		primalPrefix += p
 	}
 	if !almostEqual(dOut.TotalPayment, primalPrefix, testTol) {
 		t.Errorf("dual payment %v != primal cheapest prefix %v", dOut.TotalPayment, primalPrefix)

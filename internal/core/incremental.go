@@ -636,14 +636,10 @@ func (s *AuctionState) finishOutcome(k int) *Outcome {
 		out = &s.out
 		out.Assignments = out.Assignments[:0]
 		out.SelectedTasks = out.SelectedTasks[:0]
-		if out.TaskPayment == nil {
-			out.TaskPayment = make(map[string]float64, k)
-		} else {
-			clear(out.TaskPayment)
-		}
+		out.TaskPayments = out.TaskPayments[:0]
 		out.TotalPayment = 0
 	} else {
-		out = &Outcome{TaskPayment: make(map[string]float64, k)}
+		out = &Outcome{}
 	}
 	// assembleOutcome appends into offsets without returning it, so the
 	// buffer must already hold capacity k for the reuse to stick.
@@ -656,6 +652,7 @@ func (s *AuctionState) finishOutcome(k int) *Outcome {
 		// nil slices, not zero-length ones.
 		out.Assignments = nil
 		out.SelectedTasks = nil
+		out.TaskPayments = nil
 	}
 	return out
 }
@@ -745,14 +742,10 @@ func (s *AuctionState) RunOptUB(tasks []Task, budget float64) (*Outcome, error) 
 		out = &s.out
 		out.Assignments = nil
 		out.SelectedTasks = out.SelectedTasks[:0]
-		if out.TaskPayment == nil {
-			out.TaskPayment = make(map[string]float64, len(tasks))
-		} else {
-			clear(out.TaskPayment)
-		}
+		out.TaskPayments = out.TaskPayments[:0]
 		out.TotalPayment = 0
 	} else {
-		out = &Outcome{TaskPayment: make(map[string]float64, len(tasks))}
+		out = &Outcome{}
 	}
 	drained := optUBCore(s.caps, s.ubRemaining, s.tasks, budget, out)
 	for i := 0; i <= drained; i++ {
@@ -760,6 +753,7 @@ func (s *AuctionState) RunOptUB(tasks []Task, budget float64) (*Outcome, error) 
 	}
 	if s.opts.ReuseOutcome && len(out.SelectedTasks) == 0 {
 		out.SelectedTasks = nil
+		out.TaskPayments = nil
 	}
 	s.observeRun("OPT-UB", len(tasks), start, out)
 	return out, nil

@@ -311,16 +311,17 @@ const parallelAssembleMin = 4096
 // TotalPayment is accumulated serially in accept order so its floating-point
 // rounding matches the one-candidate-at-a-time reference exactly.
 func assembleOutcome(res *preAllocResult, accepted []preAllocation, offsets []int, out *Outcome) {
+	if len(accepted) == 0 {
+		return
+	}
+	out.TaskPayments = grow(out.TaskPayments, len(accepted))
 	total := 0
 	offsets = offsets[:0]
-	for _, c := range accepted {
+	for i, c := range accepted {
 		offsets = append(offsets, total)
 		total += c.n
 		out.TotalPayment += c.total
-		out.TaskPayment[c.task.ID] = c.total
-	}
-	if len(accepted) == 0 {
-		return
+		out.TaskPayments[i] = c.total
 	}
 	out.SelectedTasks = grow(out.SelectedTasks, len(accepted))
 	out.Assignments = grow(out.Assignments, total)
@@ -384,7 +385,7 @@ func (m *Melody) Run(in Instance) (*Outcome, error) {
 		return nil, fmt.Errorf("melody: %w", err)
 	}
 	pre := preAllocateAll(m.cfg, in)
-	out := &Outcome{TaskPayment: make(map[string]float64, len(pre.candidates))}
+	out := &Outcome{}
 	budget := in.Budget
 	k := 0
 	for _, c := range pre.candidates {

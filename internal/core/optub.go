@@ -113,7 +113,7 @@ func optUBCore(caps []ubCap, remaining []float64, tasks []Task, budget float64, 
 		budget -= cost
 		out.TotalPayment += cost
 		out.SelectedTasks = append(out.SelectedTasks, task.ID)
-		out.TaskPayment[task.ID] = cost
+		out.TaskPayments = append(out.TaskPayments, cost)
 		need = task.Threshold
 		// The epsilon guards against float rounding between the tentative
 		// and commit passes exhausting capacity spuriously.
@@ -155,7 +155,7 @@ func (o *OptUB) Run(in Instance) (*Outcome, error) {
 		remaining[i] = caps[i].units
 	}
 	tasks := sortTasksByThreshold(in.Tasks)
-	out := &Outcome{TaskPayment: make(map[string]float64, len(tasks))}
+	out := &Outcome{}
 	optUBCore(caps, remaining, tasks, in.Budget, out)
 	return out, nil
 }

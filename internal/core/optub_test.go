@@ -27,9 +27,12 @@ func TestOptUBHandExample(t *testing.T) {
 	if out.Utility() != 1 {
 		t.Fatalf("OPT-UB utility = %d, want 1", out.Utility())
 	}
+	if out.SelectedTasks[0] != "t1" {
+		t.Fatalf("OPT-UB selected %v, want [t1]", out.SelectedTasks)
+	}
 	wantCost := 3*(1.0/3) + 1*(2.0/3)
-	if !almostEqual(out.TaskPayment["t1"], wantCost, testTol) {
-		t.Errorf("t1 cost = %v, want %v", out.TaskPayment["t1"], wantCost)
+	if !almostEqual(out.TaskPayments[0], wantCost, testTol) {
+		t.Errorf("t1 cost = %v, want %v", out.TaskPayments[0], wantCost)
 	}
 }
 

@@ -102,7 +102,7 @@ func (r *Random) Run(in Instance) (*Outcome, error) {
 	}
 
 	r.taskOrder = r.rng.PermInto(r.taskOrder, len(in.Tasks))
-	out := &Outcome{TaskPayment: make(map[string]float64)}
+	out := &Outcome{}
 	budget := in.Budget
 	for _, ti := range r.taskOrder {
 		task := in.Tasks[ti]
@@ -112,7 +112,7 @@ func (r *Random) Run(in Instance) (*Outcome, error) {
 		}
 		budget -= total
 		out.SelectedTasks = append(out.SelectedTasks, task.ID)
-		out.TaskPayment[task.ID] = total
+		out.TaskPayments = append(out.TaskPayments, total)
 		out.TotalPayment += total
 		exhausted := false
 		for i, wi := range winners {

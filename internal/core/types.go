@@ -167,8 +167,9 @@ type Outcome struct {
 	Assignments []Assignment
 	// SelectedTasks is the set of satisfied tasks, in selection order.
 	SelectedTasks []string
-	// TaskPayment maps each selected task to its total payment P_j.
-	TaskPayment map[string]float64
+	// TaskPayments holds the total payment P_j of each selected task:
+	// TaskPayments[i] is the payment of SelectedTasks[i].
+	TaskPayments []float64
 	// TotalPayment is the requester's total expense, always <= Budget.
 	TotalPayment float64
 }

@@ -223,6 +223,95 @@ func TestOpenPersistentSchedulerResume(t *testing.T) {
 	}
 }
 
+// TestPersistentSchedulerRefusesOutOfRangeScore: a score no estimator
+// accepts (1e19 is valid JSON) is refused before it is logged, alone or
+// inside a batch. The run finishes, and a reboot replays the log cleanly
+// to the same run state and estimates.
+func TestPersistentSchedulerRefusesOutOfRangeScore(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "scores.wal")
+	s1, _ := newSchedulerForLog(t, 100, 0)
+	ps, log, err := OpenPersistentScheduler(path, s1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := []string{"w0", "w1", "w2"}
+	for _, w := range workers {
+		if err := ps.RegisterWorker(ctx, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ps.OpenRun(ctx, "r1", "a", []melody.Task{{ID: "t1", Threshold: 10}}, 100); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range workers {
+		if err := ps.SubmitBid(ctx, "r1", w, melody.Bid{Cost: 1 + 0.2*float64(i), Frequency: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := ps.CloseAuction(ctx, "r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Assignments) < 2 {
+		t.Fatalf("%d assignments, want at least 2", len(out.Assignments))
+	}
+	logged := log.Seq()
+	a, b := out.Assignments[0], out.Assignments[1]
+	if err := ps.SubmitScore(ctx, "r1", a.WorkerID, a.TaskID, 1e19); err == nil {
+		t.Error("score 1e19 accepted")
+	}
+	if seq := log.Seq(); seq != logged {
+		t.Errorf("refused score logged: sequence %d -> %d", logged, seq)
+	}
+	res := ps.SubmitScores(ctx, "r1", []melody.TaskScore{
+		{WorkerID: a.WorkerID, TaskID: a.TaskID, Score: -1e19},
+		{WorkerID: b.WorkerID, TaskID: b.TaskID, Score: 7},
+	})
+	if res.ErrAt(0) == nil || res.ErrAt(1) != nil {
+		t.Errorf("batch with one bad score: errors %v, want only item 0 refused", res.Errs())
+	}
+	for _, x := range out.Assignments[2:] {
+		if err := ps.SubmitScore(ctx, "r1", x.WorkerID, x.TaskID, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ps.SubmitScore(ctx, "r1", a.WorkerID, a.TaskID, 8); err != nil {
+		t.Fatalf("valid score after refused ones: %v", err)
+	}
+	if err := ps.FinishRun(ctx, "r1"); err != nil {
+		t.Fatalf("finish after refused scores: %v", err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := ReadAll(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events {
+		if e.Kind == KindScore && (e.Score > 1e18 || e.Score < -1e18) {
+			t.Errorf("log holds refused score %v at seq %d", e.Score, e.Seq)
+		}
+	}
+
+	s2, _ := newSchedulerForLog(t, 100, 0)
+	_, log2, err := OpenPersistentScheduler(path, s2, Options{})
+	if err != nil {
+		t.Fatalf("reboot: %v", err)
+	}
+	defer log2.Close()
+	if info, err := s2.Run("r1"); err != nil || !info.Finished {
+		t.Errorf("reboot: Run(r1) = %+v, %v; want finished", info, err)
+	}
+	for _, w := range workers {
+		want, _ := s1.Quality("a", w)
+		if got, err := s2.Quality("a", w); err != nil || got != want {
+			t.Errorf("reboot: worker %s estimate %v, %v; want %v", w, got, err, want)
+		}
+	}
+}
+
 // TestOpenRunsListsOnlyOpenRuns drives two tenants' runs interleaved, with
 // finishes in both orders, and leaves one run per tenant open. Both live
 // and after ReplayScheduler, OpenRuns lists exactly the open runs in open

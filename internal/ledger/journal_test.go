@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -202,5 +203,90 @@ func TestSettlementAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("OpenRunEpoch+Pay+Close = %v allocs, want at most 1", allocs)
+	}
+}
+
+// TestJournalSlackUnderOneChunk: the journal's allocated capacity exceeds
+// its length by less than one chunk, and every chunk but the last is full
+// at exactly chunkRecords. The counts sit on both sides of every growth
+// step that one append-grown []record takes up to 250,000 records, the
+// layout the chunks replaced, which past a few thousand records leaves
+// more than a chunk unused after each step.
+func TestJournalSlackUnderOneChunk(t *testing.T) {
+	var counts []int
+	var grown []record
+	oldSlack := 0
+	for len(grown) < 250_000 {
+		if len(grown) > 0 && len(grown) == cap(grown) {
+			counts = append(counts, len(grown), len(grown)+1)
+		}
+		grown = append(grown, record{})
+		oldSlack = max(oldSlack, cap(grown)-len(grown))
+	}
+	if oldSlack < chunkRecords {
+		t.Fatalf("an append-grown journal leaves at most %d records unused; the counts test nothing", oldSlack)
+	}
+	grown = nil
+
+	l := New()
+	for _, want := range counts {
+		for l.journal.n < want {
+			if _, err := l.Deposit(Requester, 1, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkChunks(t, &l.journal)
+	}
+}
+
+// TestJournalAcrossChunks: entries, a snapshot and a restore read records
+// across chunk boundaries in order, and a restored journal keeps the chunk
+// layout.
+func TestJournalAcrossChunks(t *testing.T) {
+	const n = 3*chunkRecords + 5
+	l := New()
+	for i := 0; i < n; i++ {
+		if _, err := l.Deposit(Requester, float64(i+1), strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkChunks(t, &l.journal)
+	entries := l.Entries()
+	if len(entries) != n {
+		t.Fatalf("%d entries, want %d", len(entries), n)
+	}
+	for i, e := range entries {
+		if e.Seq != int64(i+1) || e.Amount != float64(i+1) || e.Memo != strconv.Itoa(i) {
+			t.Fatalf("entry %d = %+v", i, e)
+		}
+	}
+	r := New()
+	if err := r.Restore(l.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	checkChunks(t, &r.journal)
+	if !slices.Equal(r.Entries(), entries) {
+		t.Fatal("restored journal's entries differ")
+	}
+}
+
+// checkChunks verifies the journal's layout: full chunks before the last,
+// record count n, and under one chunk of unused capacity.
+func checkChunks(t *testing.T, j *journal) {
+	t.Helper()
+	capacity, records := 0, 0
+	for i, c := range j.chunks {
+		if i < len(j.chunks)-1 && (len(c) != chunkRecords || cap(c) != chunkRecords) {
+			t.Fatalf("n=%d: chunk %d of %d holds %d records at capacity %d, want %d at %d",
+				j.n, i, len(j.chunks), len(c), cap(c), chunkRecords, chunkRecords)
+		}
+		capacity += cap(c)
+		records += len(c)
+	}
+	if records != j.n {
+		t.Fatalf("chunks hold %d records, journal counts %d", records, j.n)
+	}
+	if slack := capacity - j.n; slack >= chunkRecords {
+		t.Errorf("n=%d: %d records of capacity unused, want under one chunk (%d)", j.n, slack, chunkRecords)
 	}
 }

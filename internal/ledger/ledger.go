@@ -58,9 +58,51 @@ type Ledger struct {
 	balances map[Account]float64
 	// journal is the entry history, one record per entry: entry i has Seq
 	// i+1. Records name accounts and kinds by their index in names.
-	journal []record
+	journal journal
 	names   []string
 	ids     map[string]uint32
+}
+
+// chunkRecords is the number of records in a full journal chunk: 48 KiB,
+// a whole number of 8 KiB pages.
+const chunkRecords = 1024
+
+// journal holds the records in fixed-size chunks: record i is
+// chunks[i/chunkRecords][i%chunkRecords], and every chunk but the last
+// holds exactly chunkRecords records at exactly that capacity. A full
+// chunk is never copied or grown again, and the unused capacity is what
+// the last chunk has left, under one chunk. The first chunk starts with
+// one record and doubles up to chunkRecords, so a small ledger pays for
+// about the records it holds.
+type journal struct {
+	chunks [][]record
+	n      int
+}
+
+// append adds r as the last record.
+func (j *journal) append(r record) {
+	last := len(j.chunks) - 1
+	if last < 0 || len(j.chunks[last]) == cap(j.chunks[last]) {
+		last = j.grow()
+	}
+	j.chunks[last] = append(j.chunks[last], r)
+	j.n++
+}
+
+// grow makes room for one record when the last chunk is full or there is
+// none, and returns the last chunk's index.
+func (j *journal) grow() int {
+	switch n := len(j.chunks); {
+	case n == 0:
+		j.chunks = [][]record{make([]record, 0, 1)}
+	case n == 1 && cap(j.chunks[0]) < chunkRecords:
+		c := make([]record, len(j.chunks[0]), min(2*cap(j.chunks[0]), chunkRecords))
+		copy(c, j.chunks[0])
+		j.chunks[0] = c
+	default:
+		j.chunks = append(j.chunks, make([]record, 0, chunkRecords))
+	}
+	return len(j.chunks) - 1
 }
 
 // record is one journal entry in 48 bytes. Its memo is kept as its parts
@@ -182,11 +224,11 @@ func (l *Ledger) transfer(kind EntryKind, from, to Account, amount float64, memo
 
 // write appends an entry and returns its Seq; callers hold l.mu.
 func (l *Ledger) write(kind EntryKind, from, to Account, amount float64, memo memoParts) int64 {
-	l.journal = append(l.journal, record{
+	l.journal.append(record{
 		amount: amount, text: memo.text, num: memo.num, form: memo.form,
 		from: l.intern(string(from)), to: l.intern(string(to)), kind: l.intern(string(kind)),
 	})
-	return int64(len(l.journal))
+	return int64(l.journal.n)
 }
 
 // intern returns name's index in l.names, adding it on first use; callers
@@ -217,16 +259,18 @@ func (l *Ledger) Entries() []Entry {
 
 // entriesLocked builds the history's entries; callers hold l.mu.
 func (l *Ledger) entriesLocked() []Entry {
-	out := make([]Entry, len(l.journal))
-	for i := range l.journal {
-		r := &l.journal[i]
-		out[i] = Entry{
-			Seq:    int64(i + 1),
-			Kind:   EntryKind(l.names[r.kind]),
-			From:   Account(l.names[r.from]),
-			To:     Account(l.names[r.to]),
-			Amount: r.amount,
-			Memo:   memoParts{form: r.form, num: r.num, text: r.text}.String(),
+	out := make([]Entry, 0, l.journal.n)
+	for _, c := range l.journal.chunks {
+		for i := range c {
+			r := &c[i]
+			out = append(out, Entry{
+				Seq:    int64(len(out) + 1),
+				Kind:   EntryKind(l.names[r.kind]),
+				From:   Account(l.names[r.from]),
+				To:     Account(l.names[r.to]),
+				Amount: r.amount,
+				Memo:   memoParts{form: r.form, num: r.num, text: r.text}.String(),
+			})
 		}
 	}
 	return out

@@ -21,14 +21,14 @@ type Snapshot struct {
 func (l *Ledger) Snapshot() *Snapshot {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := &Snapshot{Seq: int64(len(l.journal))}
+	s := &Snapshot{Seq: int64(l.journal.n)}
 	if len(l.balances) > 0 {
 		s.Balances = make(map[Account]float64, len(l.balances))
 		for a, b := range l.balances {
 			s.Balances[a] = b
 		}
 	}
-	if len(l.journal) > 0 {
+	if l.journal.n > 0 {
 		s.Entries = l.entriesLocked()
 	}
 	return s
@@ -61,7 +61,7 @@ func (l *Ledger) Restore(s *Snapshot) error {
 	for a, b := range s.Balances {
 		l.balances[a] = b
 	}
-	l.journal = make([]record, 0, len(s.Entries))
+	l.journal = journal{}
 	l.names, l.ids = nil, make(map[string]uint32)
 	for _, e := range s.Entries {
 		l.write(e.Kind, e.From, e.To, e.Amount, parseMemo(e.Memo))

@@ -124,6 +124,68 @@ func TestScoreBatchPerItemErrors(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeScoreRefused: over the multi-tenant stack, a score no
+// estimator accepts is a 400 on the single-score endpoint and refuses only
+// its own item in a batch. 1e19 is a valid JSON number, so it reaches the
+// server; refused at submit, it cannot fail the finish or wedge the
+// tenant, which opens its next run.
+func TestOutOfRangeScoreRefused(t *testing.T) {
+	ctx := context.Background()
+	sched, _ := newTestScheduler(t, 1000, 0)
+	c := tenantClient(t, newMultiTestServer(t, sched), "a")
+	for i := 0; i < 4; i++ {
+		if err := c.RegisterWorker(ctx, fmt.Sprintf("a-w%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run, err := c.OpenRunID(ctx, "r1", "a", []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := run.SubmitBid(ctx, fmt.Sprintf("a-w%d", i), 1+0.1*float64(i), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := run.CloseAuction(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Assignments) < 2 {
+		t.Fatalf("%d assignments, want at least 2", len(out.Assignments))
+	}
+	a, b := out.Assignments[0], out.Assignments[1]
+	var apiErr *APIError
+	err = run.SubmitScore(ctx, a.WorkerID, a.TaskID, 1e19)
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		t.Errorf("score 1e19: %v, want a 400", err)
+	}
+	res, err := run.SubmitScores(ctx, []ScoreRequest{
+		{WorkerID: a.WorkerID, TaskID: a.TaskID, Score: 1e19},
+		{WorkerID: b.WorkerID, TaskID: b.TaskID, Score: 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.As(res.ErrAt(0), &apiErr) || apiErr.Status != http.StatusBadRequest || res.FailedCount() != 1 {
+		t.Errorf("batch with one bad score: errors %v, want only item 0 refused with a 400", res.Errs())
+	}
+	for i, x := range out.Assignments {
+		if i == 1 {
+			continue // scored in the batch
+		}
+		if err := run.SubmitScore(ctx, x.WorkerID, x.TaskID, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := run.FinishRun(ctx); err != nil {
+		t.Fatalf("finish after refused scores: %v", err)
+	}
+	if _, err := c.OpenRunID(ctx, "r2", "a", []TaskSpec{{ID: "t2", Threshold: 10}}, 100); err != nil {
+		t.Fatalf("tenant's next run: %v", err)
+	}
+}
+
 // TestBidBatchIdempotentReplay pins batch-level retry safety: replaying a
 // whole batch (lost-response retry) is a per-item no-op success.
 func TestBidBatchIdempotentReplay(t *testing.T) {

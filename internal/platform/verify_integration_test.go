@@ -94,18 +94,24 @@ func TestWireOutcomeSatisfiesMechanismInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The wire format carries no per-task payment map; rebuild it from
+		// The wire format carries no per-task payments; rebuild them from
 		// the assignments before running the structural checks.
 		out := &core.Outcome{
 			SelectedTasks: wire.SelectedTasks,
 			TotalPayment:  wire.TotalPayment,
-			TaskPayment:   make(map[string]float64),
+			TaskPayments:  make([]float64, len(wire.SelectedTasks)),
+		}
+		slot := make(map[string]int, len(wire.SelectedTasks))
+		for i, id := range wire.SelectedTasks {
+			slot[id] = i
 		}
 		for _, a := range wire.Assignments {
 			out.Assignments = append(out.Assignments, core.Assignment{
 				WorkerID: a.WorkerID, TaskID: a.TaskID, Payment: a.Payment,
 			})
-			out.TaskPayment[a.TaskID] += a.Payment
+			if i, ok := slot[a.TaskID]; ok {
+				out.TaskPayments[i] += a.Payment
+			}
 		}
 		if err := verify.CheckAuctionOutcome(in, out, verify.MelodyChecks()); err != nil {
 			t.Fatalf("run %d: %v", run+1, err)

@@ -36,15 +36,25 @@ type BatchObserver interface {
 	ObserveBatch(ids []string, scores [][]float64) error
 }
 
+// CheckScore returns an error for a score no estimator accepts: NaN, or
+// beyond ±1e18 (infinities included). A platform refuses such a score when
+// it is submitted, before it can reach an estimator.
+func CheckScore(s float64) error {
+	if s != s { // NaN
+		return fmt.Errorf("quality: NaN score")
+	}
+	if s > 1e18 || s < -1e18 {
+		return fmt.Errorf("quality: score %v out of range", s)
+	}
+	return nil
+}
+
 // validateScores rejects non-finite scores early so estimator state can
 // never be poisoned.
 func validateScores(scores []float64) error {
 	for _, s := range scores {
-		if s != s { // NaN
-			return fmt.Errorf("quality: NaN score")
-		}
-		if s > 1e18 || s < -1e18 {
-			return fmt.Errorf("quality: score %v out of range", s)
+		if err := CheckScore(s); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -108,7 +108,7 @@ func ReferenceMelody(cfg core.Config, in core.Instance) (*core.Outcome, error) {
 		}
 		return candidates[i].task.ID < candidates[j].task.ID
 	})
-	out := &core.Outcome{TaskPayment: make(map[string]float64)}
+	out := &core.Outcome{}
 	budget := in.Budget
 	for _, c := range candidates {
 		if c.total > budget {
@@ -116,7 +116,7 @@ func ReferenceMelody(cfg core.Config, in core.Instance) (*core.Outcome, error) {
 		}
 		budget -= c.total
 		out.SelectedTasks = append(out.SelectedTasks, c.task.ID)
-		out.TaskPayment[c.task.ID] = c.total
+		out.TaskPayments = append(out.TaskPayments, c.total)
 		out.TotalPayment += c.total
 		for i, w := range c.winners {
 			out.Assignments = append(out.Assignments, core.Assignment{

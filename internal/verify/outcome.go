@@ -91,7 +91,8 @@ func CheckAuctionOutcome(in core.Instance, out *core.Outcome, c Checks) error {
 //  1. every assignment references an existing worker and task,
 //  2. no (worker, task) pair appears twice (x_ij is binary),
 //  3. every assigned task is in SelectedTasks and no task is selected twice,
-//  4. per-task payments sum to TaskPayment and overall to TotalPayment,
+//  4. TaskPayments is aligned with SelectedTasks, and per-task payments sum
+//     to TaskPayments and overall to TotalPayment,
 //  5. payments are positive and finite,
 //  6. per-worker assignment counts respect declared frequencies,
 //  7. every selected task's threshold is covered by its winners' estimated
@@ -120,15 +121,13 @@ func CheckOutcome(in core.Instance, out *core.Outcome, kind OutcomeKind) error {
 		}
 		selected[id] = true
 	}
-	for id := range out.TaskPayment {
-		if !selected[id] {
-			return fmt.Errorf("verify: payment recorded for unselected task %q", id)
-		}
+	if len(out.TaskPayments) != len(out.SelectedTasks) {
+		return fmt.Errorf("verify: %d task payments for %d selected tasks", len(out.TaskPayments), len(out.SelectedTasks))
 	}
 
 	if kind == Fractional {
 		var sum float64
-		for _, p := range out.TaskPayment {
+		for _, p := range out.TaskPayments {
 			if !finite(p) || p < 0 {
 				return fmt.Errorf("verify: task payment %v is not finite and non-negative", p)
 			}
@@ -179,9 +178,9 @@ func CheckOutcome(in core.Instance, out *core.Outcome, kind OutcomeKind) error {
 	if !almostEqual(total, out.TotalPayment, SumTol) {
 		return fmt.Errorf("verify: assignments sum %v != TotalPayment %v", total, out.TotalPayment)
 	}
-	for id := range selected {
-		if !almostEqual(perTaskPay[id], out.TaskPayment[id], SumTol) {
-			return fmt.Errorf("verify: task %q: payments %v != TaskPayment %v", id, perTaskPay[id], out.TaskPayment[id])
+	for i, id := range out.SelectedTasks {
+		if !almostEqual(perTaskPay[id], out.TaskPayments[i], SumTol) {
+			return fmt.Errorf("verify: task %q: payments %v != TaskPayments[%d] %v", id, perTaskPay[id], i, out.TaskPayments[i])
 		}
 		if perTaskQuality[id] < tasks[id].Threshold-Tol {
 			return fmt.Errorf("verify: task %q: allocated quality %v below threshold %v",

@@ -89,7 +89,7 @@ func TestCheckersCatchViolations(t *testing.T) {
 			{WorkerID: "b", TaskID: "t", Payment: 3},
 		},
 		SelectedTasks: []string{"t"},
-		TaskPayment:   map[string]float64{"t": 6},
+		TaskPayments:  []float64{6},
 		TotalPayment:  6,
 	}
 	if err := CheckAuctionOutcome(in, good, MelodyChecks()); err != nil {
@@ -104,18 +104,20 @@ func TestCheckersCatchViolations(t *testing.T) {
 		{"unknown worker", func(o *core.Outcome) { o.Assignments[0].WorkerID = "ghost" }, "unknown worker"},
 		{"unknown task", func(o *core.Outcome) { o.Assignments[0].TaskID = "ghost" }, "unknown task"},
 		{"duplicate pair", func(o *core.Outcome) { o.Assignments[1] = o.Assignments[0] }, "assigned twice"},
-		{"unselected task", func(o *core.Outcome) { o.SelectedTasks = nil; o.TaskPayment = map[string]float64{} }, "unselected"},
+		{"unselected task", func(o *core.Outcome) { o.SelectedTasks = nil; o.TaskPayments = nil }, "unselected"},
 		{"negative payment", func(o *core.Outcome) { o.Assignments[0].Payment = -1 }, "non-positive payment"},
 		{"total mismatch", func(o *core.Outcome) { o.TotalPayment = 99 }, "!= TotalPayment"},
-		{"task payment mismatch", func(o *core.Outcome) { o.TaskPayment["t"] = 1 }, "TaskPayment"},
+		{"task payment mismatch", func(o *core.Outcome) { o.TaskPayments[0] = 1 }, "TaskPayments[0]"},
+		{"task payment missing", func(o *core.Outcome) { o.TaskPayments = nil }, "0 task payments for 1 selected"},
+		{"task payment extra", func(o *core.Outcome) { o.TaskPayments = append(o.TaskPayments, 0) }, "2 task payments for 1 selected"},
 		{"threshold uncovered", func(o *core.Outcome) {
 			o.Assignments = o.Assignments[:1]
-			o.TaskPayment["t"] = 3
+			o.TaskPayments[0] = 3
 			o.TotalPayment = 3
 		}, "below threshold"},
 		{"budget exceeded", func(o *core.Outcome) {
 			o.Assignments[0].Payment = 200
-			o.TaskPayment["t"] = 203
+			o.TaskPayments[0] = 203
 			o.TotalPayment = 203
 		}, "exceeds budget"},
 	}
@@ -123,7 +125,7 @@ func TestCheckersCatchViolations(t *testing.T) {
 		o := &core.Outcome{
 			Assignments:   append([]core.Assignment(nil), good.Assignments...),
 			SelectedTasks: append([]string(nil), good.SelectedTasks...),
-			TaskPayment:   map[string]float64{"t": good.TaskPayment["t"]},
+			TaskPayments:  append([]float64(nil), good.TaskPayments...),
 			TotalPayment:  good.TotalPayment,
 		}
 		tc.mutate(o)
@@ -148,7 +150,7 @@ func TestCheckIndividualRationalityCatches(t *testing.T) {
 	out := &core.Outcome{
 		Assignments:   []core.Assignment{{WorkerID: "a", TaskID: "t", Payment: 1}},
 		SelectedTasks: []string{"t"},
-		TaskPayment:   map[string]float64{"t": 1},
+		TaskPayments:  []float64{1},
 		TotalPayment:  1,
 	}
 	if err := CheckIndividualRationality(in, out); err == nil {
@@ -173,7 +175,7 @@ func TestCheckCriticalPaymentsCatches(t *testing.T) {
 			{WorkerID: "b", TaskID: "t", Payment: 3},
 		},
 		SelectedTasks: []string{"t"},
-		TaskPayment:   map[string]float64{"t": 5},
+		TaskPayments:  []float64{5},
 		TotalPayment:  5,
 	}
 	if err := CheckCriticalPayments(in, out); err == nil {
@@ -331,7 +333,7 @@ func payAsBid(in core.Instance) (*core.Outcome, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	out := &core.Outcome{TaskPayment: make(map[string]float64)}
+	out := &core.Outcome{}
 	for _, task := range in.Tasks {
 		var q float64
 		for _, w := range in.Workers {
@@ -341,10 +343,11 @@ func payAsBid(in core.Instance) (*core.Outcome, error) {
 			continue
 		}
 		out.SelectedTasks = append(out.SelectedTasks, task.ID)
+		out.TaskPayments = append(out.TaskPayments, 0)
 		for _, w := range in.Workers {
 			p := 1.5 * w.Bid.Cost
 			out.Assignments = append(out.Assignments, core.Assignment{WorkerID: w.ID, TaskID: task.ID, Payment: p})
-			out.TaskPayment[task.ID] += p
+			out.TaskPayments[len(out.TaskPayments)-1] += p
 			out.TotalPayment += p
 		}
 	}

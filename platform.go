@@ -9,6 +9,7 @@ import (
 	"melody/internal/core"
 	"melody/internal/ledger"
 	"melody/internal/obs"
+	"melody/internal/quality"
 )
 
 // Money-handling re-exports: an optional double-entry ledger can be
@@ -543,6 +544,8 @@ func (p *Platform) CloseAuctionNoCtx() (*Outcome, error) {
 
 // SubmitScore records the requester's score for a worker's answer to an
 // assigned task. Each assigned (worker, task) pair takes at most one score.
+// A score the estimators would refuse (NaN, or beyond ±1e18) is refused
+// here, so it can never make a later FinishRun fail.
 //
 // SubmitScore is idempotent on (worker, task, run): re-submitting the
 // score already on record for the pair is a no-op success (a retried
@@ -602,6 +605,9 @@ func (p *Platform) SubmitScoresNoCtx(scores []TaskScore) []error {
 
 // submitScoreLocked is SubmitScore's body; callers hold p.mu.
 func (p *Platform) submitScoreLocked(workerID, taskID string, score float64) error {
+	if err := quality.CheckScore(score); err != nil {
+		return fmt.Errorf("melody: worker %s task %s: %w", workerID, taskID, err)
+	}
 	if p.open == nil {
 		return ErrNoRunOpen
 	}
