@@ -54,9 +54,16 @@ bench-scale-smoke:
 # and WAL recovery (internal/platform/chaos_soak_test.go), and the
 # segmented-engine soaks with mid-segment / mid-rotation / mid-snapshot
 # kills and primary-kill replica promotion
-# (internal/platform/segmented_soak_test.go).
+# (internal/platform/segmented_soak_test.go). A -run pattern that matches
+# nothing still exits 0, so the target also fails unless each of the three
+# soaks reports "--- PASS" in the -v output: a renamed soak cannot drop
+# out of the gate unnoticed.
 chaos-smoke:
-	$(GO) test ./internal/chaos/ ./internal/platform/ -run 'TestChaosSoakSeason|TestSegmentedChaosSoakSeason|TestReplicaPromotionSoak|TestTransport|TestMiddleware|TestFailpoints' -count 1
+	@out=$$($(GO) test ./internal/chaos/ ./internal/platform/ -run 'TestChaosSoakSeason|TestSegmentedChaosSoakSeason|TestReplicaPromotionSoak|TestTransport|TestMiddleware|TestFailpoints' -count 1 -v 2>&1); \
+	status=$$?; echo "$$out"; [ $$status -eq 0 ] || exit $$status; \
+	for soak in TestChaosSoakSeason TestSegmentedChaosSoakSeason TestReplicaPromotionSoak; do \
+		echo "$$out" | grep -q "^--- PASS: $$soak " || { echo "chaos-smoke: $$soak did not run and pass"; exit 1; }; \
+	done
 
 # fuzz-smoke gives each native fuzz target a short budget on top of its
 # committed seed corpus (testdata/fuzz/ in each package); any crasher is a

@@ -94,8 +94,7 @@ type BatchResult struct {
 }
 
 // NewBatchResult builds a BatchResult from a positional error slice
-// (errs[i] nil meaning item i was accepted) — the adapter for code still
-// producing the legacy []error shape.
+// (errs[i] nil meaning item i was accepted).
 func NewBatchResult(errs []error) BatchResult {
 	r := BatchResult{errs: errs}
 	for _, err := range errs {
@@ -134,11 +133,6 @@ func (r BatchResult) Failed() []BatchItem {
 	}
 	return out
 }
-
-// Errs returns the legacy positional error slice (nil per accepted item).
-// The returned slice is the result's backing storage; treat it as
-// read-only.
-func (r BatchResult) Errs() []error { return r.errs }
 
 // Err rolls the failures up into one error via errors.Join, each item
 // wrapped with its index; it is nil when every item was accepted. The

@@ -124,30 +124,31 @@ func driveRun(ctx context.Context, c *platform.Client) error {
 		}
 	}
 	tasks := []platform.TaskSpec{{ID: "t1", Threshold: 10}, {ID: "t2", Threshold: 10}}
-	if err := c.OpenRun(ctx, tasks, 100); err != nil {
+	run, err := c.OpenRunID(ctx, "", "", tasks, 100)
+	if err != nil {
 		return err
 	}
 	bids := make([]platform.BidRequest, len(workers))
 	for i, w := range workers {
 		bids[i] = platform.BidRequest{WorkerID: w, Cost: 1.2 + 0.1*float64(i), Frequency: 1}
 	}
-	res, err := c.SubmitBids(ctx, bids)
+	res, err := run.SubmitBids(ctx, bids)
 	if err != nil {
 		return err
 	}
 	if err := res.Err(); err != nil {
 		return fmt.Errorf("bid batch: %w", err)
 	}
-	out, err := c.CloseAuction(ctx)
+	out, err := run.CloseAuction(ctx)
 	if err != nil {
 		return err
 	}
 	for _, asg := range out.Assignments {
-		if err := c.SubmitScore(ctx, asg.WorkerID, asg.TaskID, 7); err != nil {
+		if err := run.SubmitScore(ctx, asg.WorkerID, asg.TaskID, 7); err != nil {
 			return err
 		}
 	}
-	return c.FinishRun(ctx)
+	return run.FinishRun(ctx)
 }
 
 // scrape fetches and parses a Prometheus text exposition.

@@ -76,7 +76,7 @@ func TestAppendAsyncAbandonedRecordReplays(t *testing.T) {
 	}
 }
 
-// TestRecorderContextCancellation: a recorder mutation with an
+// TestRecorderContextCancellation: a persistent-platform mutation with an
 // already-cancelled context fails without reaching the platform.
 func TestRecorderContextCancellation(t *testing.T) {
 	pp, wal, err := OpenPersistent(tempLog(t), newPlatform(t))

@@ -337,10 +337,10 @@ func waitDone(context.Context) error { return nil }
 // AppendAsync validates and enqueues one event, returning its assigned
 // sequence number and a wait function that blocks until the record is as
 // durable as the log's mode promises (fsynced for durable logs, buffered
-// otherwise). It exists so a caller holding its own ordering lock — the
-// Recorder — can serialize "apply + enqueue" yet wait for the fsync outside
-// that lock, letting the group-commit pipeline coalesce concurrent
-// operations.
+// otherwise). It exists so a caller holding its own ordering lock — a
+// PersistentPlatform — can serialize "apply + enqueue" yet wait for the
+// fsync outside that lock, letting the group-commit pipeline coalesce
+// concurrent operations.
 //
 // The wait function honours its context: when the deadline expires or the
 // context is cancelled before the record is durable, the wait returns the

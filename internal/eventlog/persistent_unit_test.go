@@ -114,7 +114,7 @@ func TestRecorderPlatformAccessor(t *testing.T) {
 	}
 	defer log.Close()
 	p := newPlatform(t)
-	rec, err := NewRecorder(p, log)
+	rec, err := NewPersistentPlatform(p, log)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestRecorderBatchReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := NewRecorder(p, log)
+	rec, err := NewPersistentPlatform(p, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,8 @@ func TestRecorderBatchReplayEquivalence(t *testing.T) {
 		{WorkerID: "dee", Bid: melody.Bid{Cost: 1.6, Frequency: 2}},
 	}
 	res := rec.SubmitBids(ctx, bids)
-	for i, e := range res.Errs() {
+	for i := range res.Len() {
+		e := res.ErrAt(i)
 		if i == 1 {
 			if !errors.Is(e, melody.ErrUnknownWorker) {
 				t.Fatalf("ghost bid error = %v, want ErrUnknownWorker", e)
@@ -67,10 +68,8 @@ func TestRecorderBatchReplayEquivalence(t *testing.T) {
 			WorkerID: a.WorkerID, TaskID: a.TaskID, Score: 4 + float64(i),
 		})
 	}
-	for i, e := range rec.SubmitScores(ctx, scores).Errs() {
-		if e != nil {
-			t.Fatalf("score %d: %v", i, e)
-		}
+	if err := rec.SubmitScores(ctx, scores).Err(); err != nil {
+		t.Fatal(err)
 	}
 	if err := rec.FinishRun(ctx); err != nil {
 		t.Fatal(err)

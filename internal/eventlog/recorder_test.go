@@ -30,14 +30,14 @@ func newPlatform(t *testing.T) *melody.Platform {
 	return p
 }
 
-func TestNewRecorderValidation(t *testing.T) {
-	if _, err := NewRecorder(nil, nil); err == nil {
+func TestNewPersistentPlatformValidation(t *testing.T) {
+	if _, err := NewPersistentPlatform(nil, nil); err == nil {
 		t.Error("nil inputs accepted")
 	}
 }
 
-// driveRuns runs a deterministic workload through a recorder.
-func driveRuns(t *testing.T, rec *Recorder, runs int) {
+// driveRuns runs a deterministic workload through a persistent platform.
+func driveRuns(t *testing.T, rec *PersistentPlatform, runs int) {
 	ctx := context.Background()
 	t.Helper()
 	workers := []string{"ada", "bob", "cyd", "dee"}
@@ -85,7 +85,7 @@ func TestReplayReconstructsState(t *testing.T) {
 		t.Fatal(err)
 	}
 	original := newPlatform(t)
-	rec, err := NewRecorder(original, log)
+	rec, err := NewPersistentPlatform(original, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestReplayMidRunCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := NewRecorder(newPlatform(t), log)
+	rec, err := NewPersistentPlatform(newPlatform(t), log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestRecorderDoesNotLogRejectedOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := NewRecorder(newPlatform(t), log)
+	rec, err := NewPersistentPlatform(newPlatform(t), log)
 	if err != nil {
 		t.Fatal(err)
 	}

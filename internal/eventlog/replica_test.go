@@ -222,7 +222,7 @@ func TestPromotedPlatformMatchesFullReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveRuns(t, pp.rec, 8)
+	driveRuns(t, pp, 8)
 	if err := pp.SnapshotErr(); err != nil {
 		t.Fatalf("snapshotting failed during the season: %v", err)
 	}
@@ -239,7 +239,7 @@ func TestPromotedPlatformMatchesFullReplay(t *testing.T) {
 	}
 	assertMirrored(t, seg, replicaDir)
 
-	primaryState := pp.rec.Platform()
+	primaryState := pp.Platform()
 	if err := seg.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestPromotedPlatformMatchesFullReplay(t *testing.T) {
 		}
 	}
 
-	for name, p := range map[string]*melody.Platform{"promoted": promoted.rec.Platform(), "oracle": oracle} {
+	for name, p := range map[string]*melody.Platform{"promoted": promoted.Platform(), "oracle": oracle} {
 		if p.Run() != primaryState.Run() {
 			t.Errorf("%s runs = %d, primary = %d", name, p.Run(), primaryState.Run())
 		}
@@ -296,7 +296,7 @@ func TestPromotedPlatformMatchesFullReplay(t *testing.T) {
 	}
 
 	// The promoted platform keeps serving: one more full run.
-	driveRuns(t, promoted.rec, 1)
+	driveRuns(t, promoted, 1)
 	if promoted.Run() != primaryState.Run()+1 {
 		t.Errorf("post-promotion runs = %d, want %d", promoted.Run(), primaryState.Run()+1)
 	}

@@ -16,8 +16,8 @@ import (
 // route back to their runs by ID, and each tenant's per-run sequence is a
 // deterministic mechanism given its own events.
 //
-// Like the single-run Recorder, operations apply to the scheduler first
-// and are logged only on success, and the ordering mutex covers only
+// Like the single-run PersistentPlatform, operations apply to the scheduler
+// first and are logged only on success, and the ordering mutex covers only
 // "apply + enqueue" — the fsync wait happens outside it, riding the log's
 // group-commit pipeline. The mutex pins one total order across all runs,
 // which replay then reproduces; that total order is what keeps the shared
@@ -108,7 +108,8 @@ func (ps *PersistentScheduler) SubmitBid(ctx context.Context, runID, workerID st
 }
 
 // SubmitBids applies and records a whole batch of bids against a run, with
-// the Recorder's batch contract: one lock acquisition, one group commit.
+// the PersistentPlatform batch contract: one lock acquisition, one group
+// commit.
 func (ps *PersistentScheduler) SubmitBids(ctx context.Context, runID string, bids []melody.WorkerBid) melody.BatchResult {
 	errs := make([]error, len(bids))
 	ps.mu.Lock()

@@ -269,7 +269,7 @@ func TestPersistentSchedulerRefusesOutOfRangeScore(t *testing.T) {
 		{WorkerID: b.WorkerID, TaskID: b.TaskID, Score: 7},
 	})
 	if res.ErrAt(0) == nil || res.ErrAt(1) != nil {
-		t.Errorf("batch with one bad score: errors %v, want only item 0 refused", res.Errs())
+		t.Errorf("batch with one bad score: errors %v, want only item 0 refused", res.Failed())
 	}
 	for _, x := range out.Assignments[2:] {
 		if err := ps.SubmitScore(ctx, "r1", x.WorkerID, x.TaskID, 7); err != nil {

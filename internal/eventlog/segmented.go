@@ -21,8 +21,9 @@ type SegmentedOptions struct {
 	// new one started; zero means DefaultSegmentBytes.
 	SegmentBytes int64
 	// SnapshotEvery arms ShouldSnapshot once this many records have been
-	// appended since the last snapshot; the owner (the Recorder) then takes
-	// a state snapshot at the next run boundary. Zero disables snapshots.
+	// appended since the last snapshot; the owner (a PersistentPlatform)
+	// then takes a state snapshot at the next run boundary. Zero disables
+	// snapshots.
 	SnapshotEvery int
 	// DisableCompaction keeps every sealed segment on disk even when a
 	// snapshot fully covers it. Differential tests use it to retain the
@@ -300,10 +301,10 @@ func (s *SegmentedLog) observeSnapshotAge() {
 }
 
 // WriteSnapshot atomically installs a state snapshot covering every record
-// up to and including seq (which must already be durable — the Recorder
-// waits for the FinishRun record's fsync first), then compacts away the
-// sealed segments the snapshot covers. runs is the completed-run count at
-// the snapshot; state is the platform-layer payload.
+// up to and including seq (which must already be durable — the
+// PersistentPlatform waits for the FinishRun record's fsync first), then
+// compacts away the sealed segments the snapshot covers. runs is the
+// completed-run count at the snapshot; state is the platform-layer payload.
 //
 // A failed snapshot write never poisons the log: the previous snapshot
 // stays authoritative and appends continue, so snapshotting is a liveness

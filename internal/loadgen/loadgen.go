@@ -406,9 +406,11 @@ func Run(cfg Config) (Result, error) {
 		for j := range tasks {
 			tasks[j] = platform.TaskSpec{ID: fmt.Sprintf("r%d-t%d", run, j), Threshold: 10}
 		}
-		if err := control.OpenRun(ctx, tasks, cfg.Budget); err != nil {
+		ctl, err := control.OpenRunID(ctx, "", "", tasks, cfg.Budget)
+		if err != nil {
 			return Result{}, fmt.Errorf("loadgen: open run %d: %w", run, err)
 		}
+		bids := client.Run(ctl.ID())
 
 		// Bid phase: every worker hammers the ingest path concurrently. A
 		// 429 shed is part of the measurement, not a failure; anything else
@@ -433,7 +435,7 @@ func Run(cfg Config) (Result, error) {
 							reqs[k] = platform.BidRequest{WorkerID: id, Cost: cost, Frequency: 1}
 						}
 						t0 := time.Now()
-						res, err := client.SubmitBids(ctx, reqs)
+						res, err := bids.SubmitBids(ctx, reqs)
 						switch {
 						case err == nil:
 							local = append(local, float64(time.Since(t0).Microseconds())/1000)
@@ -453,7 +455,7 @@ func Run(cfg Config) (Result, error) {
 				} else {
 					for k := 0; k < cfg.BidsPerWorker; k++ {
 						t0 := time.Now()
-						err := client.SubmitBid(ctx, id, cost, 1)
+						err := bids.SubmitBid(ctx, id, cost, 1)
 						switch {
 						case err == nil:
 							local = append(local, float64(time.Since(t0).Microseconds())/1000)
@@ -479,7 +481,7 @@ func Run(cfg Config) (Result, error) {
 		}
 		res.BidPhaseSeconds += time.Since(bidStart).Seconds()
 
-		out, err := control.CloseAuction(ctx)
+		out, err := ctl.CloseAuction(ctx)
 		if err != nil {
 			return Result{}, fmt.Errorf("loadgen: close run %d: %w", run, err)
 		}
@@ -490,7 +492,7 @@ func Run(cfg Config) (Result, error) {
 			})
 		}
 		if len(scores) > 0 {
-			res, err := control.SubmitScores(ctx, scores)
+			res, err := ctl.SubmitScores(ctx, scores)
 			if err != nil {
 				return Result{}, fmt.Errorf("loadgen: score run %d: %w", run, err)
 			}
@@ -498,7 +500,7 @@ func Run(cfg Config) (Result, error) {
 				return Result{}, fmt.Errorf("loadgen: score run %d: %w", run, err)
 			}
 		}
-		if err := control.FinishRun(ctx); err != nil {
+		if err := ctl.FinishRun(ctx); err != nil {
 			return Result{}, fmt.Errorf("loadgen: finish run %d: %w", run, err)
 		}
 	}

@@ -220,9 +220,11 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 		for j := range tasks {
 			tasks[j] = platform.TaskSpec{ID: fmt.Sprintf("r%d-t%d", run, j), Threshold: 10}
 		}
-		if err := control.OpenRun(ctx, tasks, cfg.Load.Budget); err != nil {
+		ctl, err := control.OpenRunID(ctx, "", "", tasks, cfg.Load.Budget)
+		if err != nil {
 			return res, fmt.Errorf("loadgen: open run %d: %w", run, err)
 		}
+		bids := bidClient.Run(ctl.ID())
 
 		arrivals := cfg.schedule(rng)
 		res.Offered += len(arrivals)
@@ -240,7 +242,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 				defer wg.Done()
 				w := i % len(workerIDs)
 				t0 := time.Now()
-				err := bidClient.SubmitBid(ctx, workerIDs[w], costs[w], 1)
+				err := bids.SubmitBid(ctx, workerIDs[w], costs[w], 1)
 				switch {
 				case err == nil:
 					ms := float64(time.Since(t0).Microseconds()) / 1000
@@ -260,7 +262,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 
 		// Settlement through the exempt control plane: this must work no
 		// matter how hard the bid path was shed.
-		out, err := control.CloseAuction(ctx)
+		out, err := ctl.CloseAuction(ctx)
 		if err != nil {
 			return res, fmt.Errorf("loadgen: close run %d: %w", run, err)
 		}
@@ -271,7 +273,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 			})
 		}
 		if len(scores) > 0 {
-			sres, err := control.SubmitScores(ctx, scores)
+			sres, err := ctl.SubmitScores(ctx, scores)
 			if err != nil {
 				return res, fmt.Errorf("loadgen: score run %d: %w", run, err)
 			}
@@ -279,7 +281,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 				return res, fmt.Errorf("loadgen: score run %d: %w", run, err)
 			}
 		}
-		if err := control.FinishRun(ctx); err != nil {
+		if err := ctl.FinishRun(ctx); err != nil {
 			return res, fmt.Errorf("loadgen: finish run %d: %w", run, err)
 		}
 		res.RunsCompleted++

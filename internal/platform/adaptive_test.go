@@ -2,15 +2,13 @@ package platform
 
 // Tests for the client-side overload response: the AIMD limiter's window
 // arithmetic and blocking behaviour, the Retry-After floor under backoff,
-// retried-after-shed idempotency, and the BidBatcher under concurrent
-// Submit/Close (run with -race by make ci).
+// and retried-after-shed idempotency (run with -race by make ci).
 
 import (
 	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -229,24 +227,25 @@ func TestRetryAfterShedReplaysAreNoOps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := client.OpenRun(ctx, []TaskSpec{{ID: "t1", Threshold: 10}}, 100); err != nil {
-		t.Fatal(err)
-	}
-	// Shed-then-retried bid, then an explicit duplicate: still one bid.
-	if err := client.SubmitBid(ctx, "w1", 1.2, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.SubmitBid(ctx, "w1", 1.2, 2); err != nil {
-		t.Errorf("replay after shed-retry: %v", err)
-	}
-	if err := client.SubmitBid(ctx, "w2", 1.5, 2); err != nil {
-		t.Fatal(err)
-	}
-	out, err := client.CloseAuction(ctx)
+	run, err := client.OpenRunID(ctx, "", "", []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, err := client.CloseAuction(ctx)
+	// Shed-then-retried bid, then an explicit duplicate: still one bid.
+	if err := run.SubmitBid(ctx, "w1", 1.2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := run.SubmitBid(ctx, "w1", 1.2, 2); err != nil {
+		t.Errorf("replay after shed-retry: %v", err)
+	}
+	if err := run.SubmitBid(ctx, "w2", 1.5, 2); err != nil {
+		t.Fatal(err)
+	}
+	out, err := run.CloseAuction(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out2, err := run.CloseAuction(ctx)
 	if err != nil {
 		t.Errorf("replayed CloseAuction after sheds: %v", err)
 	}
@@ -254,17 +253,17 @@ func TestRetryAfterShedReplaysAreNoOps(t *testing.T) {
 		t.Errorf("replayed close diverged: %+v vs %+v", out2, out)
 	}
 	for _, a := range out.Assignments {
-		if err := client.SubmitScore(ctx, a.WorkerID, a.TaskID, 7); err != nil {
+		if err := run.SubmitScore(ctx, a.WorkerID, a.TaskID, 7); err != nil {
 			t.Fatal(err)
 		}
-		if err := client.SubmitScore(ctx, a.WorkerID, a.TaskID, 7); err != nil {
+		if err := run.SubmitScore(ctx, a.WorkerID, a.TaskID, 7); err != nil {
 			t.Errorf("replayed SubmitScore after sheds: %v", err)
 		}
 	}
-	if err := client.FinishRun(ctx); err != nil {
+	if err := run.FinishRun(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.FinishRun(ctx); err != nil {
+	if err := run.FinishRun(ctx); err != nil {
 		t.Errorf("replayed FinishRun after sheds: %v", err)
 	}
 	status, err := client.Status(ctx)
@@ -273,59 +272,5 @@ func TestRetryAfterShedReplaysAreNoOps(t *testing.T) {
 	}
 	if status.Phase != PhaseIdle || status.Run != 1 {
 		t.Errorf("after shed/replay run: phase %s run %d, want idle run 1", status.Phase, status.Run)
-	}
-}
-
-// TestBidBatcherConcurrentSubmitClose races many Submits against Close:
-// every Submit must resolve (accepted by a flushed batch or refused by the
-// closed batcher), nothing may hang, and Close must wait for in-flight
-// flushes. Run under -race.
-func TestBidBatcherConcurrentSubmitClose(t *testing.T) {
-	_, client := newTestServer(t)
-	ctx := context.Background()
-	const workers = 8
-	for i := 0; i < workers; i++ {
-		if err := client.RegisterWorker(ctx, "w"+strconv.Itoa(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := client.OpenRun(ctx, []TaskSpec{{ID: "t1", Threshold: 10}}, 100); err != nil {
-		t.Fatal(err)
-	}
-	b := NewBidBatcher(client, 8, time.Millisecond)
-	const goroutines, perG = 8, 50
-	var landed, refused atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				err := b.Submit(ctx, "w"+strconv.Itoa(g%workers), 1.0+0.001*float64(g*perG+i), 1)
-				switch {
-				case err == nil:
-					landed.Add(1)
-				case errors.Is(err, context.Canceled):
-					refused.Add(1) // submitted after Close
-				default:
-					t.Errorf("submit: %v", err)
-				}
-			}
-		}(g)
-	}
-	// Close midway through the storm, racing the submitters.
-	time.Sleep(5 * time.Millisecond)
-	b.Close()
-	wg.Wait()
-	b.Close() // second Close must be a no-op
-	if got := landed.Load() + refused.Load(); got != goroutines*perG {
-		t.Errorf("submits accounted = %d, want %d", got, goroutines*perG)
-	}
-	if landed.Load() == 0 {
-		t.Error("close raced ahead of every submit; expected some bids to land")
-	}
-	// The run still settles over whatever bids landed.
-	if _, err := client.CloseAuction(ctx); err != nil {
-		t.Fatal(err)
 	}
 }

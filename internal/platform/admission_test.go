@@ -61,18 +61,19 @@ func TestAdmissionConcurrencyGateSheds(t *testing.T) {
 	if err := client.RegisterWorker(ctx, "w1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.OpenRun(ctx, []TaskSpec{{ID: "t1", Threshold: 10}}, 100); err != nil {
+	run, err := client.OpenRunID(ctx, "", "", []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Pin the single slot with a bid that blocks inside the backend.
 	pinned := make(chan error, 1)
-	go func() { pinned <- client.SubmitBid(ctx, "w1", 1.2, 2) }()
+	go func() { pinned <- run.SubmitBid(ctx, "w1", 1.2, 2) }()
 	<-bb.entered
 
 	// A second bid finds no slot and no waiting room: shed with 429, a
 	// Retry-After hint, and the overloaded sentinel.
-	err = client.SubmitBid(ctx, "w1", 1.3, 2)
+	err = run.SubmitBid(ctx, "w1", 1.3, 2)
 	if !errors.Is(err, melody.ErrOverloaded) {
 		t.Fatalf("second bid err = %v, want ErrOverloaded", err)
 	}
@@ -89,7 +90,7 @@ func TestAdmissionConcurrencyGateSheds(t *testing.T) {
 
 	// The control plane is exempt: closing the auction works even while
 	// ingest is saturated.
-	if _, err := client.CloseAuction(ctx); err != nil {
+	if _, err := run.CloseAuction(ctx); err != nil {
 		t.Errorf("close while ingest saturated: %v", err)
 	}
 	close(bb.release)
@@ -98,8 +99,8 @@ func TestAdmissionConcurrencyGateSheds(t *testing.T) {
 	if err := <-pinned; err != nil && !errors.Is(err, melody.ErrAuctionClosed) {
 		t.Errorf("pinned bid err = %v, want nil or ErrAuctionClosed", err)
 	}
-	if rs, err := srv.lookupRun("current"); err != nil {
-		t.Errorf("resolve current run: %v", err)
+	if rs, err := srv.lookupRun(run.ID()); err != nil {
+		t.Errorf("resolve run: %v", err)
 	} else if err := srv.finishRun(ctx, rs); err != nil {
 		t.Errorf("finish after shed: %v", err)
 	}
@@ -127,16 +128,17 @@ func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 	if err := client.RegisterWorker(ctx, "w1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.OpenRun(ctx, []TaskSpec{{ID: "t1", Threshold: 10}}, 100); err != nil {
+	run, err := client.OpenRunID(ctx, "", "", []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
+	if err != nil {
 		t.Fatal(err)
 	}
 	first := make(chan error, 1)
-	go func() { first <- client.SubmitBid(ctx, "w1", 1.2, 2) }()
+	go func() { first <- run.SubmitBid(ctx, "w1", 1.2, 2) }()
 	<-bb.entered
 	// The second bid queues behind the pinned slot instead of shedding,
 	// and is admitted once the first completes.
 	second := make(chan error, 1)
-	go func() { second <- client.SubmitBid(ctx, "w1", 1.4, 2) }()
+	go func() { second <- run.SubmitBid(ctx, "w1", 1.4, 2) }()
 	time.Sleep(20 * time.Millisecond) // let it reach the queue
 	close(bb.release)
 	<-bb.entered // the queued bid enters the backend
@@ -166,7 +168,8 @@ func TestAdmissionTenantRateLimit(t *testing.T) {
 	if err := setup.RegisterWorker(ctx, "w1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := setup.OpenRun(ctx, []TaskSpec{{ID: "t1", Threshold: 10}}, 100); err != nil {
+	run, err := setup.OpenRunID(ctx, "", "", []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
+	if err != nil {
 		t.Fatal(err)
 	}
 	tenant, err := NewClientOptions(ts.URL, ClientOptions{
@@ -176,13 +179,13 @@ func TestAdmissionTenantRateLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Burst of 2: two bids pass, the third is rate-limited.
-	if err := tenant.SubmitBid(ctx, "w1", 1.2, 2); err != nil {
+	if err := tenant.Run(run.ID()).SubmitBid(ctx, "w1", 1.2, 2); err != nil {
 		t.Fatalf("bid 1: %v", err)
 	}
-	if err := tenant.SubmitBid(ctx, "w1", 1.3, 2); err != nil {
+	if err := tenant.Run(run.ID()).SubmitBid(ctx, "w1", 1.3, 2); err != nil {
 		t.Fatalf("bid 2: %v", err)
 	}
-	if err := tenant.SubmitBid(ctx, "w1", 1.4, 2); !errors.Is(err, melody.ErrOverloaded) {
+	if err := tenant.Run(run.ID()).SubmitBid(ctx, "w1", 1.4, 2); !errors.Is(err, melody.ErrOverloaded) {
 		t.Fatalf("bid 3 err = %v, want ErrOverloaded", err)
 	}
 	// A different tenant has its own bucket.
@@ -192,11 +195,11 @@ func TestAdmissionTenantRateLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.SubmitBid(ctx, "w1", 1.5, 2); err != nil {
+	if err := other.Run(run.ID()).SubmitBid(ctx, "w1", 1.5, 2); err != nil {
 		t.Errorf("other tenant's first bid: %v", err)
 	}
 	// The anonymous client is untouched by tenant budgets.
-	if err := setup.SubmitBid(ctx, "w1", 1.6, 2); err != nil {
+	if err := run.SubmitBid(ctx, "w1", 1.6, 2); err != nil {
 		t.Errorf("anonymous bid: %v", err)
 	}
 }
@@ -255,17 +258,18 @@ func TestShedBidNeverPersisted(t *testing.T) {
 	if err := setup.RegisterWorker(ctx, "w1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := setup.OpenRun(ctx, []TaskSpec{{ID: "t1", Threshold: 10}}, 100); err != nil {
+	run, err := setup.OpenRunID(ctx, "", "", []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// One accepted bid spends the tenant's only token.
-	if err := tenant.SubmitBid(ctx, "w1", 1.2, 2); err != nil {
+	if err := tenant.Run(run.ID()).SubmitBid(ctx, "w1", 1.2, 2); err != nil {
 		t.Fatal(err)
 	}
 	appends := reg.Counter(obs.MetricWALAppendsTotal, "").Value()
 	entries := len(money.Entries())
 
-	if err := tenant.SubmitBid(ctx, "w1", 1.9, 1); !errors.Is(err, melody.ErrOverloaded) {
+	if err := tenant.Run(run.ID()).SubmitBid(ctx, "w1", 1.9, 1); !errors.Is(err, melody.ErrOverloaded) {
 		t.Fatalf("shed bid err = %v, want ErrOverloaded", err)
 	}
 	if got := reg.Counter(obs.MetricWALAppendsTotal, "").Value(); got != appends {
@@ -276,7 +280,7 @@ func TestShedBidNeverPersisted(t *testing.T) {
 	}
 	// The run settles on the accepted bid alone, and the shed bid's values
 	// never appear in the outcome.
-	out, err := setup.CloseAuction(ctx)
+	out, err := run.CloseAuction(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,11 +290,11 @@ func TestShedBidNeverPersisted(t *testing.T) {
 		}
 	}
 	for _, a := range out.Assignments {
-		if err := setup.SubmitScore(ctx, a.WorkerID, a.TaskID, 6); err != nil {
+		if err := run.SubmitScore(ctx, a.WorkerID, a.TaskID, 6); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := setup.FinishRun(ctx); err != nil {
+	if err := run.FinishRun(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if err := checkConservation(money); err != nil {
@@ -340,7 +344,8 @@ func TestAdmissionConcurrentStorm(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := setup.OpenRun(ctx, []TaskSpec{{ID: "t1", Threshold: 10}}, 100); err != nil {
+	run, err := setup.OpenRunID(ctx, "", "", []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
+	if err != nil {
 		t.Fatal(err)
 	}
 	const goroutines, perG = 16, 25
@@ -352,7 +357,7 @@ func TestAdmissionConcurrentStorm(t *testing.T) {
 			defer wg.Done()
 			ids := []string{"w1", "w2", "w3", "w4"}
 			for i := 0; i < perG; i++ {
-				err := setup.SubmitBid(ctx, ids[(g+i)%4], 1.0+0.001*float64(g*perG+i), 1)
+				err := run.SubmitBid(ctx, ids[(g+i)%4], 1.0+0.001*float64(g*perG+i), 1)
 				switch {
 				case err == nil:
 					accepted.Add(1)
@@ -376,13 +381,13 @@ func TestAdmissionConcurrentStorm(t *testing.T) {
 	}
 	// The gate must be fully drained: a final bid cannot be blocked by
 	// leaked slots.
-	if err := setup.SubmitBid(ctx, "w1", 1.5, 1); err != nil && !errors.Is(err, melody.ErrOverloaded) {
+	if err := run.SubmitBid(ctx, "w1", 1.5, 1); err != nil && !errors.Is(err, melody.ErrOverloaded) {
 		t.Errorf("post-storm bid: %v", err)
 	}
-	if _, err := setup.CloseAuction(ctx); err != nil {
+	if _, err := run.CloseAuction(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if rs, err := srv.lookupRun("current"); err != nil {
+	if rs, err := srv.lookupRun(run.ID()); err != nil {
 		t.Fatal(err)
 	} else if err := srv.finishRun(ctx, rs); err != nil {
 		t.Fatal(err)

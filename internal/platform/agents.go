@@ -52,7 +52,8 @@ type WorkerAgentConfig struct {
 }
 
 // WorkerAgent is an autonomous worker: it registers itself, bids in every
-// run, and uploads answers for its allocated tasks. Its lifecycle follows
+// run, and uploads answers for its allocated tasks. It follows the run
+// GET /v1/status names and acts on it by ID. Its lifecycle follows
 // the managed-goroutine pattern: NewWorkerAgent starts the loop, Stop
 // signals it and waits for exit.
 type WorkerAgent struct {
@@ -114,7 +115,7 @@ func (a *WorkerAgent) loop(ctx context.Context) {
 			if status.Run == lastBid {
 				continue
 			}
-			err := a.cfg.Client.SubmitBid(ctx, a.cfg.WorkerID, a.cfg.Cost, a.cfg.Frequency)
+			err := a.cfg.Client.Run(status.RunID).SubmitBid(ctx, a.cfg.WorkerID, a.cfg.Cost, a.cfg.Frequency)
 			switch {
 			case err == nil:
 				lastBid = status.Run
@@ -127,7 +128,7 @@ func (a *WorkerAgent) loop(ctx context.Context) {
 			if status.Run == lastAnswered {
 				continue
 			}
-			err := a.answer(ctx, status.Run)
+			err := a.answer(ctx, a.cfg.Client.Run(status.RunID), status.Run)
 			switch {
 			case err == nil:
 				lastAnswered = status.Run
@@ -140,10 +141,9 @@ func (a *WorkerAgent) loop(ctx context.Context) {
 	}
 }
 
-// answer uploads one answer per task assigned to this agent in the current
-// run.
-func (a *WorkerAgent) answer(ctx context.Context, run int) error {
-	out, err := a.cfg.Client.Outcome(ctx)
+// answer uploads one answer per task assigned to this agent in the run.
+func (a *WorkerAgent) answer(ctx context.Context, h *RunAPI, run int) error {
+	out, err := h.Outcome(ctx)
 	if err != nil {
 		return err
 	}
@@ -153,7 +153,7 @@ func (a *WorkerAgent) answer(ctx context.Context, run int) error {
 			continue
 		}
 		sample := a.cfg.RNG.Normal(q, a.cfg.ScoreSigma)
-		if err := a.cfg.Client.SubmitAnswer(ctx, a.cfg.WorkerID, asg.TaskID, AnswerPayload(sample)); err != nil {
+		if err := h.SubmitAnswer(ctx, a.cfg.WorkerID, asg.TaskID, AnswerPayload(sample)); err != nil {
 			return err
 		}
 	}
@@ -200,9 +200,10 @@ func NewRequester(cfg RequesterConfig) (*Requester, error) {
 }
 
 // RunOnce drives a single complete run and returns the auction outcome.
+// The server names the run; every later call addresses it by that name.
 func (q *Requester) RunOnce(ctx context.Context, run int) (OutcomeResponse, error) {
-	c := q.cfg.Client
-	if err := c.OpenRun(ctx, q.cfg.Tasks(run), q.cfg.Budget); err != nil {
+	h, err := q.cfg.Client.OpenRunID(ctx, "", "", q.cfg.Tasks(run), q.cfg.Budget)
+	if err != nil {
 		return OutcomeResponse{}, fmt.Errorf("platform: open run %d: %w", run, err)
 	}
 	select {
@@ -210,7 +211,7 @@ func (q *Requester) RunOnce(ctx context.Context, run int) (OutcomeResponse, erro
 		return OutcomeResponse{}, ctx.Err()
 	case <-time.After(q.cfg.BidWait):
 	}
-	out, err := c.CloseAuction(ctx)
+	out, err := h.CloseAuction(ctx)
 	if err != nil {
 		return OutcomeResponse{}, fmt.Errorf("platform: close run %d: %w", run, err)
 	}
@@ -224,7 +225,7 @@ func (q *Requester) RunOnce(ctx context.Context, run int) (OutcomeResponse, erro
 	var answers []Answer
 wait:
 	for {
-		answers, err = c.Answers(ctx)
+		answers, err = h.Answers(ctx)
 		if err != nil {
 			return OutcomeResponse{}, fmt.Errorf("platform: answers run %d: %w", run, err)
 		}
@@ -255,7 +256,7 @@ wait:
 		})
 	}
 	if len(scores) > 0 {
-		res, err := c.SubmitScores(ctx, scores)
+		res, err := h.SubmitScores(ctx, scores)
 		if err != nil {
 			return OutcomeResponse{}, fmt.Errorf("platform: score run %d: %w", run, err)
 		}
@@ -272,7 +273,7 @@ wait:
 			return OutcomeResponse{}, fmt.Errorf("platform: score run %d: %w", run, itemErr)
 		}
 	}
-	if err := c.FinishRun(ctx); err != nil {
+	if err := h.FinishRun(ctx); err != nil {
 		return OutcomeResponse{}, fmt.Errorf("platform: finish run %d: %w", run, err)
 	}
 	return out, nil

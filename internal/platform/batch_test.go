@@ -5,18 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"melody"
 )
 
 // openTestRun registers workers w0..w{n-1} and opens a run with the given
 // tasks, failing the test on any error.
-func openTestRun(t *testing.T, c *Client, n int, tasks []TaskSpec, budget float64) {
+func openTestRun(t *testing.T, c *Client, n int, tasks []TaskSpec, budget float64) *RunAPI {
 	t.Helper()
 	ctx := context.Background()
 	for i := 0; i < n; i++ {
@@ -24,30 +20,30 @@ func openTestRun(t *testing.T, c *Client, n int, tasks []TaskSpec, budget float6
 			t.Fatal(err)
 		}
 	}
-	if err := c.OpenRun(ctx, tasks, budget); err != nil {
+	run, err := c.OpenRunID(ctx, "", "", tasks, budget)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return run
 }
 
 func TestBidBatchHappyPath(t *testing.T) {
 	_, c := newTestServer(t)
 	ctx := context.Background()
-	openTestRun(t, c, 4, []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
+	run := openTestRun(t, c, 4, []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
 
 	bids := make([]BidRequest, 4)
 	for i := range bids {
 		bids[i] = BidRequest{WorkerID: fmt.Sprintf("w%d", i), Cost: 1.5, Frequency: 1}
 	}
-	res, err := c.SubmitBids(ctx, bids)
+	res, err := run.SubmitBids(ctx, bids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, e := range res.Errs() {
-		if e != nil {
-			t.Errorf("bid %d rejected: %v", i, e)
-		}
+	if err := res.Err(); err != nil {
+		t.Errorf("bids rejected: %v", err)
 	}
-	out, err := c.CloseAuction(ctx)
+	out, err := run.CloseAuction(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +58,9 @@ func TestBidBatchHappyPath(t *testing.T) {
 func TestBidBatchPerItemErrors(t *testing.T) {
 	_, c := newTestServer(t)
 	ctx := context.Background()
-	openTestRun(t, c, 2, []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
+	run := openTestRun(t, c, 2, []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
 
-	res, err := c.SubmitBids(ctx, []BidRequest{
+	res, err := run.SubmitBids(ctx, []BidRequest{
 		{WorkerID: "w0", Cost: 1.5, Frequency: 1},
 		{WorkerID: "ghost", Cost: 1.5, Frequency: 1},
 		{WorkerID: "w1", Cost: 1.2, Frequency: 1},
@@ -89,8 +85,8 @@ func TestBidBatchPerItemErrors(t *testing.T) {
 func TestScoreBatchPerItemErrors(t *testing.T) {
 	_, c := newTestServer(t)
 	ctx := context.Background()
-	openTestRun(t, c, 4, []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
-	if _, err := c.SubmitBids(ctx, []BidRequest{
+	run := openTestRun(t, c, 4, []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
+	if _, err := run.SubmitBids(ctx, []BidRequest{
 		{WorkerID: "w0", Cost: 1.2, Frequency: 1},
 		{WorkerID: "w1", Cost: 1.4, Frequency: 1},
 		{WorkerID: "w2", Cost: 1.3, Frequency: 1},
@@ -98,7 +94,7 @@ func TestScoreBatchPerItemErrors(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.CloseAuction(ctx)
+	out, err := run.CloseAuction(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +105,7 @@ func TestScoreBatchPerItemErrors(t *testing.T) {
 		{WorkerID: out.Assignments[0].WorkerID, TaskID: out.Assignments[0].TaskID, Score: 7},
 		{WorkerID: "w1", TaskID: "no-such-task", Score: 5},
 	}
-	res, err := c.SubmitScores(ctx, scores)
+	res, err := run.SubmitScores(ctx, scores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +115,7 @@ func TestScoreBatchPerItemErrors(t *testing.T) {
 	if !errors.Is(res.ErrAt(1), melody.ErrNotAssigned) {
 		t.Errorf("unassigned score error = %v, want ErrNotAssigned", res.ErrAt(1))
 	}
-	if err := c.FinishRun(ctx); err != nil {
+	if err := run.FinishRun(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -168,7 +164,7 @@ func TestOutOfRangeScoreRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !errors.As(res.ErrAt(0), &apiErr) || apiErr.Status != http.StatusBadRequest || res.FailedCount() != 1 {
-		t.Errorf("batch with one bad score: errors %v, want only item 0 refused with a 400", res.Errs())
+		t.Errorf("batch with one bad score: errors %v, want only item 0 refused with a 400", res.Failed())
 	}
 	for i, x := range out.Assignments {
 		if i == 1 {
@@ -191,7 +187,7 @@ func TestOutOfRangeScoreRefused(t *testing.T) {
 func TestBidBatchIdempotentReplay(t *testing.T) {
 	_, c := newTestServer(t)
 	ctx := context.Background()
-	openTestRun(t, c, 3, []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
+	run := openTestRun(t, c, 3, []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
 
 	bids := []BidRequest{
 		{WorkerID: "w0", Cost: 1.5, Frequency: 1},
@@ -199,14 +195,12 @@ func TestBidBatchIdempotentReplay(t *testing.T) {
 		{WorkerID: "w2", Cost: 1.8, Frequency: 1},
 	}
 	for round := 0; round < 2; round++ {
-		res, err := c.SubmitBids(ctx, bids)
+		res, err := run.SubmitBids(ctx, bids)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		for i, e := range res.Errs() {
-			if e != nil {
-				t.Errorf("round %d bid %d: %v", round, i, e)
-			}
+		if err := res.Err(); err != nil {
+			t.Errorf("round %d: %v", round, err)
 		}
 	}
 }
@@ -215,7 +209,7 @@ func TestBatchValidation(t *testing.T) {
 	ts, c := newTestServer(t)
 	ctx := context.Background()
 
-	if _, err := c.SubmitBids(ctx, nil); err == nil {
+	if _, err := c.Run("r1").SubmitBids(ctx, nil); err == nil {
 		t.Error("empty batch accepted")
 	} else {
 		var apiErr *APIError
@@ -228,7 +222,7 @@ func TestBatchValidation(t *testing.T) {
 	for i := range over {
 		over[i] = BidRequest{WorkerID: "w", Cost: 1, Frequency: 1}
 	}
-	if _, err := c.SubmitBids(ctx, over); err == nil {
+	if _, err := c.Run("r1").SubmitBids(ctx, over); err == nil {
 		t.Error("oversized batch accepted")
 	} else {
 		var apiErr *APIError
@@ -237,77 +231,4 @@ func TestBatchValidation(t *testing.T) {
 		}
 	}
 	_ = ts
-}
-
-// TestBidBatcherCoalesces drives many concurrent single-bid submissions
-// through a BidBatcher and asserts they land in far fewer HTTP round trips
-// than bids, with every caller getting its own outcome back.
-func TestBidBatcherCoalesces(t *testing.T) {
-	p := newTestPlatform(t)
-	srv, err := NewServer(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batchPosts, singlePosts atomic.Int64
-	counted := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/runs/current/bids/batch":
-			batchPosts.Add(1)
-		case "/v1/runs/current/bids":
-			singlePosts.Add(1)
-		}
-		srv.Handler().ServeHTTP(w, r)
-	})
-	ts := httptest.NewServer(counted)
-	t.Cleanup(ts.Close)
-	c, err := NewClient(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const nBids = 48
-	ctx := context.Background()
-	openTestRun(t, c, nBids, []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
-
-	b := NewBidBatcher(c, 16, 5*time.Millisecond)
-	var wg sync.WaitGroup
-	var failures atomic.Int64
-	for i := 0; i < nBids; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := b.Submit(ctx, fmt.Sprintf("w%d", i), 1.5, 1); err != nil {
-				t.Errorf("bid %d: %v", i, err)
-				failures.Add(1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	b.Close()
-
-	if n := singlePosts.Load(); n != 0 {
-		t.Errorf("%d bids bypassed the batcher", n)
-	}
-	if n := batchPosts.Load(); n == 0 || n >= nBids {
-		t.Errorf("batcher used %d round trips for %d bids; expected coalescing", n, nBids)
-	}
-	// Per-item failure still reaches its caller through the batcher (while
-	// the auction is still open, so the unknown worker is the failure).
-	b2 := NewBidBatcher(c, 4, time.Millisecond)
-	defer b2.Close()
-	if err := b2.Submit(ctx, "ghost", 1.5, 1); !errors.Is(err, melody.ErrUnknownWorker) {
-		t.Errorf("batched unknown-worker bid error = %v, want ErrUnknownWorker", err)
-	}
-	if err := b.Submit(ctx, "late", 1.5, 1); err == nil {
-		t.Error("closed batcher accepted a bid")
-	}
-
-	// Every bid actually landed: the auction sees all workers.
-	out, err := c.CloseAuction(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Assignments) == 0 {
-		t.Error("no assignments from batched bids")
-	}
 }

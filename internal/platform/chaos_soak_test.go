@@ -173,11 +173,12 @@ func TestChaosSoakSeason(t *testing.T) {
 		}
 		outcomes = append(outcomes, out)
 	}
-	if err := w1.requester.cfg.Client.OpenRun(ctx, soakTasks(11), soakBudget); err != nil {
+	run11, err := w1.requester.cfg.Client.OpenRunID(ctx, "", "", soakTasks(11), soakBudget)
+	if err != nil {
 		t.Fatalf("open run 11: %v", err)
 	}
 	time.Sleep(300 * time.Millisecond) // let the agents bid
-	if _, err := w1.requester.cfg.Client.CloseAuction(ctx); err != nil {
+	if _, err := run11.CloseAuction(ctx); err != nil {
 		t.Fatalf("close run 11: %v", err)
 	}
 	w1.kill(t)

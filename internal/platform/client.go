@@ -322,7 +322,7 @@ func parseRetryAfter(v string) time.Duration {
 	return time.Duration(secs * float64(time.Second))
 }
 
-// Status fetches the platform's current run phase.
+// Status fetches the phase and ID of the newest run in flight.
 func (c *Client) Status(ctx context.Context) (StatusResponse, error) {
 	var out StatusResponse
 	err := c.do(ctx, http.MethodGet, "/v1/status", nil, &out)
@@ -361,20 +361,12 @@ func (c *Client) Forecast(ctx context.Context, workerID string, steps int) (Fore
 	return out, err
 }
 
-// OpenRun starts a run with the given tasks and budget.
-//
-// Deprecated: use OpenRunID, which names the run (the idempotency key)
-// and its tenant explicitly and returns the run-scoped RunAPI handle.
-// OpenRun only works against single-run backends.
-func (c *Client) OpenRun(ctx context.Context, tasks []TaskSpec, budget float64) error {
-	return c.do(ctx, http.MethodPost, "/v1/runs", OpenRunRequest{Tasks: tasks, Budget: budget}, nil)
-}
-
 // OpenRunID opens a run under a client-chosen ID for a tenant and returns
 // the run-scoped handle. The ID is the idempotency key: retrying the same
 // (id, tasks, budget) open is a no-op success, while reusing an ID with a
-// different spec is rejected. Required form on a multi-run backend;
-// works against a single-run backend too (tenant may be empty there).
+// different spec is rejected. A single-run backend names the run itself:
+// pass an empty id and tenant there, and the handle carries the server's
+// "r<n>" name.
 func (c *Client) OpenRunID(ctx context.Context, id, tenant string, tasks []TaskSpec, budget float64) (*RunAPI, error) {
 	var out OpenRunResponse
 	err := c.do(ctx, http.MethodPost, "/v1/runs",
@@ -437,8 +429,6 @@ func (c *Client) ResizeRegistry(ctx context.Context, shards int) (RegistryRespon
 }
 
 // Run returns a handle scoped to one run's /v1/runs/{id}/... endpoints.
-// The special ID "current" (what the legacy current-run methods delegate
-// to) addresses the most recently opened in-flight run.
 func (c *Client) Run(id string) *RunAPI {
 	return &RunAPI{c: c, id: id}
 }
@@ -465,8 +455,12 @@ func (r *RunAPI) SubmitBid(ctx context.Context, workerID string, cost float64, f
 		BidRequest{WorkerID: workerID, Cost: cost, Frequency: frequency}, nil)
 }
 
-// SubmitBids submits a whole slice of bids for this run in one round trip,
-// with the same per-item contract as Client.SubmitBids.
+// SubmitBids submits a whole slice of bids for this run in one round trip.
+// The returned BatchResult carries one outcome per bid: ErrAt(i) is nil for
+// accepted items and the same error a single-item SubmitBid would have
+// returned otherwise. The call error is non-nil only when the batch itself
+// failed (transport fault, malformed or oversized batch) — in that case
+// the zero BatchResult is returned.
 func (r *RunAPI) SubmitBids(ctx context.Context, bids []BidRequest) (melody.BatchResult, error) {
 	var out BatchResponse
 	if err := r.c.do(ctx, http.MethodPost, r.path("/bids/batch"),
@@ -535,36 +529,6 @@ func (r *RunAPI) FinishRun(ctx context.Context) error {
 	return r.c.do(ctx, http.MethodPost, r.path("/finish"), nil, nil)
 }
 
-// SubmitBid submits or replaces a worker's bid for the open run.
-//
-// Deprecated: use Run(id).SubmitBid — this method routes through the
-// deprecated "current" run alias, which is ambiguous once runs overlap.
-func (c *Client) SubmitBid(ctx context.Context, workerID string, cost float64, frequency int) error {
-	return c.Run("current").SubmitBid(ctx, workerID, cost, frequency)
-}
-
-// SubmitBids submits a whole slice of bids in one round trip. The returned
-// BatchResult carries one outcome per bid: ErrAt(i) is nil for accepted
-// items and the same error a single-item SubmitBid would have returned
-// otherwise. The call error is non-nil only when the batch itself failed
-// (transport fault, malformed or oversized batch) — in that case the zero
-// BatchResult is returned.
-//
-// Deprecated: use Run(id).SubmitBids — this method routes through the
-// deprecated "current" run alias, which is ambiguous once runs overlap.
-func (c *Client) SubmitBids(ctx context.Context, bids []BidRequest) (melody.BatchResult, error) {
-	return c.Run("current").SubmitBids(ctx, bids)
-}
-
-// SubmitScores submits a whole slice of scores in one round trip, with the
-// same per-item contract as SubmitBids.
-//
-// Deprecated: use Run(id).SubmitScores — this method routes through the
-// deprecated "current" run alias, which is ambiguous once runs overlap.
-func (c *Client) SubmitScores(ctx context.Context, scores []ScoreRequest) (melody.BatchResult, error) {
-	return c.Run("current").SubmitScores(ctx, scores)
-}
-
 // batchResultFromWire decodes per-item wire results into a BatchResult.
 func batchResultFromWire(results []BatchItemResult) melody.BatchResult {
 	errs := make([]error, len(results))
@@ -572,52 +536,4 @@ func batchResultFromWire(results []BatchItemResult) melody.BatchResult {
 		errs[i] = res.Err()
 	}
 	return melody.NewBatchResult(errs)
-}
-
-// CloseAuction ends bidding and returns the allocation.
-//
-// Deprecated: use Run(id).CloseAuction — this method routes through the
-// deprecated "current" run alias, which is ambiguous once runs overlap.
-func (c *Client) CloseAuction(ctx context.Context) (OutcomeResponse, error) {
-	return c.Run("current").CloseAuction(ctx)
-}
-
-// Outcome fetches the current run's allocation after the auction closed.
-//
-// Deprecated: use Run(id).Outcome — this method routes through the
-// deprecated "current" run alias, which is ambiguous once runs overlap.
-func (c *Client) Outcome(ctx context.Context) (OutcomeResponse, error) {
-	return c.Run("current").Outcome(ctx)
-}
-
-// SubmitAnswer uploads a worker's answer for an assigned task.
-//
-// Deprecated: use Run(id).SubmitAnswer — this method routes through the
-// deprecated "current" run alias, which is ambiguous once runs overlap.
-func (c *Client) SubmitAnswer(ctx context.Context, workerID, taskID, payload string) error {
-	return c.Run("current").SubmitAnswer(ctx, workerID, taskID, payload)
-}
-
-// Answers lists the answers submitted so far in the current run.
-//
-// Deprecated: use Run(id).Answers — this method routes through the
-// deprecated "current" run alias, which is ambiguous once runs overlap.
-func (c *Client) Answers(ctx context.Context) ([]Answer, error) {
-	return c.Run("current").Answers(ctx)
-}
-
-// SubmitScore records the requester's score for an answer.
-//
-// Deprecated: use Run(id).SubmitScore — this method routes through the
-// deprecated "current" run alias, which is ambiguous once runs overlap.
-func (c *Client) SubmitScore(ctx context.Context, workerID, taskID string, score float64) error {
-	return c.Run("current").SubmitScore(ctx, workerID, taskID, score)
-}
-
-// FinishRun completes the run and triggers the quality update.
-//
-// Deprecated: use Run(id).FinishRun — this method routes through the
-// deprecated "current" run alias, which is ambiguous once runs overlap.
-func (c *Client) FinishRun(ctx context.Context) error {
-	return c.Run("current").FinishRun(ctx)
 }

@@ -78,7 +78,8 @@ func TestConcurrentServingMatchesSerial(t *testing.T) {
 			{ID: fmt.Sprintf("r%d-t2", run), Threshold: 10},
 			{ID: fmt.Sprintf("r%d-t3", run), Threshold: 10},
 		}
-		if err := c.OpenRun(ctx, tasks, 100); err != nil {
+		h, err := c.OpenRunID(ctx, "", "", tasks, 100)
+		if err != nil {
 			t.Fatal(err)
 		}
 		refTasks := make([]melody.Task, len(tasks))
@@ -95,7 +96,7 @@ func TestConcurrentServingMatchesSerial(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				if err := c.SubmitBid(ctx, workerID(i), cost(i), 1); err != nil {
+				if err := h.SubmitBid(ctx, workerID(i), cost(i), 1); err != nil {
 					t.Errorf("run %d bid %d: %v", run, i, err)
 				}
 			}(i)
@@ -107,7 +108,7 @@ func TestConcurrentServingMatchesSerial(t *testing.T) {
 			}
 		}
 
-		out, err := c.CloseAuction(ctx)
+		out, err := h.CloseAuction(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +131,7 @@ func TestConcurrentServingMatchesSerial(t *testing.T) {
 			go func(asg AssignmentSpec) {
 				defer wg.Done()
 				i := workerIndex(asg.WorkerID)
-				err := c.SubmitScore(ctx, asg.WorkerID, asg.TaskID, score(i, run))
+				err := h.SubmitScore(ctx, asg.WorkerID, asg.TaskID, score(i, run))
 				if err != nil && !errors.Is(err, melody.ErrNotAssigned) {
 					t.Errorf("run %d score %s: %v", run, asg.WorkerID, err)
 				}
@@ -144,7 +145,7 @@ func TestConcurrentServingMatchesSerial(t *testing.T) {
 			}
 		}
 
-		if err := c.FinishRun(ctx); err != nil {
+		if err := h.FinishRun(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if err := ref.FinishRun(ctx); err != nil {

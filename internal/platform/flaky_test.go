@@ -112,7 +112,7 @@ func TestAgentsSurviveFlakyNetwork(t *testing.T) {
 
 func TestServerRejectsWrongMethods(t *testing.T) {
 	ts, _ := newTestServer(t)
-	resp, err := ts.Client().Get(ts.URL + "/v1/runs/current/close")
+	resp, err := ts.Client().Get(ts.URL + "/v1/runs/r1/close")
 	if err != nil {
 		t.Fatal(err)
 	}

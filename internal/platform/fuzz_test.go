@@ -12,7 +12,8 @@ import (
 
 // fuzzEndpoints enumerates every route the server registers, so the fuzzer
 // selects a real handler (never the mux's plain-text 404) and the JSON-error
-// contract below applies to the whole surface.
+// contract below applies to the whole surface. Run-scoped routes address
+// r1, the run the advance step opens.
 var fuzzEndpoints = []struct{ method, path string }{
 	{http.MethodGet, "/v1/status"},
 	{http.MethodPost, "/v1/workers"},
@@ -20,13 +21,13 @@ var fuzzEndpoints = []struct{ method, path string }{
 	{http.MethodGet, "/v1/workers/w1/quality"},
 	{http.MethodGet, "/v1/workers/w1/forecast"},
 	{http.MethodPost, "/v1/runs"},
-	{http.MethodPost, "/v1/runs/current/bids"},
-	{http.MethodPost, "/v1/runs/current/close"},
-	{http.MethodGet, "/v1/runs/current/outcome"},
-	{http.MethodPost, "/v1/runs/current/answers"},
-	{http.MethodGet, "/v1/runs/current/answers"},
-	{http.MethodPost, "/v1/runs/current/scores"},
-	{http.MethodPost, "/v1/runs/current/finish"},
+	{http.MethodPost, "/v1/runs/r1/bids"},
+	{http.MethodPost, "/v1/runs/r1/close"},
+	{http.MethodGet, "/v1/runs/r1/outcome"},
+	{http.MethodPost, "/v1/runs/r1/answers"},
+	{http.MethodGet, "/v1/runs/r1/answers"},
+	{http.MethodPost, "/v1/runs/r1/scores"},
+	{http.MethodPost, "/v1/runs/r1/finish"},
 }
 
 // newFuzzHandler builds a fresh platform and server per execution so state

@@ -225,37 +225,3 @@ func TestMultiServerIdempotentRetries(t *testing.T) {
 		t.Errorf("replayed finish moved money: %v -> %v", before, got)
 	}
 }
-
-// TestMultiServerCurrentAlias drives a run through the deprecated
-// single-run client methods, which address the "current" alias, against
-// the multi-run server.
-func TestMultiServerCurrentAlias(t *testing.T) {
-	ctx := context.Background()
-	sched, _ := newTestScheduler(t, 100, 0)
-	ts := newMultiTestServer(t, sched)
-	c := tenantClient(t, ts, "a")
-	if err := c.RegisterWorker(ctx, "a-w0"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.OpenRunID(ctx, "r1", "a", []TaskSpec{{ID: "t1", Threshold: 10}}, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SubmitBid(ctx, "a-w0", 1.3, 1); err != nil {
-		t.Fatalf("legacy bid via current: %v", err)
-	}
-	out, err := c.CloseAuction(ctx)
-	if err != nil {
-		t.Fatalf("legacy close via current: %v", err)
-	}
-	for _, a := range out.Assignments {
-		if err := c.SubmitScore(ctx, a.WorkerID, a.TaskID, 6); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.FinishRun(ctx); err != nil {
-		t.Fatalf("legacy finish via current: %v", err)
-	}
-	if got := sched.CompletedRuns(); got != 1 {
-		t.Errorf("completed runs = %d, want 1", got)
-	}
-}

@@ -61,7 +61,11 @@ func TestOutcomeBodies(t *testing.T) {
 			bidder int
 		}{{"empty", 0}, {"full", 5}} {
 			key := kind + "/" + tc.name
-			run, err := c.OpenRunID(ctx, "gold-"+tc.name, "a", []TaskSpec{
+			id := "gold-" + tc.name
+			if kind == "single" {
+				id = "" // a single-run server names the run itself
+			}
+			run, err := c.OpenRunID(ctx, id, "a", []TaskSpec{
 				{ID: "gold-" + tc.name + "-t1", Threshold: 9},
 				{ID: "gold-" + tc.name + "-t2", Threshold: 12},
 			}, 100)

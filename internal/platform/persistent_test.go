@@ -67,24 +67,25 @@ func TestPersistentServerSurvivesRestart(t *testing.T) {
 	}
 	var lastQuality float64
 	for run := 1; run <= 2; run++ {
-		if err := c.OpenRun(ctx, []TaskSpec{{ID: taskID(run), Threshold: 9}}, 50); err != nil {
+		h, err := c.OpenRunID(ctx, "", "", []TaskSpec{{ID: taskID(run), Threshold: 9}}, 50)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, id := range []string{"w1", "w2", "w3"} {
-			if err := c.SubmitBid(ctx, id, 1.2, 1); err != nil {
+			if err := h.SubmitBid(ctx, id, 1.2, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
-		out, err := c.CloseAuction(ctx)
+		out, err := h.CloseAuction(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, a := range out.Assignments {
-			if err := c.SubmitScore(ctx, a.WorkerID, a.TaskID, 8); err != nil {
+			if err := h.SubmitScore(ctx, a.WorkerID, a.TaskID, 8); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := c.FinishRun(ctx); err != nil {
+		if err := h.FinishRun(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,16 +119,24 @@ func TestPersistentServerSurvivesRestart(t *testing.T) {
 	if q2 != lastQuality {
 		t.Errorf("restored quality %v != pre-crash %v", q2, lastQuality)
 	}
+	// A finish retried after the restart finds r2 finished, not unknown.
+	if err := c2.Run("r2").FinishRun(ctx); err != nil {
+		t.Errorf("finish of r2 after restart = %v, want success", err)
+	}
 	// The restored platform accepts the next run.
-	if err := c2.OpenRun(ctx, []TaskSpec{{ID: "after-restart", Threshold: 9}}, 50); err != nil {
+	h, err := c2.OpenRunID(ctx, "", "", []TaskSpec{{ID: "after-restart", Threshold: 9}}, 50)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if h.ID() != "r3" {
+		t.Errorf("run after restart named %q, want r3", h.ID())
+	}
 	for _, id := range []string{"w1", "w2", "w3"} {
-		if err := c2.SubmitBid(ctx, id, 1.2, 1); err != nil {
+		if err := h.SubmitBid(ctx, id, 1.2, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c2.CloseAuction(ctx); err != nil {
+	if _, err := h.CloseAuction(ctx); err != nil {
 		t.Fatal(err)
 	}
 }

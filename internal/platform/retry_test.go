@@ -149,26 +149,27 @@ func TestMutationReplaysAreNoOps(t *testing.T) {
 		}
 	}
 	tasks := []TaskSpec{{ID: "t1", Threshold: 10}}
-	if err := client.OpenRun(ctx, tasks, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.OpenRun(ctx, tasks, 100); err != nil {
-		t.Errorf("replayed OpenRun: %v", err)
-	}
-	if err := client.SubmitBid(ctx, "w1", 1.2, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.SubmitBid(ctx, "w1", 1.2, 2); err != nil {
-		t.Errorf("replayed SubmitBid: %v", err)
-	}
-	if err := client.SubmitBid(ctx, "w2", 1.5, 2); err != nil {
-		t.Fatal(err)
-	}
-	out, err := client.CloseAuction(ctx)
+	run, err := client.OpenRunID(ctx, "", "", tasks, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, err := client.CloseAuction(ctx)
+	if again, err := client.OpenRunID(ctx, "", "", tasks, 100); err != nil || again.ID() != run.ID() {
+		t.Errorf("replayed OpenRun: %v (run %q, first %q)", err, again.ID(), run.ID())
+	}
+	if err := run.SubmitBid(ctx, "w1", 1.2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := run.SubmitBid(ctx, "w1", 1.2, 2); err != nil {
+		t.Errorf("replayed SubmitBid: %v", err)
+	}
+	if err := run.SubmitBid(ctx, "w2", 1.5, 2); err != nil {
+		t.Fatal(err)
+	}
+	out, err := run.CloseAuction(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out2, err := run.CloseAuction(ctx)
 	if err != nil {
 		t.Errorf("replayed CloseAuction: %v", err)
 	}
@@ -176,14 +177,14 @@ func TestMutationReplaysAreNoOps(t *testing.T) {
 		t.Errorf("replayed close returned a different outcome: %+v vs %+v", out2, out)
 	}
 	for _, a := range out.Assignments {
-		if err := client.SubmitAnswer(ctx, a.WorkerID, a.TaskID, AnswerPayload(7)); err != nil {
+		if err := run.SubmitAnswer(ctx, a.WorkerID, a.TaskID, AnswerPayload(7)); err != nil {
 			t.Fatal(err)
 		}
-		if err := client.SubmitAnswer(ctx, a.WorkerID, a.TaskID, AnswerPayload(7)); err != nil {
+		if err := run.SubmitAnswer(ctx, a.WorkerID, a.TaskID, AnswerPayload(7)); err != nil {
 			t.Errorf("replayed SubmitAnswer: %v", err)
 		}
 	}
-	answers, err := client.Answers(ctx)
+	answers, err := run.Answers(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,17 +193,17 @@ func TestMutationReplaysAreNoOps(t *testing.T) {
 			len(answers), len(out.Assignments))
 	}
 	for _, a := range out.Assignments {
-		if err := client.SubmitScore(ctx, a.WorkerID, a.TaskID, 7); err != nil {
+		if err := run.SubmitScore(ctx, a.WorkerID, a.TaskID, 7); err != nil {
 			t.Fatal(err)
 		}
-		if err := client.SubmitScore(ctx, a.WorkerID, a.TaskID, 7); err != nil {
+		if err := run.SubmitScore(ctx, a.WorkerID, a.TaskID, 7); err != nil {
 			t.Errorf("replayed SubmitScore: %v", err)
 		}
 	}
-	if err := client.FinishRun(ctx); err != nil {
+	if err := run.FinishRun(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.FinishRun(ctx); err != nil {
+	if err := run.FinishRun(ctx); err != nil {
 		t.Errorf("replayed FinishRun: %v", err)
 	}
 	status, err := client.Status(ctx)
@@ -248,10 +249,11 @@ func TestRunDeadlines(t *testing.T) {
 	if err := client.RegisterWorker(ctx, "slow"); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.OpenRun(ctx, []TaskSpec{{ID: "t1", Threshold: 10}}, 100); err != nil {
+	run, err := client.OpenRunID(ctx, "", "", []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.SubmitBid(ctx, "slow", 1.2, 2); err != nil {
+	if err := run.SubmitBid(ctx, "slow", 1.2, 2); err != nil {
 		t.Fatal(err)
 	}
 	// Nobody closes the auction: the bidding deadline must.

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -20,13 +21,17 @@ import (
 // write-ahead-logged variant used with -wal).
 // Mutations take the request context first, so cancellation and deadlines
 // reach the backend's durability waits; read-only queries are lock-scoped
-// and context-free.
+// and context-free. The batch methods apply a whole slice of bids or scores
+// under one lock acquisition (and, for the WAL backend, one group commit)
+// with per-item errors.
 type Backend interface {
 	RegisterWorker(ctx context.Context, workerID string) error
 	OpenRun(ctx context.Context, tasks []melody.Task, budget float64) error
 	SubmitBid(ctx context.Context, workerID string, bid melody.Bid) error
+	SubmitBids(ctx context.Context, bids []melody.WorkerBid) melody.BatchResult
 	CloseAuction(ctx context.Context) (*melody.Outcome, error)
 	SubmitScore(ctx context.Context, workerID, taskID string, score float64) error
+	SubmitScores(ctx context.Context, scores []melody.TaskScore) melody.BatchResult
 	FinishRun(ctx context.Context) error
 	Workers() []string
 	Run() int
@@ -36,19 +41,6 @@ type Backend interface {
 }
 
 var _ Backend = (*melody.Platform)(nil)
-
-// BatchBackend is the optional batch extension of Backend: a whole slice of
-// bids or scores applied under one lock acquisition (and, for the WAL
-// backend, made durable by one group commit) with per-item errors. Both
-// *melody.Platform and eventlog.PersistentPlatform implement it; the server
-// detects it at construction and falls back to item-at-a-time submission
-// against backends that don't.
-type BatchBackend interface {
-	SubmitBids(ctx context.Context, bids []melody.WorkerBid) melody.BatchResult
-	SubmitScores(ctx context.Context, scores []melody.TaskScore) melody.BatchResult
-}
-
-var _ BatchBackend = (*melody.Platform)(nil)
 
 // MultiRunBackend is the multi-tenant platform surface: every run-scoped
 // mutation is keyed by run ID, so N runs from different tenants proceed
@@ -93,7 +85,7 @@ const maxDoneRuns = 1024
 type runState struct {
 	id     string
 	tenant string
-	num    int // 1-based open index, for logs/spans/legacy status
+	num    int // 1-based open index, for logs, spans and status
 
 	mu      sync.Mutex
 	phase   Phase
@@ -116,21 +108,19 @@ type runState struct {
 // watchdog that keeps a season moving when workers or the requester crash
 // mid-run.
 //
-// Runs are addressed as /v1/runs/{id}/...; the id "current" is a
-// deprecated alias for the most recently opened run that is still in
-// flight, kept so single-run clients work unchanged. A Server drives
-// either a single-run Backend (NewServer) or a MultiRunBackend
-// (NewMultiServer, e.g. a melody.RunScheduler) — on the latter, runs from
-// different tenants move through bidding→scoring→finish concurrently.
+// Runs are addressed as /v1/runs/{id}/..., by the ID POST /v1/runs
+// returns. A Server drives either a single-run Backend (NewServer), which
+// names its runs "r<n>", or a MultiRunBackend (NewMultiServer, e.g. a
+// melody.RunScheduler) — on the latter, runs from different tenants move
+// through bidding→scoring→finish concurrently under client-chosen IDs.
 //
-// Locking: Server.mu guards only the run registry (runs map, current
-// pointer, counters) and is never held across a backend call; each
+// Locking: Server.mu guards only the run registry (runs map, open order,
+// counters) and is never held across a backend call; each
 // runState.mu guards that run's phase/outcome/answers. Lock order:
 // Server.mu and runState.mu are never nested except registry-then-run for
 // reads; backend-internal locks are below both.
 type Server struct {
 	platform Backend         // single-run backend; nil in multi-run mode
-	batch    BatchBackend    // non-nil when platform supports batch submission
 	multi    MultiRunBackend // multi-run backend; nil in single-run mode
 	log      *slog.Logger
 
@@ -158,8 +148,7 @@ type Server struct {
 	runs      map[string]*runState // by run ID, in-flight and recently done
 	order     []string             // in-flight run IDs in open order
 	doneOrder []string             // finished run IDs, for bounded retention
-	current   *runState            // most recently opened in-flight run
-	lastRun   int                  // 1-based index of the last opened run
+	opened    int                  // runs opened on a multi-run backend, for run numbers
 
 	// replSrc, when non-nil, exposes the storage engine's durable files on
 	// the /v1/replication endpoints; replMu guards the ack positions.
@@ -230,7 +219,6 @@ func (s *Server) resumeRun(id, tenant string, num int, outcome *melody.Outcome) 
 	rs.mu.Unlock()
 	s.runs[id] = rs
 	s.order = append(s.order, id)
-	s.current = rs
 }
 
 // NewServer wraps a single-run platform backend in the HTTP API. logger
@@ -243,15 +231,9 @@ func NewServer(p Backend, logger *slog.Logger, opts ...ServerOption) (*Server, e
 	}
 	s := newServer(logger, opts...)
 	s.platform = p
-	if bb, ok := p.(BatchBackend); ok {
-		s.batch = bb
-	}
-	st := p.State()
-	s.lastRun = st.CompletedRuns
-	if st.Open {
+	if st := p.State(); st.Open {
 		num := st.CompletedRuns + 1
-		s.lastRun = num
-		s.resumeRun(fmt.Sprintf("r%d", num), "", num, st.Outcome)
+		s.resumeRun(runName(num), "", num, st.Outcome)
 	}
 	return s, nil
 }
@@ -267,8 +249,8 @@ func NewMultiServer(m MultiRunBackend, logger *slog.Logger, opts ...ServerOption
 	s := newServer(logger, opts...)
 	s.multi = m
 	for _, info := range m.OpenRuns() {
-		s.lastRun++
-		s.resumeRun(info.ID, info.Tenant, s.lastRun, info.Outcome)
+		s.opened++
+		s.resumeRun(info.ID, info.Tenant, s.opened, info.Outcome)
 	}
 	return s, nil
 }
@@ -331,8 +313,7 @@ func (s *Server) deadlineFinish(rs *runState) {
 // handlers are mounted bare, so the disabled path adds nothing.
 //
 // Run-scoped routes take /v1/runs/{run}/..., where {run} is the run ID
-// from OpenRunResponse or the deprecated alias "current" (the most
-// recently opened in-flight run).
+// from OpenRunResponse.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	s.route(mux, "GET /v1/status", "status", s.handleStatus)
@@ -466,20 +447,27 @@ func (s *Server) backendWorkers() []string {
 	return s.platform.Workers()
 }
 
-// lookupRun resolves a run path segment to its state. "current" (and the
-// empty segment) is the deprecated single-run alias for the most recently
-// opened in-flight run.
+// runName is the ID a single-run server gives its num-th run.
+func runName(num int) string { return "r" + strconv.Itoa(num) }
+
+// lookupRun resolves a run path segment to its state. A run the server no
+// longer tracks (evicted after maxDoneRuns later finishes, or finished
+// before a restart) resolves to a finished run when the backend reports it
+// finished, so late retries behave as they do on a tracked finished run.
 func (s *Server) lookupRun(name string) (*runState, error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if name == "" || name == "current" {
-		if s.current == nil {
-			return nil, melody.ErrNoRunOpen
-		}
-		return s.current, nil
-	}
-	if rs := s.runs[name]; rs != nil {
+	rs := s.runs[name]
+	s.mu.RUnlock()
+	if rs != nil {
 		return rs, nil
+	}
+	if s.multi != nil {
+		if info, err := s.multi.Run(name); err == nil && info.Finished {
+			return &runState{id: name, tenant: info.Tenant, outcome: info.Outcome, done: true}, nil
+		}
+	} else if num, err := strconv.Atoi(strings.TrimPrefix(name, "r")); err == nil &&
+		num >= 1 && name == runName(num) && num <= s.platform.Run() {
+		return &runState{id: name, num: num, done: true}, nil
 	}
 	return nil, fmt.Errorf("%w: %s", melody.ErrUnknownRun, name)
 }
@@ -496,30 +484,26 @@ func (rs *runState) isDone() bool {
 	return rs.done
 }
 
+// handleStatus reports the newest in-flight run in open order, or idle
+// with the completed-run count when none is in flight.
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
+	resp := StatusResponse{Phase: PhaseIdle, Workers: len(s.backendWorkers())}
 	s.mu.RLock()
-	cur := s.current
-	open := len(s.order)
-	s.mu.RUnlock()
-	phase := PhaseIdle
-	run := 0
-	if cur != nil {
-		cur.mu.Lock()
-		if !cur.done {
-			phase = cur.phase
-			run = cur.num
+	resp.OpenRuns = len(s.order)
+	for i := len(s.order) - 1; i >= 0 && resp.Phase == PhaseIdle; i-- {
+		if rs := s.runs[s.order[i]]; rs != nil {
+			rs.mu.Lock()
+			if !rs.done {
+				resp.Run, resp.RunID, resp.Phase = rs.num, rs.id, rs.phase
+			}
+			rs.mu.Unlock()
 		}
-		cur.mu.Unlock()
 	}
-	if phase == PhaseIdle {
-		run = s.completedRuns()
+	s.mu.RUnlock()
+	if resp.Phase == PhaseIdle {
+		resp.Run = s.completedRuns()
 	}
-	writeJSON(w, http.StatusOK, StatusResponse{
-		Run:      run,
-		Phase:    phase,
-		Workers:  len(s.backendWorkers()),
-		OpenRuns: open,
-	})
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleListRuns(w http.ResponseWriter, _ *http.Request) {
@@ -683,6 +667,16 @@ func (s *Server) handleOpenRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// A single-run log cannot record a client's run name, so the run would
+	// come back from a restart under its server name: refuse any other name
+	// before the open has side effects.
+	if s.multi == nil && req.ID != "" {
+		if want := runName(s.platform.Run() + 1); req.ID != want {
+			writeError(w, fmt.Errorf("platform: a single-run server names this run %q, not %q", want, req.ID))
+			return
+		}
+	}
+
 	// Claim a runs-in-flight quota slot before the backend sees the open,
 	// so a shed open has no side effects; the claim is returned on replay
 	// detection, open failure, and run finish.
@@ -719,9 +713,7 @@ func (s *Server) handleOpenRun(w http.ResponseWriter, r *http.Request) {
 	num := 0
 	if s.multi == nil {
 		num = s.platform.Run() + 1
-		if id == "" {
-			id = fmt.Sprintf("r%d", num)
-		}
+		id = runName(num)
 	} else if info, ierr := s.multi.Run(id); ierr == nil && info.Finished {
 		// The backend replayed an open for a run it already completed but
 		// the server no longer tracks; acknowledge without resurrecting it.
@@ -742,15 +734,12 @@ func (s *Server) handleOpenRun(w http.ResponseWriter, r *http.Request) {
 		id: id, tenant: tenant, num: num, phase: PhaseBidding,
 		tasks: tasks, budget: req.Budget, spec: true, quotaRelease: release,
 	}
-	if s.multi == nil {
-		s.lastRun = num
-	} else {
-		s.lastRun++
-		rs.num = s.lastRun
+	if s.multi != nil {
+		s.opened++
+		rs.num = s.opened
 	}
 	s.runs[id] = rs
 	s.order = append(s.order, id)
-	s.current = rs
 	s.mu.Unlock()
 
 	rs.mu.Lock()
@@ -862,14 +851,8 @@ func (s *Server) handleBidBatch(w http.ResponseWriter, r *http.Request) {
 		res = errsOf(len(bids), fmt.Errorf("%w: run %s finished", melody.ErrNoRunOpen, rs.id))
 	case s.multi != nil:
 		res = s.multi.SubmitBids(r.Context(), rs.id, bids)
-	case s.batch != nil:
-		res = s.batch.SubmitBids(r.Context(), bids)
 	default:
-		errs := make([]error, len(bids))
-		for i, b := range bids {
-			errs[i] = s.platform.SubmitBid(r.Context(), b.WorkerID, b.Bid)
-		}
-		res = melody.NewBatchResult(errs)
+		res = s.platform.SubmitBids(r.Context(), bids)
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: batchResults(res)})
 }
@@ -895,14 +878,8 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 		res = errsOf(len(scores), fmt.Errorf("%w: run %s finished", melody.ErrNoRunOpen, rs.id))
 	case s.multi != nil:
 		res = s.multi.SubmitScores(r.Context(), rs.id, scores)
-	case s.batch != nil:
-		res = s.batch.SubmitScores(r.Context(), scores)
 	default:
-		errs := make([]error, len(scores))
-		for i, sc := range scores {
-			errs[i] = s.platform.SubmitScore(r.Context(), sc.WorkerID, sc.TaskID, sc.Score)
-		}
-		res = melody.NewBatchResult(errs)
+		res = s.platform.SubmitScores(r.Context(), scores)
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: batchResults(res)})
 }
@@ -965,16 +942,17 @@ func (s *Server) closeRun(ctx context.Context, rs *runState) (*melody.Outcome, e
 func (s *Server) handleOutcome(w http.ResponseWriter, r *http.Request) {
 	rs, err := s.resolveRun(r)
 	if err != nil {
-		if errors.Is(err, melody.ErrNoRunOpen) {
-			err = melody.ErrAuctionOpen // legacy "current" semantics when idle
-		}
 		writeError(w, err)
 		return
 	}
 	rs.mu.Lock()
-	out := rs.outcome
+	out, done := rs.outcome, rs.done
 	rs.mu.Unlock()
-	if out == nil {
+	switch {
+	case out == nil && done:
+		writeError(w, fmt.Errorf("%w: run %s finished", melody.ErrNoRunOpen, rs.id))
+		return
+	case out == nil:
 		writeError(w, melody.ErrAuctionOpen)
 		return
 	}
@@ -989,9 +967,6 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	}
 	rs, err := s.resolveRun(r)
 	if err != nil {
-		if errors.Is(err, melody.ErrNoRunOpen) {
-			err = melody.ErrAuctionOpen // legacy "current" semantics when idle
-		}
 		writeError(w, err)
 		return
 	}
@@ -999,7 +974,11 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	// lock: answer traffic serializes per run, never across runs.
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if rs.done || rs.phase != PhaseScoring {
+	if rs.done {
+		writeError(w, fmt.Errorf("%w: run %s finished", melody.ErrNoRunOpen, rs.id))
+		return
+	}
+	if rs.phase != PhaseScoring {
 		writeError(w, melody.ErrAuctionOpen)
 		return
 	}
@@ -1037,12 +1016,6 @@ func (rs *runState) assignedLocked(workerID, taskID string) bool {
 func (s *Server) handleListAnswers(w http.ResponseWriter, r *http.Request) {
 	rs, err := s.resolveRun(r)
 	if err != nil {
-		if errors.Is(err, melody.ErrNoRunOpen) {
-			// Legacy "current" semantics: no run means no answers, not an
-			// error — the requester polls this between runs.
-			writeJSON(w, http.StatusOK, AnswersResponse{})
-			return
-		}
 		writeError(w, err)
 		return
 	}
@@ -1082,18 +1055,6 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 	rs, err := s.resolveRun(r)
 	if err != nil {
-		// A retried finish whose first delivery landed may find no current
-		// run at all (single-run alias after the server completed the run,
-		// possibly across a restart); report the replay as a no-op success.
-		if s.multi == nil && errors.Is(err, melody.ErrNoRunOpen) {
-			s.mu.RLock()
-			last := s.lastRun
-			s.mu.RUnlock()
-			if last > 0 && s.platform.Run() >= last {
-				writeJSON(w, http.StatusOK, struct{}{})
-				return
-			}
-		}
 		writeError(w, err)
 		return
 	}
@@ -1244,9 +1205,6 @@ func (s *Server) completeRun(rs *runState) {
 	}
 
 	s.mu.Lock()
-	if s.current == rs {
-		s.current = nil
-	}
 	for i, id := range s.order {
 		if id == rs.id {
 			s.order = append(s.order[:i], s.order[i+1:]...)

@@ -92,30 +92,31 @@ func TestFullRunOverHTTP(t *testing.T) {
 	}
 
 	tasks := []TaskSpec{{ID: "t1", Threshold: 9}, {ID: "t2", Threshold: 9}}
-	if err := c.OpenRun(ctx, tasks, 100); err != nil {
+	run, err := c.OpenRunID(ctx, "", "", tasks, 100)
+	if err != nil {
 		t.Fatal(err)
 	}
 	st, err := c.Status(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Phase != PhaseBidding || st.Run != 1 {
-		t.Errorf("status after open = %+v", st)
+	if st.Phase != PhaseBidding || st.Run != 1 || st.RunID != "r1" || run.ID() != "r1" {
+		t.Errorf("status after open = %+v, run %q", st, run.ID())
 	}
 
 	for _, id := range []string{"w1", "w2", "w3"} {
-		if err := c.SubmitBid(ctx, id, 1.2, 2); err != nil {
+		if err := run.SubmitBid(ctx, id, 1.2, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	out, err := c.CloseAuction(ctx)
+	out, err := run.CloseAuction(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out.SelectedTasks) == 0 {
 		t.Fatal("no tasks selected")
 	}
-	got, err := c.Outcome(ctx)
+	got, err := run.Outcome(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +125,11 @@ func TestFullRunOverHTTP(t *testing.T) {
 	}
 
 	for _, a := range out.Assignments {
-		if err := c.SubmitAnswer(ctx, a.WorkerID, a.TaskID, AnswerPayload(7.0)); err != nil {
+		if err := run.SubmitAnswer(ctx, a.WorkerID, a.TaskID, AnswerPayload(7.0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	answers, err := c.Answers(ctx)
+	answers, err := run.Answers(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +141,11 @@ func TestFullRunOverHTTP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SubmitScore(ctx, ans.WorkerID, ans.TaskID, sample); err != nil {
+		if err := run.SubmitScore(ctx, ans.WorkerID, ans.TaskID, sample); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.FinishRun(ctx); err != nil {
+	if err := run.FinishRun(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -168,11 +169,14 @@ func TestHTTPErrorMapping(t *testing.T) {
 	ts, c := newTestServer(t)
 	ctx := context.Background()
 
-	// Conflict: bid with no open run.
-	err := c.SubmitBid(ctx, "w", 1, 1)
+	// Conflict: a different open while a run is in flight.
+	if _, err := c.OpenRunID(ctx, "", "", []TaskSpec{{ID: "t1", Threshold: 9}}, 10); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.OpenRunID(ctx, "", "", []TaskSpec{{ID: "t2", Threshold: 9}}, 10)
 	var apiErr *APIError
 	if !asAPIError(err, &apiErr) || apiErr.Status != http.StatusConflict {
-		t.Errorf("bid without run = %v", err)
+		t.Errorf("second open while a run is in flight = %v", err)
 	}
 	// Not found: quality of unknown worker.
 	_, err = c.Quality(ctx, "ghost")
@@ -217,23 +221,24 @@ func TestAnswerValidation(t *testing.T) {
 	if err := c.RegisterWorker(ctx, "w1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.OpenRun(ctx, []TaskSpec{{ID: "t", Threshold: 3}}, 50); err != nil {
+	run, err := c.OpenRunID(ctx, "", "", []TaskSpec{{ID: "t", Threshold: 3}}, 50)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Answers before close are rejected.
-	if err := c.SubmitAnswer(ctx, "w1", "t", AnswerPayload(5)); err == nil {
+	if err := run.SubmitAnswer(ctx, "w1", "t", AnswerPayload(5)); err == nil {
 		t.Error("answer before close accepted")
 	}
-	if err := c.SubmitBid(ctx, "w1", 1.5, 1); err != nil {
+	if err := run.SubmitBid(ctx, "w1", 1.5, 1); err != nil {
 		t.Fatal(err)
 	}
 	// One worker cannot satisfy threshold 3 alone unless quality suffices;
 	// initial estimate 5.5 >= 3 so the task can be covered, but there is no
 	// pivot worker -> no allocation. Answer for unassigned pair must 404.
-	if _, err := c.CloseAuction(ctx); err != nil {
+	if _, err := run.CloseAuction(ctx); err != nil {
 		t.Fatal(err)
 	}
-	err := c.SubmitAnswer(ctx, "w1", "t", AnswerPayload(5))
+	err = run.SubmitAnswer(ctx, "w1", "t", AnswerPayload(5))
 	var apiErr *APIError
 	if !asAPIError(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		t.Errorf("unassigned answer = %v", err)

@@ -65,7 +65,8 @@ func TestWireOutcomeSatisfiesMechanismInvariants(t *testing.T) {
 			{ID: "t3", Threshold: r.Uniform(6, 12)},
 		}
 		budget := r.Uniform(30, 120)
-		if err := c.OpenRun(ctx, tasks, budget); err != nil {
+		h, err := c.OpenRunID(ctx, "", "", tasks, budget)
+		if err != nil {
 			t.Fatal(err)
 		}
 		// Reconstruct the instance the auction will see: the quality each
@@ -75,7 +76,7 @@ func TestWireOutcomeSatisfiesMechanismInvariants(t *testing.T) {
 		for _, id := range ids {
 			cost := r.Uniform(1, 2)
 			freq := r.UniformInt(1, 4)
-			if err := c.SubmitBid(ctx, id, cost, freq); err != nil {
+			if err := h.SubmitBid(ctx, id, cost, freq); err != nil {
 				t.Fatal(err)
 			}
 			q, err := c.Quality(ctx, id)
@@ -90,7 +91,7 @@ func TestWireOutcomeSatisfiesMechanismInvariants(t *testing.T) {
 			in.Tasks = append(in.Tasks, core.Task{ID: task.ID, Threshold: task.Threshold})
 		}
 
-		wire, err := c.CloseAuction(ctx)
+		wire, err := h.CloseAuction(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,11 +124,11 @@ func TestWireOutcomeSatisfiesMechanismInvariants(t *testing.T) {
 		}
 
 		for _, a := range wire.Assignments {
-			if err := c.SubmitScore(ctx, a.WorkerID, a.TaskID, r.Uniform(3, 9)); err != nil {
+			if err := h.SubmitScore(ctx, a.WorkerID, a.TaskID, r.Uniform(3, 9)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := c.FinishRun(ctx); err != nil {
+		if err := h.FinishRun(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if err := verify.CheckMoneyConservation(money); err != nil {

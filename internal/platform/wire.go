@@ -14,7 +14,7 @@ import (
 	"melody"
 )
 
-// Phase describes where the current run is in its lifecycle.
+// Phase describes where a run is in its lifecycle.
 type Phase string
 
 // Run phases, surfaced by GET /v1/status.
@@ -28,13 +28,15 @@ const (
 	PhaseScoring Phase = "scoring"
 )
 
-// StatusResponse is the body of GET /v1/status.
+// StatusResponse is the body of GET /v1/status. Run, RunID and Phase
+// describe the newest run still in flight, in open order.
 type StatusResponse struct {
-	// Run is the 1-based index of the current run while one is open, or the
-	// number of completed runs when idle.
+	// Run is the 1-based open index of that run, or the number of completed
+	// runs when idle.
 	Run int `json:"run"`
-	// Phase is the lifecycle phase of the most recently opened run (idle
-	// when no run is open).
+	// RunID is that run's ID, for /v1/runs/{id}/... paths; empty when idle.
+	RunID string `json:"runId,omitempty"`
+	// Phase is that run's lifecycle phase (idle when no run is in flight).
 	Phase Phase `json:"phase"`
 	// Workers is the number of registered workers.
 	Workers int `json:"workers"`
@@ -82,8 +84,8 @@ type TaskSpec struct {
 // client-chosen, scheduler-wide unique run identifier (the idempotency
 // key every later /v1/runs/{id}/... call routes on), and Tenant names the
 // tenant whose estimator and run sequence the run belongs to. Both are
-// optional on a single-run backend, where the server synthesizes "r<n>"
-// IDs; ID is required on a multi-run backend.
+// required on a multi-run backend. A single-run backend names its n-th run
+// "r<n>": ID may be empty there, and any other ID is refused.
 type OpenRunRequest struct {
 	Tasks  []TaskSpec `json:"tasks"`
 	Budget float64    `json:"budget"`
@@ -124,15 +126,15 @@ type AssignmentSpec struct {
 	Payment  float64 `json:"payment"`
 }
 
-// OutcomeResponse is the body of POST /v1/runs/current/close and GET
-// /v1/runs/current/outcome.
+// OutcomeResponse is the body of POST /v1/runs/{run}/close and GET
+// /v1/runs/{run}/outcome.
 type OutcomeResponse struct {
 	Assignments   []AssignmentSpec `json:"assignments"`
 	SelectedTasks []string         `json:"selectedTasks"`
 	TotalPayment  float64          `json:"totalPayment"`
 }
 
-// AnswerRequest is the body of POST /v1/runs/current/answers.
+// AnswerRequest is the body of POST /v1/runs/{run}/answers.
 type AnswerRequest struct {
 	WorkerID string `json:"workerId"`
 	TaskID   string `json:"taskId"`
@@ -140,19 +142,19 @@ type AnswerRequest struct {
 }
 
 // Answer is one submitted answer, as returned by GET
-// /v1/runs/current/answers.
+// /v1/runs/{run}/answers.
 type Answer struct {
 	WorkerID string `json:"workerId"`
 	TaskID   string `json:"taskId"`
 	Payload  string `json:"payload"`
 }
 
-// AnswersResponse is the body of GET /v1/runs/current/answers.
+// AnswersResponse is the body of GET /v1/runs/{run}/answers.
 type AnswersResponse struct {
 	Answers []Answer `json:"answers"`
 }
 
-// ScoreRequest is the body of POST /v1/runs/current/scores.
+// ScoreRequest is the body of POST /v1/runs/{run}/scores.
 type ScoreRequest struct {
 	WorkerID string  `json:"workerId"`
 	TaskID   string  `json:"taskId"`
@@ -163,7 +165,7 @@ type ScoreRequest struct {
 // batches are rejected with 400 before any item is applied.
 const MaxBatchItems = 4096
 
-// BidBatchRequest is the body of POST /v1/runs/current/bids/batch: many
+// BidBatchRequest is the body of POST /v1/runs/{run}/bids/batch: many
 // bids in one round trip. Items are applied independently in order, with
 // per-item outcomes in the BatchResponse; a rejected item never aborts its
 // neighbours. Retrying a whole batch is safe — replayed items are no-op
@@ -172,7 +174,7 @@ type BidBatchRequest struct {
 	Bids []BidRequest `json:"bids"`
 }
 
-// ScoreBatchRequest is the body of POST /v1/runs/current/scores/batch.
+// ScoreBatchRequest is the body of POST /v1/runs/{run}/scores/batch.
 type ScoreBatchRequest struct {
 	Scores []ScoreRequest `json:"scores"`
 }

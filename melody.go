@@ -110,39 +110,16 @@ func NewStaticEstimator(cfg EstimatorConfig) (Estimator, error) {
 	return quality.NewStatic(cfg.Initial, cfg.WarmupRuns)
 }
 
-// NewStaticEstimatorLegacy is NewStaticEstimator with positional arguments.
-//
-// Deprecated: use NewStaticEstimator with an EstimatorConfig.
-func NewStaticEstimatorLegacy(initial float64, warmupRuns int) (Estimator, error) {
-	return NewStaticEstimator(EstimatorConfig{Initial: initial, WarmupRuns: warmupRuns})
-}
-
 // NewMLCurrentRunEstimator returns the ML-CR baseline: quality is the mean
 // score of the latest run only. WarmupRuns is ignored.
 func NewMLCurrentRunEstimator(cfg EstimatorConfig) Estimator {
 	return quality.NewMLCurrentRun(cfg.Initial)
 }
 
-// NewMLCurrentRunEstimatorLegacy is NewMLCurrentRunEstimator with a
-// positional argument.
-//
-// Deprecated: use NewMLCurrentRunEstimator with an EstimatorConfig.
-func NewMLCurrentRunEstimatorLegacy(initial float64) Estimator {
-	return NewMLCurrentRunEstimator(EstimatorConfig{Initial: initial})
-}
-
 // NewMLAllRunsEstimator returns the ML-AR baseline: quality is the mean of
 // all scores ever observed. WarmupRuns is ignored.
 func NewMLAllRunsEstimator(cfg EstimatorConfig) Estimator {
 	return quality.NewMLAllRuns(cfg.Initial)
-}
-
-// NewMLAllRunsEstimatorLegacy is NewMLAllRunsEstimator with a positional
-// argument.
-//
-// Deprecated: use NewMLAllRunsEstimator with an EstimatorConfig.
-func NewMLAllRunsEstimatorLegacy(initial float64) Estimator {
-	return NewMLAllRunsEstimator(EstimatorConfig{Initial: initial})
 }
 
 // NewSeededRNG returns the deterministic random source used across the

@@ -1,10 +1,12 @@
 package melody_test
 
 // Money conservation across concurrent multi-type runs under overload:
-// three task types share one funded ledger while bid storms race auction
-// closes, invalid bids are refused, and every season settles. Whatever
-// the interleaving, the shared ledger must conserve money exactly and
-// leave escrow empty — the invariant the HTTP-level overload scenarios
+// each task type is a tenant of one RunScheduler (the paper's §3.1 runs
+// the mechanism "for each individual type respectively"), every tenant
+// settles on one funded ledger, and bid storms race the auction closes
+// while invalid bids are refused and every season settles. Whatever the
+// interleaving, the shared ledger must conserve money exactly and leave
+// escrow empty — the invariant the HTTP-level overload scenarios
 // (internal/loadgen) assert through the serving stack, checked here at
 // the engine layer where the races are tightest. Run under -race.
 
@@ -34,23 +36,17 @@ func TestMultiTypeConcurrentRunsConserveMoney(t *testing.T) {
 	if _, err := money.Deposit(melody.RequesterAccount, budget*float64(len(types)*seasons), "campaign funding"); err != nil {
 		t.Fatal(err)
 	}
-	configs := make(map[string]melody.PlatformConfig, len(types))
-	for _, taskType := range types {
-		tracker, err := melody.NewQualityTracker(melody.QualityTrackerConfig{
-			InitialMean: 5.5, InitialVar: 2.25,
-			Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
-			EMPeriod: 10, EMWindow: 50,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		configs[taskType] = melody.PlatformConfig{
-			Auction:   melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
-			Estimator: tracker,
-			Ledger:    money,
-		}
-	}
-	m, err := melody.NewMultiTypePlatform(configs)
+	sched, err := melody.NewRunScheduler(melody.SchedulerConfig{
+		Auction: melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
+		NewEstimator: func(string) (melody.Estimator, error) {
+			return melody.NewQualityTracker(melody.QualityTrackerConfig{
+				InitialMean: 5.5, InitialVar: 2.25,
+				Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
+				EMPeriod: 10, EMWindow: 50,
+			})
+		},
+		Ledger: money,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,29 +54,27 @@ func TestMultiTypeConcurrentRunsConserveMoney(t *testing.T) {
 	ids := make([]string, workers)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("w%02d", i)
-		if err := m.RegisterWorker(ctx, ids[i]); err != nil {
+		if err := sched.RegisterWorker(ctx, ids[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	for season := 1; season <= seasons; season++ {
-		var tasks []melody.TypedTask
-		budgets := make(map[string]float64, len(types))
+		runIDs := make(map[string]string, len(types))
 		for _, taskType := range types {
-			for j := 0; j < 2; j++ {
-				tasks = append(tasks, melody.TypedTask{Type: taskType, Task: melody.Task{
-					ID: fmt.Sprintf("s%d-%s-t%d", season, taskType, j), Threshold: 10,
-				}})
+			runIDs[taskType] = fmt.Sprintf("s%d-%s", season, taskType)
+			tasks := make([]melody.Task, 2)
+			for j := range tasks {
+				tasks[j] = melody.Task{ID: fmt.Sprintf("s%d-%s-t%d", season, taskType, j), Threshold: 10}
 			}
-			budgets[taskType] = budget
-		}
-		if err := m.OpenRun(ctx, tasks, budgets); err != nil {
-			t.Fatal(err)
+			if err := sched.OpenRun(ctx, runIDs[taskType], taskType, tasks, budget); err != nil {
+				t.Fatal(err)
+			}
 		}
 
 		// The storm: concurrent bidders across every type, a fraction of
 		// them submitting disqualified costs (the engine-level analogue of
-		// refused load), racing a close that fires partway through. Every
+		// refused load), racing the closes that fire partway through. Every
 		// bid must resolve to accepted or a clean refusal; nothing may
 		// corrupt the shared ledger.
 		var accepted, refused atomic.Int64
@@ -100,7 +94,7 @@ func TestMultiTypeConcurrentRunsConserveMoney(t *testing.T) {
 					if i%7 == 0 {
 						cost = 5.0 // disqualified at auction time, accepted at ingest
 					}
-					err := m.SubmitBid(ctx, ids[(g*bidsPerG+i)%workers], taskType,
+					err := sched.SubmitBid(ctx, runIDs[taskType], ids[(g*bidsPerG+i)%workers],
 						melody.Bid{Cost: cost, Frequency: 1})
 					switch {
 					case err == nil:
@@ -114,26 +108,40 @@ func TestMultiTypeConcurrentRunsConserveMoney(t *testing.T) {
 				}
 			}(g)
 		}
-		// Close mid-storm so late bids race the phase transition.
+		// Close every type mid-storm, concurrently, so late bids race the
+		// phase transitions.
 		<-closeReady
-		outcomes, err := m.CloseAuction(ctx)
-		if err != nil {
-			t.Fatalf("season %d close: %v", season, err)
+		outcomes := make([]*melody.Outcome, len(types))
+		closeErrs := make([]error, len(types))
+		var closes sync.WaitGroup
+		for k, taskType := range types {
+			closes.Add(1)
+			go func() {
+				defer closes.Done()
+				outcomes[k], closeErrs[k] = sched.CloseAuction(ctx, runIDs[taskType])
+			}()
+		}
+		closes.Wait()
+		for k, err := range closeErrs {
+			if err != nil {
+				t.Fatalf("season %d close %s: %v", season, types[k], err)
+			}
 		}
 		wg.Wait()
 		if got := accepted.Load() + refused.Load(); got != goroutines*bidsPerG {
 			t.Errorf("season %d: %d bids accounted, want %d", season, got, goroutines*bidsPerG)
 		}
 
-		for taskType, out := range outcomes {
+		for k, out := range outcomes {
+			runID := runIDs[types[k]]
 			for _, a := range out.Assignments {
-				if err := m.SubmitScore(ctx, a.WorkerID, taskType, a.TaskID, 6.5); err != nil {
-					t.Fatalf("season %d score %s/%s: %v", season, taskType, a.WorkerID, err)
+				if err := sched.SubmitScore(ctx, runID, a.WorkerID, a.TaskID, 6.5); err != nil {
+					t.Fatalf("season %d score %s/%s: %v", season, runID, a.WorkerID, err)
 				}
 			}
-		}
-		if err := m.FinishRun(ctx); err != nil {
-			t.Fatalf("season %d finish: %v", season, err)
+			if err := sched.FinishRun(ctx, runID); err != nil {
+				t.Fatalf("season %d finish %s: %v", season, runID, err)
+			}
 		}
 
 		// The invariants hold between seasons too, not just at the end.

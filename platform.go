@@ -237,13 +237,6 @@ func (p *Platform) RegisterWorker(ctx context.Context, workerID string) error {
 	return nil
 }
 
-// RegisterWorkerNoCtx is RegisterWorker without a context.
-//
-// Deprecated: use RegisterWorker with a context.
-func (p *Platform) RegisterWorkerNoCtx(workerID string) error {
-	return p.RegisterWorker(context.Background(), workerID)
-}
-
 // Workers returns the registered worker IDs in sorted order.
 func (p *Platform) Workers() []string {
 	return p.registry.All()
@@ -360,13 +353,6 @@ func (p *Platform) OpenRun(ctx context.Context, tasks []Task, budget float64) er
 	return nil
 }
 
-// OpenRunNoCtx is OpenRun without a context.
-//
-// Deprecated: use OpenRun with a context.
-func (p *Platform) OpenRunNoCtx(tasks []Task, budget float64) error {
-	return p.OpenRun(context.Background(), tasks, budget)
-}
-
 // sameTasks reports whether two task lists are identical (same IDs and
 // thresholds in the same order).
 func sameTasks(a, b []Task) bool {
@@ -397,13 +383,6 @@ func (p *Platform) SubmitBid(ctx context.Context, workerID string, bid Bid) erro
 	return p.submitBidLocked(workerID, bid)
 }
 
-// SubmitBidNoCtx is SubmitBid without a context.
-//
-// Deprecated: use SubmitBid with a context.
-func (p *Platform) SubmitBidNoCtx(workerID string, bid Bid) error {
-	return p.SubmitBid(context.Background(), workerID, bid)
-}
-
 // WorkerBid pairs a worker with a bid, for batch submission.
 type WorkerBid struct {
 	WorkerID string
@@ -430,14 +409,6 @@ func (p *Platform) SubmitBids(ctx context.Context, bids []WorkerBid) BatchResult
 		errs[i] = p.submitBidLocked(b.WorkerID, b.Bid)
 	}
 	return NewBatchResult(errs)
-}
-
-// SubmitBidsNoCtx is SubmitBids without a context, returning the legacy
-// positional error slice.
-//
-// Deprecated: use SubmitBids with a context.
-func (p *Platform) SubmitBidsNoCtx(bids []WorkerBid) []error {
-	return p.SubmitBids(context.Background(), bids).Errs()
 }
 
 // submitBidLocked is SubmitBid's body; callers hold p.mu.
@@ -535,13 +506,6 @@ func (p *Platform) CloseAuction(ctx context.Context) (*Outcome, error) {
 	return out, nil
 }
 
-// CloseAuctionNoCtx is CloseAuction without a context.
-//
-// Deprecated: use CloseAuction with a context.
-func (p *Platform) CloseAuctionNoCtx() (*Outcome, error) {
-	return p.CloseAuction(context.Background())
-}
-
 // SubmitScore records the requester's score for a worker's answer to an
 // assigned task. Each assigned (worker, task) pair takes at most one score.
 // A score the estimators would refuse (NaN, or beyond ±1e18) is refused
@@ -558,13 +522,6 @@ func (p *Platform) SubmitScore(ctx context.Context, workerID, taskID string, sco
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.submitScoreLocked(workerID, taskID, score)
-}
-
-// SubmitScoreNoCtx is SubmitScore without a context.
-//
-// Deprecated: use SubmitScore with a context.
-func (p *Platform) SubmitScoreNoCtx(workerID, taskID string, score float64) error {
-	return p.SubmitScore(context.Background(), workerID, taskID, score)
 }
 
 // TaskScore is one scored assignment, for batch submission.
@@ -593,14 +550,6 @@ func (p *Platform) SubmitScores(ctx context.Context, scores []TaskScore) BatchRe
 		errs[i] = p.submitScoreLocked(s.WorkerID, s.TaskID, s.Score)
 	}
 	return NewBatchResult(errs)
-}
-
-// SubmitScoresNoCtx is SubmitScores without a context, returning the legacy
-// positional error slice.
-//
-// Deprecated: use SubmitScores with a context.
-func (p *Platform) SubmitScoresNoCtx(scores []TaskScore) []error {
-	return p.SubmitScores(context.Background(), scores).Errs()
 }
 
 // submitScoreLocked is SubmitScore's body; callers hold p.mu.
@@ -669,11 +618,4 @@ func (p *Platform) FinishRun(ctx context.Context) error {
 	p.open = nil
 	p.runsCompleted.Inc()
 	return nil
-}
-
-// FinishRunNoCtx is FinishRun without a context.
-//
-// Deprecated: use FinishRun with a context.
-func (p *Platform) FinishRunNoCtx() error {
-	return p.FinishRun(context.Background())
 }

@@ -317,3 +317,36 @@ func TestPlatformFinishWithoutClose(t *testing.T) {
 		t.Errorf("finish before close = %v", err)
 	}
 }
+
+// TestPlatformContextCancellation: a cancelled context rejects mutations up
+// front, and batch submissions reject every item without applying any.
+func TestPlatformContextCancellation(t *testing.T) {
+	p := testPlatform(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := p.RegisterWorker(ctx, "alice"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RegisterWorker with cancelled ctx = %v, want context.Canceled", err)
+	}
+	if got := p.Workers(); len(got) != 0 {
+		t.Fatalf("cancelled RegisterWorker still registered: %v", got)
+	}
+
+	live := context.Background()
+	if err := p.RegisterWorker(live, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.OpenRun(live, []Task{{ID: "t1", Threshold: 10}}, 50); err != nil {
+		t.Fatal(err)
+	}
+	res := p.SubmitBids(ctx, []WorkerBid{{WorkerID: "alice", Bid: Bid{Cost: 1.2, Frequency: 1}}})
+	if res.OK() || res.FailedCount() != 1 {
+		t.Fatalf("cancelled batch: OK=%v failed=%d, want all rejected", res.OK(), res.FailedCount())
+	}
+	if !errors.Is(res.ErrAt(0), context.Canceled) {
+		t.Fatalf("cancelled batch item error = %v, want context.Canceled", res.ErrAt(0))
+	}
+	// The rejected bid must not have been applied: the auction closes empty.
+	if _, err := p.CloseAuction(live); err != nil {
+		t.Fatal(err)
+	}
+}

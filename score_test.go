@@ -51,7 +51,7 @@ func scoreRun(t *testing.T, p *Platform, bad bool) {
 			{WorkerID: first.WorkerID, TaskID: first.TaskID, Score: 1e19},
 		})
 		if res.ErrAt(0) != nil || res.ErrAt(1) == nil || res.FailedCount() != 1 {
-			t.Errorf("batch with one bad score: errors %v, want only item 1 refused", res.Errs())
+			t.Errorf("batch with one bad score: errors %v, want only item 1 refused", res.Failed())
 		}
 	}
 	for _, a := range out.Assignments {
@@ -123,7 +123,7 @@ func TestSchedulerRefusesOutOfRangeScore(t *testing.T) {
 	}
 	res := s.SubmitScores(ctx, "r1", scores)
 	if res.ErrAt(0) == nil || res.FailedCount() != 1 {
-		t.Errorf("batch with one bad score: errors %v, want only item 0 refused", res.Errs())
+		t.Errorf("batch with one bad score: errors %v, want only item 0 refused", res.Failed())
 	}
 	if err := s.FinishRun(ctx, "r1"); err != nil {
 		t.Fatalf("finish after refused scores: %v", err)
