@@ -110,8 +110,11 @@ overload-bench-smoke:
 
 # obs-smoke boots the real melody-platform binary with -metrics and a WAL,
 # drives one complete run over HTTP, and scrapes /metrics + /debug/traces,
-# failing unless the documented series and lifecycle spans are present
-# (cmd/melody-obs-smoke; no curl needed).
+# failing unless the documented series and lifecycle spans are present; it
+# then boots the binary on -wal-dir with a snapshot per record, drives the
+# run, stops and reboots it, and fails unless the reboot replayed no record
+# and serves the run's outcome unchanged (cmd/melody-obs-smoke; no curl
+# needed).
 obs-smoke:
 	$(GO) run ./cmd/melody-obs-smoke
 

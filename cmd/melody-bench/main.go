@@ -396,32 +396,31 @@ func walAppendKernel(serial, observed bool) func(b *testing.B) {
 	}
 }
 
-// recoveryPlatform builds the fresh platform the recovery kernels recover
-// into; the configuration matches the segmented-engine test workload.
-func recoveryPlatform() (*melody.Platform, error) {
-	tracker, err := melody.NewQualityTracker(melody.QualityTrackerConfig{
-		InitialMean: 5.5, InitialVar: 2.25,
-		Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 4},
-		EMPeriod: 5, EMWindow: 40,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return melody.NewPlatform(melody.PlatformConfig{
-		Auction:   melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
-		Estimator: tracker,
+// recoveryScheduler builds the fresh one-tenant scheduler the recovery
+// kernels recover into; the configuration matches the segmented-engine
+// test workload.
+func recoveryScheduler() (*melody.RunScheduler, error) {
+	return melody.NewRunScheduler(melody.SchedulerConfig{
+		Auction: melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
+		NewEstimator: func(string) (melody.Estimator, error) {
+			return melody.NewQualityTracker(melody.QualityTrackerConfig{
+				InitialMean: 5.5, InitialVar: 2.25,
+				Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 4},
+				EMPeriod: 5, EMWindow: 40,
+			})
+		},
 	})
 }
 
 // buildRecoveryDir populates a segmented storage directory with the history
 // of `runs` deterministic crowdsourcing runs (about ten records each), so
-// the recovery kernels time OpenPersistentSegmented against a realistic log.
+// the recovery kernels time OpenSegmentedScheduler against a realistic log.
 func buildRecoveryDir(dir string, runs int, opts eventlog.SegmentedOptions) error {
-	p, err := recoveryPlatform()
+	sched, err := recoveryScheduler()
 	if err != nil {
 		return err
 	}
-	pp, seg, err := eventlog.OpenPersistentSegmented(dir, p, opts)
+	ps, seg, err := eventlog.OpenSegmentedScheduler(dir, sched, opts)
 	if err != nil {
 		return err
 	}
@@ -429,7 +428,7 @@ func buildRecoveryDir(dir string, runs int, opts eventlog.SegmentedOptions) erro
 	ctx := context.Background()
 	workers := []string{"ada", "bob", "cyd", "dee"}
 	for _, id := range workers {
-		if err := pp.RegisterWorker(ctx, id); err != nil {
+		if err := ps.RegisterWorker(ctx, id); err != nil {
 			return err
 		}
 	}
@@ -439,25 +438,26 @@ func buildRecoveryDir(dir string, runs int, opts eventlog.SegmentedOptions) erro
 			{ID: fmt.Sprintf("r%d-a", run), Threshold: 11},
 			{ID: fmt.Sprintf("r%d-b", run), Threshold: 11},
 		}
-		if err := pp.OpenRun(ctx, tasks, 30); err != nil {
+		id := fmt.Sprintf("r%d", run)
+		if err := ps.OpenRun(ctx, id, "", tasks, 30); err != nil {
 			return err
 		}
-		for i, id := range workers {
-			if err := pp.SubmitBid(ctx, id, melody.Bid{Cost: 1.0 + 0.2*float64(i), Frequency: 2}); err != nil {
+		for i, w := range workers {
+			if err := ps.SubmitBid(ctx, id, w, melody.Bid{Cost: 1.0 + 0.2*float64(i), Frequency: 2}); err != nil {
 				return err
 			}
 		}
-		out, err := pp.CloseAuction(ctx)
+		out, err := ps.CloseAuction(ctx, id)
 		if err != nil {
 			return err
 		}
 		for _, a := range out.Assignments {
 			score := latent[a.WorkerID] + 0.1*float64(run%3)
-			if err := pp.SubmitScore(ctx, a.WorkerID, a.TaskID, score); err != nil {
+			if err := ps.SubmitScore(ctx, id, a.WorkerID, a.TaskID, score); err != nil {
 				return err
 			}
 		}
-		if err := pp.FinishRun(ctx); err != nil {
+		if err := ps.FinishRun(ctx, id); err != nil {
 			return err
 		}
 	}
@@ -465,7 +465,7 @@ func buildRecoveryDir(dir string, runs int, opts eventlog.SegmentedOptions) erro
 }
 
 // walRecoveryKernel measures cold-start recovery of the segmented storage
-// engine: each iteration recovers a fresh platform from the same on-disk
+// engine: each iteration recovers a fresh scheduler from the same on-disk
 // history. snapshotEvery 0 is the full from-scratch replay over every
 // record; a positive value installs run-boundary snapshots while the
 // history is built, so recovery loads the newest snapshot and replays only
@@ -488,16 +488,16 @@ func walRecoveryKernel(runs, snapshotEvery int) func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p, err := recoveryPlatform()
+			sched, err := recoveryScheduler()
 			if err != nil {
 				b.Fatal(err)
 			}
-			pp, seg, err := eventlog.OpenPersistentSegmented(dir, p, opts)
+			_, seg, err := eventlog.OpenSegmentedScheduler(dir, sched, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if pp.Run() != runs {
-				b.Fatalf("recovered %d runs, want %d", pp.Run(), runs)
+			if sched.CompletedRuns() != runs {
+				b.Fatalf("recovered %d runs, want %d", sched.CompletedRuns(), runs)
 			}
 			if err := seg.Close(); err != nil {
 				b.Fatal(err)

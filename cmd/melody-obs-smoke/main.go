@@ -3,13 +3,19 @@
 // -metrics and a WAL, drives one complete run through the HTTP client, then
 // scrapes GET /metrics and GET /debug/traces off the side listener and fails
 // unless the documented series and span names are present with sane values.
-// It needs no curl — the scrape is plain net/http.
+// It then boots the binary on the segmented engine (-wal-dir) with a
+// snapshot after every record, drives the same run, stops the process and
+// boots it again on the same directory: the reboot must restore the
+// snapshot without replaying a record and serve the run's outcome
+// unchanged. It needs no curl — the scrape is plain net/http.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -43,51 +49,146 @@ func run() error {
 		return fmt.Errorf("build melody-platform: %w", err)
 	}
 
-	apiAddr, err := freeAddr()
-	if err != nil {
-		return err
-	}
-	metricsAddr, err := freeAddr()
-	if err != nil {
-		return err
-	}
-
-	proc := exec.Command(bin,
-		"-addr", apiAddr,
-		"-metrics", metricsAddr,
-		"-wal", filepath.Join(dir, "smoke.wal"),
-		"-log-level", "warn",
-	)
-	proc.Stdout, proc.Stderr = os.Stdout, os.Stderr
-	if err := proc.Start(); err != nil {
-		return fmt.Errorf("start melody-platform: %w", err)
-	}
-	defer func() {
-		_ = proc.Process.Kill()
-		_, _ = proc.Process.Wait()
-	}()
-
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	client, err := platform.NewClient("http://"+apiAddr, nil)
+	n, err := boot(ctx, bin, "-wal", filepath.Join(dir, "smoke.wal"))
 	if err != nil {
 		return err
 	}
-	if err := waitReady(ctx, client); err != nil {
+	defer n.kill()
+	if err := driveRun(ctx, n.client); err != nil {
 		return err
 	}
-	if err := driveRun(ctx, client); err != nil {
-		return err
-	}
-
-	series, err := scrape("http://" + metricsAddr + "/metrics")
+	series, err := scrape(n.metrics + "/metrics")
 	if err != nil {
 		return err
 	}
 	if err := checkSeries(series); err != nil {
 		return err
 	}
-	return checkTraces("http://" + metricsAddr + "/debug/traces")
+	if err := checkTraces(n.metrics + "/debug/traces"); err != nil {
+		return err
+	}
+	return checkSegmentedRestart(ctx, bin, filepath.Join(dir, "segwal"))
+}
+
+// node is one running melody-platform process.
+type node struct {
+	cmd     *exec.Cmd
+	client  *platform.Client
+	api     string // base URL of the public API
+	metrics string // base URL of the side listener
+}
+
+// boot starts melody-platform with the given storage flags on fresh
+// loopback ports and waits until it serves.
+func boot(ctx context.Context, bin string, storage ...string) (*node, error) {
+	apiAddr, err := freeAddr()
+	if err != nil {
+		return nil, err
+	}
+	metricsAddr, err := freeAddr()
+	if err != nil {
+		return nil, err
+	}
+	args := append([]string{"-addr", apiAddr, "-metrics", metricsAddr, "-log-level", "warn"}, storage...)
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
+	if err := cmd.Start(); err != nil {
+		return nil, fmt.Errorf("start melody-platform: %w", err)
+	}
+	n := &node{cmd: cmd, api: "http://" + apiAddr, metrics: "http://" + metricsAddr}
+	if n.client, err = platform.NewClient(n.api, nil); err == nil {
+		err = waitReady(ctx, n.client)
+	}
+	if err != nil {
+		n.kill()
+		return nil, err
+	}
+	return n, nil
+}
+
+// stop interrupts the process and waits for its graceful exit.
+func (n *node) stop() error {
+	if err := n.cmd.Process.Signal(os.Interrupt); err != nil {
+		return err
+	}
+	if err := n.cmd.Wait(); err != nil {
+		return fmt.Errorf("melody-platform exit: %w", err)
+	}
+	return nil
+}
+
+// kill ends the process if it is still running.
+func (n *node) kill() {
+	_ = n.cmd.Process.Kill()
+	_, _ = n.cmd.Process.Wait()
+}
+
+// checkSegmentedRestart gates the -wal-dir wiring: a snapshot lands while
+// the run is served, and the reboot replays no record yet answers GET
+// /v1/runs/r1/outcome with the body it had before the stop.
+func checkSegmentedRestart(ctx context.Context, bin, dir string) error {
+	storage := []string{"-wal-dir", dir, "-snapshot-every", "1"}
+	n, err := boot(ctx, bin, storage...)
+	if err != nil {
+		return err
+	}
+	defer n.kill()
+	if err := driveRun(ctx, n.client); err != nil {
+		return err
+	}
+	series, err := scrape(n.metrics + "/metrics")
+	if err != nil {
+		return err
+	}
+	if got := series[obs.MetricWALSnapshotsTotal]; got < 1 {
+		return fmt.Errorf("%s = %g before the stop, want >= 1", obs.MetricWALSnapshotsTotal, got)
+	}
+	before, err := get(n.api + "/v1/runs/r1/outcome")
+	if err != nil {
+		return err
+	}
+	if err := n.stop(); err != nil {
+		return err
+	}
+
+	n2, err := boot(ctx, bin, storage...)
+	if err != nil {
+		return err
+	}
+	defer n2.kill()
+	if series, err = scrape(n2.metrics + "/metrics"); err != nil {
+		return err
+	}
+	if got, ok := series[obs.MetricWALRecoveryReplayedRecords]; !ok || got != 0 {
+		return fmt.Errorf("%s = %g (present %v) after the reboot, want 0", obs.MetricWALRecoveryReplayedRecords, got, ok)
+	}
+	after, err := get(n2.api + "/v1/runs/r1/outcome")
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(after, before) {
+		return fmt.Errorf("outcome of r1 after the reboot = %s, want %s", after, before)
+	}
+	return n2.stop()
+}
+
+// get fetches a URL's body, failing on any status but 200.
+func get(url string) ([]byte, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s: HTTP %d: %s", url, resp.StatusCode, body)
+	}
+	return body, nil
 }
 
 // freeAddr grabs a loopback port the child can bind.
@@ -153,15 +254,11 @@ func driveRun(ctx context.Context, c *platform.Client) error {
 
 // scrape fetches and parses a Prometheus text exposition.
 func scrape(url string) (map[string]float64, error) {
-	resp, err := http.Get(url)
+	body, err := get(url)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
-	}
-	return obs.ParseText(resp.Body)
+	return obs.ParseText(bytes.NewReader(body))
 }
 
 // checkSeries asserts the documented metric families are present and that

@@ -67,12 +67,10 @@ func resolveConfig() (platform.Config, error) {
 		tenantRate  = flag.Float64("tenant-rate", def.TenantRate, "admission control: per-tenant ingest budget in requests/sec via the X-Melody-Tenant header (0 disables)")
 		tenantBurst = flag.Float64("tenant-burst", def.TenantBurst, "admission control: per-tenant token bucket capacity (default max(1, -tenant-rate))")
 		retryAfter  = flag.Duration("retry-after", def.RetryAfter.Std(), "admission control: Retry-After hint attached to 429 sheds (default 250ms)")
-		multiMode   = flag.Bool("multi", def.Multi, "serve concurrent multi-tenant runs via the run scheduler (/v1/runs/{id}); tenants are created on first use")
-		tenantRuns  = flag.Int("tenant-max-runs", def.TenantMaxRuns, "admission control: runs a tenant may hold open concurrently (0 disables; requires -multi)")
-		epochEvery  = flag.Int("epoch-every", def.EpochEvery, "settle worker payouts in epochs of this many finished runs instead of per run (requires -multi and -fund)")
+		epochEvery  = flag.Int("epoch-every", def.EpochEvery, "settle worker payouts in epochs of this many finished runs instead of per run (requires -fund)")
 		fund        = flag.Float64("fund", def.Fund, "deposit this much into the requester's ledger account at boot; enables double-entry settlement (budgets escrow on open, payouts on finish)")
-		shards      = flag.Int("registry-shards", def.RegistryShards, "worker registry stripe count, rounded up to a power of two (0 uses the default; requires -multi)")
-		closeConc   = flag.Int("close-concurrency", def.CloseConcurrency, "weighted-fair gate: auction closes allowed to run concurrently across tenants (0 disables the gate; requires -multi)")
+		shards      = flag.Int("registry-shards", def.RegistryShards, "worker registry stripe count, rounded up to a power of two (0 uses the default)")
+		closeConc   = flag.Int("close-concurrency", def.CloseConcurrency, "weighted-fair gate: auction closes allowed to run concurrently across tenants (0 disables the gate)")
 		bidDL       = flag.Duration("bid-deadline", def.BidDeadline.Std(), "close a run's auction after this long in bidding (0 disables)")
 		scoreDL     = flag.Duration("score-deadline", def.ScoreDeadline.Std(), "finish a run after this long in scoring, treating absent winners as missing (0 disables)")
 		chaosSpec   = flag.String("chaos", def.Chaos, `inject deterministic faults in front of the API, e.g. "seed=42,drop=0.05,dup=0.1,err=0.02,lose=0.03,delay=1ms-20ms"`)
@@ -117,8 +115,6 @@ func resolveConfig() (platform.Config, error) {
 		"tenant-rate":       func() { cfg.TenantRate = *tenantRate },
 		"tenant-burst":      func() { cfg.TenantBurst = *tenantBurst },
 		"retry-after":       func() { cfg.RetryAfter = platform.Duration(*retryAfter) },
-		"multi":             func() { cfg.Multi = *multiMode },
-		"tenant-max-runs":   func() { cfg.TenantMaxRuns = *tenantRuns },
 		"epoch-every":       func() { cfg.EpochEvery = *epochEvery },
 		"fund":              func() { cfg.Fund = *fund },
 		"registry-shards":   func() { cfg.RegistryShards = *shards },
@@ -195,138 +191,88 @@ func run() error {
 		TenantRatePerSec:  cfg.TenantRate,
 		TenantBurst:       cfg.TenantBurst,
 		RetryAfter:        cfg.RetryAfter.Std(),
-		TenantMaxRuns:     cfg.TenantMaxRuns,
 	}
-	if cfg.MaxInFlight > 0 || cfg.TenantRate > 0 || cfg.AnswerInFlight > 0 || cfg.TenantMaxRuns > 0 {
+	if cfg.MaxInFlight > 0 || cfg.TenantRate > 0 || cfg.AnswerInFlight > 0 {
 		serverOpts = append(serverOpts, platform.WithAdmission(admission))
 		logger.Info("admission control armed",
 			"max_inflight", cfg.MaxInFlight, "answer_inflight", cfg.AnswerInFlight,
-			"queue", cfg.AdmissionQueue, "tenant_rate", cfg.TenantRate,
-			"tenant_max_runs", cfg.TenantMaxRuns)
+			"queue", cfg.AdmissionQueue, "tenant_rate", cfg.TenantRate)
 	}
 
-	var srv *platform.Server
-	if cfg.Multi {
-		// Multi-tenant mode: the run scheduler serves concurrent runs keyed
-		// by ID, one platform (estimator + auction) per tenant, created on a
-		// tenant's first OpenRun.
-		sched, err := melody.NewRunScheduler(melody.SchedulerConfig{
-			Auction: auction,
-			NewEstimator: func(string) (melody.Estimator, error) {
-				return melody.NewQualityTracker(trackerConfig)
-			},
-			Ledger:           money,
-			EpochEvery:       cfg.EpochEvery,
-			RegistryShards:   cfg.RegistryShards,
-			CloseConcurrency: cfg.CloseConcurrency,
-			Metrics:          registry,
-			Tracer:           tracer,
-		})
-		if err != nil {
-			return err
-		}
-		// Boot-time tenant policies from the config file apply before WAL
-		// recovery, so replayed runtime PUTs override them.
-		if len(cfg.Tenants) > 0 {
-			names := make([]string, 0, len(cfg.Tenants))
-			for name := range cfg.Tenants {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				if err := sched.SetTenantPolicy(context.Background(), name, cfg.Tenants[name].Policy()); err != nil {
-					return fmt.Errorf("tenant %q boot policy: %w", name, err)
-				}
-				logger.Info("tenant policy provisioned", "tenant", name)
-			}
-		}
-		var backend platform.MultiRunBackend = sched
-		if cfg.WAL != "" {
-			persistent, wal, err := eventlog.OpenPersistentScheduler(cfg.WAL, sched, eventlog.Options{
-				SyncEveryAppend: true,
-				Metrics:         registry,
-				Tracer:          tracer,
-			})
-			if err != nil {
-				return err
-			}
-			defer wal.Close()
-			backend = persistent
-			logger.Info("durable multi-run state recovered",
-				"wal", cfg.WAL, "completed_runs", sched.CompletedRuns(),
-				"open_runs", len(sched.OpenRuns()), "workers", len(sched.Workers()))
-		}
-		srv, err = platform.NewMultiServer(backend, logger, serverOpts...)
-		if err != nil {
-			return err
-		}
-		logger.Info("multi-tenant run scheduler serving",
-			"epoch_every", cfg.EpochEvery, "registry_shards", cfg.RegistryShards,
-			"close_concurrency", cfg.CloseConcurrency)
-	} else {
-		tracker, err := melody.NewQualityTracker(trackerConfig)
-		if err != nil {
-			return err
-		}
-		p, err := melody.NewPlatform(melody.PlatformConfig{
-			Auction:   auction,
-			Estimator: tracker,
-			Ledger:    money,
-			Metrics:   registry,
-			Tracer:    tracer,
-		})
-		if err != nil {
-			return err
-		}
-		var backend platform.Backend = p
-		switch {
-		case cfg.WAL != "":
-			persistent, wal, err := eventlog.OpenPersistentOptions(cfg.WAL, p, eventlog.Options{
-				SyncEveryAppend: true,
-				Metrics:         registry,
-				Tracer:          tracer,
-			})
-			if err != nil {
-				return err
-			}
-			defer wal.Close()
-			backend = persistent
-			logger.Info("durable state recovered",
-				"wal", cfg.WAL, "completed_runs", p.Run(), "workers", len(p.Workers()))
-		case cfg.WALDir != "":
-			// Promotion of a replica is nothing special: the replica's directory
-			// holds a byte-identical copy of the primary's durable files, so the
-			// standard recovery path below reconstructs exactly the state the
-			// primary had acknowledged.
-			persistent, seg, err := eventlog.OpenPersistentSegmented(cfg.WALDir, p, eventlog.SegmentedOptions{
-				Options: eventlog.Options{
-					SyncEveryAppend: true,
-					Metrics:         registry,
-					Tracer:          tracer,
-				},
-				SegmentBytes:      cfg.SegmentBytes,
-				SnapshotEvery:     cfg.SnapshotEvery,
-				DisableCompaction: cfg.NoCompaction,
-			})
-			if err != nil {
-				return err
-			}
-			defer seg.Close()
-			backend = persistent
-			serverOpts = append(serverOpts, platform.WithReplicationSource(seg))
-			event := "durable state recovered"
-			if cfg.Promote {
-				event = "replica promoted to primary"
-			}
-			logger.Info(event,
-				"wal_dir", cfg.WALDir, "completed_runs", p.Run(), "workers", len(p.Workers()),
-				"snapshot_seq", seg.SnapshotSeq(), "seq", seg.Seq())
-		}
-		srv, err = platform.NewServer(backend, logger, serverOpts...)
-		if err != nil {
-			return err
-		}
+	// The run scheduler serves concurrent runs keyed by ID, one platform
+	// (estimator + auction) per tenant, created on a tenant's first open.
+	// A deployment with one tenant runs everything under the default one.
+	sched, err := melody.NewRunScheduler(melody.SchedulerConfig{
+		Auction: auction,
+		NewEstimator: func(string) (melody.Estimator, error) {
+			return melody.NewQualityTracker(trackerConfig)
+		},
+		Ledger:           money,
+		EpochEvery:       cfg.EpochEvery,
+		RegistryShards:   cfg.RegistryShards,
+		CloseConcurrency: cfg.CloseConcurrency,
+		Metrics:          registry,
+		Tracer:           tracer,
+	})
+	if err != nil {
+		return err
 	}
+	// Boot-time tenant policies from the config file apply before WAL
+	// recovery, so recovered runtime PUTs override them.
+	names := make([]string, 0, len(cfg.Tenants))
+	for name := range cfg.Tenants {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if err := sched.SetTenantPolicy(context.Background(), name, cfg.Tenants[name].Policy()); err != nil {
+			return fmt.Errorf("tenant %q boot policy: %w", name, err)
+		}
+		logger.Info("tenant policy provisioned", "tenant", name)
+	}
+	walOpts := eventlog.Options{SyncEveryAppend: true, Metrics: registry, Tracer: tracer}
+	var backend platform.MultiRunBackend = sched
+	switch {
+	case cfg.WAL != "":
+		persistent, wal, err := eventlog.OpenPersistentScheduler(cfg.WAL, sched, walOpts)
+		if err != nil {
+			return err
+		}
+		defer wal.Close()
+		backend = persistent
+		logger.Info("durable state recovered", "wal", cfg.WAL, "completed_runs", sched.CompletedRuns(),
+			"open_runs", len(sched.OpenRuns()), "workers", len(sched.Workers()))
+	case cfg.WALDir != "":
+		// Promotion of a replica is nothing special: the replica's directory
+		// holds a byte-identical copy of the primary's durable files, so the
+		// standard recovery path reconstructs exactly the state the primary
+		// had acknowledged.
+		persistent, seg, err := eventlog.OpenSegmentedScheduler(cfg.WALDir, sched, eventlog.SegmentedOptions{
+			Options:           walOpts,
+			SegmentBytes:      cfg.SegmentBytes,
+			SnapshotEvery:     cfg.SnapshotEvery,
+			DisableCompaction: cfg.NoCompaction,
+		})
+		if err != nil {
+			return err
+		}
+		defer seg.Close()
+		backend = persistent
+		serverOpts = append(serverOpts, platform.WithReplicationSource(seg))
+		event := "durable state recovered"
+		if cfg.Promote {
+			event = "replica promoted to primary"
+		}
+		logger.Info(event, "wal_dir", cfg.WALDir, "completed_runs", sched.CompletedRuns(),
+			"open_runs", len(sched.OpenRuns()), "workers", len(sched.Workers()),
+			"snapshot_seq", seg.SnapshotSeq(), "seq", seg.Seq())
+	}
+	srv, err := platform.NewMultiServer(backend, logger, serverOpts...)
+	if err != nil {
+		return err
+	}
+	logger.Info("run scheduler serving", "epoch_every", cfg.EpochEvery,
+		"registry_shards", cfg.RegistryShards, "close_concurrency", cfg.CloseConcurrency)
 	handler := srv.Handler()
 	if cfg.Chaos != "" {
 		scenario, err := chaos.Parse(cfg.Chaos)

@@ -33,17 +33,16 @@ func main() {
 
 func run() error {
 	// --- Platform with durable state --------------------------------
-	tracker, err := melody.NewQualityTracker(melody.QualityTrackerConfig{
-		InitialMean: 5.5, InitialVar: 2.25,
-		Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 1},
-		EMPeriod: 12, EMWindow: 40,
-	})
-	if err != nil {
-		return err
-	}
-	core, err := melody.NewPlatform(melody.PlatformConfig{
-		Auction:   melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
-		Estimator: tracker,
+	// One tenant: every run opens under the scheduler's default tenant.
+	sched, err := melody.NewRunScheduler(melody.SchedulerConfig{
+		Auction: melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
+		NewEstimator: func(string) (melody.Estimator, error) {
+			return melody.NewQualityTracker(melody.QualityTrackerConfig{
+				InitialMean: 5.5, InitialVar: 2.25,
+				Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 1},
+				EMPeriod: 12, EMWindow: 40,
+			})
+		},
 	})
 	if err != nil {
 		return err
@@ -54,13 +53,13 @@ func run() error {
 	}
 	defer os.RemoveAll(walDir)
 	walPath := filepath.Join(walDir, "platform.wal")
-	backend, wal, err := eventlog.OpenPersistent(walPath, core)
+	backend, wal, err := eventlog.OpenPersistentScheduler(walPath, sched, eventlog.Options{SyncEveryAppend: true})
 	if err != nil {
 		return err
 	}
 	defer wal.Close()
 
-	srv, err := platform.NewServer(backend, nil)
+	srv, err := platform.NewMultiServer(backend, nil)
 	if err != nil {
 		return err
 	}

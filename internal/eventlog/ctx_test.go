@@ -76,10 +76,10 @@ func TestAppendAsyncAbandonedRecordReplays(t *testing.T) {
 	}
 }
 
-// TestRecorderContextCancellation: a persistent-platform mutation with an
-// already-cancelled context fails without reaching the platform.
+// TestRecorderContextCancellation: a persistent-scheduler mutation with an
+// already-cancelled context fails without reaching the scheduler.
 func TestRecorderContextCancellation(t *testing.T) {
-	pp, wal, err := OpenPersistent(tempLog(t), newPlatform(t))
+	pp, wal, err := OpenPersistentScheduler(tempLog(t), newScheduler(t), Options{SyncEveryAppend: true})
 	if err != nil {
 		t.Fatal(err)
 	}

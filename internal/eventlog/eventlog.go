@@ -45,9 +45,8 @@ const (
 	KindClose    Kind = "close_auction"
 	KindScore    Kind = "score"
 	KindFinish   Kind = "finish_run"
-	// KindTenantPolicy records a tenant-policy install/update on a
-	// multi-run (scheduler) log; replay reconstructs quotas exactly,
-	// last write winning.
+	// KindTenantPolicy records a tenant-policy install/update; replay
+	// reconstructs quotas exactly, last write winning.
 	KindTenantPolicy Kind = "tenant_policy"
 )
 
@@ -79,12 +78,12 @@ type Event struct {
 	Score     float64      `json:"score,omitempty"`
 	Budget    float64      `json:"budget,omitempty"`
 	Tasks     []TaskRecord `json:"tasks,omitempty"`
-	// Run tags the event with its run ID on a multi-run (scheduler) log, so
-	// interleaved events from concurrent runs replay against the right run.
-	// Empty on single-run logs, which replay unchanged.
+	// Run tags the event with its run ID, so interleaved events from
+	// concurrent runs replay against the right run. Every run event needs
+	// one; register and tenant_policy events have none.
 	Run string `json:"run,omitempty"`
-	// Tenant names the run's tenant on a multi-run open_run event, and the
-	// policy's tenant on a tenant_policy event.
+	// Tenant names the run's tenant on an open_run event (empty for the
+	// default tenant), and the policy's tenant on a tenant_policy event.
 	Tenant string `json:"tenant,omitempty"`
 	// Policy carries a tenant_policy event's full policy record.
 	Policy *PolicyRecord `json:"policy,omitempty"`
@@ -222,6 +221,7 @@ func newLog(f commitTarget, seq int64, opts Options) *Log {
 		f:       f,
 		w:       bufio.NewWriter(f),
 		seq:     seq,
+		durable: seq, // every recovered record was read back from disk
 		sync:    opts.SyncEveryAppend,
 		ser:     opts.SerialCommit,
 		pending: new(bytes.Buffer),
@@ -334,11 +334,21 @@ func (l *Log) Append(e Event) (int64, error) {
 // as the log's mode promises.
 func waitDone(context.Context) error { return nil }
 
+// waitTail waits until every record appended so far is as durable as the
+// log's mode promises: the wait of a caller that appends nothing because
+// an earlier record already holds its operation.
+func (l *Log) waitTail(ctx context.Context) error {
+	if !l.sync {
+		return nil
+	}
+	return l.await(ctx, l.Seq())
+}
+
 // AppendAsync validates and enqueues one event, returning its assigned
 // sequence number and a wait function that blocks until the record is as
 // durable as the log's mode promises (fsynced for durable logs, buffered
 // otherwise). It exists so a caller holding its own ordering lock — a
-// PersistentPlatform — can serialize "apply + enqueue" yet wait for the
+// PersistentScheduler — can serialize "apply + enqueue" yet wait for the
 // fsync outside that lock, letting the group-commit pipeline coalesce
 // concurrent operations.
 //

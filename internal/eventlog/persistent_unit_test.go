@@ -11,62 +11,62 @@ import (
 
 func TestOpenPersistentFreshBoot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fresh.wal")
-	pp, wal, err := OpenPersistent(path, newPlatform(t))
+	ps, wal, err := OpenPersistentScheduler(path, newScheduler(t), Options{SyncEveryAppend: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wal.Close()
-	if pp.Run() != 0 || len(pp.Workers()) != 0 {
-		t.Errorf("fresh boot has state: run=%d workers=%v", pp.Run(), pp.Workers())
+	if ps.CompletedRuns() != 0 || len(ps.Workers()) != 0 {
+		t.Errorf("fresh boot has state: runs=%d workers=%v", ps.CompletedRuns(), ps.Workers())
 	}
 }
 
-func TestPersistentPlatformFullCycle(t *testing.T) {
+func TestPersistentSchedulerFullCycle(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "cycle.wal")
-	pp, wal, err := OpenPersistent(path, newPlatform(t))
+	ps, wal, err := OpenPersistentScheduler(path, newScheduler(t), Options{SyncEveryAppend: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"a", "b", "c"} {
-		if err := pp.RegisterWorker(ctx, id); err != nil {
+		if err := ps.RegisterWorker(ctx, id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pp.OpenRun(ctx, []melody.Task{{ID: "t", Threshold: 10}}, 40); err != nil {
+	if err := ps.OpenRun(ctx, "r1", "", []melody.Task{{ID: "t", Threshold: 10}}, 40); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"a", "b", "c"} {
-		if err := pp.SubmitBid(ctx, id, melody.Bid{Cost: 1.3, Frequency: 1}); err != nil {
+		if err := ps.SubmitBid(ctx, "r1", id, melody.Bid{Cost: 1.3, Frequency: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	out, err := pp.CloseAuction(ctx)
+	out, err := ps.CloseAuction(ctx, "r1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, a := range out.Assignments {
-		if err := pp.SubmitScore(ctx, a.WorkerID, a.TaskID, 7); err != nil {
+		if err := ps.SubmitScore(ctx, "r1", a.WorkerID, a.TaskID, 7); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pp.FinishRun(ctx); err != nil {
+	if err := ps.FinishRun(ctx, "r1"); err != nil {
 		t.Fatal(err)
 	}
-	if pp.Run() != 1 {
-		t.Errorf("Run = %d, want 1", pp.Run())
+	if ps.CompletedRuns() != 1 {
+		t.Errorf("CompletedRuns = %d, want 1", ps.CompletedRuns())
 	}
-	if len(pp.Workers()) != 3 {
-		t.Errorf("Workers = %v", pp.Workers())
+	if len(ps.Workers()) != 3 {
+		t.Errorf("Workers = %v", ps.Workers())
 	}
-	q, err := pp.Quality(out.Assignments[0].WorkerID)
+	q, err := ps.Quality("", out.Assignments[0].WorkerID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q <= 5.5 {
 		t.Errorf("quality %v did not rise after scoring", q)
 	}
-	f, err := pp.Forecast(out.Assignments[0].WorkerID, 2)
+	f, err := ps.Forecast("", out.Assignments[0].WorkerID, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +78,15 @@ func TestPersistentPlatformFullCycle(t *testing.T) {
 	}
 
 	// Reboot and verify the state round-trips.
-	pp2, wal2, err := OpenPersistent(path, newPlatform(t))
+	ps2, wal2, err := OpenPersistentScheduler(path, newScheduler(t), Options{SyncEveryAppend: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wal2.Close()
-	if pp2.Run() != 1 || len(pp2.Workers()) != 3 {
-		t.Errorf("rebooted state: run=%d workers=%v", pp2.Run(), pp2.Workers())
+	if ps2.CompletedRuns() != 1 || len(ps2.Workers()) != 3 {
+		t.Errorf("rebooted state: runs=%d workers=%v", ps2.CompletedRuns(), ps2.Workers())
 	}
-	q2, err := pp2.Quality(out.Assignments[0].WorkerID)
+	q2, err := ps2.Quality("", out.Assignments[0].WorkerID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestOpenPersistentRejectsCorruptLog(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenPersistent(path, newPlatform(t)); err == nil {
+	if _, _, err := OpenPersistentScheduler(path, newScheduler(t), Options{SyncEveryAppend: true}); err == nil {
 		t.Error("corrupt log accepted")
 	}
 }
@@ -113,12 +113,12 @@ func TestRecorderPlatformAccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	p := newPlatform(t)
-	rec, err := NewPersistentPlatform(p, log)
+	s := newScheduler(t)
+	ps, err := NewPersistentScheduler(s, log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Platform() != p {
-		t.Error("Platform() returned a different instance")
+	if ps.Scheduler() != s {
+		t.Error("Scheduler() returned a different instance")
 	}
 }

@@ -11,18 +11,18 @@ import (
 
 // TestRecorderBatchReplayEquivalence drives a season through the batch
 // submission path (SubmitBids/SubmitScores: one lock acquisition, one group
-// commit per batch) and verifies a fresh platform replayed from the log
+// commit per batch) and verifies a fresh scheduler replayed from the log
 // reaches identical state — the batch path must log exactly what the
 // single-op path would have.
 func TestRecorderBatchReplayEquivalence(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "batch.wal")
-	p := newPlatform(t)
+	p := newScheduler(t)
 	log, err := Open(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := NewPersistentPlatform(p, log)
+	rec, err := NewPersistentScheduler(p, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestRecorderBatchReplayEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := rec.OpenRun(ctx, []melody.Task{{ID: "t1", Threshold: 11}}, 30); err != nil {
+	if err := rec.OpenRun(ctx, "r1", "", []melody.Task{{ID: "t1", Threshold: 11}}, 30); err != nil {
 		t.Fatal(err)
 	}
 	// One invalid item in the middle: it must fail alone, not poison the
@@ -45,7 +45,7 @@ func TestRecorderBatchReplayEquivalence(t *testing.T) {
 		{WorkerID: "cyd", Bid: melody.Bid{Cost: 1.1, Frequency: 2}},
 		{WorkerID: "dee", Bid: melody.Bid{Cost: 1.6, Frequency: 2}},
 	}
-	res := rec.SubmitBids(ctx, bids)
+	res := rec.SubmitBids(ctx, "r1", bids)
 	for i := range res.Len() {
 		e := res.ErrAt(i)
 		if i == 1 {
@@ -58,7 +58,7 @@ func TestRecorderBatchReplayEquivalence(t *testing.T) {
 			t.Fatalf("bid %d: %v", i, e)
 		}
 	}
-	out, err := rec.CloseAuction(ctx)
+	out, err := rec.CloseAuction(ctx, "r1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,29 +68,29 @@ func TestRecorderBatchReplayEquivalence(t *testing.T) {
 			WorkerID: a.WorkerID, TaskID: a.TaskID, Score: 4 + float64(i),
 		})
 	}
-	if err := rec.SubmitScores(ctx, scores).Err(); err != nil {
+	if err := rec.SubmitScores(ctx, "r1", scores).Err(); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.FinishRun(ctx); err != nil {
+	if err := rec.FinishRun(ctx, "r1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	replayed := newPlatform(t)
-	if err := Replay(path, replayed); err != nil {
+	replayed := newScheduler(t)
+	if err := ReplayScheduler(path, replayed); err != nil {
 		t.Fatal(err)
 	}
-	if replayed.Run() != p.Run() {
-		t.Errorf("replayed run counter %d != live %d", replayed.Run(), p.Run())
+	if replayed.CompletedRuns() != p.CompletedRuns() {
+		t.Errorf("replayed run counter %d != live %d", replayed.CompletedRuns(), p.CompletedRuns())
 	}
 	for _, id := range workers {
-		want, err := p.Quality(id)
+		want, err := p.Quality("", id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := replayed.Quality(id)
+		got, err := replayed.Quality("", id)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,7 @@ type ReplicaSource interface {
 // ReplicatorConfig configures a Replicator.
 type ReplicatorConfig struct {
 	// Dir is the replica's local data directory; after promotion it is
-	// opened with OpenPersistentSegmented exactly like a primary's.
+	// opened with OpenSegmentedScheduler exactly like a primary's.
 	Dir string
 	// Source is the primary being followed.
 	Source ReplicaSource

@@ -3,6 +3,8 @@ package eventlog
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -207,8 +209,8 @@ func TestReplicatorRefusesDivergedHistory(t *testing.T) {
 // TestPromotedPlatformMatchesFullReplay is the end-to-end failover oracle:
 // a season runs on a snapshot-taking primary, a replica mirrors every
 // durable file, and the promoted replica (recovered from snapshot + tail)
-// must land on exactly the state a full from-scratch replay of the same
-// files produces.
+// must land on exactly the state the primary acknowledged and a full
+// from-scratch replay of the same files produces.
 func TestPromotedPlatformMatchesFullReplay(t *testing.T) {
 	primaryDir := t.TempDir()
 	replicaDir := t.TempDir()
@@ -218,12 +220,13 @@ func TestPromotedPlatformMatchesFullReplay(t *testing.T) {
 		SnapshotEvery:     25,
 		DisableCompaction: true, // keep the full history for the replay oracle
 	}
-	pp, seg, err := OpenPersistentSegmented(primaryDir, newPlatform(t), opts)
+	primary := newScheduler(t)
+	ps, seg, err := OpenSegmentedScheduler(primaryDir, primary, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveRuns(t, pp, 8)
-	if err := pp.SnapshotErr(); err != nil {
+	driveRuns(t, ps, 8)
+	if err := ps.SnapshotErr(); err != nil {
 		t.Fatalf("snapshotting failed during the season: %v", err)
 	}
 	if seg.SnapshotSeq() == 0 {
@@ -238,66 +241,59 @@ func TestPromotedPlatformMatchesFullReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMirrored(t, seg, replicaDir)
-
-	primaryState := pp.Platform()
 	if err := seg.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Promote: snapshot + tail over the replica's files.
-	promoted, pseg, err := OpenPersistentSegmented(replicaDir, newPlatform(t), opts)
+	promoted := newScheduler(t)
+	pps, pseg, err := OpenSegmentedScheduler(replicaDir, promoted, opts)
 	if err != nil {
 		t.Fatalf("promotion: %v", err)
 	}
 	defer pseg.Close()
-
 	// Full-replay oracle: every event from every replica segment, applied
 	// from scratch with no snapshot shortcut.
-	segs, err := scanSegmentDir(replicaDir)
+	oracle := newScheduler(t)
+	if err := ReplaySegments(replicaDir, oracle); err != nil {
+		t.Fatal(err)
+	}
+	// Bit-identical, not approximately equal: recovery must be exactly the
+	// state the primary acknowledged.
+	want := encodeState(t, primary)
+	for name, s := range map[string]*melody.RunScheduler{"promoted": promoted, "oracle": oracle} {
+		if got := encodeState(t, s); !bytes.Equal(got, want) {
+			t.Errorf("%s state differs from the primary:\n got %s\nwant %s", name, got, want)
+		}
+	}
+
+	// The promoted scheduler keeps serving: one more full run.
+	runID := fmt.Sprintf("r%d", promoted.CompletedRuns()+1)
+	if err := pps.OpenRun(context.Background(), runID, "", []melody.Task{{ID: runID + "-a", Threshold: 11}}, 30); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pps.CloseAuction(context.Background(), runID); err != nil {
+		t.Fatal(err)
+	}
+	if err := pps.FinishRun(context.Background(), runID); err != nil {
+		t.Fatal(err)
+	}
+	if promoted.CompletedRuns() != primary.CompletedRuns()+1 {
+		t.Errorf("post-promotion runs = %d, want %d", promoted.CompletedRuns(), primary.CompletedRuns()+1)
+	}
+}
+
+// encodeState renders a quiescent scheduler's full state as its snapshot
+// encoding, the form the differential oracles compare byte for byte.
+func encodeState(t *testing.T, s *melody.RunScheduler) []byte {
+	t.Helper()
+	snap, err := s.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := newPlatform(t)
-	for _, s := range segs {
-		if _, _, err := scanSegment(filepath.Join(replicaDir, s.name), nil, func(e Event) error {
-			return apply(oracle, e)
-		}); err != nil {
-			t.Fatalf("oracle replay of %s: %v", s.name, err)
-		}
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	for name, p := range map[string]*melody.Platform{"promoted": promoted.Platform(), "oracle": oracle} {
-		if p.Run() != primaryState.Run() {
-			t.Errorf("%s runs = %d, primary = %d", name, p.Run(), primaryState.Run())
-		}
-		workers := primaryState.Workers()
-		got := p.Workers()
-		if len(got) != len(workers) {
-			t.Fatalf("%s workers = %v, primary = %v", name, got, workers)
-		}
-		for i, id := range workers {
-			if got[i] != id {
-				t.Fatalf("%s workers = %v, primary = %v", name, got, workers)
-			}
-			pq, err := primaryState.Quality(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, err := p.Quality(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if q != pq {
-				// Bit-identical, not approximately equal: recovery must be
-				// exactly the state the primary acknowledged.
-				t.Errorf("%s quality[%s] = %v, primary = %v", name, id, q, pq)
-			}
-		}
-	}
-
-	// The promoted platform keeps serving: one more full run.
-	driveRuns(t, promoted, 1)
-	if promoted.Run() != primaryState.Run()+1 {
-		t.Errorf("post-promotion runs = %d, want %d", promoted.Run(), primaryState.Run()+1)
-	}
+	return raw
 }

@@ -2,8 +2,10 @@ package eventlog
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 
 	"melody"
@@ -11,24 +13,39 @@ import (
 
 // PersistentScheduler wraps a melody.RunScheduler so that every successful
 // state-changing operation is appended to a durable event log, tagged with
-// its run ID. A scheduler rebuilt with ReplayScheduler from the same log
-// reaches the identical state: events from interleaved concurrent runs
-// route back to their runs by ID, and each tenant's per-run sequence is a
-// deterministic mechanism given its own events.
+// its run ID. A scheduler rebuilt from the same log reaches the identical
+// state: events from interleaved concurrent runs route back to their runs
+// by ID, and each tenant's per-run sequence is a deterministic mechanism
+// given its own events. It is the backend cmd/melody-platform serves in
+// every durable mode.
 //
-// Like the single-run PersistentPlatform, operations apply to the scheduler
-// first and are logged only on success, and the ordering mutex covers only
-// "apply + enqueue" — the fsync wait happens outside it, riding the log's
-// group-commit pipeline. The mutex pins one total order across all runs,
-// which replay then reproduces; that total order is what keeps the shared
-// state (worker registry, ledger escrow, epoch settlement boundaries)
-// byte-stable across a crash, at the cost of serializing the apply step.
-// The applies themselves are short (the fsync dominates), so concurrent
-// runs still overlap on the wait.
+// Operations apply to the scheduler first and are logged only on success,
+// so the log never contains rejected operations, and the ordering mutex
+// covers only "apply + enqueue" — the fsync wait happens outside it,
+// riding the log's group-commit pipeline. The mutex pins one total order
+// across all runs, which replay then reproduces; that total order is what
+// keeps the shared state (worker registry, ledger escrow, epoch settlement
+// boundaries) byte-stable across a crash, at the cost of serializing the
+// apply step. The applies themselves are short (the fsync dominates), so
+// concurrent runs still overlap on the wait.
 type PersistentScheduler struct {
 	mu  sync.Mutex
 	s   *melody.RunScheduler
 	log *Log
+
+	// seg, when non-nil, is the segmented engine owning the log: FinishRun
+	// then takes periodic state snapshots at moments when no run is open
+	// (the only points where the scheduler can export a snapshot).
+	seg *SegmentedLog
+	// snapErr records the most recent snapshot failure. Snapshots are a
+	// recovery-time optimization, so a failure never fails the run that
+	// triggered it; it is surfaced here for operators and tests instead.
+	snapErr error
+	// logged names the tenants whose policy some tenant_policy record (or
+	// a snapshot of them) set. Boot-time policies are installed outside
+	// the log, so a snapshot carries only these: the next boot installs
+	// its own boot policies, and the logged ones override them.
+	logged map[string]bool
 }
 
 // NewPersistentScheduler wraps scheduler with the log.
@@ -36,31 +53,77 @@ func NewPersistentScheduler(s *melody.RunScheduler, log *Log) (*PersistentSchedu
 	if s == nil || log == nil {
 		return nil, errors.New("eventlog: persistent scheduler needs a scheduler and a log")
 	}
-	return &PersistentScheduler{s: s, log: log}, nil
+	return &PersistentScheduler{s: s, log: log, logged: make(map[string]bool)}, nil
 }
 
-// OpenPersistentScheduler opens (or creates) the write-ahead log at path,
-// replays any existing multi-run events into the given freshly constructed
-// scheduler, and returns the combined handle plus the log (which the
-// caller must Close on shutdown). It is the scheduler counterpart of
-// OpenPersistentOptions, and the backend cmd/melody-platform uses for
-// -multi -wal.
+// OpenPersistentScheduler opens (or creates) the single-file write-ahead
+// log at path, replays any existing events into the given freshly
+// constructed scheduler, and returns the combined handle plus the log
+// (which the caller must Close on shutdown). It is the backend
+// cmd/melody-platform uses for -wal.
 func OpenPersistentScheduler(path string, s *melody.RunScheduler, opts Options) (*PersistentScheduler, *Log, error) {
 	if s == nil {
 		return nil, nil, errors.New("eventlog: recover needs a scheduler")
 	}
+	ps := &PersistentScheduler{s: s, logged: make(map[string]bool)}
 	// One pass over the file both replays it and finds the end appends
 	// resume from; a missing log file is a first boot.
-	log, err := openLog(path, opts, replayIntoScheduler(s))
+	log, err := openLog(path, opts, ps.replay)
 	if err != nil {
 		return nil, nil, fmt.Errorf("eventlog: recover from %s: %w", path, err)
 	}
-	ps, err := NewPersistentScheduler(s, log)
+	ps.log = log
+	return ps, log, nil
+}
+
+// OpenSegmentedScheduler opens (or creates) the segmented storage engine
+// in dir, recovers the given freshly constructed scheduler from the newest
+// valid snapshot plus the log tail, and returns the combined handle plus
+// the segmented log (which the caller must Close on shutdown). Recovery is
+// bounded: segments the snapshot covers are never read. Tenant policies
+// the caller installs before the call are boot policies; logged policies
+// override them, as in a full replay.
+//
+// Promotion of a replica is this same call on the replica's data directory:
+// the replica's files are byte-identical to the primary's durable prefix,
+// so recovery reconstructs exactly the state the primary had acknowledged.
+func OpenSegmentedScheduler(dir string, s *melody.RunScheduler, opts SegmentedOptions) (*PersistentScheduler, *SegmentedLog, error) {
+	if s == nil {
+		return nil, nil, errors.New("eventlog: recover needs a scheduler")
+	}
+	ps := &PersistentScheduler{s: s, logged: make(map[string]bool)}
+	seg, _, err := recoverSegmented(dir, opts, ps.restore, ps.replay)
 	if err != nil {
-		log.Close()
 		return nil, nil, err
 	}
-	return ps, log, nil
+	ps.log, ps.seg = seg.Log, seg
+	return ps, seg, nil
+}
+
+// restore installs a snapshot's scheduler state.
+func (ps *PersistentScheduler) restore(snap *Snapshot) error {
+	var state melody.SchedulerSnapshot
+	if err := json.Unmarshal(snap.State, &state); err != nil {
+		return fmt.Errorf("eventlog: decode scheduler snapshot at seq %d: %w", snap.Seq, err)
+	}
+	if err := ps.s.RestoreSnapshot(&state); err != nil {
+		return fmt.Errorf("eventlog: restore snapshot at seq %d: %w", snap.Seq, err)
+	}
+	for tenant := range state.Policies {
+		ps.logged[tenant] = true
+	}
+	return nil
+}
+
+// replay applies one recovered event to the scheduler.
+func (ps *PersistentScheduler) replay(e Event) error {
+	if err := applyScheduler(ps.s, e); err != nil {
+		return fmt.Errorf("eventlog: replay seq %d (%s): %w", e.Seq, e.Kind, err)
+	}
+	if e.Kind == KindTenantPolicy {
+		ps.logged[e.Tenant] = true
+	}
+	return nil
 }
 
 // Scheduler exposes the wrapped scheduler for read-only queries.
@@ -89,15 +152,30 @@ func (ps *PersistentScheduler) RegisterWorker(ctx context.Context, workerID stri
 		Event{Kind: KindRegister, Worker: workerID})
 }
 
-// OpenRun opens and records a run under its ID and tenant.
+// OpenRun opens and records a run under its ID and tenant. A retried open
+// of a run the scheduler knows is already in the log: it appends nothing
+// and waits for the records before it to be durable.
 func (ps *PersistentScheduler) OpenRun(ctx context.Context, runID, tenant string, tasks []melody.Task, budget float64) error {
 	records := make([]TaskRecord, len(tasks))
 	for i, t := range tasks {
 		records[i] = TaskRecord{ID: t.ID, Threshold: t.Threshold}
 	}
-	return ps.record(ctx,
-		func() error { return ps.s.OpenRun(ctx, runID, tenant, tasks, budget) },
-		Event{Kind: KindOpenRun, Run: runID, Tenant: tenant, Tasks: records, Budget: budget})
+	ps.mu.Lock()
+	_, err := ps.s.Run(runID)
+	known := err == nil
+	if err := ps.s.OpenRun(ctx, runID, tenant, tasks, budget); err != nil {
+		ps.mu.Unlock()
+		return err
+	}
+	wait := ps.log.waitTail
+	if !known {
+		_, wait, err = ps.log.AppendAsync(Event{Kind: KindOpenRun, Run: runID, Tenant: tenant, Tasks: records, Budget: budget})
+	}
+	ps.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return wait(ctx)
 }
 
 // SubmitBid submits and records a bid against a run.
@@ -107,56 +185,39 @@ func (ps *PersistentScheduler) SubmitBid(ctx context.Context, runID, workerID st
 		Event{Kind: KindBid, Run: runID, Worker: workerID, Cost: bid.Cost, Frequency: bid.Frequency})
 }
 
-// SubmitBids applies and records a whole batch of bids against a run, with
-// the PersistentPlatform batch contract: one lock acquisition, one group
-// commit.
+// SubmitBids applies and records a whole batch of bids against a run,
+// reporting per-item outcomes in the BatchResult. The batch is applied and
+// enqueued under one acquisition of the ordering lock and waits on a single
+// group commit, so its durability cost is one fsync regardless of size.
 func (ps *PersistentScheduler) SubmitBids(ctx context.Context, runID string, bids []melody.WorkerBid) melody.BatchResult {
-	errs := make([]error, len(bids))
 	ps.mu.Lock()
-	applied := ps.s.SubmitBids(ctx, runID, bids)
-	var wait func(context.Context) error
-	for i, b := range bids {
-		if err := applied.ErrAt(i); err != nil {
-			errs[i] = err
-			continue
-		}
-		_, w, err := ps.log.AppendAsync(Event{
-			Kind: KindBid, Run: runID, Worker: b.WorkerID,
-			Cost: b.Bid.Cost, Frequency: b.Bid.Frequency,
-		})
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		wait = w // durability is monotone: the last record covers the batch
-	}
-	ps.mu.Unlock()
-	if wait != nil {
-		if werr := wait(ctx); werr != nil {
-			for i := range errs {
-				if errs[i] == nil {
-					errs[i] = werr
-				}
-			}
-		}
-	}
-	return melody.NewBatchResult(errs)
+	return ps.recordBatch(ctx, ps.s.SubmitBids(ctx, runID, bids), func(i int) Event {
+		b := bids[i]
+		return Event{Kind: KindBid, Run: runID, Worker: b.WorkerID, Cost: b.Bid.Cost, Frequency: b.Bid.Frequency}
+	})
 }
 
-// SubmitScores applies and records a whole batch of scores against a run.
+// SubmitScores applies and records a whole batch of scores against a run,
+// with SubmitBids' batch contract.
 func (ps *PersistentScheduler) SubmitScores(ctx context.Context, runID string, scores []melody.TaskScore) melody.BatchResult {
-	errs := make([]error, len(scores))
 	ps.mu.Lock()
-	applied := ps.s.SubmitScores(ctx, runID, scores)
+	return ps.recordBatch(ctx, ps.s.SubmitScores(ctx, runID, scores), func(i int) Event {
+		sc := scores[i]
+		return Event{Kind: KindScore, Run: runID, Worker: sc.WorkerID, Task: sc.TaskID, Score: sc.Score}
+	})
+}
+
+// recordBatch enqueues the event of every item the batch applied, releases
+// the ordering lock the caller holds, and waits once for durability: it is
+// monotone, so the last record covers the batch.
+func (ps *PersistentScheduler) recordBatch(ctx context.Context, applied melody.BatchResult, event func(i int) Event) melody.BatchResult {
+	errs := make([]error, applied.Len())
 	var wait func(context.Context) error
-	for i, sc := range scores {
-		if err := applied.ErrAt(i); err != nil {
-			errs[i] = err
+	for i := range errs {
+		if errs[i] = applied.ErrAt(i); errs[i] != nil {
 			continue
 		}
-		_, w, err := ps.log.AppendAsync(Event{
-			Kind: KindScore, Run: runID, Worker: sc.WorkerID, Task: sc.TaskID, Score: sc.Score,
-		})
+		_, w, err := ps.log.AppendAsync(event(i))
 		if err != nil {
 			errs[i] = err
 			continue
@@ -206,10 +267,79 @@ func (ps *PersistentScheduler) SubmitScore(ctx context.Context, runID, workerID,
 // FinishRun finishes and records a run. Finish order across runs is part
 // of the logged total order, so epoch settlement boundaries (every N
 // finished runs) replay identically.
+//
+// On a segmented log that is due for a snapshot, the scheduler's state is
+// captured under the ordering lock — so it reflects exactly the log prefix
+// ending at the finish record — and written out only after that record is
+// durable, keeping the snapshot's covered sequence at or below the durable
+// tail (a snapshot may never claim records a crash could still tear away).
+// While another run is open there is no state to capture; the next finish
+// tries again.
 func (ps *PersistentScheduler) FinishRun(ctx context.Context, runID string) error {
-	return ps.record(ctx,
-		func() error { return ps.s.FinishRun(ctx, runID) },
-		Event{Kind: KindFinish, Run: runID})
+	ps.mu.Lock()
+	if err := ps.s.FinishRun(ctx, runID); err != nil {
+		ps.mu.Unlock()
+		return err
+	}
+	seq, wait, err := ps.log.AppendAsync(Event{Kind: KindFinish, Run: runID})
+	var snap *melody.SchedulerSnapshot
+	if err == nil && ps.seg != nil && ps.seg.ShouldSnapshot() {
+		snap = ps.snapshotLocked()
+	}
+	ps.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if err := wait(ctx); err != nil {
+		return err
+	}
+	if snap != nil {
+		ps.writeSnapshot(seq, snap)
+	}
+	return nil
+}
+
+// snapshotLocked captures the scheduler's state for a snapshot, or returns
+// nil when there is none to take. Callers hold ps.mu.
+func (ps *PersistentScheduler) snapshotLocked() *melody.SchedulerSnapshot {
+	snap, err := ps.s.SnapshotState()
+	if errors.Is(err, melody.ErrSnapshotMidRun) {
+		return nil
+	}
+	if err != nil {
+		// The estimator may not support snapshots (ErrNoSnapshot);
+		// recovery then falls back to full replay.
+		ps.snapErr = err
+		return nil
+	}
+	for tenant := range snap.Policies {
+		if !ps.logged[tenant] {
+			delete(snap.Policies, tenant)
+		}
+	}
+	return snap
+}
+
+// writeSnapshot encodes and installs a scheduler snapshot, recording rather
+// than returning failures: the run that triggered the snapshot has already
+// committed.
+func (ps *PersistentScheduler) writeSnapshot(seq int64, snap *melody.SchedulerSnapshot) {
+	state, err := json.Marshal(snap)
+	if err == nil {
+		err = ps.seg.WriteSnapshot(seq, len(snap.Runs), state)
+	}
+	ps.mu.Lock()
+	ps.snapErr = err
+	ps.mu.Unlock()
+}
+
+// SnapshotErr returns the most recent snapshot failure (nil after a
+// successful snapshot or when none was attempted, so always nil on a
+// single-file log).
+func (ps *PersistentScheduler) SnapshotErr() error {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return ps.snapErr
 }
 
 // SetTenantPolicy installs and records a tenant policy. Policy events
@@ -218,7 +348,13 @@ func (ps *PersistentScheduler) FinishRun(ctx context.Context, runID string) erro
 // before a crash is refused again on replay.
 func (ps *PersistentScheduler) SetTenantPolicy(ctx context.Context, tenant string, p melody.TenantPolicy) error {
 	return ps.record(ctx,
-		func() error { return ps.s.SetTenantPolicy(ctx, tenant, p) },
+		func() error {
+			if err := ps.s.SetTenantPolicy(ctx, tenant, p); err != nil {
+				return err
+			}
+			ps.logged[tenant] = true
+			return nil
+		},
 		Event{Kind: KindTenantPolicy, Tenant: tenant, Policy: &PolicyRecord{
 			BudgetQuota:      p.BudgetQuota,
 			EpochBudgetQuota: p.EpochBudgetQuota,
@@ -275,26 +411,51 @@ func (ps *PersistentScheduler) Forecast(tenant, workerID string, steps int) (mel
 // scheduler, routing each event to its run by ID. The scheduler must have
 // been constructed with the same configuration (auction intervals,
 // estimator factory, epoch cadence) as the one that wrote the log. Events
-// without a run ID are rejected for the kinds that need one — a single-run
-// log replays into a Platform via Replay, not here. The log is read once,
-// decoding ahead of the replay; on error the scheduler holds a replayed
-// prefix and must be discarded.
+// without a run ID are rejected for the kinds that need one, so a history
+// written by the retired single-run platform fails here. The log is read
+// once, decoding ahead of the replay; on error the scheduler holds a
+// replayed prefix and must be discarded.
 func ReplayScheduler(path string, s *melody.RunScheduler) error {
 	if s == nil {
 		return errors.New("eventlog: replay needs a scheduler")
 	}
-	return scanFile(path, replayIntoScheduler(s))
+	return scanFile(path, replayer(s))
 }
 
-// replayIntoScheduler returns the replay callback that applies each event
-// to s.
-func replayIntoScheduler(s *melody.RunScheduler) func(Event) error {
-	return func(e Event) error {
-		if err := applyScheduler(s, e); err != nil {
-			return fmt.Errorf("eventlog: replay seq %d (%s): %w", e.Seq, e.Kind, err)
-		}
-		return nil
+// ReplaySegments applies every event from every segment in dir to a fresh
+// scheduler, ignoring snapshots entirely — the full from-scratch replay. It
+// exists as the differential oracle for bounded recovery: on a directory
+// whose history was never compacted, OpenSegmentedScheduler (snapshot +
+// tail) and ReplaySegments must land on bit-identical scheduler state.
+func ReplaySegments(dir string, s *melody.RunScheduler) error {
+	if s == nil {
+		return errors.New("eventlog: replay needs a scheduler")
 	}
+	segs, err := scanSegmentDir(dir)
+	if err != nil {
+		return err
+	}
+	replay := replayer(s)
+	var prev scanEnd
+	for i, seg := range segs {
+		_, end, err := scanSegment(filepath.Join(dir, seg.name), func(h SegmentHeader) error {
+			if i > 0 && h.Base != prev.last+1 {
+				return fmt.Errorf("eventlog: segment chain gap: %s starts at %d, want %d", seg.name, h.Base, prev.last+1)
+			}
+			return nil
+		}, replay)
+		if err != nil {
+			return err
+		}
+		prev = end
+	}
+	return nil
+}
+
+// replayer returns the callback that replays each event into s.
+func replayer(s *melody.RunScheduler) func(Event) error {
+	ps := &PersistentScheduler{s: s, logged: make(map[string]bool)}
+	return ps.replay
 }
 
 func applyScheduler(s *melody.RunScheduler, e Event) error {

@@ -21,9 +21,9 @@ type SegmentedOptions struct {
 	// new one started; zero means DefaultSegmentBytes.
 	SegmentBytes int64
 	// SnapshotEvery arms ShouldSnapshot once this many records have been
-	// appended since the last snapshot; the owner (a PersistentPlatform)
-	// then takes a state snapshot at the next run boundary. Zero disables
-	// snapshots.
+	// appended since the last snapshot; the owner (a PersistentScheduler)
+	// then takes a state snapshot at the next finish that leaves no run
+	// open. Zero disables snapshots.
 	SnapshotEvery int
 	// DisableCompaction keeps every sealed segment on disk even when a
 	// snapshot fully covers it. Differential tests use it to retain the
@@ -37,7 +37,7 @@ type SegmentedOptions struct {
 // RecoveredState is what OpenSegmented reconstructed: the newest valid
 // snapshot (nil on a fresh or snapshot-less log) and the tail events with
 // sequences above it, in order. The caller restores the snapshot into its
-// platform and replays the events.
+// scheduler and replays the events.
 type RecoveredState struct {
 	Snapshot *Snapshot
 	Events   []Event
@@ -270,7 +270,7 @@ func recoverSegmented(dir string, opts SegmentedOptions, restore func(*Snapshot)
 }
 
 // ShouldSnapshot reports whether enough records have accumulated since the
-// last snapshot that the owner should take one at the next run boundary.
+// last snapshot that the owner should take one at its next chance.
 func (s *SegmentedLog) ShouldSnapshot() bool {
 	if s.opts.SnapshotEvery <= 0 {
 		return false
@@ -302,9 +302,9 @@ func (s *SegmentedLog) observeSnapshotAge() {
 
 // WriteSnapshot atomically installs a state snapshot covering every record
 // up to and including seq (which must already be durable — the
-// PersistentPlatform waits for the FinishRun record's fsync first), then
+// PersistentScheduler waits for the FinishRun record's fsync first), then
 // compacts away the sealed segments the snapshot covers. runs is the
-// completed-run count at the snapshot; state is the platform-layer payload.
+// completed-run count at the snapshot; state is the scheduler's payload.
 //
 // A failed snapshot write never poisons the log: the previous snapshot
 // stays authoritative and appends continue, so snapshotting is a liveness

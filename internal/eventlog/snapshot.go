@@ -19,8 +19,8 @@ const SnapshotFormat = "melody-snapshot"
 // snapshotFileVersion guards the snapshot file encoding.
 const snapshotFileVersion = 1
 
-// Snapshot is the storage engine's state-snapshot envelope: the platform
-// state (an opaque payload the platform layer encodes) pinned to the log
+// Snapshot is the storage engine's state-snapshot envelope: the scheduler
+// state (an opaque payload the scheduler encodes) pinned to the log
 // sequence it reflects. Recovery loads the newest valid snapshot and
 // replays only records with higher sequence numbers, bounding restart time
 // by the tail length instead of the log length.
@@ -31,10 +31,10 @@ type Snapshot struct {
 	// below it is subsumed by State.
 	Seq int64 `json:"seq"`
 	// Runs is the number of completed (and therefore settled) runs at the
-	// snapshot: snapshots are taken only at run boundaries, which is what
-	// makes compaction of covered segments safe.
+	// snapshot: snapshots are taken only while no run is open, which is
+	// what makes compaction of covered segments safe.
 	Runs int `json:"runs"`
-	// State is the platform-layer payload (melody.PlatformSnapshot JSON).
+	// State is the scheduler's payload (melody.SchedulerSnapshot JSON).
 	State json.RawMessage `json:"state,omitempty"`
 	// CRC is the IEEE CRC-32 of the canonical encoding (CRC zeroed).
 	CRC uint32 `json:"crc,omitempty"`

@@ -170,3 +170,82 @@ func TestTenantPolicyEventValidation(t *testing.T) {
 		t.Errorf("policy-only replay = %+v (%v), want %+v", got, ok, p)
 	}
 }
+
+// TestBootPoliciesAcrossSnapshotRestore: boot policies come from the
+// configuration, not the log, so they may change between boots, while a
+// logged PUT overrides them. Tenant a only ever has a boot policy, tenant b
+// also a logged PUT. After a boot with changed boot policies, a snapshot
+// restore and a full replay must report the same tenant status: a's new
+// boot policy and b's PUT.
+func TestBootPoliciesAcrossSnapshotRestore(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	opts := SegmentedOptions{Options: Options{SyncEveryAppend: true}, SnapshotEvery: 1, DisableCompaction: true}
+	quota := func(q float64) melody.TenantPolicy {
+		p := melody.UnlimitedTenantPolicy()
+		p.BudgetQuota = q
+		return p
+	}
+	boot := func(a, b float64) *melody.RunScheduler {
+		s, _ := newSchedulerForLog(t, 1000, 0)
+		for tenant, q := range map[string]float64{"a": a, "b": b} {
+			if err := s.SetTenantPolicy(ctx, tenant, quota(q)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+
+	ps, seg, err := OpenSegmentedScheduler(dir, boot(500, 600), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tenant := range []string{"a", "b"} {
+		for i := 0; i < 3; i++ {
+			if err := ps.RegisterWorker(ctx, fmt.Sprintf("%s-w%d", tenant, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := ps.SetTenantPolicy(ctx, "b", quota(700)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tenant := range []string{"a", "b"} {
+		if err := drivePersistentRun(ctx, ps, tenant, tenant+"-1", 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ps.SnapshotErr(); err != nil || seg.SnapshotSeq() != seg.Seq() {
+		t.Fatalf("snapshot at %d of %d (err %v); want one covering the whole log", seg.SnapshotSeq(), seg.Seq(), err)
+	}
+	if err := seg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restored := boot(800, 900)
+	_, rseg, err := OpenSegmentedScheduler(dir, restored, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rseg.Close()
+	replayed := boot(800, 900)
+	if err := ReplaySegments(dir, replayed); err != nil {
+		t.Fatal(err)
+	}
+	for tenant, want := range map[string]float64{"a": 800, "b": 700} {
+		got, err := restored.TenantStatus(tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := replayed.TenantStatus(tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != oracle {
+			t.Errorf("tenant %s: restored status %+v, full replay %+v", tenant, got, oracle)
+		}
+		if got.Policy.BudgetQuota != want || got.RunsOpened != 1 {
+			t.Errorf("tenant %s: quota %v after %d runs, want %v after 1", tenant, got.Policy.BudgetQuota, got.RunsOpened, want)
+		}
+	}
+}

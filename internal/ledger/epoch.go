@@ -147,6 +147,45 @@ func (s *EpochSettler) settleLocked() error {
 	return nil
 }
 
+// SettlerState is the epoch settler's durable state: each worker's accrued
+// but unpaid earnings, the finished runs since the last payout and the
+// completed epochs. It is the settler's part of a scheduler snapshot.
+type SettlerState struct {
+	Pending map[Account]float64 `json:"pending,omitempty"`
+	Runs    int                 `json:"runs,omitempty"`
+	Epochs  int                 `json:"epochs,omitempty"`
+}
+
+// State returns a copy of the settler's state.
+func (s *EpochSettler) State() SettlerState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := SettlerState{Runs: s.runs, Epochs: s.epochs}
+	if len(s.pending) > 0 {
+		st.Pending = make(map[Account]float64, len(s.pending))
+		for w, v := range s.pending {
+			st.Pending[w] = v
+		}
+	}
+	return st
+}
+
+// Restore replaces the settler's state with st. The pool balance lives on
+// the ledger, so the ledger is restored separately.
+func (s *EpochSettler) Restore(st SettlerState) error {
+	if st.Runs < 0 || st.Epochs < 0 {
+		return fmt.Errorf("ledger: settler state runs %d / epochs %d negative", st.Runs, st.Epochs)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.pending = make(map[Account]float64, len(st.Pending))
+	for w, v := range st.Pending {
+		s.pending[w] = v
+	}
+	s.runs, s.epochs = st.Runs, st.Epochs
+	return nil
+}
+
 // OpenRunEpoch escrows a run's budget like OpenRun but routes the run's
 // payments through the epoch settler's pool instead of paying workers
 // directly; the unspent remainder still refunds straight to the requester

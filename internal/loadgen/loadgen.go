@@ -33,10 +33,10 @@ import (
 
 // Backend selects what the server persists to.
 const (
-	// BackendMem serves from the in-memory platform: no durability, the
+	// BackendMem serves from the in-memory scheduler: no durability, the
 	// ceiling of the serving path.
 	BackendMem = "mem"
-	// BackendWAL serves from the write-ahead-logged platform with the
+	// BackendWAL serves from the write-ahead-logged scheduler with the
 	// group-commit pipeline (the production -wal configuration).
 	BackendWAL = "wal"
 	// BackendWALSerial is the pre-group-commit baseline: one fsync per
@@ -88,7 +88,7 @@ type Config struct {
 	// Tenant is sent as the X-Melody-Tenant header by the load clients,
 	// engaging per-tenant rate limits when Admission configures them.
 	Tenant string
-	// Ledger attaches a funded double-entry ledger to the platform so every
+	// Ledger attaches a funded double-entry ledger to the scheduler so every
 	// run escrows, pays and refunds real money — the state the money
 	// conservation invariants check after an overload run.
 	Ledger bool
@@ -163,14 +163,15 @@ type Result struct {
 	ClientRetries int64 `json:"client_retries,omitempty"`
 }
 
-// harness is one booted serving stack: platform (optionally WAL-backed and
-// ledger-funded), HTTP server on a real loopback listener, and a shared
-// client transport. Both drive modes build on it.
+// harness is one booted serving stack: a one-tenant run scheduler
+// (optionally WAL-backed and ledger-funded), HTTP server on a real
+// loopback listener, and a shared client transport. Both drive modes build
+// on it.
 type harness struct {
 	cfg      Config
 	registry *obs.Registry
 	tracer   *obs.Tracer
-	plat     *melody.Platform
+	sched    *melody.RunScheduler
 	money    *melody.Ledger // nil without Config.Ledger
 	addr     string
 
@@ -191,15 +192,6 @@ func startHarness(cfg Config) (*harness, error) {
 		h.tracer = obs.NewTracer(4096)
 	}
 
-	tracker, err := melody.NewQualityTracker(melody.QualityTrackerConfig{
-		InitialMean: 5.5, InitialVar: 2.25,
-		Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
-		EMPeriod: 10, EMWindow: 60,
-		Metrics: h.registry,
-	})
-	if err != nil {
-		return nil, err
-	}
 	if cfg.Ledger {
 		h.money = melody.NewLedger()
 		// Fund the requester for every run's escrow up front; finishes
@@ -208,18 +200,26 @@ func startHarness(cfg Config) (*harness, error) {
 			return nil, err
 		}
 	}
-	h.plat, err = melody.NewPlatform(melody.PlatformConfig{
-		Auction:   melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
-		Estimator: tracker,
-		Ledger:    h.money,
-		Metrics:   h.registry,
-		Tracer:    h.tracer,
+	var err error
+	h.sched, err = melody.NewRunScheduler(melody.SchedulerConfig{
+		Auction: melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
+		NewEstimator: func(string) (melody.Estimator, error) {
+			return melody.NewQualityTracker(melody.QualityTrackerConfig{
+				InitialMean: 5.5, InitialVar: 2.25,
+				Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
+				EMPeriod: 10, EMWindow: 60,
+				Metrics: h.registry,
+			})
+		},
+		Ledger:  h.money,
+		Metrics: h.registry,
+		Tracer:  h.tracer,
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	var backend platform.Backend = h.plat
+	var backend platform.MultiRunBackend = h.sched
 	switch cfg.Backend {
 	case BackendMem:
 	case BackendWAL, BackendWALSerial:
@@ -238,13 +238,13 @@ func startHarness(cfg Config) (*harness, error) {
 			Metrics:         h.registry,
 			Tracer:          h.tracer,
 		}
-		pp, wal, err := eventlog.OpenPersistentOptions(filepath.Join(dir, "load.wal"), h.plat, opts)
+		ps, wal, err := eventlog.OpenPersistentScheduler(filepath.Join(dir, "load.wal"), h.sched, opts)
 		if err != nil {
 			h.close()
 			return nil, err
 		}
 		h.cleanups = append(h.cleanups, func() { wal.Close() })
-		backend = pp
+		backend = ps
 	default:
 		h.close()
 		return nil, fmt.Errorf("loadgen: unknown backend %q", cfg.Backend)
@@ -256,7 +256,7 @@ func startHarness(cfg Config) (*harness, error) {
 	if cfg.Admission != nil {
 		srvOpts = append(srvOpts, platform.WithAdmission(*cfg.Admission))
 	}
-	srv, err := platform.NewServer(backend, nil, srvOpts...)
+	srv, err := platform.NewMultiServer(backend, nil, srvOpts...)
 	if err != nil {
 		h.close()
 		return nil, err
@@ -274,23 +274,27 @@ func startHarness(cfg Config) (*harness, error) {
 	if cfg.WrapHandler != nil {
 		handler = cfg.WrapHandler(handler)
 	}
-	// A real TCP listener, not httptest: loadgen also runs inside the
-	// non-test melody-load binary.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	if err := h.serve(handler, cfg.Workers*2); err != nil {
 		h.close()
 		return nil, err
+	}
+	return h, nil
+}
+
+// serve serves handler on a real TCP listener, not httptest (loadgen also
+// runs inside the non-test melody-load binary), and builds the client
+// transport, which keeps idleConns idle connections.
+func (h *harness) serve(handler http.Handler, idleConns int) error {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
 	}
 	h.addr = ln.Addr().String()
 	h.httpSrv = &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
 	h.serveErr = make(chan error, 1)
 	go func() { h.serveErr <- h.httpSrv.Serve(ln) }()
-
-	h.transport = &http.Transport{
-		MaxIdleConns:        cfg.Workers * 2,
-		MaxIdleConnsPerHost: cfg.Workers * 2,
-	}
-	return h, nil
+	h.transport = &http.Transport{MaxIdleConns: idleConns, MaxIdleConnsPerHost: idleConns}
+	return nil
 }
 
 // client builds a platform client against the harness server, wired to the

@@ -2,10 +2,8 @@ package loadgen
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -131,24 +129,18 @@ type MultiRunResult struct {
 	Epochs int `json:"epochs"`
 }
 
-// multiStack is one booted run-scheduler serving stack.
+// multiStack is one booted run-scheduler serving stack: the harness's
+// scheduler, ledger and server, plus the backend the passes drive.
 type multiStack struct {
-	sched     *melody.RunScheduler
-	money     *melody.Ledger
-	backend   platform.MultiRunBackend
-	wal       *eventlog.Log
-	walTmp    string
-	addr      string
-	httpSrv   *http.Server
-	serveErr  chan error
-	transport *http.Transport
+	harness
+	backend platform.MultiRunBackend
 }
 
 // startMultiStack boots a fresh scheduler (its own estimators, registry
-// and funded ledger) behind a multi-run HTTP server on a loopback
-// listener. With BackendWAL the scheduler is wrapped in a
-// PersistentScheduler over a group-commit event log, so every mutation
-// pays for durability before acknowledging.
+// and funded ledger) behind an HTTP server on a loopback listener. With
+// BackendWAL the scheduler is wrapped in a PersistentScheduler over a
+// group-commit event log, so every mutation pays for durability before
+// acknowledging.
 func startMultiStack(cfg MultiRunConfig, pass string) (*multiStack, error) {
 	money := melody.NewLedger()
 	funding := cfg.Budget * float64(cfg.Tenants*cfg.RunsPerTenant)
@@ -181,8 +173,7 @@ func startMultiStack(cfg MultiRunConfig, pass string) (*multiStack, error) {
 			return nil, err
 		}
 	}
-	st := &multiStack{sched: sched, money: money}
-	var backend platform.MultiRunBackend = sched
+	st := &multiStack{harness: harness{sched: sched, money: money}, backend: sched}
 	if cfg.Backend == BackendWAL {
 		dir := cfg.WALDir
 		if dir == "" {
@@ -190,75 +181,43 @@ func startMultiStack(cfg MultiRunConfig, pass string) (*multiStack, error) {
 			if err != nil {
 				return nil, err
 			}
-			st.walTmp = tmp
+			st.cleanups = append(st.cleanups, func() { os.RemoveAll(tmp) })
 			dir = tmp
 		}
 		wal, err := eventlog.OpenOptions(filepath.Join(dir, pass+".wal"), eventlog.Options{SyncEveryAppend: true})
 		if err != nil {
-			st.cleanup()
+			st.close()
 			return nil, err
 		}
-		st.wal = wal
-		ps, err := eventlog.NewPersistentScheduler(sched, wal)
-		if err != nil {
-			st.cleanup()
+		st.cleanups = append(st.cleanups, func() { wal.Close() })
+		if st.backend, err = eventlog.NewPersistentScheduler(sched, wal); err != nil {
+			st.close()
 			return nil, err
 		}
-		backend = ps
 	}
-	st.backend = backend
 	if cfg.Direct {
 		return st, nil
 	}
-	srv, err := platform.NewMultiServer(backend, nil)
+	srv, err := platform.NewMultiServer(st.backend, nil)
+	if err == nil {
+		err = st.serve(srv.Handler(), cfg.Tenants*4)
+	}
 	if err != nil {
-		st.cleanup()
+		st.close()
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		st.cleanup()
-		return nil, err
-	}
-	st.addr = ln.Addr().String()
-	st.httpSrv = &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	st.serveErr = make(chan error, 1)
-	st.transport = &http.Transport{
-		MaxIdleConns:        cfg.Tenants * 4,
-		MaxIdleConnsPerHost: cfg.Tenants * 4,
-	}
-	go func() { st.serveErr <- st.httpSrv.Serve(ln) }()
 	return st, nil
 }
 
-// cleanup releases the stack's non-server resources (log, temp dir).
-func (st *multiStack) cleanup() {
-	if st.wal != nil {
-		_ = st.wal.Close()
-		st.wal = nil
-	}
-	if st.walTmp != "" {
-		_ = os.RemoveAll(st.walTmp)
-		st.walTmp = ""
-	}
-}
-
-// stop shuts the stack down gracefully and verifies Serve exited clean.
+// stop shuts the stack down gracefully, verifying Serve exited clean, and
+// releases it.
 func (st *multiStack) stop() error {
-	if st.httpSrv == nil {
-		st.cleanup()
-		return nil
+	if st.httpSrv != nil {
+		if err := st.shutdown(); err != nil {
+			return err
+		}
 	}
-	st.transport.CloseIdleConnections()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := st.httpSrv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("loadgen: multirun shutdown: %w", err)
-	}
-	if err := <-st.serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("loadgen: multirun serve: %w", err)
-	}
-	st.cleanup()
+	st.close()
 	return nil
 }
 
@@ -477,18 +436,7 @@ func multiPass(cfg MultiRunConfig, loads []tenantWorkload, concurrent bool) (map
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
-	stopped := false
-	defer func() {
-		if stopped {
-			return
-		}
-		if st.httpSrv != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			_ = st.httpSrv.Shutdown(ctx)
-			cancel()
-		}
-		st.cleanup()
-	}()
+	defer st.close()
 	ctx := context.Background()
 	var clients []*platform.Client
 	if cfg.Direct {
@@ -583,7 +531,6 @@ func multiPass(cfg MultiRunConfig, loads []tenantWorkload, concurrent bool) (map
 		epochs = s.Epochs()
 	}
 
-	stopped = true
 	if err := st.stop(); err != nil {
 		return nil, 0, 0, 0, err
 	}

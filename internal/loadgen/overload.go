@@ -314,7 +314,7 @@ func RunOverload(cfg OverloadConfig) (OverloadResult, error) {
 			res.Violations = append(res.Violations, err.Error())
 		}
 	}
-	if got := h.plat.Run(); got != cfg.Load.Runs {
+	if got := h.sched.CompletedRuns(); got != cfg.Load.Runs {
 		res.Violations = append(res.Violations,
 			fmt.Sprintf("loadgen: platform completed %d runs, want %d", got, cfg.Load.Runs))
 	}

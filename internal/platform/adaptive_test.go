@@ -207,7 +207,7 @@ func (s *shedFirstAttempts) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Every POST is shed on its first attempt, so every applied mutation is a
 // retry; replaying it again afterwards must still be a no-op success.
 func TestRetryAfterShedReplaysAreNoOps(t *testing.T) {
-	srv, err := NewServer(newTestPlatform(t), nil)
+	srv, err := NewMultiServer(newTestBackend(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,11 @@ import (
 	"melody/internal/obs"
 )
 
-// TenantHeader carries the caller's tenant identity for per-tenant rate
-// limiting. The bundled Client sets it from ClientOptions.Tenant; requests
-// without the header share no rate budget and are only subject to the
-// concurrency gate.
+// TenantHeader carries the caller's tenant identity: the tenant of the
+// runs it opens and of its reads, and the key of per-tenant rate limiting.
+// The bundled Client sets it from ClientOptions.Tenant; requests without
+// the header share no rate budget and are only subject to the concurrency
+// gate.
 const TenantHeader = "X-Melody-Tenant"
 
 // AdmissionConfig bounds what the server accepts before it starts shedding
@@ -36,10 +37,6 @@ type AdmissionConfig struct {
 	// during scoring can never occupy every slot and starve bid ingest
 	// (and vice versa). 0 keeps answers on the shared gate.
 	AnswerMaxInFlight int
-	// TenantMaxRuns caps how many runs a tenant (TenantHeader) may hold in
-	// flight at once on a multi-run backend; further opens are shed with
-	// 429 until one of the tenant's runs finishes. 0 disables the quota.
-	TenantMaxRuns int
 	// MaxQueue is how many ingest requests may wait for a slot beyond
 	// MaxInFlight before new arrivals fast-fail with 429. 0 means no
 	// waiting room: the gate sheds as soon as every slot is taken.
@@ -81,8 +78,7 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 
 // enabled reports whether any gate is configured.
 func (c AdmissionConfig) enabled() bool {
-	return c.MaxInFlight > 0 || c.AnswerMaxInFlight > 0 ||
-		c.TenantRatePerSec > 0 || c.TenantMaxRuns > 0
+	return c.MaxInFlight > 0 || c.AnswerMaxInFlight > 0 || c.TenantRatePerSec > 0
 }
 
 // WithAdmission arms admission control on the server's ingest endpoints.
@@ -112,11 +108,6 @@ type admission struct {
 	mu      sync.Mutex
 	buckets map[string]*tokenBucket
 
-	// runsMu guards openRuns, the per-tenant runs-in-flight counts backing
-	// the TenantMaxRuns quota.
-	runsMu   sync.Mutex
-	openRuns map[string]int
-
 	// nil-safe instrument handles, bound by instrument().
 	shed        *obs.CounterVec
 	rateLimited *obs.Counter
@@ -140,9 +131,6 @@ func newAdmission(cfg AdmissionConfig) *admission {
 	}
 	if a.cfg.TenantRatePerSec > 0 {
 		a.buckets = make(map[string]*tokenBucket)
-	}
-	if a.cfg.TenantMaxRuns > 0 {
-		a.openRuns = make(map[string]int)
 	}
 	return a
 }
@@ -212,34 +200,6 @@ func (a *admission) admit(r *http.Request, endpoint string) (release func(), ok 
 	return func() {
 		<-slots
 		a.inFlightG.Set(float64(a.inFlight.Add(-1)))
-	}, true
-}
-
-// acquireRun claims one of a tenant's runs-in-flight quota slots. It
-// returns the release to call when the run finishes (or fails to open),
-// or ok=false when the tenant is at its cap and the open must be shed.
-// Tenants are identified by TenantHeader; requests without one share the
-// unnamed bucket. A nil admission or a zero quota admits everything.
-func (a *admission) acquireRun(tenant string) (release func(), ok bool) {
-	if a == nil || a.openRuns == nil {
-		return func() {}, true
-	}
-	a.runsMu.Lock()
-	defer a.runsMu.Unlock()
-	if a.openRuns[tenant] >= a.cfg.TenantMaxRuns {
-		a.shed.With("open_run").Inc()
-		return nil, false
-	}
-	a.openRuns[tenant]++
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			a.runsMu.Lock()
-			defer a.runsMu.Unlock()
-			if a.openRuns[tenant] > 0 {
-				a.openRuns[tenant]--
-			}
-		})
 	}, true
 }
 

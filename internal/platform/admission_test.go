@@ -24,27 +24,27 @@ import (
 // being retried away.
 var noRetry = RetryPolicy{MaxAttempts: 1}
 
-// blockingBackend wraps a Backend and parks SubmitBid until released, so a
+// blockingBackend wraps a backend and parks SubmitBid until released, so a
 // test can pin the admission gate's in-flight slots deterministically.
 type blockingBackend struct {
-	Backend
+	MultiRunBackend
 	entered chan struct{} // one send per SubmitBid that starts
 	release chan struct{} // closed to let them finish
 }
 
-func (b *blockingBackend) SubmitBid(ctx context.Context, workerID string, bid melody.Bid) error {
+func (b *blockingBackend) SubmitBid(ctx context.Context, runID, workerID string, bid melody.Bid) error {
 	b.entered <- struct{}{}
 	<-b.release
-	return b.Backend.SubmitBid(ctx, workerID, bid)
+	return b.MultiRunBackend.SubmitBid(ctx, runID, workerID, bid)
 }
 
 func TestAdmissionConcurrencyGateSheds(t *testing.T) {
 	bb := &blockingBackend{
-		Backend: newTestPlatform(t),
-		entered: make(chan struct{}, 8),
-		release: make(chan struct{}),
+		MultiRunBackend: newTestBackend(t),
+		entered:         make(chan struct{}, 8),
+		release:         make(chan struct{}),
 	}
-	srv, err := NewServer(bb, nil, WithAdmission(AdmissionConfig{
+	srv, err := NewMultiServer(bb, nil, WithAdmission(AdmissionConfig{
 		MaxInFlight: 1, MaxQueue: 0, QueueTimeout: 20 * time.Millisecond,
 		RetryAfter: 50 * time.Millisecond,
 	}))
@@ -108,11 +108,11 @@ func TestAdmissionConcurrencyGateSheds(t *testing.T) {
 
 func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 	bb := &blockingBackend{
-		Backend: newTestPlatform(t),
-		entered: make(chan struct{}, 8),
-		release: make(chan struct{}),
+		MultiRunBackend: newTestBackend(t),
+		entered:         make(chan struct{}, 8),
+		release:         make(chan struct{}),
 	}
-	srv, err := NewServer(bb, nil, WithAdmission(AdmissionConfig{
+	srv, err := NewMultiServer(bb, nil, WithAdmission(AdmissionConfig{
 		MaxInFlight: 1, MaxQueue: 4, QueueTimeout: 2 * time.Second,
 	}))
 	if err != nil {
@@ -151,7 +151,7 @@ func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 }
 
 func TestAdmissionTenantRateLimit(t *testing.T) {
-	srv, err := NewServer(newTestPlatform(t), nil, WithAdmission(AdmissionConfig{
+	srv, err := NewMultiServer(newTestBackend(t), nil, WithAdmission(AdmissionConfig{
 		TenantRatePerSec: 0.001, TenantBurst: 2,
 	}))
 	if err != nil {
@@ -205,30 +205,24 @@ func TestAdmissionTenantRateLimit(t *testing.T) {
 }
 
 // TestShedBidNeverPersisted is the regression test that a 429-shed bid
-// leaves no trace: no WAL append, no ledger entry, no platform state.
+// leaves no trace: no WAL append, no ledger entry, no scheduler state.
 func TestShedBidNeverPersisted(t *testing.T) {
 	reg := obs.NewRegistry()
 	money := melody.NewLedger()
 	if _, err := money.Deposit(melody.RequesterAccount, 1000, "funding"); err != nil {
 		t.Fatal(err)
 	}
-	tracker, err := melody.NewQualityTracker(melody.QualityTrackerConfig{
-		InitialMean: 5.5, InitialVar: 2.25,
-		Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
-		EMPeriod: 10, EMWindow: 50,
+	sched, err := melody.NewRunScheduler(melody.SchedulerConfig{
+		Auction: melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
+		NewEstimator: func(string) (melody.Estimator, error) {
+			return melody.NewQualityTracker(testTrackerConfig)
+		},
+		Ledger: money,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := melody.NewPlatform(melody.PlatformConfig{
-		Auction:   melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
-		Estimator: tracker,
-		Ledger:    money,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, wal, err := eventlog.OpenPersistentOptions(t.TempDir()+"/shed.wal", p, eventlog.Options{
+	pp, wal, err := eventlog.OpenPersistentScheduler(t.TempDir()+"/shed.wal", sched, eventlog.Options{
 		SyncEveryAppend: true,
 		Metrics:         reg,
 	})
@@ -236,7 +230,7 @@ func TestShedBidNeverPersisted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wal.Close()
-	srv, err := NewServer(pp, nil, WithAdmission(AdmissionConfig{
+	srv, err := NewMultiServer(pp, nil, WithAdmission(AdmissionConfig{
 		TenantRatePerSec: 0.001, TenantBurst: 1,
 	}))
 	if err != nil {
@@ -326,7 +320,7 @@ func checkConservation(l *melody.Ledger) error {
 // and checks the books balance: every request is either accepted or shed,
 // and the gate's slots all return. Run under -race by make ci.
 func TestAdmissionConcurrentStorm(t *testing.T) {
-	srv, err := NewServer(newTestPlatform(t), nil, WithAdmission(AdmissionConfig{
+	srv, err := NewMultiServer(newTestBackend(t), nil, WithAdmission(AdmissionConfig{
 		MaxInFlight: 4, MaxQueue: 8, QueueTimeout: 50 * time.Millisecond,
 	}))
 	if err != nil {

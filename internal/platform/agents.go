@@ -53,9 +53,9 @@ type WorkerAgentConfig struct {
 
 // WorkerAgent is an autonomous worker: it registers itself, bids in every
 // run, and uploads answers for its allocated tasks. It follows the run
-// GET /v1/status names and acts on it by ID. Its lifecycle follows
-// the managed-goroutine pattern: NewWorkerAgent starts the loop, Stop
-// signals it and waits for exit.
+// GET /v1/status names and acts on it by ID, once per run ID. Its
+// lifecycle follows the managed-goroutine pattern: NewWorkerAgent starts
+// the loop, Stop signals it and waits for exit.
 type WorkerAgent struct {
 	cfg  WorkerAgentConfig
 	stop context.CancelFunc
@@ -95,8 +95,9 @@ func (a *WorkerAgent) loop(ctx context.Context) {
 	defer close(a.done)
 	ticker := time.NewTicker(a.cfg.PollInterval)
 	defer ticker.Stop()
-	lastBid := 0
-	lastAnswered := 0
+	// The run ID is a run's identity, so the agent remembers the last run
+	// it bid in and answered by ID.
+	lastBid, lastAnswered := "", ""
 	for {
 		select {
 		case <-ctx.Done():
@@ -112,30 +113,30 @@ func (a *WorkerAgent) loop(ctx context.Context) {
 		}
 		switch status.Phase {
 		case PhaseBidding:
-			if status.Run == lastBid {
+			if status.RunID == lastBid {
 				continue
 			}
 			err := a.cfg.Client.Run(status.RunID).SubmitBid(ctx, a.cfg.WorkerID, a.cfg.Cost, a.cfg.Frequency)
 			switch {
 			case err == nil:
-				lastBid = status.Run
+				lastBid = status.RunID
 			case errors.Is(err, melody.ErrAuctionClosed):
 				// The bidding deadline closed the auction between our
 				// status poll and the bid; this run is lost for us.
-				lastBid = status.Run
+				lastBid = status.RunID
 			}
 		case PhaseScoring:
-			if status.Run == lastAnswered {
+			if status.RunID == lastAnswered {
 				continue
 			}
 			err := a.answer(ctx, a.cfg.Client.Run(status.RunID), status.Run)
 			switch {
 			case err == nil:
-				lastAnswered = status.Run
+				lastAnswered = status.RunID
 			case errors.Is(err, melody.ErrNoRunOpen), errors.Is(err, melody.ErrNotAssigned):
 				// The run finished under us (scoring deadline) or we
 				// were never a winner; nothing left to upload.
-				lastAnswered = status.Run
+				lastAnswered = status.RunID
 			}
 		}
 	}

@@ -2,11 +2,11 @@ package platform
 
 // Chaos soak: a full 20-run season driven through the chaos middleware —
 // injected latency, 503s, dropped connections, duplicated deliveries and
-// lost responses — over a WAL-backed, ledger-backed platform, with a hard
+// lost responses — over a WAL-backed, ledger-backed scheduler, with a hard
 // kill and recovery in the middle of run 11. The retry layer and the
 // idempotent mutation protocol must absorb every fault: the season
 // completes, money is conserved, no run overspends its budget, and
-// replaying the WAL reproduces the live platform exactly.
+// replaying the WAL reproduces the live scheduler exactly.
 
 import (
 	"context"
@@ -36,37 +36,11 @@ func soakTasks(run int) []TaskSpec {
 	}
 }
 
-// buildLedgerPlatform constructs a platform with a funded ledger attached.
-func buildLedgerPlatform(t *testing.T) (*melody.Platform, *melody.Ledger) {
-	t.Helper()
-	ledger := melody.NewLedger()
-	if _, err := ledger.Deposit(melody.RequesterAccount, soakDeposit, "season funding"); err != nil {
-		t.Fatal(err)
-	}
-	tracker, err := melody.NewQualityTracker(melody.QualityTrackerConfig{
-		InitialMean: 5.5, InitialVar: 2.25,
-		Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
-		EMPeriod: 10, EMWindow: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := melody.NewPlatform(melody.PlatformConfig{
-		Auction:   melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
-		Estimator: tracker,
-		Ledger:    ledger,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p, ledger
-}
-
 // soakWorld is one "life" of the platform: a WAL-backed server behind the
 // chaos middleware, a fleet of worker agents, and a requester — all talking
 // through retrying clients.
 type soakWorld struct {
-	platform  *melody.Platform
+	sched     *melody.RunScheduler
 	ledger    *melody.Ledger
 	ts        *httptest.Server
 	wal       *eventlog.Log
@@ -76,12 +50,12 @@ type soakWorld struct {
 
 func startSoakWorld(t *testing.T, ctx context.Context, walPath string, scenario chaos.Scenario, rng *stats.RNG) *soakWorld {
 	t.Helper()
-	p, ledger := buildLedgerPlatform(t)
-	backend, wal, err := eventlog.OpenPersistent(walPath, p)
+	sched, ledger := newTestScheduler(t, soakDeposit, 0)
+	backend, wal, err := eventlog.OpenPersistentScheduler(walPath, sched, eventlog.Options{SyncEveryAppend: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(backend, nil, WithDeadlines(10*time.Second, 10*time.Second))
+	srv, err := NewMultiServer(backend, nil, WithDeadlines(10*time.Second, 10*time.Second))
 	if err != nil {
 		wal.Close()
 		t.Fatal(err)
@@ -102,7 +76,7 @@ func startSoakWorld(t *testing.T, ctx context.Context, walPath string, scenario 
 		return c
 	}
 
-	w := &soakWorld{platform: p, ledger: ledger, ts: ts, wal: wal}
+	w := &soakWorld{sched: sched, ledger: ledger, ts: ts, wal: wal}
 	for i := 0; i < 4; i++ {
 		latent := 4 + float64(i)*1.5
 		agent, err := NewWorkerAgent(ctx, WorkerAgentConfig{
@@ -198,7 +172,7 @@ func TestChaosSoakSeason(t *testing.T) {
 	}
 
 	// Season-level invariants.
-	if got := w2.platform.Run(); got != soakRuns {
+	if got := w2.sched.CompletedRuns(); got != soakRuns {
 		t.Errorf("completed runs = %d, want %d", got, soakRuns)
 	}
 	totalPaid := 0.0
@@ -237,16 +211,16 @@ func TestChaosSoakSeason(t *testing.T) {
 	}
 
 	// Replay determinism: a cold replay of the WAL must land on exactly
-	// the live platform's state — same runs, same workers, same quality
+	// the live scheduler's state — same runs, same workers, same quality
 	// estimates, same money.
-	replayed, replayLedger := buildLedgerPlatform(t)
-	if err := eventlog.Replay(walPath, replayed); err != nil {
+	replayed, replayLedger := newTestScheduler(t, soakDeposit, 0)
+	if err := eventlog.ReplayScheduler(walPath, replayed); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if replayed.Run() != w2.platform.Run() {
-		t.Errorf("replayed runs = %d, live = %d", replayed.Run(), w2.platform.Run())
+	if replayed.CompletedRuns() != w2.sched.CompletedRuns() {
+		t.Errorf("replayed runs = %d, live = %d", replayed.CompletedRuns(), w2.sched.CompletedRuns())
 	}
-	liveWorkers := w2.platform.Workers()
+	liveWorkers := w2.sched.Workers()
 	replayWorkers := replayed.Workers()
 	if len(replayWorkers) != len(liveWorkers) {
 		t.Fatalf("replayed workers = %v, live = %v", replayWorkers, liveWorkers)
@@ -255,11 +229,11 @@ func TestChaosSoakSeason(t *testing.T) {
 		if replayWorkers[i] != id {
 			t.Fatalf("replayed workers = %v, live = %v", replayWorkers, liveWorkers)
 		}
-		lq, err := w2.platform.Quality(id)
+		lq, err := w2.sched.Quality("", id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rq, err := replayed.Quality(id)
+		rq, err := replayed.Quality("", id)
 		if err != nil {
 			t.Fatal(err)
 		}

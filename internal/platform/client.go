@@ -364,9 +364,9 @@ func (c *Client) Forecast(ctx context.Context, workerID string, steps int) (Fore
 // OpenRunID opens a run under a client-chosen ID for a tenant and returns
 // the run-scoped handle. The ID is the idempotency key: retrying the same
 // (id, tasks, budget) open is a no-op success, while reusing an ID with a
-// different spec is rejected. A single-run backend names the run itself:
-// pass an empty id and tenant there, and the handle carries the server's
-// "r<n>" name.
+// different spec is rejected. An empty id lets the server name the run
+// (the handle carries the server's "r<n>" name), and an empty tenant opens
+// it for the default tenant.
 func (c *Client) OpenRunID(ctx context.Context, id, tenant string, tasks []TaskSpec, budget float64) (*RunAPI, error) {
 	var out OpenRunResponse
 	err := c.do(ctx, http.MethodPost, "/v1/runs",
@@ -391,7 +391,7 @@ func (c *Client) Runs(ctx context.Context) ([]RunStatus, error) {
 }
 
 // Tenants lists every known tenant's control-plane status (policy-only
-// tenants included), sorted by tenant. Multi-run backends only.
+// tenants included), sorted by tenant.
 func (c *Client) Tenants(ctx context.Context) ([]TenantStatusResponse, error) {
 	var out TenantsResponse
 	if err := c.do(ctx, http.MethodGet, "/v1/tenants", nil, &out); err != nil {

@@ -26,7 +26,7 @@ func TestConcurrentServingMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 
 	_, c := newTestServer(t)
-	ref := newTestPlatform(t)
+	ref := newTestBackend(t)
 
 	workerID := func(i int) string { return fmt.Sprintf("w%02d", i) }
 	cost := func(i int) float64 { return 1 + float64(i%10)/10 }            // within [1, 2]
@@ -86,7 +86,7 @@ func TestConcurrentServingMatchesSerial(t *testing.T) {
 		for i, ts := range tasks {
 			refTasks[i] = melody.Task{ID: ts.ID, Threshold: ts.Threshold}
 		}
-		if err := ref.OpenRun(ctx, refTasks, 100); err != nil {
+		if err := ref.OpenRun(ctx, h.ID(), "", refTasks, 100); err != nil {
 			t.Fatal(err)
 		}
 
@@ -103,7 +103,7 @@ func TestConcurrentServingMatchesSerial(t *testing.T) {
 		}
 		wg.Wait()
 		for i := 0; i < nWorkers; i++ {
-			if err := ref.SubmitBid(ctx, workerID(i), melody.Bid{Cost: cost(i), Frequency: 1}); err != nil {
+			if err := ref.SubmitBid(ctx, h.ID(), workerID(i), melody.Bid{Cost: cost(i), Frequency: 1}); err != nil {
 				t.Fatalf("ref bid %d: %v", i, err)
 			}
 		}
@@ -112,7 +112,7 @@ func TestConcurrentServingMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refOut, err := ref.CloseAuction(ctx)
+		refOut, err := ref.CloseAuction(ctx, h.ID())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestConcurrentServingMatchesSerial(t *testing.T) {
 		wg.Wait()
 		for _, asg := range refOut.Assignments {
 			i := workerIndex(asg.WorkerID)
-			if err := ref.SubmitScore(ctx, asg.WorkerID, asg.TaskID, score(i, run)); err != nil {
+			if err := ref.SubmitScore(ctx, h.ID(), asg.WorkerID, asg.TaskID, score(i, run)); err != nil {
 				t.Fatalf("ref score %s: %v", asg.WorkerID, err)
 			}
 		}
@@ -148,7 +148,7 @@ func TestConcurrentServingMatchesSerial(t *testing.T) {
 		if err := h.FinishRun(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.FinishRun(ctx); err != nil {
+		if err := ref.FinishRun(ctx, h.ID()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func TestConcurrentServingMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.Quality(id)
+		want, err := ref.Quality("", id)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,10 +82,8 @@ type Config struct {
 	TenantRate     float64  `json:"tenantRate,omitempty"`
 	TenantBurst    float64  `json:"tenantBurst,omitempty"`
 	RetryAfter     Duration `json:"retryAfter,omitempty"`
-	TenantMaxRuns  int      `json:"tenantMaxRuns,omitempty"`
 
-	// Multi-tenant run scheduler.
-	Multi            bool    `json:"multi,omitempty"`
+	// Run scheduler.
 	EpochEvery       int     `json:"epochEvery,omitempty"`
 	Fund             float64 `json:"fund,omitempty"`
 	RegistryShards   int     `json:"registryShards,omitempty"`
@@ -155,11 +153,6 @@ func (c Config) Validate() error {
 		return errors.New("replicaOf and promote are mutually exclusive: stop following before promoting")
 	case c.Promote && c.WALDir == "":
 		return errors.New("promote requires walDir (the replica's data directory)")
-	case !c.Multi && (c.TenantMaxRuns > 0 || c.EpochEvery > 0 || c.RegistryShards > 0 ||
-		c.CloseConcurrency > 0 || len(c.Tenants) > 0):
-		return errors.New("tenantMaxRuns, epochEvery, registryShards, closeConcurrency and tenants require multi")
-	case c.Multi && c.WALDir != "":
-		return errors.New("multi supports wal (single-file log); the segmented engine serves the single-run platform only")
 	case c.EpochEvery > 0 && c.Fund <= 0:
 		return errors.New("epochEvery requires fund (epoch settlement aggregates ledger payouts)")
 	}

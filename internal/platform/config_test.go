@@ -23,7 +23,6 @@ func writeConfig(t *testing.T, body string) string {
 func TestLoadConfigLayersOverDefaults(t *testing.T) {
 	path := writeConfig(t, `{
 		"addr": "127.0.0.1:9999",
-		"multi": true,
 		"epochEvery": 4,
 		"fund": 1000,
 		"closeConcurrency": 2,
@@ -38,7 +37,7 @@ func TestLoadConfigLayersOverDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Addr != "127.0.0.1:9999" || !cfg.Multi || cfg.CloseConcurrency != 2 {
+	if cfg.Addr != "127.0.0.1:9999" || cfg.EpochEvery != 4 || cfg.CloseConcurrency != 2 {
 		t.Fatalf("overridden fields wrong: %+v", cfg)
 	}
 	def := DefaultConfig()
@@ -81,12 +80,7 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"wal and walDir", func(c *Config) { c.WAL = "a.wal"; c.WALDir = "d" }},
 		{"replica without walDir", func(c *Config) { c.ReplicaOf = "host:1" }},
-		{"tenant knobs without multi", func(c *Config) { c.CloseConcurrency = 1 }},
-		{"tenants without multi", func(c *Config) {
-			c.Tenants = map[string]TenantPolicySpec{"a": {}}
-		}},
-		{"multi with segmented engine", func(c *Config) { c.Multi = true; c.WALDir = "d" }},
-		{"epochs without funding", func(c *Config) { c.Multi = true; c.EpochEvery = 2 }},
+		{"epochs without funding", func(c *Config) { c.EpochEvery = 2 }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -96,13 +90,13 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	ok := base
-	ok.Multi = true
 	ok.EpochEvery = 2
 	ok.Fund = 100
 	ok.CloseConcurrency = 1
 	ok.Tenants = map[string]TenantPolicySpec{"a": {Weight: 2}}
+	ok.WALDir = "d"
 	if err := ok.Validate(); err != nil {
-		t.Errorf("consistent multi config rejected: %v", err)
+		t.Errorf("consistent tenant config on the segmented engine rejected: %v", err)
 	}
 }
 
@@ -110,14 +104,14 @@ func TestConfigValidate(t *testing.T) {
 // LoadConfig would accept back.
 func TestConfigStringRoundTrips(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Multi = true
+	cfg.EpochEvery = 3
 	cfg.QueueTimeout = Duration(300 * time.Millisecond)
 	path := writeConfig(t, cfg.String())
 	back, err := LoadConfig(path)
 	if err != nil {
 		t.Fatalf("String() output rejected by LoadConfig: %v", err)
 	}
-	if back.QueueTimeout != cfg.QueueTimeout || back.Multi != cfg.Multi || back.Addr != cfg.Addr {
+	if back.QueueTimeout != cfg.QueueTimeout || back.EpochEvery != cfg.EpochEvery || back.Addr != cfg.Addr {
 		t.Errorf("round trip diverged: %+v vs %+v", back, cfg)
 	}
 }

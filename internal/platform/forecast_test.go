@@ -66,16 +66,18 @@ func TestForecastEndpointErrors(t *testing.T) {
 }
 
 func TestForecastNotImplementedForBaselines(t *testing.T) {
-	// A platform with a baseline estimator cannot forecast; the API maps
+	// A scheduler with a baseline estimator cannot forecast; the API maps
 	// this to 501.
-	p, err := melody.NewPlatform(melody.PlatformConfig{
-		Auction:   melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
-		Estimator: melody.NewMLAllRunsEstimator(melody.EstimatorConfig{Initial: 5.5}),
+	sched, err := melody.NewRunScheduler(melody.SchedulerConfig{
+		Auction: melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
+		NewEstimator: func(string) (melody.Estimator, error) {
+			return melody.NewMLAllRunsEstimator(melody.EstimatorConfig{Initial: 5.5}), nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(p, nil)
+	srv, err := NewMultiServer(sched, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

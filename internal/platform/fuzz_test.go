@@ -6,8 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"melody"
 )
 
 // fuzzEndpoints enumerates every route the server registers, so the fuzzer
@@ -34,22 +32,7 @@ var fuzzEndpoints = []struct{ method, path string }{
 // from one fuzz input can never leak into the next.
 func newFuzzHandler(t testing.TB) http.Handler {
 	t.Helper()
-	tracker, err := melody.NewQualityTracker(melody.QualityTrackerConfig{
-		InitialMean: 5.5, InitialVar: 2.25,
-		Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
-		EMPeriod: 10, EMWindow: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := melody.NewPlatform(melody.PlatformConfig{
-		Auction:   melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
-		Estimator: tracker,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(p, nil)
+	srv, err := NewMultiServer(newTestBackend(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

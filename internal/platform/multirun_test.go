@@ -88,7 +88,7 @@ func driveRunHTTP(ctx context.Context, c *Client, runID string, tenant string, w
 }
 
 // TestMultiServerConcurrentTenants serves three tenants' overlapping run
-// sequences from one multi-run server and checks completion, the /v1/runs
+// sequences from one server and checks completion, the /v1/runs
 // listing, and exact money conservation on the shared ledger.
 func TestMultiServerConcurrentTenants(t *testing.T) {
 	ctx := context.Background()

@@ -42,17 +42,18 @@ var outcomeGoldens = map[string]string{
 
 // TestOutcomeBodies pins the outcome bodies a server writes: the first
 // close, GET /outcome before and after finish, and a close replayed after
-// finish all return the same bytes, on a multi-run and a single-run server,
-// for an empty and a non-empty outcome.
+// finish all return the same bytes, for a client-named run of tenant "a"
+// and a server-named run of a one-tenant server's default tenant, for an
+// empty and a non-empty outcome.
 func TestOutcomeBodies(t *testing.T) {
 	ctx := context.Background()
 	servers := map[string]func(t *testing.T) (*httptest.Server, *Client){
-		"multi": func(t *testing.T) (*httptest.Server, *Client) {
+		"client-named": func(t *testing.T) (*httptest.Server, *Client) {
 			sched, _ := newTestScheduler(t, 1000, 0)
 			ts := newMultiTestServer(t, sched)
 			return ts, tenantClient(t, ts, "a")
 		},
-		"single": newTestServer,
+		"one-tenant": newTestServer,
 	}
 	for kind, newServer := range servers {
 		ts, c := newServer(t)
@@ -61,11 +62,11 @@ func TestOutcomeBodies(t *testing.T) {
 			bidder int
 		}{{"empty", 0}, {"full", 5}} {
 			key := kind + "/" + tc.name
-			id := "gold-" + tc.name
-			if kind == "single" {
-				id = "" // a single-run server names the run itself
+			id, tenant := "gold-"+tc.name, "a"
+			if kind == "one-tenant" {
+				id, tenant = "", "" // the server names the run, the default tenant owns it
 			}
-			run, err := c.OpenRunID(ctx, id, "a", []TaskSpec{
+			run, err := c.OpenRunID(ctx, id, tenant, []TaskSpec{
 				{ID: "gold-" + tc.name + "-t1", Threshold: 9},
 				{ID: "gold-" + tc.name + "-t2", Threshold: 12},
 			}, 100)

@@ -6,33 +6,12 @@ import (
 	"path/filepath"
 	"testing"
 
-	"melody"
 	"melody/internal/eventlog"
 )
 
-// The write-ahead-logged platform must satisfy the server's backend
+// The write-ahead-logged scheduler must satisfy the server's backend
 // contract.
-var _ Backend = (*eventlog.PersistentPlatform)(nil)
-
-func buildPlatform(t *testing.T) *melody.Platform {
-	t.Helper()
-	tracker, err := melody.NewQualityTracker(melody.QualityTrackerConfig{
-		InitialMean: 5.5, InitialVar: 2.25,
-		Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
-		EMPeriod: 10, EMWindow: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := melody.NewPlatform(melody.PlatformConfig{
-		Auction:   melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
-		Estimator: tracker,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
+var _ MultiRunBackend = (*eventlog.PersistentScheduler)(nil)
 
 // TestPersistentServerSurvivesRestart drives runs over HTTP against a
 // WAL-backed server, "crashes" it, boots a replacement from the same log,
@@ -42,11 +21,11 @@ func TestPersistentServerSurvivesRestart(t *testing.T) {
 	ctx := context.Background()
 
 	boot := func() (*httptest.Server, *Client, *eventlog.Log) {
-		backend, wal, err := eventlog.OpenPersistent(walPath, buildPlatform(t))
+		backend, wal, err := eventlog.OpenPersistentScheduler(walPath, newTestBackend(t), eventlog.Options{SyncEveryAppend: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := NewServer(backend, nil)
+		srv, err := NewMultiServer(backend, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +79,7 @@ func TestPersistentServerSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Second life: same log, fresh platform.
+	// Second life: same log, fresh scheduler.
 	ts2, c2, wal2 := boot()
 	defer ts2.Close()
 	defer wal2.Close()
@@ -123,7 +102,7 @@ func TestPersistentServerSurvivesRestart(t *testing.T) {
 	if err := c2.Run("r2").FinishRun(ctx); err != nil {
 		t.Errorf("finish of r2 after restart = %v, want success", err)
 	}
-	// The restored platform accepts the next run.
+	// The restored scheduler accepts the next run.
 	h, err := c2.OpenRunID(ctx, "", "", []TaskSpec{{ID: "after-restart", Threshold: 9}}, 50)
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,8 @@ import (
 // small segmented log.
 func startReplServer(t *testing.T) (*httptest.Server, *eventlog.SegmentedLog) {
 	t.Helper()
-	p, _ := buildLedgerPlatform(t)
-	backend, seg, err := eventlog.OpenPersistentSegmented(t.TempDir(), p, eventlog.SegmentedOptions{
+	sched, _ := newTestScheduler(t, 1000, 0)
+	backend, seg, err := eventlog.OpenSegmentedScheduler(t.TempDir(), sched, eventlog.SegmentedOptions{
 		Options:      eventlog.Options{SyncEveryAppend: true},
 		SegmentBytes: 512,
 	})
@@ -23,7 +23,7 @@ func startReplServer(t *testing.T) (*httptest.Server, *eventlog.SegmentedLog) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { seg.Close() })
-	srv, err := NewServer(backend, nil, WithReplicationSource(seg))
+	srv, err := NewMultiServer(backend, nil, WithReplicationSource(seg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +107,8 @@ func TestReplicationEndpoints(t *testing.T) {
 }
 
 func TestReplicationNotMountedWithoutSource(t *testing.T) {
-	p, _ := buildLedgerPlatform(t)
-	srv, err := NewServer(p, nil)
+	sched, _ := newTestScheduler(t, 1000, 0)
+	srv, err := NewMultiServer(sched, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

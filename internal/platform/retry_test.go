@@ -219,22 +219,8 @@ func TestMutationReplaysAreNoOps(t *testing.T) {
 // close nor the finish ever arrives: the deadlines must move the run along
 // on their own.
 func TestRunDeadlines(t *testing.T) {
-	tracker, err := melody.NewQualityTracker(melody.QualityTrackerConfig{
-		InitialMean: 5.5, InitialVar: 2.25,
-		Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
-		EMPeriod: 10, EMWindow: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := melody.NewPlatform(melody.PlatformConfig{
-		Auction:   melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
-		Estimator: tracker,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(p, nil, WithDeadlines(100*time.Millisecond, 100*time.Millisecond))
+	p := newTestBackend(t)
+	srv, err := NewMultiServer(p, nil, WithDeadlines(100*time.Millisecond, 100*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,8 +247,8 @@ func TestRunDeadlines(t *testing.T) {
 	// Nobody answers or scores: the scoring deadline must finish the run,
 	// observing the winner as missing.
 	waitForPhase(t, client, PhaseIdle)
-	if p.Run() != 1 {
-		t.Errorf("completed runs = %d, want 1", p.Run())
+	if p.CompletedRuns() != 1 {
+		t.Errorf("completed runs = %d, want 1", p.CompletedRuns())
 	}
 }
 

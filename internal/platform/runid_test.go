@@ -1,9 +1,9 @@
 package platform
 
 // Run addressing: every run-scoped route takes the ID POST /v1/runs
-// returned, on both server kinds. A run the server no longer tracks still
-// answers late retries as a finished run, and a single-run server only
-// accepts the name its log can bring back after a restart.
+// returned, whether the client or the server named the run. A run the
+// server no longer tracks still answers late retries as a finished run,
+// and run names and numbers survive a restart.
 
 import (
 	"context"
@@ -12,11 +12,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"melody"
 	"melody/internal/eventlog"
+	"melody/internal/stats"
 )
 
 // wantAPIError fails unless err is an APIError with the status and the
@@ -29,20 +31,14 @@ func wantAPIError(t *testing.T, what string, err error, status int, sentinel err
 	}
 }
 
-// TestCurrentAliasRetired: "current" is no run's name on either server
-// kind, even while a run is in flight with an outcome to return.
+// TestCurrentAliasRetired: "current" is no run's name, whether the client
+// or the server named the run in flight, even while it has an outcome to
+// return.
 func TestCurrentAliasRetired(t *testing.T) {
 	ctx := context.Background()
-	sched, _ := newTestScheduler(t, 1000, 0)
-	_, single := newTestServer(t)
-	for kind, c := range map[string]*Client{
-		"multi":  tenantClient(t, newMultiTestServer(t, sched), "a"),
-		"single": single,
-	} {
-		id := "a-1"
-		if kind == "single" {
-			id = "" // a single-run server names the run itself
-		}
+	for kind, id := range map[string]string{"client-named": "a-1", "server-named": ""} {
+		sched, _ := newTestScheduler(t, 1000, 0)
+		c := tenantClient(t, newMultiTestServer(t, sched), "a")
 		run, err := c.OpenRunID(ctx, id, "a", []TaskSpec{{ID: "t1", Threshold: 10}}, 100)
 		if err != nil {
 			t.Fatalf("%s: open: %v", kind, err)
@@ -136,8 +132,8 @@ func walRecords(t *testing.T, path string) int {
 	return len(events)
 }
 
-// TestFinishedRunRetriedAfterRestart: after a restart the multi-run server
-// tracks no finished runs, but the backend does. A late finish is a no-op
+// TestFinishedRunRetriedAfterRestart: after a restart the server tracks no
+// finished runs, but the backend does. A late open or finish is a no-op
 // success that writes nothing, close and outcome replay the outcome
 // byte for byte, and bids, answers and scores find no open run.
 func TestFinishedRunRetriedAfterRestart(t *testing.T) {
@@ -172,12 +168,16 @@ func TestFinishedRunRetriedAfterRestart(t *testing.T) {
 	ts, c, stop = bootPersistentScheduler(t, path)
 	defer stop()
 	records := walRecords(t, path)
+	spec := []TaskSpec{{ID: "r1-t1", Threshold: 10}, {ID: "r1-t2", Threshold: 10}}
+	if _, err := c.OpenRunID(ctx, "r1", "a", spec, 100); err != nil {
+		t.Errorf("open of r1 after restart = %v, want success", err)
+	}
 	run := c.Run("r1")
 	if err := run.FinishRun(ctx); err != nil {
 		t.Errorf("finish of r1 after restart = %v, want success", err)
 	}
 	if got := walRecords(t, path); got != records {
-		t.Errorf("retried finish appended to the WAL: %d -> %d records", records, got)
+		t.Errorf("retried open and finish appended to the WAL: %d -> %d records", records, got)
 	}
 	for i, body := range bodies(ts) {
 		if string(body) != string(before[i]) {
@@ -194,15 +194,17 @@ func TestFinishedRunRetriedAfterRestart(t *testing.T) {
 	wantAPIError(t, "finish of a never-opened run", err, http.StatusNotFound, melody.ErrUnknownRun)
 }
 
-// bootPersistentPlatform opens the single-run WAL at path into a fresh
-// platform and serves it with the given scoring deadline.
-func bootPersistentPlatform(t *testing.T, path string, scoreDeadline time.Duration) (*Client, *eventlog.PersistentPlatform, func()) {
+// bootOneTenant opens the WAL at path into a fresh unfunded scheduler and
+// serves it with the given scoring deadline to a client that names no
+// tenant.
+func bootOneTenant(t *testing.T, path string, scoreDeadline time.Duration) (*Client, *melody.RunScheduler, func()) {
 	t.Helper()
-	pp, wal, err := eventlog.OpenPersistent(path, buildPlatform(t))
+	sched := newTestBackend(t)
+	ps, wal, err := eventlog.OpenPersistentScheduler(path, sched, eventlog.Options{SyncEveryAppend: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(pp, nil, WithDeadlines(0, scoreDeadline))
+	srv, err := NewMultiServer(ps, nil, WithDeadlines(0, scoreDeadline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +213,7 @@ func bootPersistentPlatform(t *testing.T, path string, scoreDeadline time.Durati
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, pp, func() {
+	return c, sched, func() {
 		ts.Close()
 		if err := wal.Close(); err != nil {
 			t.Error(err)
@@ -243,33 +245,9 @@ func openAndClose(t *testing.T, c *Client, id string, tasks []TaskSpec) (*RunAPI
 	return run, out
 }
 
-// TestSingleRunRefusesClientRunName: the single-run log cannot record a
-// client's run name, so an open under any name but the server's is
-// refused before it reaches the log.
-func TestSingleRunRefusesClientRunName(t *testing.T) {
-	ctx := context.Background()
-	path := filepath.Join(t.TempDir(), "platform.wal")
-	c, pp, stop := bootPersistentPlatform(t, path, 0)
-	defer stop()
-	records := walRecords(t, path)
-	_, err := c.OpenRunID(ctx, "job-1", "", []TaskSpec{{ID: "t1", Threshold: 9}}, 100)
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
-		t.Fatalf("open of job-1 = %v, want HTTP 400", err)
-	}
-	if got := walRecords(t, path); got != records {
-		t.Errorf("refused open appended to the WAL: %d -> %d records", records, got)
-	}
-	if pp.State().Open {
-		t.Error("refused open opened a run")
-	}
-	if runs, err := c.Runs(ctx); err != nil || len(runs) != 0 {
-		t.Errorf("runs after a refused open = %v, %v; want none", runs, err)
-	}
-}
-
-// TestSingleRunRestartRedrivesClosedRun: a run closed before a restart is
-// re-driven by its server name. The retried open finds the resumed run
+// TestSingleRunRestartRedrivesClosedRun: on a one-tenant server, a run
+// closed before a restart is re-driven by its server name or by an open
+// that names no run. The retried open finds the resumed run
 // instead of starting a second one, and once it finishes, its scoring
 // deadline can no longer finish the next run.
 func TestSingleRunRestartRedrivesClosedRun(t *testing.T) {
@@ -277,11 +255,11 @@ func TestSingleRunRestartRedrivesClosedRun(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "platform.wal")
 	tasks1 := []TaskSpec{{ID: "t1", Threshold: 9}}
-	c, _, stop := bootPersistentPlatform(t, path, 0)
+	c, _, stop := bootOneTenant(t, path, 0)
 	openAndClose(t, c, "", tasks1)
 	stop()
 
-	c, pp, stop := bootPersistentPlatform(t, path, scoreDeadline)
+	c, sched, stop := bootOneTenant(t, path, scoreDeadline)
 	defer stop()
 	resumed := time.Now() // r1's scoring deadline was armed before this
 	for _, id := range []string{"r1", ""} {
@@ -314,7 +292,7 @@ func TestSingleRunRestartRedrivesClosedRun(t *testing.T) {
 		t.Fatalf("next run named %q, want r2", run2.ID())
 	}
 	time.Sleep(time.Until(resumed.Add(scoreDeadline + scoreDeadline/4)))
-	if got := pp.Run(); got != 1 {
+	if got := sched.CompletedRuns(); got != 1 {
 		t.Fatalf("completed runs = %d once r1's deadline passed, want 1 (r2 finished early)", got)
 	}
 	for _, a := range out.Assignments {
@@ -325,7 +303,122 @@ func TestSingleRunRestartRedrivesClosedRun(t *testing.T) {
 	if err := run2.FinishRun(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := pp.Run(); got != 2 {
+	if got := sched.CompletedRuns(); got != 2 {
 		t.Errorf("completed runs = %d, want 2", got)
+	}
+}
+
+// TestAgentsBidInFirstRunAfterRestart: worker agents that outlive a
+// server restart bid in the first run opened after it. They follow runs by
+// ID, and the run's number comes from the backend, so it does not restart
+// at 1 with the process.
+func TestAgentsBidInFirstRunAfterRestart(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "sched.wal")
+	// One listener for both lives, so the agents reach the rebooted server
+	// at the address they already poll.
+	var handler atomic.Pointer[http.Handler]
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		(*handler.Load()).ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	boot := func() func() {
+		ps, wal, err := eventlog.OpenPersistentScheduler(path, newTestBackend(t), eventlog.Options{SyncEveryAppend: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewMultiServer(ps, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		handler.Store(&h)
+		return func() {
+			if err := wal.Close(); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	stop := boot()
+	client, err := NewClient(ts.URL, ts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		agent, err := NewWorkerAgent(ctx, WorkerAgentConfig{
+			Client: client, WorkerID: fmt.Sprintf("w%d", i),
+			Cost: 1.1 + 0.2*float64(i), Frequency: 2,
+			LatentQuality: func(int) float64 { return 7 },
+			ScoreSigma:    0.1,
+			PollInterval:  5 * time.Millisecond,
+			RNG:           stats.NewRNG(int64(i + 1)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer agent.Stop()
+	}
+	season := func(id string, wantNum int) {
+		t.Helper()
+		run, err := client.OpenRunID(ctx, id, "", []TaskSpec{{ID: id + "-t", Threshold: 9}}, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := client.Status(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(300 * time.Millisecond) // the agents' bidding window
+		out, err := run.CloseAuction(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run.FinishRun(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if st.Run != wantNum || len(out.Assignments) == 0 {
+			t.Errorf("run %s: status run %d with %d assignments, want run %d with some", id, st.Run, len(out.Assignments), wantNum)
+		}
+	}
+	season("a", 1)
+	stop()
+	stop = boot()
+	defer func() { stop() }()
+	season("b", 2)
+	season("c", 3)
+}
+
+// TestUnnamedOpenNaming: an open that names no run is named r<n> for the
+// number the backend gives it, skipping a name a client already took, and
+// while the tenant's run is in flight it retries that run: the same spec
+// gets its ID again, another spec 409. An open that names no tenant runs
+// under the default tenant.
+func TestUnnamedOpenNaming(t *testing.T) {
+	ctx := context.Background()
+	sched, _ := newTestScheduler(t, 1000, 0)
+	ts := newMultiTestServer(t, sched)
+	a, b := tenantClient(t, ts, "a"), tenantClient(t, ts, "b")
+	if _, err := a.OpenRunID(ctx, "r2", "a", []TaskSpec{{ID: "ta", Threshold: 10}}, 100); err != nil {
+		t.Fatal(err)
+	}
+	spec := []TaskSpec{{ID: "tb", Threshold: 10}}
+	for i := 0; i < 2; i++ {
+		run, err := b.OpenRunID(ctx, "", "", spec, 100)
+		if err != nil || run.ID() != "r3" {
+			t.Fatalf("unnamed open %d = %v, %v; want r3", i, run, err)
+		}
+	}
+	if info, err := sched.Run("r3"); err != nil || info.Num != 2 || info.Tenant != "b" {
+		t.Errorf("r3 = %+v, %v; want tenant b's run number 2", info, err)
+	}
+	_, err := b.OpenRunID(ctx, "", "", []TaskSpec{{ID: "other", Threshold: 10}}, 100)
+	wantAPIError(t, "unnamed open with another spec", err, http.StatusConflict, melody.ErrRunOpen)
+
+	anon := tenantClient(t, ts, "")
+	if run, err := anon.OpenRunID(ctx, "", "", spec, 100); err != nil || run.ID() != "r4" {
+		t.Fatalf("tenant-less open = %v, %v; want r4", run, err)
+	}
+	if info, err := sched.Run("r4"); err != nil || info.Tenant != melody.DefaultTenant {
+		t.Errorf("r4 = %+v, %v; want the default tenant's run", info, err)
 	}
 }

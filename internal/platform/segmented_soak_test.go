@@ -4,12 +4,15 @@ package platform
 // engine (rotation, snapshots, compaction) through the chaos middleware,
 // with deterministic kill points — mid-segment append, mid-rotation rename,
 // mid-snapshot write — armed mid-season, plus a primary-kill /
-// replica-promotion soak. After every life the recovered (or promoted)
-// platform must be bit-identical to the state the previous life
-// acknowledged, money must be conserved, and no run may overspend.
+// replica-promotion soak. Two tenants take turns opening runs on one run
+// scheduler, so every finish leaves no run open and may snapshot. After
+// every life the recovered (or promoted) scheduler must be bit-identical
+// to the state the previous life acknowledged, money must be conserved,
+// and no run may overspend.
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http/httptest"
@@ -23,15 +26,97 @@ import (
 	"melody/internal/stats"
 )
 
+// soakTenants take turns: run n belongs to soakTenants[n%2].
+var soakTenants = [2]string{"acme", "zeta"}
+
 // segWorld is one life of the platform on the segmented engine.
 type segWorld struct {
-	platform  *melody.Platform
-	ledger    *melody.Ledger
-	backend   *eventlog.PersistentPlatform
-	seg       *eventlog.SegmentedLog
-	ts        *httptest.Server
-	agents    []*WorkerAgent
-	requester *Requester
+	sched      *melody.RunScheduler
+	ledger     *melody.Ledger
+	backend    *eventlog.PersistentScheduler
+	seg        *eventlog.SegmentedLog
+	ts         *httptest.Server
+	agents     []*WorkerAgent
+	requesters [2]*Requester
+}
+
+// runOnce drives season run n as its tenant's requester.
+func (w *segWorld) runOnce(ctx context.Context, n int) (OutcomeResponse, error) {
+	return w.requesters[n%2].RunOnce(ctx, n)
+}
+
+// newSoakAgents starts the season's four worker agents against baseURL.
+func newSoakAgents(t *testing.T, ctx context.Context, prefix string, newClient func(tenant string) *Client, rng *stats.RNG) []*WorkerAgent {
+	t.Helper()
+	var agents []*WorkerAgent
+	for i := 0; i < 4; i++ {
+		latent := 4 + float64(i)*1.5
+		agent, err := NewWorkerAgent(ctx, WorkerAgentConfig{
+			Client:        newClient(""),
+			WorkerID:      fmt.Sprintf("%s-%d", prefix, i),
+			Cost:          1.1 + 0.2*float64(i),
+			Frequency:     2,
+			LatentQuality: func(int) float64 { return latent },
+			ScoreSigma:    0.4,
+			PollInterval:  10 * time.Millisecond,
+			RNG:           rng.Split(),
+		})
+		if err != nil {
+			t.Fatalf("agent %d: %v", i, err)
+		}
+		agents = append(agents, agent)
+	}
+	return agents
+}
+
+// newSoakRequesters builds one requester per soak tenant.
+func newSoakRequesters(t *testing.T, newClient func(tenant string) *Client) [2]*Requester {
+	t.Helper()
+	var out [2]*Requester
+	for i, tenant := range soakTenants {
+		r, err := NewRequester(RequesterConfig{
+			Client:        newClient(tenant),
+			Tasks:         soakTasks,
+			Budget:        soakBudget,
+			BidWait:       150 * time.Millisecond,
+			AnswerTimeout: 5 * time.Second,
+			ScoreLo:       1, ScoreHi: 10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// soakClients returns a factory of retrying clients for ts, one tenant
+// each ("" for none).
+func soakClients(t *testing.T, ts *httptest.Server) func(tenant string) *Client {
+	policy := RetryPolicy{MaxAttempts: 8, BaseDelay: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
+	return func(tenant string) *Client {
+		c, err := NewClientOptions(ts.URL, ClientOptions{HTTPClient: ts.Client(), Retry: &policy, Tenant: tenant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+}
+
+// schedulerState renders a scheduler's full state as its snapshot
+// encoding, the form the recovery oracles compare byte for byte. The
+// scheduler must have no run open.
+func schedulerState(t *testing.T, s *melody.RunScheduler) []byte {
+	t.Helper()
+	snap, err := s.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 func segSoakOptions(fp *chaos.Failpoints) eventlog.SegmentedOptions {
@@ -45,12 +130,12 @@ func segSoakOptions(fp *chaos.Failpoints) eventlog.SegmentedOptions {
 
 func startSegWorld(t *testing.T, ctx context.Context, dir string, fp *chaos.Failpoints, scenario chaos.Scenario, rng *stats.RNG) *segWorld {
 	t.Helper()
-	p, ledger := buildLedgerPlatform(t)
-	backend, seg, err := eventlog.OpenPersistentSegmented(dir, p, segSoakOptions(fp))
+	sched, ledger := newTestScheduler(t, soakDeposit, 0)
+	backend, seg, err := eventlog.OpenSegmentedScheduler(dir, sched, segSoakOptions(fp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(backend, nil,
+	srv, err := NewMultiServer(backend, nil,
 		WithDeadlines(10*time.Second, 10*time.Second),
 		WithReplicationSource(seg))
 	if err != nil {
@@ -63,46 +148,12 @@ func startSegWorld(t *testing.T, ctx context.Context, dir string, fp *chaos.Fail
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(handler)
-
-	policy := RetryPolicy{MaxAttempts: 8, BaseDelay: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
-	newRetryingClient := func() *Client {
-		c, err := NewClientWithPolicy(ts.URL, ts.Client(), policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
+	clients := soakClients(t, ts)
+	return &segWorld{
+		sched: sched, ledger: ledger, backend: backend, seg: seg, ts: ts,
+		agents:     newSoakAgents(t, ctx, "seg", clients, rng),
+		requesters: newSoakRequesters(t, clients),
 	}
-
-	w := &segWorld{platform: p, ledger: ledger, backend: backend, seg: seg, ts: ts}
-	for i := 0; i < 4; i++ {
-		latent := 4 + float64(i)*1.5
-		agent, err := NewWorkerAgent(ctx, WorkerAgentConfig{
-			Client:        newRetryingClient(),
-			WorkerID:      fmt.Sprintf("seg-%d", i),
-			Cost:          1.1 + 0.2*float64(i),
-			Frequency:     2,
-			LatentQuality: func(int) float64 { return latent },
-			ScoreSigma:    0.4,
-			PollInterval:  10 * time.Millisecond,
-			RNG:           rng.Split(),
-		})
-		if err != nil {
-			t.Fatalf("agent %d: %v", i, err)
-		}
-		w.agents = append(w.agents, agent)
-	}
-	w.requester, err = NewRequester(RequesterConfig{
-		Client:        newRetryingClient(),
-		Tasks:         soakTasks,
-		Budget:        soakBudget,
-		BidWait:       150 * time.Millisecond,
-		AnswerTimeout: 5 * time.Second,
-		ScoreLo:       1, ScoreHi: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
 }
 
 // kill tears the world down abruptly; state survives only on disk.
@@ -118,47 +169,20 @@ func (w *segWorld) kill(t *testing.T) {
 }
 
 // assertRecoveredMatchesLive boots a throwaway recovery from dir and
-// compares it against the given live state: run counter, worker set, exact
-// quality floats, exact ledger balances.
-func assertRecoveredMatchesLive(t *testing.T, dir string, live *melody.Platform, liveLedger *melody.Ledger) {
+// demands the live scheduler's exact state: runs, workers, quality floats,
+// ledger, settler and tenant records.
+func assertRecoveredMatchesLive(t *testing.T, dir string, live *melody.RunScheduler) {
 	t.Helper()
-	p, ledger := buildLedgerPlatform(t)
-	backend, seg, err := eventlog.OpenPersistentSegmented(dir, p, eventlog.SegmentedOptions{
+	sched, _ := newTestScheduler(t, soakDeposit, 0)
+	_, seg, err := eventlog.OpenSegmentedScheduler(dir, sched, eventlog.SegmentedOptions{
 		Options: eventlog.Options{SyncEveryAppend: true},
 	})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer seg.Close()
-	_ = backend
-	if p.Run() != live.Run() {
-		t.Errorf("recovered runs = %d, live = %d", p.Run(), live.Run())
-	}
-	liveWorkers := live.Workers()
-	gotWorkers := p.Workers()
-	if len(gotWorkers) != len(liveWorkers) {
-		t.Fatalf("recovered workers = %v, live = %v", gotWorkers, liveWorkers)
-	}
-	for i, id := range liveWorkers {
-		if gotWorkers[i] != id {
-			t.Fatalf("recovered workers = %v, live = %v", gotWorkers, liveWorkers)
-		}
-		lq, err := live.Quality(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rq, err := p.Quality(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lq != rq {
-			t.Errorf("worker %s: recovered quality %v != live %v", id, rq, lq)
-		}
-	}
-	for _, acc := range liveLedger.Accounts() {
-		if got := ledger.Balance(acc.Account); math.Abs(got-acc.Balance) > 1e-9 {
-			t.Errorf("account %s: recovered balance %.6f != live %.6f", acc.Account, got, acc.Balance)
-		}
+	if got, want := schedulerState(t, sched), schedulerState(t, live); string(got) != string(want) {
+		t.Errorf("recovered state differs from live:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -191,10 +215,11 @@ func assertMoneyConserved(t *testing.T, ledger *melody.Ledger, outcomes []Outcom
 	}
 }
 
-// TestSegmentedChaosSoakSeason runs a 14-run season on the segmented engine
-// through chaos middleware, with three armed kills: mid-segment append,
-// mid-rotation rename, and mid-snapshot write. Each kill is followed by a
-// recovery whose state must match what the dead life had acknowledged.
+// TestSegmentedChaosSoakSeason runs a 14-run, two-tenant season on the
+// segmented engine through chaos middleware, with three armed kills:
+// mid-segment append, mid-rotation rename, and mid-snapshot write. Each
+// kill is followed by a recovery whose state must match what the dead life
+// had acknowledged.
 func TestSegmentedChaosSoakSeason(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak is a long test")
@@ -220,7 +245,7 @@ func TestSegmentedChaosSoakSeason(t *testing.T) {
 		w := startSegWorld(t, ctx, dir, fp, scenario, rng)
 		healthy := run + 2
 		for ; run <= healthy && run <= totalRuns; run++ {
-			out, err := w.requester.RunOnce(ctx, run)
+			out, err := w.runOnce(ctx, run)
 			if err != nil {
 				t.Fatalf("life %d run %d: %v", life, run, err)
 			}
@@ -229,13 +254,13 @@ func TestSegmentedChaosSoakSeason(t *testing.T) {
 		// Arm the kill: the next append that crosses the point poisons the
 		// log, so some run soon fails mid-flight.
 		fp.Arm(kp, 1)
-		liveRuns := w.platform.Run()
+		liveRuns := w.sched.CompletedRuns()
 		for ; run <= totalRuns; run++ {
-			out, err := w.requester.RunOnce(ctx, run)
+			out, err := w.runOnce(ctx, run)
 			if err != nil {
 				break
 			}
-			liveRuns = w.platform.Run()
+			liveRuns = w.sched.CompletedRuns()
 			outcomes = append(outcomes, out)
 		}
 		if fp.Fired(kp) == 0 {
@@ -245,20 +270,21 @@ func TestSegmentedChaosSoakSeason(t *testing.T) {
 
 		// Recovery must reach at least the acknowledged completed runs and
 		// reproduce the quality state for fully settled history.
-		p2, _ := buildLedgerPlatform(t)
-		_, seg2, err := eventlog.OpenPersistentSegmented(dir, p2, eventlog.SegmentedOptions{
+		s2, _ := newTestScheduler(t, soakDeposit, 0)
+		_, seg2, err := eventlog.OpenSegmentedScheduler(dir, s2, eventlog.SegmentedOptions{
 			Options: eventlog.Options{SyncEveryAppend: true},
 		})
 		if err != nil {
 			t.Fatalf("life %d recovery: %v", life, err)
 		}
-		if p2.Run() < liveRuns {
-			t.Errorf("life %d: recovered %d runs, acknowledged %d", life, p2.Run(), liveRuns)
+		if s2.CompletedRuns() < liveRuns {
+			t.Errorf("life %d: recovered %d runs, acknowledged %d", life, s2.CompletedRuns(), liveRuns)
 		}
 		seg2.Close()
-		// The failed run is re-driven from the top next life (idempotent
-		// mutation protocol), so rewind the loop to it.
-		run = p2.Run() + 1
+		// The failed run is re-driven from the top next life by its
+		// tenant's unnamed open, which retries the run the tenant still has
+		// in flight, so rewind the loop to it.
+		run = s2.CompletedRuns() + 1
 	}
 
 	// Final life: no kills on the write path, but arm the snapshot point —
@@ -269,7 +295,7 @@ func TestSegmentedChaosSoakSeason(t *testing.T) {
 	fp.Arm(eventlog.FailpointSnapshotWrite, 1)
 	snapKillSeen := false
 	for ; run <= totalRuns; run++ {
-		out, err := w.requester.RunOnce(ctx, run)
+		out, err := w.runOnce(ctx, run)
 		if err != nil {
 			t.Fatalf("final life run %d: %v", run, err)
 		}
@@ -284,22 +310,31 @@ func TestSegmentedChaosSoakSeason(t *testing.T) {
 			}
 		}
 	}
-	if w.platform.Run() != totalRuns {
-		t.Errorf("completed runs = %d, want %d", w.platform.Run(), totalRuns)
+	if !snapKillSeen {
+		t.Error("the mid-snapshot kill point never fired")
+	}
+	if err := w.backend.SnapshotErr(); err != nil {
+		t.Errorf("the season ended on a failed snapshot: %v", err)
+	}
+	if w.seg.SnapshotSeq() == 0 {
+		t.Error("the season ended without an installed snapshot")
+	}
+	if w.sched.CompletedRuns() != totalRuns {
+		t.Errorf("completed runs = %d, want %d", w.sched.CompletedRuns(), totalRuns)
 	}
 	assertMoneyConserved(t, w.ledger, outcomes)
 
 	// The finished season recovers bit-identically.
 	w.kill(t)
-	assertRecoveredMatchesLive(t, dir, w.platform, w.ledger)
+	assertRecoveredMatchesLive(t, dir, w.sched)
 }
 
 // TestReplicaPromotionSoak kills a primary mid-season and promotes a
 // replica that had been streaming its segments over the wire (through the
-// same chaos middleware as the client traffic). The promoted platform must
-// be bit-identical both to the primary's acknowledged state and to a full
-// from-scratch replay of the replica's files, must conserve money, and must
-// keep serving runs.
+// same chaos middleware as the client traffic). The promoted scheduler
+// must be bit-identical both to the primary's acknowledged state and to a
+// full from-scratch replay of the replica's files, must conserve money,
+// and must keep serving both tenants' runs.
 func TestReplicaPromotionSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak is a long test")
@@ -314,10 +349,10 @@ func TestReplicaPromotionSoak(t *testing.T) {
 		DelayMax: time.Millisecond,
 	}
 
-	p, ledger := buildLedgerPlatform(t)
+	primary, _ := newTestScheduler(t, soakDeposit, 0)
 	// Compaction stays off on the primary so the replica mirrors the whole
 	// chain and a full from-scratch replay oracle is possible.
-	backend, seg, err := eventlog.OpenPersistentSegmented(primaryDir, p, eventlog.SegmentedOptions{
+	backend, seg, err := eventlog.OpenSegmentedScheduler(primaryDir, primary, eventlog.SegmentedOptions{
 		Options:           eventlog.Options{SyncEveryAppend: true},
 		SegmentBytes:      1024,
 		SnapshotEvery:     30,
@@ -326,7 +361,7 @@ func TestReplicaPromotionSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(backend, nil,
+	srv, err := NewMultiServer(backend, nil,
 		WithDeadlines(10*time.Second, 10*time.Second),
 		WithReplicationSource(seg))
 	if err != nil {
@@ -337,43 +372,10 @@ func TestReplicaPromotionSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(handler)
-
+	clients := soakClients(t, ts)
+	agents := newSoakAgents(t, ctx, "rep", clients, rng)
+	requesters := newSoakRequesters(t, clients)
 	policy := RetryPolicy{MaxAttempts: 8, BaseDelay: 2 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
-	newClient := func() *Client {
-		c, err := NewClientWithPolicy(ts.URL, ts.Client(), policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	var agents []*WorkerAgent
-	for i := 0; i < 4; i++ {
-		latent := 4 + float64(i)*1.5
-		agent, err := NewWorkerAgent(ctx, WorkerAgentConfig{
-			Client:        newClient(),
-			WorkerID:      fmt.Sprintf("rep-%d", i),
-			Cost:          1.1 + 0.2*float64(i),
-			Frequency:     2,
-			LatentQuality: func(int) float64 { return latent },
-			ScoreSigma:    0.4,
-			PollInterval:  10 * time.Millisecond,
-			RNG:           rng.Split(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		agents = append(agents, agent)
-	}
-	requester, err := NewRequester(RequesterConfig{
-		Client:  newClient(),
-		Tasks:   soakTasks,
-		Budget:  soakBudget,
-		BidWait: 150 * time.Millisecond, AnswerTimeout: 5 * time.Second,
-		ScoreLo: 1, ScoreHi: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// The replica streams over the same chaotic wire the clients use.
 	replSrcClient, err := NewClientWithPolicy(ts.URL, ts.Client(), policy)
@@ -392,7 +394,7 @@ func TestReplicaPromotionSoak(t *testing.T) {
 	var outcomes []OutcomeResponse
 	const runs = 10
 	for run := 1; run <= runs; run++ {
-		out, err := requester.RunOnce(ctx, run)
+		out, err := requesters[run%2].RunOnce(ctx, run)
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -423,63 +425,37 @@ func TestReplicaPromotionSoak(t *testing.T) {
 	}
 
 	// Promote the replica: standard recovery over its mirrored files.
-	pp, pledger := buildLedgerPlatform(t)
-	promoted, pseg, err := eventlog.OpenPersistentSegmented(replicaDir, pp, eventlog.SegmentedOptions{
+	promotedSched, pledger := newTestScheduler(t, soakDeposit, 0)
+	promoted, pseg, err := eventlog.OpenSegmentedScheduler(replicaDir, promotedSched, eventlog.SegmentedOptions{
 		Options:      eventlog.Options{SyncEveryAppend: true},
 		SegmentBytes: 1024, SnapshotEvery: 30, DisableCompaction: true,
 	})
 	if err != nil {
 		t.Fatalf("promotion: %v", err)
 	}
+	defer pseg.Close()
 
-	// Oracle 1: bit-identical to the primary's acknowledged state.
-	if pp.Run() != p.Run() {
-		t.Errorf("promoted runs = %d, primary = %d", pp.Run(), p.Run())
-	}
-	for _, id := range p.Workers() {
-		lq, err := p.Quality(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := pp.Quality(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q != lq {
-			t.Errorf("worker %s: promoted quality %v != primary %v", id, q, lq)
-		}
-	}
-	for _, acc := range ledger.Accounts() {
-		if got := pledger.Balance(acc.Account); math.Abs(got-acc.Balance) > 1e-9 {
-			t.Errorf("account %s: promoted balance %.6f != primary %.6f", acc.Account, got, acc.Balance)
-		}
-	}
-
-	// Oracle 2: bit-identical to a full from-scratch replay of the replica's
-	// own files (no snapshot shortcut).
-	replayed, _ := buildLedgerPlatform(t)
+	// Oracle 1: bit-identical to the primary's acknowledged state. Oracle
+	// 2: bit-identical to a full from-scratch replay of the replica's own
+	// files (no snapshot shortcut).
+	replayed, _ := newTestScheduler(t, soakDeposit, 0)
 	if err := eventlog.ReplaySegments(replicaDir, replayed); err != nil {
 		t.Fatalf("full replay of replica files: %v", err)
 	}
-	for _, id := range pp.Workers() {
-		q, err := pp.Quality(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rq, err := replayed.Quality(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q != rq {
-			t.Errorf("worker %s: promoted %v != full replay %v", id, q, rq)
-		}
+	state := schedulerState(t, promotedSched)
+	if want := schedulerState(t, primary); string(state) != string(want) {
+		t.Errorf("promoted state differs from the primary's:\n got %s\nwant %s", state, want)
+	}
+	if want := schedulerState(t, replayed); string(state) != string(want) {
+		t.Errorf("promoted state differs from a full replay:\n got %s\nwant %s", state, want)
 	}
 
 	// Money conservation on the promoted node.
 	assertMoneyConserved(t, pledger, outcomes)
 
-	// The promoted node keeps serving: two more runs through a fresh server.
-	srv2, err := NewServer(promoted, nil,
+	// The promoted node keeps serving: one more run per tenant through a
+	// fresh server.
+	srv2, err := NewMultiServer(promoted, nil,
 		WithDeadlines(10*time.Second, 10*time.Second),
 		WithReplicationSource(pseg))
 	if err != nil {
@@ -487,53 +463,20 @@ func TestReplicaPromotionSoak(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
-	defer pseg.Close()
-	newClient2 := func() *Client {
-		c, err := NewClientWithPolicy(ts2.URL, ts2.Client(), policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	var agents2 []*WorkerAgent
-	for i := 0; i < 4; i++ {
-		latent := 4 + float64(i)*1.5
-		agent, err := NewWorkerAgent(ctx, WorkerAgentConfig{
-			Client:        newClient2(),
-			WorkerID:      fmt.Sprintf("rep-%d", i),
-			Cost:          1.1 + 0.2*float64(i),
-			Frequency:     2,
-			LatentQuality: func(int) float64 { return latent },
-			ScoreSigma:    0.4,
-			PollInterval:  10 * time.Millisecond,
-			RNG:           rng.Split(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		agents2 = append(agents2, agent)
-	}
+	clients2 := soakClients(t, ts2)
+	agents2 := newSoakAgents(t, ctx, "rep", clients2, rng)
 	defer func() {
 		for _, a := range agents2 {
 			_ = a.Stop()
 		}
 	}()
-	requester2, err := NewRequester(RequesterConfig{
-		Client:  newClient2(),
-		Tasks:   soakTasks,
-		Budget:  soakBudget,
-		BidWait: 150 * time.Millisecond, AnswerTimeout: 5 * time.Second,
-		ScoreLo: 1, ScoreHi: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	requesters2 := newSoakRequesters(t, clients2)
 	for run := runs + 1; run <= runs+2; run++ {
-		if _, err := requester2.RunOnce(ctx, run); err != nil {
+		if _, err := requesters2[run%2].RunOnce(ctx, run); err != nil {
 			t.Fatalf("post-promotion run %d: %v", run, err)
 		}
 	}
-	if pp.Run() != runs+2 {
-		t.Errorf("post-promotion completed runs = %d, want %d", pp.Run(), runs+2)
+	if promotedSched.CompletedRuns() != runs+2 {
+		t.Errorf("post-promotion completed runs = %d, want %d", promotedSched.CompletedRuns(), runs+2)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,36 +15,15 @@ import (
 	"melody/internal/obs"
 )
 
-// Backend is the single-run platform surface the HTTP server drives. It is
-// satisfied by *melody.Platform and by eventlog.PersistentPlatform (the
-// write-ahead-logged variant used with -wal).
-// Mutations take the request context first, so cancellation and deadlines
-// reach the backend's durability waits; read-only queries are lock-scoped
-// and context-free. The batch methods apply a whole slice of bids or scores
+// MultiRunBackend is the platform surface the HTTP server drives: every
+// run-scoped mutation is keyed by run ID, so N runs from different tenants
+// proceed concurrently. It is satisfied by *melody.RunScheduler and by
+// eventlog.PersistentScheduler (the WAL-backed variant). Mutations take
+// the request context first, so cancellation and deadlines reach the
+// backend's durability waits; read-only queries are lock-scoped and
+// context-free. The batch methods apply a whole slice of bids or scores
 // under one lock acquisition (and, for the WAL backend, one group commit)
 // with per-item errors.
-type Backend interface {
-	RegisterWorker(ctx context.Context, workerID string) error
-	OpenRun(ctx context.Context, tasks []melody.Task, budget float64) error
-	SubmitBid(ctx context.Context, workerID string, bid melody.Bid) error
-	SubmitBids(ctx context.Context, bids []melody.WorkerBid) melody.BatchResult
-	CloseAuction(ctx context.Context) (*melody.Outcome, error)
-	SubmitScore(ctx context.Context, workerID, taskID string, score float64) error
-	SubmitScores(ctx context.Context, scores []melody.TaskScore) melody.BatchResult
-	FinishRun(ctx context.Context) error
-	Workers() []string
-	Run() int
-	State() melody.RunState
-	Quality(workerID string) (float64, error)
-	Forecast(workerID string, steps int) (melody.QualityForecast, error)
-}
-
-var _ Backend = (*melody.Platform)(nil)
-
-// MultiRunBackend is the multi-tenant platform surface: every run-scoped
-// mutation is keyed by run ID, so N runs from different tenants proceed
-// concurrently. It is satisfied by *melody.RunScheduler and by
-// eventlog.PersistentScheduler (the WAL-backed variant).
 type MultiRunBackend interface {
 	RegisterWorker(ctx context.Context, workerID string) error
 	OpenRun(ctx context.Context, runID, tenant string, tasks []melody.Task, budget float64) error
@@ -85,44 +63,37 @@ const maxDoneRuns = 1024
 type runState struct {
 	id     string
 	tenant string
-	num    int // 1-based open index, for logs, spans and status
+	num    int // the backend's run number (melody.RunInfo.Num), for spans and status
 
 	mu      sync.Mutex
 	phase   Phase
-	tasks   []melody.Task // open spec for replay detection; nil after resume
-	budget  float64
-	spec    bool            // whether tasks/budget record the open spec
 	outcome *melody.Outcome // the backend's own; nothing mutates it after close
 	answers []Answer
 	timer   *time.Timer // pending phase-deadline action, nil when disarmed
 	span    *obs.ActiveSpan
 	done    bool
-	// quotaRelease returns the tenant's runs-in-flight quota slot; nil
-	// once released (or when no quota is armed).
-	quotaRelease func()
 }
 
-// Server exposes a platform backend over HTTP. It adds the answer-routing
-// layer (workers submit answers, the requester fetches them for scoring)
-// that the core platform leaves to the deployment, plus the run-deadline
-// watchdog that keeps a season moving when workers or the requester crash
-// mid-run.
+// Server exposes a run-scheduler backend over HTTP. It adds the
+// answer-routing layer (workers submit answers, the requester fetches them
+// for scoring) that the core platform leaves to the deployment, plus the
+// run-deadline watchdog that keeps a season moving when workers or the
+// requester crash mid-run.
 //
 // Runs are addressed as /v1/runs/{id}/..., by the ID POST /v1/runs
-// returns. A Server drives either a single-run Backend (NewServer), which
-// names its runs "r<n>", or a MultiRunBackend (NewMultiServer, e.g. a
-// melody.RunScheduler) — on the latter, runs from different tenants move
-// through bidding→scoring→finish concurrently under client-chosen IDs.
+// returns; runs from different tenants move through
+// bidding→scoring→finish concurrently. A client may name a run; the
+// server names the others "r<n>" (see handleOpenRun).
 //
-// Locking: Server.mu guards only the run registry (runs map, open order,
-// counters) and is never held across a backend call; each
-// runState.mu guards that run's phase/outcome/answers. Lock order:
-// Server.mu and runState.mu are never nested except registry-then-run for
-// reads; backend-internal locks are below both.
+// Locking: Server.mu guards only the run registry (runs map, open order)
+// and is never held across a backend call; each runState.mu guards that
+// run's phase/outcome/answers; nameMu serializes the opens the server
+// names. Lock order: nameMu first; Server.mu and runState.mu are never
+// nested except registry-then-run for reads; backend-internal locks are
+// below all of them.
 type Server struct {
-	platform Backend         // single-run backend; nil in multi-run mode
-	multi    MultiRunBackend // multi-run backend; nil in single-run mode
-	log      *slog.Logger
+	backend MultiRunBackend
+	log     *slog.Logger
 
 	// Per-endpoint metric families and the span tracer; nil (no-op) unless
 	// WithMetrics / WithTracer were given.
@@ -139,16 +110,16 @@ type Server struct {
 
 	// admission, when non-nil, gates the sheddable ingest endpoints
 	// (register/bid/answer) behind bounded queues and per-tenant rate
-	// limits, and bounds per-tenant runs in flight; the control plane and
-	// scoring are never shed, so an opened run always settles. See
-	// AdmissionConfig.
+	// limits; the control plane and scoring are never shed, so an opened
+	// run always settles. See AdmissionConfig.
 	admission *admission
+
+	nameMu sync.Mutex // held from naming an unnamed open until the backend opens it
 
 	mu        sync.RWMutex
 	runs      map[string]*runState // by run ID, in-flight and recently done
 	order     []string             // in-flight run IDs in open order
 	doneOrder []string             // finished run IDs, for bounded retention
-	opened    int                  // runs opened on a multi-run backend, for run numbers
 
 	// replSrc, when non-nil, exposes the storage engine's durable files on
 	// the /v1/replication endpoints; replMu guards the ack positions.
@@ -181,12 +152,19 @@ func WithTracer(tr *obs.Tracer) ServerOption {
 	return func(s *Server) { s.tracer = tr }
 }
 
-// newServer builds the common server shell and binds instruments.
-func newServer(logger *slog.Logger, opts ...ServerOption) *Server {
+// NewMultiServer wraps a run-scheduler backend (a melody.RunScheduler or
+// its WAL-backed variant) in the HTTP API, with concurrent per-run state
+// machines. logger may be nil to disable request logging. Every run the
+// backend reports open — after a WAL crash recovery — is resumed with its
+// phase, outcome and deadline rather than idling forever.
+func NewMultiServer(m MultiRunBackend, logger *slog.Logger, opts ...ServerOption) (*Server, error) {
+	if m == nil {
+		return nil, errors.New("platform: nil backend")
+	}
 	if logger == nil {
 		logger = obs.NopLogger()
 	}
-	s := &Server{log: logger, runs: make(map[string]*runState)}
+	s := &Server{backend: m, log: logger, runs: make(map[string]*runState)}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -196,63 +174,32 @@ func newServer(logger *slog.Logger, opts ...ServerOption) *Server {
 	if s.admission != nil {
 		s.admission.instrument(s.metrics)
 	}
-	return s
+	for _, info := range m.OpenRuns() {
+		s.resumeRun(info)
+	}
+	return s, nil
 }
 
 // resumeRun installs a runState for a run the backend reports as still in
-// flight (relevant after a WAL crash recovery), restoring its phase —
-// with its outcome — and re-arming the matching deadline.
-func (s *Server) resumeRun(id, tenant string, num int, outcome *melody.Outcome) {
-	rs := &runState{id: id, tenant: tenant, num: num, phase: PhaseBidding}
+// flight, restoring its phase — with its outcome — and re-arming the
+// matching deadline.
+func (s *Server) resumeRun(info melody.RunInfo) {
+	rs := &runState{id: info.ID, tenant: info.Tenant, num: info.Num, phase: PhaseBidding}
 	rs.mu.Lock()
-	if outcome != nil {
+	if info.Outcome != nil {
 		rs.phase = PhaseScoring
-		rs.outcome = outcome
+		rs.outcome = info.Outcome
 		s.scheduleRunLocked(rs, s.scoreDeadline, s.deadlineFinish)
 		s.startRunSpanLocked(rs, "run.scoring")
-		s.log.Info("resumed run in scoring phase", "run", id)
+		s.log.Info("resumed run in scoring phase", "run", info.ID)
 	} else {
 		s.scheduleRunLocked(rs, s.bidDeadline, s.deadlineClose)
 		s.startRunSpanLocked(rs, "run.bidding")
-		s.log.Info("resumed run in bidding phase", "run", id)
+		s.log.Info("resumed run in bidding phase", "run", info.ID)
 	}
 	rs.mu.Unlock()
-	s.runs[id] = rs
-	s.order = append(s.order, id)
-}
-
-// NewServer wraps a single-run platform backend in the HTTP API. logger
-// may be nil to disable request logging. The server resumes mid-run state
-// from the backend: an open run restores the bidding or scoring phase —
-// with its outcome — rather than idling forever.
-func NewServer(p Backend, logger *slog.Logger, opts ...ServerOption) (*Server, error) {
-	if p == nil {
-		return nil, errors.New("platform: nil platform")
-	}
-	s := newServer(logger, opts...)
-	s.platform = p
-	if st := p.State(); st.Open {
-		num := st.CompletedRuns + 1
-		s.resumeRun(runName(num), "", num, st.Outcome)
-	}
-	return s, nil
-}
-
-// NewMultiServer wraps a multi-run backend (a melody.RunScheduler or its
-// WAL-backed variant) in the same HTTP API, with concurrent per-run state
-// machines: every run the backend reports open is resumed with its phase
-// and deadline.
-func NewMultiServer(m MultiRunBackend, logger *slog.Logger, opts ...ServerOption) (*Server, error) {
-	if m == nil {
-		return nil, errors.New("platform: nil backend")
-	}
-	s := newServer(logger, opts...)
-	s.multi = m
-	for _, info := range m.OpenRuns() {
-		s.opened++
-		s.resumeRun(info.ID, info.Tenant, s.opened, info.Outcome)
-	}
-	return s, nil
+	s.runs[info.ID] = rs
+	s.order = append(s.order, info.ID)
 }
 
 // scheduleRunLocked re-arms a run's phase-deadline timer; callers hold
@@ -431,23 +378,8 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
-// completedRuns reports the backend's finished-run count.
-func (s *Server) completedRuns() int {
-	if s.multi != nil {
-		return s.multi.CompletedRuns()
-	}
-	return s.platform.Run()
-}
-
-// backendWorkers lists the backend's registered workers.
-func (s *Server) backendWorkers() []string {
-	if s.multi != nil {
-		return s.multi.Workers()
-	}
-	return s.platform.Workers()
-}
-
-// runName is the ID a single-run server gives its num-th run.
+// runName is the ID the server gives an unnamed open whose run the
+// backend numbers num.
 func runName(num int) string { return "r" + strconv.Itoa(num) }
 
 // lookupRun resolves a run path segment to its state. A run the server no
@@ -461,13 +393,8 @@ func (s *Server) lookupRun(name string) (*runState, error) {
 	if rs != nil {
 		return rs, nil
 	}
-	if s.multi != nil {
-		if info, err := s.multi.Run(name); err == nil && info.Finished {
-			return &runState{id: name, tenant: info.Tenant, outcome: info.Outcome, done: true}, nil
-		}
-	} else if num, err := strconv.Atoi(strings.TrimPrefix(name, "r")); err == nil &&
-		num >= 1 && name == runName(num) && num <= s.platform.Run() {
-		return &runState{id: name, num: num, done: true}, nil
+	if info, err := s.backend.Run(name); err == nil && info.Finished {
+		return &runState{id: name, tenant: info.Tenant, num: info.Num, outcome: info.Outcome, done: true}, nil
 	}
 	return nil, fmt.Errorf("%w: %s", melody.ErrUnknownRun, name)
 }
@@ -477,7 +404,8 @@ func (s *Server) resolveRun(r *http.Request) (*runState, error) {
 	return s.lookupRun(r.PathValue("run"))
 }
 
-// isDone reports whether the run has finished.
+// isDone reports whether the run has finished. Callers may hold Server.mu:
+// taking rs.mu under the registry lock follows the documented lock order.
 func (rs *runState) isDone() bool {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -487,7 +415,7 @@ func (rs *runState) isDone() bool {
 // handleStatus reports the newest in-flight run in open order, or idle
 // with the completed-run count when none is in flight.
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	resp := StatusResponse{Phase: PhaseIdle, Workers: len(s.backendWorkers())}
+	resp := StatusResponse{Phase: PhaseIdle, Workers: len(s.backend.Workers())}
 	s.mu.RLock()
 	resp.OpenRuns = len(s.order)
 	for i := len(s.order) - 1; i >= 0 && resp.Phase == PhaseIdle; i-- {
@@ -501,7 +429,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.mu.RUnlock()
 	if resp.Phase == PhaseIdle {
-		resp.Run = s.completedRuns()
+		resp.Run = s.backend.CompletedRuns()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -532,13 +460,7 @@ func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	var err error
-	if s.multi != nil {
-		err = s.multi.RegisterWorker(r.Context(), req.WorkerID)
-	} else {
-		err = s.platform.RegisterWorker(r.Context(), req.WorkerID)
-	}
-	if err != nil {
+	if err := s.backend.RegisterWorker(r.Context(), req.WorkerID); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -547,11 +469,12 @@ func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListWorkers(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, WorkersResponse{Workers: s.backendWorkers()})
+	writeJSON(w, http.StatusOK, WorkersResponse{Workers: s.backend.Workers()})
 }
 
 // requestTenant extracts the caller's tenant for tenant-scoped reads: the
-// ?tenant= query parameter, else the admission tenant header.
+// ?tenant= query parameter, else the admission tenant header. A read that
+// names no tenant resolves as melody.RunScheduler.TenantPlatform says.
 func requestTenant(r *http.Request) string {
 	if t := r.URL.Query().Get("tenant"); t != "" {
 		return t
@@ -561,13 +484,7 @@ func requestTenant(r *http.Request) string {
 
 func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var q float64
-	var err error
-	if s.multi != nil {
-		q, err = s.multi.Quality(requestTenant(r), id)
-	} else {
-		q, err = s.platform.Quality(id)
-	}
+	q, err := s.backend.Quality(requestTenant(r), id)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -586,13 +503,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		}
 		steps = v
 	}
-	var f melody.QualityForecast
-	var err error
-	if s.multi != nil {
-		f, err = s.multi.Forecast(requestTenant(r), id, steps)
-	} else {
-		f, err = s.platform.Forecast(id, steps)
-	}
+	f, err := s.backend.Forecast(requestTenant(r), id, steps)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -607,19 +518,12 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// tasksEqual reports whether two task lists are identical.
-func tasksEqual(a, b []melody.Task) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
+// handleOpenRun opens a run. A client may name the run; the name is the
+// idempotency key of its retries, which the backend acknowledges when the
+// spec matches and refuses otherwise. An open that names no run is a retry
+// of the tenant's run in flight when it has one, and otherwise opens a run
+// the server names (see nameRun). An open that names no tenant runs under
+// melody.DefaultTenant.
 func (s *Server) handleOpenRun(w http.ResponseWriter, r *http.Request) {
 	var req OpenRunRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -632,8 +536,8 @@ func (s *Server) handleOpenRun(w http.ResponseWriter, r *http.Request) {
 	}
 	// Tenant-identity precedence: header and body may each name the
 	// tenant, but when both do they must agree — rejecting the conflict
-	// outright beats one silently winning and a run (or an admission
-	// quota slot) landing on the wrong tenant.
+	// outright beats one silently winning and a run landing on the wrong
+	// tenant.
 	tenant := req.Tenant
 	if header := r.Header.Get(TenantHeader); header != "" {
 		if tenant != "" && tenant != header {
@@ -643,101 +547,37 @@ func (s *Server) handleOpenRun(w http.ResponseWriter, r *http.Request) {
 		tenant = header
 	}
 
-	// Replay fast path: an explicit run ID the server already knows is an
-	// idempotency key. A finished run with the same spec acknowledges
-	// without touching the backend; a different spec is a conflict.
-	if req.ID != "" {
-		s.mu.RLock()
-		rs := s.runs[req.ID]
-		s.mu.RUnlock()
-		if rs != nil {
-			rs.mu.Lock()
-			mismatch := rs.spec && (rs.budget != req.Budget || !tasksEqual(rs.tasks, tasks))
-			done := rs.done
-			rs.mu.Unlock()
-			if mismatch {
-				writeError(w, fmt.Errorf("%w: run %q already opened with a different spec", melody.ErrRunOpen, req.ID))
-				return
-			}
-			if done {
-				writeJSON(w, http.StatusCreated, OpenRunResponse{RunID: req.ID})
-				return
-			}
-			// Still in flight: fall through to the backend's idempotent open.
-		}
-	}
-
-	// A single-run log cannot record a client's run name, so the run would
-	// come back from a restart under its server name: refuse any other name
-	// before the open has side effects.
-	if s.multi == nil && req.ID != "" {
-		if want := runName(s.platform.Run() + 1); req.ID != want {
-			writeError(w, fmt.Errorf("platform: a single-run server names this run %q, not %q", want, req.ID))
-			return
-		}
-	}
-
-	// Claim a runs-in-flight quota slot before the backend sees the open,
-	// so a shed open has no side effects; the claim is returned on replay
-	// detection, open failure, and run finish.
-	release := func() {}
-	if s.admission != nil {
-		rel, ok := s.admission.acquireRun(tenant)
-		if !ok {
-			writeShed(w, s.admission.cfg.RetryAfter)
-			return
-		}
-		release = rel
-	}
-
+	id := req.ID
 	var err error
-	if s.multi != nil {
-		switch {
-		case req.ID == "":
-			err = fmt.Errorf("platform: open run needs an id on a multi-run backend")
-		case tenant == "":
-			err = fmt.Errorf("platform: open run needs a tenant on a multi-run backend")
-		default:
-			err = s.multi.OpenRun(r.Context(), req.ID, tenant, tasks, req.Budget)
-		}
+	if id == "" {
+		id, err = s.openUnnamed(r.Context(), tenant, tasks, req.Budget)
 	} else {
-		err = s.platform.OpenRun(r.Context(), tasks, req.Budget)
+		err = s.backend.OpenRun(r.Context(), id, tenant, tasks, req.Budget)
 	}
 	if err != nil {
-		release()
 		writeError(w, err)
 		return
 	}
-
-	id := req.ID
-	num := 0
-	if s.multi == nil {
-		num = s.platform.Run() + 1
-		id = runName(num)
-	} else if info, ierr := s.multi.Run(id); ierr == nil && info.Finished {
+	info, err := s.backend.Run(id)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	if info.Finished {
 		// The backend replayed an open for a run it already completed but
 		// the server no longer tracks; acknowledge without resurrecting it.
-		release()
 		writeJSON(w, http.StatusCreated, OpenRunResponse{RunID: id})
 		return
 	}
 
 	s.mu.Lock()
-	if existing := s.runs[id]; existing != nil && !existing.isDoneRegistryLocked() {
+	if existing := s.runs[id]; existing != nil && !existing.isDone() {
 		// Idempotent replay of a run already in flight: nothing to reset.
 		s.mu.Unlock()
-		release()
 		writeJSON(w, http.StatusCreated, OpenRunResponse{RunID: id})
 		return
 	}
-	rs := &runState{
-		id: id, tenant: tenant, num: num, phase: PhaseBidding,
-		tasks: tasks, budget: req.Budget, spec: true, quotaRelease: release,
-	}
-	if s.multi != nil {
-		s.opened++
-		rs.num = s.opened
-	}
+	rs := &runState{id: id, tenant: info.Tenant, num: info.Num, phase: PhaseBidding}
 	s.runs[id] = rs
 	s.order = append(s.order, id)
 	s.mu.Unlock()
@@ -746,16 +586,34 @@ func (s *Server) handleOpenRun(w http.ResponseWriter, r *http.Request) {
 	s.scheduleRunLocked(rs, s.bidDeadline, s.deadlineClose)
 	s.startRunSpanLocked(rs, "run.bidding")
 	rs.mu.Unlock()
-	s.log.Info("run opened", "run", id, "tenant", tenant, "tasks", len(tasks), "budget", req.Budget)
+	s.log.Info("run opened", "run", id, "tenant", rs.tenant, "tasks", len(tasks), "budget", req.Budget)
 	writeJSON(w, http.StatusCreated, OpenRunResponse{RunID: id})
 }
 
-// isDoneRegistryLocked is isDone for callers already holding Server.mu;
-// taking rs.mu under the registry lock follows the documented lock order.
-func (rs *runState) isDoneRegistryLocked() bool {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.done
+// openUnnamed opens a run that names no ID under the ID nameRun picks.
+// Naming and opening happen under nameMu, so two unnamed opens never pick
+// the same name for different runs.
+func (s *Server) openUnnamed(ctx context.Context, tenant string, tasks []melody.Task, budget float64) (string, error) {
+	s.nameMu.Lock()
+	defer s.nameMu.Unlock()
+	id := s.nameRun(tenant)
+	return id, s.backend.OpenRun(ctx, id, tenant, tasks, budget)
+}
+
+// nameRun picks the ID of an unnamed open: the tenant's run in flight, so
+// that the open retries it (the backend then refuses a different spec), or
+// else "r<n>" for the number n the backend gives the next run, skipping a
+// name the backend already knows. The backend logs the name with the
+// open, so a restart keeps it.
+func (s *Server) nameRun(tenant string) string {
+	if st, err := s.backend.TenantStatus(tenant); err == nil && st.OpenRun != "" {
+		return st.OpenRun
+	}
+	for n := s.backend.CompletedRuns() + len(s.backend.OpenRuns()) + 1; ; n++ {
+		if _, err := s.backend.Run(runName(n)); err != nil {
+			return runName(n)
+		}
+	}
 }
 
 // errsOf builds a BatchResult failing every one of n items with err.
@@ -783,12 +641,7 @@ func (s *Server) handleBid(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	bid := melody.Bid{Cost: req.Cost, Frequency: req.Frequency}
-	if s.multi != nil {
-		err = s.multi.SubmitBid(r.Context(), rs.id, req.WorkerID, bid)
-	} else {
-		err = s.platform.SubmitBid(r.Context(), req.WorkerID, bid)
-	}
-	if err != nil {
+	if err := s.backend.SubmitBid(r.Context(), rs.id, req.WorkerID, bid); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -849,10 +702,8 @@ func (s *Server) handleBidBatch(w http.ResponseWriter, r *http.Request) {
 		res = errsOf(len(bids), err)
 	case rs.isDone():
 		res = errsOf(len(bids), fmt.Errorf("%w: run %s finished", melody.ErrNoRunOpen, rs.id))
-	case s.multi != nil:
-		res = s.multi.SubmitBids(r.Context(), rs.id, bids)
 	default:
-		res = s.platform.SubmitBids(r.Context(), bids)
+		res = s.backend.SubmitBids(r.Context(), rs.id, bids)
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: batchResults(res)})
 }
@@ -876,10 +727,8 @@ func (s *Server) handleScoreBatch(w http.ResponseWriter, r *http.Request) {
 		res = errsOf(len(scores), err)
 	case rs.isDone():
 		res = errsOf(len(scores), fmt.Errorf("%w: run %s finished", melody.ErrNoRunOpen, rs.id))
-	case s.multi != nil:
-		res = s.multi.SubmitScores(r.Context(), rs.id, scores)
 	default:
-		res = s.platform.SubmitScores(r.Context(), scores)
+		res = s.backend.SubmitScores(r.Context(), rs.id, scores)
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: batchResults(res)})
 }
@@ -915,13 +764,7 @@ func (s *Server) closeRun(ctx context.Context, rs *runState) (*melody.Outcome, e
 	}
 	rs.mu.Unlock()
 
-	var out *melody.Outcome
-	var err error
-	if s.multi != nil {
-		out, err = s.multi.CloseAuction(ctx, rs.id)
-	} else {
-		out, err = s.platform.CloseAuction(ctx)
-	}
+	out, err := s.backend.CloseAuction(ctx, rs.id)
 	if err != nil {
 		return nil, err
 	}
@@ -1040,12 +883,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: run %s finished", melody.ErrNoRunOpen, rs.id))
 		return
 	}
-	if s.multi != nil {
-		err = s.multi.SubmitScore(r.Context(), rs.id, req.WorkerID, req.TaskID, req.Score)
-	} else {
-		err = s.platform.SubmitScore(r.Context(), req.WorkerID, req.TaskID, req.Score)
-	}
-	if err != nil {
+	if err := s.backend.SubmitScore(r.Context(), rs.id, req.WorkerID, req.TaskID, req.Score); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -1065,23 +903,8 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct{}{})
 }
 
-// requireMulti guards the tenant control plane: the single-run platform
-// has no tenants, so the endpoints exist only on multi-run servers.
-func (s *Server) requireMulti(w http.ResponseWriter) bool {
-	if s.multi == nil {
-		writeJSON(w, http.StatusNotImplemented, ErrorResponse{
-			Error: "platform: tenant control plane requires the multi-run scheduler (-multi)",
-		})
-		return false
-	}
-	return true
-}
-
 func (s *Server) handleListTenants(w http.ResponseWriter, _ *http.Request) {
-	if !s.requireMulti(w) {
-		return
-	}
-	statuses := s.multi.TenantStatuses()
+	statuses := s.backend.TenantStatuses()
 	resp := TenantsResponse{Tenants: make([]TenantStatusResponse, len(statuses))}
 	for i, st := range statuses {
 		resp.Tenants[i] = toTenantStatusResponse(st)
@@ -1090,10 +913,7 @@ func (s *Server) handleListTenants(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleGetTenant(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMulti(w) {
-		return
-	}
-	st, err := s.multi.TenantStatus(r.PathValue("id"))
+	st, err := s.backend.TenantStatus(r.PathValue("id"))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -1102,9 +922,6 @@ func (s *Server) handleGetTenant(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePutTenant(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMulti(w) {
-		return
-	}
 	id := r.PathValue("id")
 	// The path names the tenant; a disagreeing X-Melody-Tenant header is
 	// the same routing bug the open path rejects.
@@ -1117,11 +934,11 @@ func (s *Server) handlePutTenant(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if err := s.multi.SetTenantPolicy(r.Context(), id, req.Policy.Policy()); err != nil {
+	if err := s.backend.SetTenantPolicy(r.Context(), id, req.Policy.Policy()); err != nil {
 		writeError(w, err)
 		return
 	}
-	st, err := s.multi.TenantStatus(id)
+	st, err := s.backend.TenantStatus(id)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -1133,15 +950,12 @@ func (s *Server) handlePutTenant(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResizeRegistry(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMulti(w) {
-		return
-	}
 	var req RegistryResizeRequest
 	if err := decodeBody(r, &req); err != nil {
 		writeError(w, err)
 		return
 	}
-	info, err := s.multi.ResizeRegistry(r.Context(), req.Shards)
+	info, err := s.backend.ResizeRegistry(r.Context(), req.Shards)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -1158,13 +972,7 @@ func (s *Server) finishRun(ctx context.Context, rs *runState) error {
 	if rs.isDone() {
 		return nil // retried finish
 	}
-	var err error
-	if s.multi != nil {
-		err = s.multi.FinishRun(ctx, rs.id)
-	} else {
-		err = s.platform.FinishRun(ctx)
-	}
-	if err != nil {
+	if err := s.backend.FinishRun(ctx, rs.id); err != nil {
 		// The deadline watchdog (or a concurrent retry) may have finished
 		// the run between our check and the backend call.
 		if rs.isDone() && errors.Is(err, melody.ErrNoRunOpen) {
@@ -1173,14 +981,13 @@ func (s *Server) finishRun(ctx context.Context, rs *runState) error {
 		return err
 	}
 	s.completeRun(rs)
-	s.log.Info("run finished", "run", rs.id, "completed_runs", s.completedRuns())
+	s.log.Info("run finished", "run", rs.id, "completed_runs", s.backend.CompletedRuns())
 	return nil
 }
 
 // completeRun transitions a run to done: the watchdog disarms, the phase
-// span ends, the answer store is released, the tenant's runs-in-flight
-// quota slot returns, and the run leaves the in-flight registry (retained
-// for idempotent replays until evicted). The recorded outcome is kept so
+// span ends, the answer store is released, and the run leaves the
+// in-flight registry (retained for idempotent replays until evicted). The recorded outcome is kept so
 // late close retries still replay it.
 func (s *Server) completeRun(rs *runState) {
 	rs.mu.Lock()
@@ -1197,12 +1004,7 @@ func (s *Server) completeRun(rs *runState) {
 	}
 	rs.span.End()
 	rs.span = nil
-	release := rs.quotaRelease
-	rs.quotaRelease = nil
 	rs.mu.Unlock()
-	if release != nil {
-		release()
-	}
 
 	s.mu.Lock()
 	for i, id := range s.order {

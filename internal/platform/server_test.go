@@ -10,31 +10,33 @@ import (
 	"melody"
 )
 
-// newTestPlatform builds the reference platform configuration shared by
-// the HTTP tests and the serial-equivalence comparisons.
-func newTestPlatform(t *testing.T) *melody.Platform {
+// testTrackerConfig is the reference quality-tracker configuration shared
+// by the HTTP tests and the serial-equivalence comparisons.
+var testTrackerConfig = melody.QualityTrackerConfig{
+	InitialMean: 5.5, InitialVar: 2.25,
+	Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
+	EMPeriod: 10, EMWindow: 50,
+}
+
+// newTestBackend builds the reference scheduler: every tenant's
+// estimator uses testTrackerConfig, and there is no ledger.
+func newTestBackend(t testing.TB) *melody.RunScheduler {
 	t.Helper()
-	tracker, err := melody.NewQualityTracker(melody.QualityTrackerConfig{
-		InitialMean: 5.5, InitialVar: 2.25,
-		Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
-		EMPeriod: 10, EMWindow: 50,
+	s, err := melody.NewRunScheduler(melody.SchedulerConfig{
+		Auction: melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
+		NewEstimator: func(string) (melody.Estimator, error) {
+			return melody.NewQualityTracker(testTrackerConfig)
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := melody.NewPlatform(melody.PlatformConfig{
-		Auction:   melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
-		Estimator: tracker,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return s
 }
 
 func newTestServer(t *testing.T) (*httptest.Server, *Client) {
 	t.Helper()
-	srv, err := NewServer(newTestPlatform(t), nil)
+	srv, err := NewMultiServer(newTestBackend(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +50,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *Client) {
 }
 
 func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer(nil, nil); err == nil {
+	if _, err := NewMultiServer(nil, nil); err == nil {
 		t.Error("nil platform accepted")
 	}
 }

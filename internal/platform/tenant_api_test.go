@@ -125,23 +125,6 @@ func TestTenantAPIMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestTenantAPISingleRunServer: the control plane exists only on multi-run
-// servers; a single-run platform answers 501.
-func TestTenantAPISingleRunServer(t *testing.T) {
-	ctx := context.Background()
-	_, c := newTestServer(t)
-	var apiErr *APIError
-	if _, err := c.Tenants(ctx); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotImplemented {
-		t.Fatalf("GET /v1/tenants on single-run server = %v, want 501", err)
-	}
-	if _, err := c.PutTenant(ctx, "acme", TenantPolicySpec{}); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotImplemented {
-		t.Fatalf("PUT /v1/tenants on single-run server = %v, want 501", err)
-	}
-	if _, err := c.ResizeRegistry(ctx, 8); !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotImplemented {
-		t.Fatalf("PUT /v1/registry on single-run server = %v, want 501", err)
-	}
-}
-
 // TestRegistryResizeOverHTTP: the elastic reshard admin call reports the
 // rounded shard count and member total, and serving continues across it.
 func TestRegistryResizeOverHTTP(t *testing.T) {

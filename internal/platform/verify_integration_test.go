@@ -24,22 +24,18 @@ func TestWireOutcomeSatisfiesMechanismInvariants(t *testing.T) {
 	if _, err := money.Deposit(ledger.Requester, 1_000, "funding"); err != nil {
 		t.Fatal(err)
 	}
-	tracker, err := melody.NewQualityTracker(melody.QualityTrackerConfig{
-		InitialMean: 5.5, InitialVar: 2.25,
-		Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
-		EMPeriod: 10, EMWindow: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2}
-	p, err := melody.NewPlatform(melody.PlatformConfig{
-		Auction: cfg, Estimator: tracker, Ledger: money,
+	sched, err := melody.NewRunScheduler(melody.SchedulerConfig{
+		Auction: cfg,
+		NewEstimator: func(string) (melody.Estimator, error) {
+			return melody.NewQualityTracker(testTrackerConfig)
+		},
+		Ledger: money,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(p, nil)
+	srv, err := NewMultiServer(sched, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,9 @@ const (
 // StatusResponse is the body of GET /v1/status. Run, RunID and Phase
 // describe the newest run still in flight, in open order.
 type StatusResponse struct {
-	// Run is the 1-based open index of that run, or the number of completed
-	// runs when idle.
+	// Run is that run's number (its 1-based index in open order across
+	// all tenants, kept across restarts), or the number of completed runs
+	// when idle.
 	Run int `json:"run"`
 	// RunID is that run's ID, for /v1/runs/{id}/... paths; empty when idle.
 	RunID string `json:"runId,omitempty"`
@@ -40,8 +41,8 @@ type StatusResponse struct {
 	Phase Phase `json:"phase"`
 	// Workers is the number of registered workers.
 	Workers int `json:"workers"`
-	// OpenRuns is the number of runs currently in flight; at most 1 on a
-	// single-run backend, unbounded on a run-scheduler backend.
+	// OpenRuns is the number of runs currently in flight, at most one per
+	// tenant.
 	OpenRuns int `json:"openRuns,omitempty"`
 }
 
@@ -80,12 +81,12 @@ type TaskSpec struct {
 
 // OpenRunRequest is the body of POST /v1/runs.
 //
-// ID and Tenant address the run-scheduler backend: ID is the
-// client-chosen, scheduler-wide unique run identifier (the idempotency
-// key every later /v1/runs/{id}/... call routes on), and Tenant names the
-// tenant whose estimator and run sequence the run belongs to. Both are
-// required on a multi-run backend. A single-run backend names its n-th run
-// "r<n>": ID may be empty there, and any other ID is refused.
+// ID is the client-chosen, server-wide unique run identifier (the
+// idempotency key every later /v1/runs/{id}/... call routes on). Without
+// one, the open retries the tenant's run in flight, or else the server
+// names the run "r<n>" after its number. Tenant names the tenant whose
+// estimator and run sequence the run belongs to; without one the run
+// belongs to melody.DefaultTenant.
 type OpenRunRequest struct {
 	Tasks  []TaskSpec `json:"tasks"`
 	Budget float64    `json:"budget"`

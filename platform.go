@@ -105,7 +105,7 @@ type PlatformConfig struct {
 // registry, runs the per-run reverse auction, collects answer scores and
 // updates every worker's quality estimate between runs (the Fig. 2
 // workflow). Platform is safe for concurrent use; read-only queries
-// (State, Workers, Run, Quality, Forecast) share a read lock, so status
+// (Workers, Run, Quality, Forecast) share a read lock, so status
 // polls never queue behind bid ingest.
 type Platform struct {
 	mu      sync.RWMutex
@@ -147,34 +147,6 @@ type openRun struct {
 	scores     map[string][]float64          // worker -> scores this run
 	recorded   map[string]map[string]float64 // worker -> task -> accepted score
 	settlement *ledger.RunSettlement         // nil when no ledger is attached
-}
-
-// RunState is a point-in-time snapshot of where the platform is in the run
-// lifecycle, used by networked front-ends to resume after a crash recovery.
-type RunState struct {
-	// CompletedRuns is the number of finished runs.
-	CompletedRuns int
-	// Open reports whether a run is currently open.
-	Open bool
-	// AuctionClosed reports whether the open run's auction has closed.
-	AuctionClosed bool
-	// Outcome is the open run's allocation; non-nil iff AuctionClosed.
-	Outcome *Outcome
-}
-
-// State returns the platform's current lifecycle snapshot.
-func (p *Platform) State() RunState {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	st := RunState{CompletedRuns: p.run}
-	if p.open != nil {
-		st.Open = true
-		if p.open.outcome != nil {
-			st.AuctionClosed = true
-			st.Outcome = p.open.outcome
-		}
-	}
-	return st
 }
 
 // NewPlatform constructs a Platform.

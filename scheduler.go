@@ -21,6 +21,18 @@ var (
 	ErrUnknownTenant = errors.New("melody: unknown tenant")
 )
 
+// DefaultTenant owns the runs opened without a tenant, so a deployment
+// with a single tenant never has to name it.
+const DefaultTenant = "default"
+
+// tenantOrDefault maps the empty tenant name onto DefaultTenant.
+func tenantOrDefault(tenant string) string {
+	if tenant == "" {
+		return DefaultTenant
+	}
+	return tenant
+}
+
 // SchedulerConfig assembles a RunScheduler.
 type SchedulerConfig struct {
 	// Auction holds the qualification intervals shared by every tenant's
@@ -58,6 +70,10 @@ type RunInfo struct {
 	ID string
 	// Tenant owns the run.
 	Tenant string
+	// Num is the run's 1-based number in open order across all tenants.
+	// It is part of the run's durable state, so replay and snapshot
+	// restore give every run the number it had.
+	Num int
 	// AuctionClosed reports whether the run's auction has closed.
 	AuctionClosed bool
 	// Finished reports whether the run has completed settlement.
@@ -82,7 +98,9 @@ type RunInfo struct {
 //
 // Lock order: schedRun.mu → (Platform.mu → estMu) and schedRun.mu →
 // RunScheduler.mu; registry stripes and ledger/settler mutexes innermost.
-// RunScheduler.mu is never held across a Platform call.
+// RunScheduler.mu is held across a Platform call only by SnapshotState and
+// RestoreSnapshot, which run while no run is open, so no holder of a run
+// lock waits on it.
 type RunScheduler struct {
 	cfg      SchedulerConfig
 	registry *WorkerRegistry
@@ -94,6 +112,7 @@ type RunScheduler struct {
 	tenantOpen map[string]string // tenant -> its open run ID
 	runs       map[string]*schedRun
 	order      []string // open run IDs in open order
+	opened     int      // number of the newest run
 	completed  int
 	tstates    map[string]*tenantState // tenant -> policy + spend ledger
 }
@@ -112,7 +131,10 @@ type schedRun struct {
 	tasks   []Task
 	budget  float64
 	outcome *Outcome
-	done    bool
+	// num is fixed at open. As an int32 beside done it fills padding the
+	// struct already has, so a retained run costs no extra bytes.
+	num  int32
+	done bool
 }
 
 // NewRunScheduler constructs a RunScheduler.
@@ -207,8 +229,7 @@ func (s *RunScheduler) OpenRuns() []RunInfo {
 	out := make([]RunInfo, 0, len(open))
 	for _, r := range open {
 		r.mu.Lock()
-		info := RunInfo{ID: r.id, Tenant: r.tenant, AuctionClosed: r.outcome != nil,
-			Finished: r.done, Outcome: r.outcome}
+		info := r.infoLocked()
 		r.mu.Unlock()
 		if !info.Finished { // a finish marks the run done before dropping it
 			out = append(out, info)
@@ -225,19 +246,28 @@ func (s *RunScheduler) Run(runID string) (RunInfo, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return RunInfo{ID: r.id, Tenant: r.tenant, AuctionClosed: r.outcome != nil,
-		Finished: r.done, Outcome: r.outcome}, nil
+	return r.infoLocked(), nil
+}
+
+// infoLocked describes the run; callers hold r.mu.
+func (r *schedRun) infoLocked() RunInfo {
+	return RunInfo{ID: r.id, Tenant: r.tenant, Num: int(r.num), AuctionClosed: r.outcome != nil,
+		Finished: r.done, Outcome: r.outcome}
 }
 
 // TenantPlatform returns the platform owning a tenant's runs, or
-// ErrUnknownTenant. The empty tenant resolves only when exactly one
-// tenant exists (a convenience for single-tenant deployments and the
-// deprecated tenant-less read endpoints).
+// ErrUnknownTenant for a tenant that never opened a run. The empty tenant
+// names no tenant in particular: it resolves to the only tenant when
+// exactly one exists, and before any tenant exists to a fresh platform
+// holding DefaultTenant's prior, which is not kept.
 func (s *RunScheduler) TenantPlatform(tenant string) (*Platform, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if tenant == "" {
-		if len(s.tenants) == 1 {
+		switch len(s.tenants) {
+		case 0:
+			return s.newTenantPlatform(DefaultTenant)
+		case 1:
 			for _, p := range s.tenants {
 				return p, nil
 			}
@@ -275,11 +305,22 @@ func (s *RunScheduler) platformFor(tenant string) (*Platform, error) {
 	if p := s.tenants[tenant]; p != nil {
 		return p, nil
 	}
+	p, err := s.newTenantPlatform(tenant)
+	if err != nil {
+		return nil, err
+	}
+	s.tenants[tenant] = p
+	return p, nil
+}
+
+// newTenantPlatform builds a platform for a tenant on the shared
+// registry, ledger and settler, with its estimator at the prior.
+func (s *RunScheduler) newTenantPlatform(tenant string) (*Platform, error) {
 	est, err := s.cfg.NewEstimator(tenant)
 	if err != nil {
 		return nil, fmt.Errorf("melody: estimator for tenant %q: %w", tenant, err)
 	}
-	p, err := NewPlatform(PlatformConfig{
+	return NewPlatform(PlatformConfig{
 		Auction:   s.cfg.Auction,
 		Estimator: est,
 		Ledger:    s.cfg.Ledger,
@@ -288,11 +329,6 @@ func (s *RunScheduler) platformFor(tenant string) (*Platform, error) {
 		Metrics:   s.cfg.Metrics,
 		Tracer:    s.cfg.Tracer,
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.tenants[tenant] = p
-	return p, nil
 }
 
 // resolve maps a run ID to its scheduling state.
@@ -306,7 +342,9 @@ func (s *RunScheduler) resolve(runID string) (*schedRun, error) {
 	return r, nil
 }
 
-// OpenRun opens a run under a scheduler-wide unique ID for a tenant.
+// OpenRun opens a run under a scheduler-wide unique ID for a tenant; an
+// empty tenant opens it for DefaultTenant. The run gets the next number in
+// open order.
 //
 // OpenRun is idempotent on the run ID: re-opening a known ID with the
 // identical spec is a no-op success whether the run is still in flight or
@@ -320,9 +358,7 @@ func (s *RunScheduler) OpenRun(ctx context.Context, runID, tenant string, tasks 
 	if runID == "" {
 		return errors.New("melody: empty run ID")
 	}
-	if tenant == "" {
-		return errors.New("melody: empty tenant")
-	}
+	tenant = tenantOrDefault(tenant)
 	s.mu.Lock()
 	if r := s.runs[runID]; r != nil {
 		s.mu.Unlock()
@@ -348,7 +384,8 @@ func (s *RunScheduler) OpenRun(ctx context.Context, runID, tenant string, tasks 
 	// Claim the slot before the (escrowing) platform call so a concurrent
 	// OpenRun for the same tenant conflicts instead of double-opening;
 	// roll the claim back if the platform rejects the spec.
-	r := &schedRun{id: runID, tenant: tenant, p: p,
+	s.opened++
+	r := &schedRun{id: runID, tenant: tenant, num: int32(s.opened), p: p,
 		tasks: append([]Task(nil), tasks...), budget: budget}
 	s.runs[runID] = r
 	s.tenantOpen[tenant] = runID
@@ -361,6 +398,9 @@ func (s *RunScheduler) OpenRun(ctx context.Context, runID, tenant string, tasks 
 		delete(s.tenantOpen, tenant)
 		s.dropOpenLocked(runID)
 		s.releaseRunLocked(tenant)
+		if int(r.num) == s.opened { // a concurrent open may have taken the next number
+			s.opened--
+		}
 		s.mu.Unlock()
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"melody/internal/core"
@@ -12,7 +13,7 @@ import (
 
 // EstimatorSnapshotter is the optional estimator capability of exporting
 // and restoring its full dynamic state as an opaque payload. The MELODY
-// quality tracker implements it; a platform whose estimator does not cannot
+// quality tracker implements it; a scheduler whose estimators do not cannot
 // be snapshotted (ErrNoSnapshot) and recovers by full log replay instead.
 type EstimatorSnapshotter interface {
 	SnapshotState() ([]byte, error)
@@ -21,123 +22,248 @@ type EstimatorSnapshotter interface {
 
 // Snapshot errors, matchable with errors.Is.
 var (
-	// ErrNoSnapshot is returned when the platform's estimator cannot export
+	// ErrNoSnapshot is returned when a tenant's estimator cannot export
 	// its state, so state snapshots are unavailable.
 	ErrNoSnapshot = errors.New("melody: estimator does not support snapshots")
 	// ErrSnapshotMidRun is returned when a snapshot is requested while a run
-	// is open: snapshots are taken only at run boundaries, where every run
-	// is settled and the platform state is a pure function of the event
-	// history.
-	ErrSnapshotMidRun = errors.New("melody: snapshot requires a run boundary")
+	// is open: snapshots are taken only at quiescent boundaries, where every
+	// run is settled and the scheduler state is a pure function of the
+	// event history.
+	ErrSnapshotMidRun = errors.New("melody: snapshot requires a moment with no run open")
 )
 
-// PlatformSnapshot is the platform's full durable state at a run boundary:
-// everything needed to resume exactly where the writer stopped, without
-// replaying the event history that produced it. Restored state is
-// bit-identical to a from-scratch replay because every field round-trips
-// exactly (floats use Go's shortest-exact JSON encoding) and the auction
-// kernel's caches are a pure function of the bidder set.
-type PlatformSnapshot struct {
-	Version       int      `json:"version"`
-	CompletedRuns int      `json:"completed_runs"`
-	Workers       []string `json:"workers,omitempty"`
-	// Bidders is the worker set last applied to the auction kernel, with
-	// the exact quality estimates captured at their auction close.
-	Bidders   []Worker         `json:"bidders,omitempty"`
-	Estimator json.RawMessage  `json:"estimator,omitempty"`
-	Ledger    *ledger.Snapshot `json:"ledger,omitempty"`
+// SchedulerSnapshot is the scheduler's full durable state at a moment when
+// no run is open: everything needed to resume exactly where the writer
+// stopped, without replaying the event history that produced it. Restored
+// state is bit-identical to a from-scratch replay because every field
+// round-trips exactly (floats use Go's shortest-exact JSON encoding) and
+// each auction kernel's caches are a pure function of its bidder set.
+type SchedulerSnapshot struct {
+	// Version guards the encoding; it differs from every earlier payload
+	// version, so an older snapshot is refused instead of misread.
+	Version int              `json:"version"`
+	Workers []string         `json:"workers,omitempty"`
+	Ledger  *ledger.Snapshot `json:"ledger,omitempty"`
+	// Settler is the epoch settler's accrual state; nil without epochs.
+	Settler *ledger.SettlerState `json:"settler,omitempty"`
+	// Policies are installed over the restore target's own policies. The
+	// scheduler exports every installed policy; a durable layer that
+	// installs policies at boot outside its log keeps only the logged ones.
+	Policies map[string]TenantPolicy `json:"policies,omitempty"`
+	// Tenants holds every tenant that has finished a run, by name. A
+	// tenant that never opened a run is at its prior and is omitted.
+	Tenants []TenantSnapshot `json:"tenants,omitempty"`
+	// Runs holds every finished run in open order, so retried requests
+	// for them behave as after a full replay; its length is the
+	// completed-run count.
+	Runs []RunSnapshot `json:"runs,omitempty"`
 }
 
-// platformSnapshotVersion guards the snapshot encoding.
-const platformSnapshotVersion = 1
+// TenantSnapshot is one tenant's state in a SchedulerSnapshot.
+type TenantSnapshot struct {
+	Tenant string `json:"tenant"`
+	// Runs is the number of runs the tenant finished.
+	Runs int `json:"runs"`
+	// Bidders is the worker set last applied to the tenant's auction
+	// kernel, with the exact quality estimates captured at its close.
+	Bidders    []Worker        `json:"bidders,omitempty"`
+	Estimator  json.RawMessage `json:"estimator,omitempty"`
+	Spent      float64         `json:"spent,omitempty"`
+	EpochSpent float64         `json:"epoch_spent,omitempty"`
+}
 
-// SnapshotState captures the platform's full state at a run boundary. It
-// fails with ErrSnapshotMidRun while a run is open and with ErrNoSnapshot
-// when the estimator cannot export its state. The returned snapshot shares
-// no memory with the live platform.
-func (p *Platform) SnapshotState() (*PlatformSnapshot, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.open != nil {
+// RunSnapshot is one finished run in a SchedulerSnapshot.
+type RunSnapshot struct {
+	ID      string   `json:"id"`
+	Tenant  string   `json:"tenant"`
+	Num     int      `json:"num"`
+	Tasks   []Task   `json:"tasks"`
+	Budget  float64  `json:"budget"`
+	Outcome *Outcome `json:"outcome,omitempty"`
+}
+
+// schedulerSnapshotVersion guards the snapshot encoding. Version 1 was the
+// single-run platform's payload.
+const schedulerSnapshotVersion = 2
+
+// SnapshotState captures the scheduler's full state. It fails with
+// ErrSnapshotMidRun while any run is open and with ErrNoSnapshot when a
+// tenant's estimator cannot export its state. The returned snapshot shares
+// no mutable memory with the live scheduler; outcomes are shared, and
+// nothing mutates an outcome after its close.
+func (s *RunScheduler) SnapshotState() (*SchedulerSnapshot, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.order) > 0 {
 		return nil, ErrSnapshotMidRun
 	}
-	es, ok := p.est.(EstimatorSnapshotter)
-	if !ok {
-		return nil, ErrNoSnapshot
+	snap := &SchedulerSnapshot{Version: schedulerSnapshotVersion, Workers: s.registry.All()}
+	if s.cfg.Ledger != nil {
+		snap.Ledger = s.cfg.Ledger.Snapshot()
 	}
-	estState, err := es.SnapshotState()
-	if err != nil {
-		return nil, fmt.Errorf("melody: snapshot estimator: %w", err)
+	if s.settler != nil {
+		st := s.settler.State()
+		snap.Settler = &st
 	}
-	snap := &PlatformSnapshot{
-		Version:       platformSnapshotVersion,
-		CompletedRuns: p.run,
-		Estimator:     estState,
+	for t, ts := range s.tstates {
+		if ts.hasPolicy {
+			if snap.Policies == nil {
+				snap.Policies = make(map[string]TenantPolicy)
+			}
+			snap.Policies[t] = ts.policy
+		}
 	}
-	snap.Workers = p.registry.All()
-	for _, w := range p.bidders {
-		snap.Bidders = append(snap.Bidders, w)
+	for t, p := range s.tenants {
+		ts, err := p.exportState(t)
+		if err != nil {
+			return nil, err
+		}
+		if ts.Runs == 0 {
+			continue
+		}
+		if st := s.tstates[t]; st != nil {
+			ts.Spent, ts.EpochSpent = st.spent, st.epochSpent
+		}
+		snap.Tenants = append(snap.Tenants, ts)
 	}
-	sort.Slice(snap.Bidders, func(i, j int) bool { return snap.Bidders[i].ID < snap.Bidders[j].ID })
-	if p.money != nil {
-		snap.Ledger = p.money.Snapshot()
+	sort.Slice(snap.Tenants, func(i, j int) bool { return snap.Tenants[i].Tenant < snap.Tenants[j].Tenant })
+	for _, r := range s.runs {
+		r.mu.Lock()
+		snap.Runs = append(snap.Runs, RunSnapshot{ID: r.id, Tenant: r.tenant, Num: int(r.num),
+			Tasks: slices.Clone(r.tasks), Budget: r.budget, Outcome: r.outcome})
+		r.mu.Unlock()
 	}
+	sort.Slice(snap.Runs, func(i, j int) bool { return snap.Runs[i].Num < snap.Runs[j].Num })
 	return snap, nil
 }
 
-// RestoreSnapshot installs a snapshot into a freshly constructed platform
-// (same configuration as the writer: auction intervals, estimator
-// parameters, ledger presence). After the restore, replaying the event-log
-// tail recorded after the snapshot brings the platform to the exact state a
-// full from-scratch replay would reach.
-func (p *Platform) RestoreSnapshot(snap *PlatformSnapshot) error {
+// RestoreSnapshot installs a snapshot into a freshly constructed scheduler
+// with the writer's configuration (auction intervals, estimator factory,
+// ledger presence, epoch length). The target may already hold tenant
+// policies; the snapshot's policies are installed over them. After the
+// restore, replaying the event-log tail recorded after the snapshot brings
+// the scheduler to the exact state a full replay would reach. On error the
+// scheduler holds a partial restore and must be discarded.
+func (s *RunScheduler) RestoreSnapshot(snap *SchedulerSnapshot) error {
 	if snap == nil {
 		return errors.New("melody: restore needs a snapshot")
 	}
-	if snap.Version != platformSnapshotVersion {
-		return fmt.Errorf("melody: snapshot version %d (want %d)", snap.Version, platformSnapshotVersion)
+	if snap.Version != schedulerSnapshotVersion {
+		return fmt.Errorf("melody: snapshot version %d (want %d)", snap.Version, schedulerSnapshotVersion)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.run != 0 || p.open != nil || p.registry.Len() != 0 || len(p.bidders) != 0 {
-		return errors.New("melody: restore target is not a fresh platform")
-	}
-	if len(snap.Estimator) > 0 {
-		es, ok := p.est.(EstimatorSnapshotter)
-		if !ok {
-			return ErrNoSnapshot
-		}
-		if err := es.RestoreState(snap.Estimator); err != nil {
-			return fmt.Errorf("melody: restore estimator: %w", err)
-		}
-	}
-	if len(snap.Bidders) > 0 {
-		// The auction kernel's cached ranking is derived state: a pure
-		// function of the bidder multiset. Reseeding it through the same
-		// delta path CloseAuction uses reproduces it exactly.
-		upserts := make([]Worker, len(snap.Bidders))
-		copy(upserts, snap.Bidders)
-		if err := p.auction.Apply(core.WorkerDelta{Upserts: upserts}); err != nil {
-			return fmt.Errorf("melody: restore auction state: %w", err)
-		}
-		for _, w := range snap.Bidders {
-			p.bidders[w.ID] = w
-		}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.runs) != 0 || len(s.tenants) != 0 || s.registry.Len() != 0 {
+		return errors.New("melody: restore target is not a fresh scheduler")
 	}
 	for _, id := range snap.Workers {
 		if id == "" {
 			return errors.New("melody: snapshot worker with empty ID")
 		}
-		p.registry.Register(id)
+		s.registry.Register(id)
 	}
 	if snap.Ledger != nil {
-		if p.money == nil {
-			return errors.New("melody: snapshot carries a ledger but the platform has none")
+		if s.cfg.Ledger == nil {
+			return errors.New("melody: snapshot carries a ledger but the scheduler has none")
 		}
-		if err := p.money.Restore(snap.Ledger); err != nil {
+		if err := s.cfg.Ledger.Restore(snap.Ledger); err != nil {
 			return err
 		}
 	}
-	p.run = snap.CompletedRuns
+	if snap.Settler != nil {
+		if s.settler == nil {
+			return errors.New("melody: snapshot carries epoch state but the scheduler settles per run")
+		}
+		if err := s.settler.Restore(*snap.Settler); err != nil {
+			return err
+		}
+	}
+	for t, pol := range snap.Policies {
+		if err := pol.validate(); err != nil {
+			return err
+		}
+		ts := s.tenantStateLocked(t)
+		ts.policy, ts.hasPolicy = pol, true
+	}
+	for _, tsnap := range snap.Tenants {
+		p, err := s.platformFor(tsnap.Tenant)
+		if err != nil {
+			return err
+		}
+		if err := p.importState(tsnap); err != nil {
+			return fmt.Errorf("melody: restore tenant %q: %w", tsnap.Tenant, err)
+		}
+		ts := s.tenantStateLocked(tsnap.Tenant)
+		ts.spent, ts.epochSpent, ts.runsOpened = tsnap.Spent, tsnap.EpochSpent, tsnap.Runs
+	}
+	for _, rsnap := range snap.Runs {
+		p := s.tenants[rsnap.Tenant]
+		if p == nil || rsnap.ID == "" || s.runs[rsnap.ID] != nil {
+			return fmt.Errorf("melody: snapshot run %q (tenant %q) is unknown or repeated", rsnap.ID, rsnap.Tenant)
+		}
+		s.runs[rsnap.ID] = &schedRun{id: rsnap.ID, tenant: rsnap.Tenant, num: int32(rsnap.Num), p: p,
+			tasks: rsnap.Tasks, budget: rsnap.Budget, outcome: rsnap.Outcome, done: true}
+		s.opened = max(s.opened, rsnap.Num)
+	}
+	s.completed = len(snap.Runs)
+	return nil
+}
+
+// exportState captures a tenant platform's estimator, bidders and run
+// count; the rest of its state is the scheduler's.
+func (p *Platform) exportState(tenant string) (TenantSnapshot, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	ts := TenantSnapshot{Tenant: tenant, Runs: p.run}
+	if p.open != nil {
+		return ts, ErrSnapshotMidRun
+	}
+	if p.run == 0 {
+		return ts, nil
+	}
+	es, ok := p.est.(EstimatorSnapshotter)
+	if !ok {
+		return ts, ErrNoSnapshot
+	}
+	est, err := es.SnapshotState()
+	if err != nil {
+		return ts, fmt.Errorf("melody: snapshot estimator: %w", err)
+	}
+	ts.Estimator = est
+	for _, w := range p.bidders {
+		ts.Bidders = append(ts.Bidders, w)
+	}
+	sort.Slice(ts.Bidders, func(i, j int) bool { return ts.Bidders[i].ID < ts.Bidders[j].ID })
+	return ts, nil
+}
+
+// importState installs exportState's capture into a fresh platform.
+func (p *Platform) importState(ts TenantSnapshot) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.run != 0 || p.open != nil || len(p.bidders) != 0 {
+		return errors.New("melody: restore target is not a fresh platform")
+	}
+	if len(ts.Estimator) > 0 {
+		es, ok := p.est.(EstimatorSnapshotter)
+		if !ok {
+			return ErrNoSnapshot
+		}
+		if err := es.RestoreState(ts.Estimator); err != nil {
+			return fmt.Errorf("melody: restore estimator: %w", err)
+		}
+	}
+	if len(ts.Bidders) > 0 {
+		// The auction kernel's cached ranking is derived state: a pure
+		// function of the bidder multiset. Reseeding it through the same
+		// delta path CloseAuction uses reproduces it exactly.
+		if err := p.auction.Apply(core.WorkerDelta{Upserts: slices.Clone(ts.Bidders)}); err != nil {
+			return fmt.Errorf("melody: restore auction state: %w", err)
+		}
+		for _, w := range ts.Bidders {
+			p.bidders[w.ID] = w
+		}
+	}
+	p.run = ts.Runs
 	return nil
 }

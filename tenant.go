@@ -170,8 +170,9 @@ func (s *RunScheduler) TenantPolicy(tenant string) (TenantPolicy, bool) {
 
 // TenantStatus returns one tenant's control-plane status, or
 // ErrUnknownTenant for a tenant with neither a policy nor any run
-// history.
+// history. The empty tenant names DefaultTenant, as in OpenRun.
 func (s *RunScheduler) TenantStatus(tenant string) (TenantStatus, error) {
+	tenant = tenantOrDefault(tenant)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	ts := s.tstates[tenant]
