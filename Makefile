@@ -25,8 +25,10 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # race re-runs the suite under the race detector; the concurrent paths
-# (quality.ObserveBatch, market.RunReplications, experiments.forEachPoint)
-# carry differential tests that exercise them.
+# (market.RunReplications, experiments.forEachPoint, the WAL decoder
+# goroutine) carry differential tests that exercise them.
+# quality.ObserveBatch is no longer concurrent: it batches EM through the
+# lane kernel on the calling goroutine.
 race:
 	$(GO) test -race ./...
 
@@ -79,6 +81,7 @@ fuzz-smoke:
 	$(GO) test ./internal/platform/ -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lds/ -run '^$$' -fuzz '^FuzzKalmanFilter$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lds/ -run '^$$' -fuzz '^FuzzEMStats$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lds/ -run '^$$' -fuzz '^FuzzEMLanes$$' -fuzztime $(FUZZTIME)
 
 # load-smoke drives a short seeded load run through the real serving path
 # (loopback HTTP server, WAL group-commit backend, batched bids) and fails

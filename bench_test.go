@@ -266,6 +266,40 @@ func BenchmarkEMLearningWorkspace(b *testing.B) {
 	}
 }
 
+// BenchmarkEMLanes is melody-bench's lds/em_w60_x16: one finish's worth
+// of due re-estimations, 16 windows of 60 runs with a score in every run,
+// through the lane kernel four at a time for 50 iterations each.
+func BenchmarkEMLanes(b *testing.B) {
+	r := stats.NewRNG(5)
+	windows := make([][][]float64, 16)
+	for w := range windows {
+		windows[w] = make([][]float64, 60)
+		for t := range windows[w] {
+			windows[w][t] = []float64{r.Normal(5, 2)}
+		}
+	}
+	start := lds.Params{A: 1, Gamma: 0.3, Eta: 9}
+	init := lds.State{Mean: 5.5, Var: 2.25}
+	cfg := lds.EMConfig{MaxIter: 50, Tol: 1e-300}
+	var ws lds.Workspace
+	lanes := make([]lds.EMLane, lds.Lanes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for g := 0; g < len(windows); g += lds.Lanes {
+			for j := range lanes {
+				lanes[j] = lds.EMLane{Start: start, Init: init, History: windows[g+j]}
+			}
+			ws.EMLanes(lanes, cfg)
+			for j := range lanes {
+				if lanes[j].Err != nil {
+					b.Fatal(lanes[j].Err)
+				}
+			}
+		}
+	}
+}
+
 // Ablations. Each runs a reduced Table 4 world and reports quality metrics
 // alongside timing, so -bench output reads as an ablation table.
 

@@ -286,6 +286,41 @@ func emKernel(b *testing.B) {
 	}
 }
 
+// emLanesKernel measures one finish's worth of due re-estimations through
+// the lane kernel: 16 windows of 60 runs, one score per run as in emKernel,
+// run four at a time by lds.Workspace.EMLanes for 50 iterations each. One
+// op is all 16 windows.
+func emLanesKernel(b *testing.B) {
+	r := stats.NewRNG(5)
+	windows := make([][][]float64, 16)
+	for w := range windows {
+		windows[w] = make([][]float64, 60)
+		for t := range windows[w] {
+			windows[w][t] = []float64{r.Normal(5, 2)}
+		}
+	}
+	start := lds.Params{A: 1, Gamma: 0.3, Eta: 9}
+	init := lds.State{Mean: 5.5, Var: 2.25}
+	cfg := lds.EMConfig{MaxIter: 50, Tol: 1e-300}
+	var ws lds.Workspace
+	lanes := make([]lds.EMLane, lds.Lanes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for g := 0; g < len(windows); g += lds.Lanes {
+			for j := range lanes {
+				lanes[j] = lds.EMLane{Start: start, Init: init, History: windows[g+j]}
+			}
+			ws.EMLanes(lanes, cfg)
+			for j := range lanes {
+				if lanes[j].Err != nil {
+					b.Fatal(lanes[j].Err)
+				}
+			}
+		}
+	}
+}
+
 // observeKernel measures the estimator's steady-state per-run cost with the
 // paper's EM period and window: every iteration is one Observe, every 10th
 // carries an EM re-estimation over the 60-run window.
@@ -660,6 +695,7 @@ func kernels() []kernel {
 		{name: "lds/kalman_update", fn: kalmanKernel},
 		{name: "lds/rts_smoother_r100", fn: smootherKernel},
 		{name: "lds/em_w60_i12", fn: emKernel},
+		{name: "lds/em_w60_x16", fn: emLanesKernel},
 		{name: "quality/observe_t10_w60", fn: observeKernel},
 		{name: "obs/primitives_noop", fn: obsPrimitivesKernel(false)},
 		{name: "obs/primitives_instrumented", fn: obsPrimitivesKernel(true)},

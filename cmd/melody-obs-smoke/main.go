@@ -271,6 +271,7 @@ func checkSeries(series map[string]float64) error {
 		"melody_client_retries_total",
 		"melody_auction_duration_seconds",
 		"melody_em_reestimate_seconds",
+		"melody_em_unconverged_total",
 	} {
 		if !obs.FamilyPresent(series, fam) {
 			return fmt.Errorf("/metrics is missing family %s", fam)

@@ -28,3 +28,22 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state Append allocates %.1f times per op, want 0", allocs)
 	}
 }
+
+// TestDecodeRecordAllocs pins recovery's per-record cost: decoding a bid
+// record in the writer's layout allocates only its two strings, the worker
+// and the run ID. The event itself stays off the heap, though the
+// json.Unmarshal fallback for other layouts needs an addressable one.
+func TestDecodeRecordAllocs(t *testing.T) {
+	line := encodeRecords(t, 41, Event{Kind: KindBid, Run: "r7", Worker: "worker-123", Cost: 1.25, Frequency: 3})
+	if _, ok := parseRecord(line); !ok {
+		t.Fatalf("record %q is not in the writer's layout", line)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := decodeRecord(line, 41); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("decoding a bid record allocates %.1f times, want 2 (its worker and run strings)", allocs)
+	}
+}

@@ -26,6 +26,11 @@ const (
 	// tasks, a close that runs the auction), so a few batches of slack keep
 	// either side from stalling on the other's slow records.
 	scanAhead = 4
+	// scanFree is how many applied batches may wait for the decoder to
+	// refill them: every batch that can be in flight at once, the queued
+	// ones, the one being applied and the one being filled, so the applier
+	// never finds the free list full while the decoder keeps up.
+	scanFree = scanAhead + 2
 )
 
 // crcMember opens the checksum member of a record. Event.CRC is the last
@@ -71,9 +76,13 @@ func recordChecksum(line []byte) (sum uint32, ok bool) {
 func decodeRecord(line []byte, prev int64) (Event, error) {
 	e, ok := parseRecord(line)
 	if !ok {
-		if err := json.Unmarshal(line, &e); err != nil {
+		// A variable of its own: json.Unmarshal takes its address, which
+		// would move e to the heap on every record, fast path included.
+		var u Event
+		if err := json.Unmarshal(line, &u); err != nil {
 			return Event{}, fmt.Errorf("eventlog: corrupt event after seq %d: %w", prev, err)
 		}
+		e = u
 	}
 	if e.Seq != prev+1 {
 		return Event{}, fmt.Errorf("eventlog: sequence gap: %d follows %d", e.Seq, prev)
@@ -116,11 +125,14 @@ type recordBatch struct {
 // A final line without a newline is a torn write and ends the scan cleanly;
 // corruption anywhere else is an error, returned after fn has seen every
 // event before it. An error from fn stops the scan and is returned as is.
-// fn runs on the calling goroutine and may keep the events it is given.
+// fn runs on the calling goroutine and may keep the events it is given:
+// it receives them by value, so the batch that carried them goes back to
+// the decoder to be refilled.
 func scanRecords(r io.Reader, from scanEnd, fn func(Event) error) (scanEnd, error) {
 	batches := make(chan recordBatch, scanAhead)
+	free := make(chan []Event, scanFree)
 	stop := make(chan struct{})
-	go decodeRecords(r, from, batches, stop)
+	go decodeRecords(r, from, batches, free, stop)
 	defer func() {
 		// Stop the decoder and wait for it to exit, so it never reads r
 		// after the caller closes it.
@@ -139,20 +151,29 @@ func scanRecords(r io.Reader, from scanEnd, fn func(Event) error) (scanEnd, erro
 		if b.err != nil {
 			return end, b.err
 		}
+		select {
+		case free <- b.events[:0]:
+		default:
+		}
 	}
 	return end, nil
 }
 
-// decodeRecords is scanRecords' decoder goroutine. It closes out when it
-// returns, which it does at the end of the input, on the first bad record,
-// or once stop is closed.
-func decodeRecords(r io.Reader, pos scanEnd, out chan<- recordBatch, stop <-chan struct{}) {
+// decodeRecords is scanRecords' decoder goroutine. It fills batches taken
+// from free, allocating one only when none is waiting there. It closes out
+// when it returns, which it does at the end of the input, on the first bad
+// record, or once stop is closed.
+func decodeRecords(r io.Reader, pos scanEnd, out chan<- recordBatch, free <-chan []Event, stop <-chan struct{}) {
 	defer close(out)
 	events := make([]Event, 0, scanBatch)
 	send := func(err error) bool {
 		select {
 		case out <- recordBatch{events: events, end: pos, err: err}:
-			events = make([]Event, 0, scanBatch)
+			select {
+			case events = <-free:
+			default:
+				events = make([]Event, 0, scanBatch)
+			}
 			return true
 		case <-stop:
 			return false

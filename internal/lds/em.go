@@ -68,9 +68,9 @@ func EM(start Params, init State, history [][]float64, cfg EMConfig) (EMResult, 
 // non-finite scores there), the buffers are sized once, and every
 // iteration's forward filter runs on those sums with the parameters
 // validated once: an M-step only ever returns valid parameters. The
-// filter's float expressions are Update's, evaluated in the same order, so
-// the result is bit-identical to smoothing the raw history with Smooth on
-// every iteration.
+// filter steps through filterStep, as Update does, so the result is
+// bit-identical to smoothing the raw history with Smooth on every
+// iteration. EMLanes runs up to Lanes such windows at once.
 func (ws *Workspace) EM(start Params, init State, history [][]float64, cfg EMConfig) (EMResult, error) {
 	cfg = cfg.withDefaults()
 	if err := start.Validate(); err != nil {
@@ -96,18 +96,18 @@ func (ws *Workspace) EM(start Params, init State, history [][]float64, cfg EMCon
 
 	cur := start
 	res := EMResult{Params: cur}
+	count := float64(totalScores)
 	for iter := 1; iter <= cfg.MaxIter; iter++ {
 		if err := ws.filterSums(cur, init); err != nil {
 			return EMResult{}, fmt.Errorf("EM iteration %d: %w", iter, err)
 		}
 		ws.backward(cur)
-		next, err := mStep(&ws.sm, history, init, cfg.VarFloor)
+		next, err := mStep(&ws.sm, history, count, cfg.VarFloor)
 		if err != nil {
 			return EMResult{}, fmt.Errorf("EM iteration %d: %w", iter, err)
 		}
 		res.Iterations = iter
-		delta := math.Max(math.Abs(next.A-cur.A),
-			math.Max(math.Abs(next.Gamma-cur.Gamma), math.Abs(next.Eta-cur.Eta)))
+		delta := paramDelta(next, cur)
 		cur = next
 		if delta < cfg.Tol {
 			res.Converged = true
@@ -123,6 +123,13 @@ func (ws *Workspace) EM(start Params, init State, history [][]float64, cfg EMCon
 	return res, nil
 }
 
+// paramDelta is the largest absolute change between two parameter sets,
+// the quantity EM's tolerance bounds.
+func paramDelta(next, cur Params) float64 {
+	return math.Max(math.Abs(next.A-cur.A),
+		math.Max(math.Abs(next.Gamma-cur.Gamma), math.Abs(next.Eta-cur.Eta)))
+}
+
 // sumRuns records each run's score count and score sum, summed in order
 // from zero exactly as Update sums them.
 func (ws *Workspace) sumRuns(history [][]float64) error {
@@ -131,14 +138,11 @@ func (ws *Workspace) sumRuns(history [][]float64) error {
 	}
 	ws.runs = ws.runs[:0]
 	for r, scores := range history {
-		var sum float64
-		for _, s := range scores {
-			if math.IsNaN(s) || math.IsInf(s, 0) {
-				return fmt.Errorf("run %d: lds: score %v is not finite", r+1, s)
-			}
-			sum += s
+		run, err := sumRun(scores)
+		if err != nil {
+			return fmt.Errorf("run %d: %w", r+1, err)
 		}
-		ws.runs = append(ws.runs, runSums{n: float64(len(scores)), sum: sum})
+		ws.runs = append(ws.runs, run)
 	}
 	return nil
 }
@@ -151,61 +155,67 @@ func (ws *Workspace) filterSums(p Params, init State) error {
 	filtered[0] = init
 	for t := 1; t < len(filtered); t++ {
 		prev := filtered[t-1]
-		// Update's prev.Validate(), inlined: a finite mean (m-m is NaN for
-		// NaN and ±Inf) and a positive finite variance.
-		if prev.Mean-prev.Mean != 0 || !(prev.Var > 0 && prev.Var <= math.MaxFloat64) {
+		if !proper(prev) {
 			return fmt.Errorf("run %d: %w", t, prev.Validate())
 		}
-		k := p.A*p.A*prev.Var + p.Gamma // K = a^2*sigma_{r-1} + gamma
-		predicted[t] = k
-		run := ws.runs[t-1]
-		if run.n == 0 {
-			filtered[t] = State{Mean: p.A * prev.Mean, Var: k}
-			continue
-		}
-		denom := run.n*k + p.Eta
-		filtered[t] = State{
-			Mean: (p.A*p.Eta*prev.Mean + k*run.sum) / denom, // Eq. (17)
-			Var:  k * p.Eta / denom,                         // Eq. (18)
-		}
+		filtered[t], predicted[t] = filterStep(p, prev, ws.runs[t-1])
 	}
 	return nil
 }
 
-// mStep computes the closed-form M-step from smoothed statistics.
-func mStep(sm *Smoothed, history [][]float64, init State, varFloor float64) (Params, error) {
+// mStep is the closed-form M-step from smoothed statistics, given
+// the number of scores in the history.
+func mStep(sm *Smoothed, history [][]float64, count, varFloor float64) (Params, error) {
 	n := sm.Runs()
-
-	// Second moments: E[q_t^2] = Var + Mean^2, E[q_t q_{t-1}] = CrossCov +
-	// Mean_t * Mean_{t-1}.
-	var sumCross, sumPrevSq, sumCurSq float64
-	for t := 1; t <= n; t++ {
-		sumCross += sm.CrossCov[t] + sm.Mean[t]*sm.Mean[t-1]
-		sumPrevSq += sm.Var[t-1] + sm.Mean[t-1]*sm.Mean[t-1]
-		sumCurSq += sm.Var[t] + sm.Mean[t]*sm.Mean[t]
-	}
-	if sumPrevSq <= 0 {
-		return Params{}, errors.New("lds: degenerate history (zero prior second moment)")
-	}
-	a := sumCross / sumPrevSq
-	gamma := (sumCurSq - 2*a*sumCross + a*a*sumPrevSq) / float64(n)
-	gamma = math.Max(gamma, varFloor)
-
+	var m moments
 	var sumSq float64
-	var count float64
 	for t := 1; t <= n; t++ {
-		for _, s := range history[t-1] {
-			d := s - sm.Mean[t]
-			sumSq += d*d + sm.Var[t]
-			count++
+		m = m.add(State{Mean: sm.Mean[t-1], Var: sm.Var[t-1]}, State{Mean: sm.Mean[t], Var: sm.Var[t]}, sm.CrossCov[t])
+		for _, x := range history[t-1] {
+			sumSq = residual(sumSq, x, State{Mean: sm.Mean[t], Var: sm.Var[t]})
 		}
 	}
+	return m.params(n, sumSq, count, varFloor)
+}
+
+// moments are the M-step's running sums over t = 1..R of the smoothed
+// second moments E[q_t q_{t-1}], E[q_{t-1}^2] and E[q_t^2].
+type moments struct {
+	cross, prevSq, curSq float64
+}
+
+// add folds in run t, given the smoothed beliefs at t-1 and t and their
+// lag-one covariance: E[q_t^2] = Var + Mean^2, E[q_t q_{t-1}] = CrossCov +
+// Mean_t * Mean_{t-1}. The M-steps of Workspace.EM and the EM lane kernel
+// both sum through it.
+func (m moments) add(prev, cur State, cross float64) moments {
+	m.cross += cross + cur.Mean*prev.Mean
+	m.prevSq += prev.Var + prev.Mean*prev.Mean
+	m.curSq += cur.Var + cur.Mean*cur.Mean
+	return m
+}
+
+// residual adds one score's term of eta's numerator to sumSq:
+// (s_tj - E[q_t])^2 + Var[q_t], given the smoothed belief cur at its run.
+func residual(sumSq, score float64, cur State) float64 {
+	d := score - cur.Mean
+	return sumSq + (d*d + cur.Var)
+}
+
+// params solves the M-step from the moment sums over n runs and eta's
+// numerator sumSq over count scores.
+func (m moments) params(n int, sumSq, count, varFloor float64) (Params, error) {
+	if m.prevSq <= 0 {
+		return Params{}, errors.New("lds: degenerate history (zero prior second moment)")
+	}
+	a := m.cross / m.prevSq
+	gamma := (m.curSq - 2*a*m.cross + a*a*m.prevSq) / float64(n)
+	gamma = math.Max(gamma, varFloor)
 	eta := math.Max(sumSq/count, varFloor)
 
 	p := Params{A: a, Gamma: gamma, Eta: eta}
 	if err := p.Validate(); err != nil {
 		return Params{}, err
 	}
-	_ = init // initial state is fixed by the platform and not re-estimated
 	return p, nil
 }

@@ -40,7 +40,7 @@ func (ws *Workspace) emReference(start Params, init State, history [][]float64, 
 		if err != nil {
 			return EMResult{}, fmt.Errorf("EM iteration %d: %w", iter, err)
 		}
-		next, err := mStep(sm, history, init, cfg.VarFloor)
+		next, err := mStepReference(sm, history, cfg.VarFloor)
 		if err != nil {
 			return EMResult{}, fmt.Errorf("EM iteration %d: %w", iter, err)
 		}
@@ -60,6 +60,45 @@ func (ws *Workspace) emReference(start Params, init State, history [][]float64, 
 	}
 	res.LogLikelihood = ll
 	return res, nil
+}
+
+// mStepReference is the closed-form M-step as it was before its sums moved
+// into the helpers Workspace.EM and EMLanes share, kept verbatim so the
+// oracle shares none of them.
+func mStepReference(sm *Smoothed, history [][]float64, varFloor float64) (Params, error) {
+	n := sm.Runs()
+
+	// Second moments: E[q_t^2] = Var + Mean^2, E[q_t q_{t-1}] = CrossCov +
+	// Mean_t * Mean_{t-1}.
+	var sumCross, sumPrevSq, sumCurSq float64
+	for t := 1; t <= n; t++ {
+		sumCross += sm.CrossCov[t] + sm.Mean[t]*sm.Mean[t-1]
+		sumPrevSq += sm.Var[t-1] + sm.Mean[t-1]*sm.Mean[t-1]
+		sumCurSq += sm.Var[t] + sm.Mean[t]*sm.Mean[t]
+	}
+	if sumPrevSq <= 0 {
+		return Params{}, errors.New("lds: degenerate history (zero prior second moment)")
+	}
+	a := sumCross / sumPrevSq
+	gamma := (sumCurSq - 2*a*sumCross + a*a*sumPrevSq) / float64(n)
+	gamma = math.Max(gamma, varFloor)
+
+	var sumSq float64
+	var count float64
+	for t := 1; t <= n; t++ {
+		for _, s := range history[t-1] {
+			d := s - sm.Mean[t]
+			sumSq += d*d + sm.Var[t]
+			count++
+		}
+	}
+	eta := math.Max(sumSq/count, varFloor)
+
+	p := Params{A: a, Gamma: gamma, Eta: eta}
+	if err := p.Validate(); err != nil {
+		return Params{}, err
+	}
+	return p, nil
 }
 
 // sameEM reports whether two EM results are identical bit for bit (NaN

@@ -93,11 +93,6 @@ func Update(p Params, prev State, scores []float64) (State, error) {
 	if err := prev.Validate(); err != nil {
 		return State{}, err
 	}
-	k := p.A*p.A*prev.Var + p.Gamma // K = a^2*sigma_{r-1} + gamma
-	n := float64(len(scores))
-	if len(scores) == 0 {
-		return State{Mean: p.A * prev.Mean, Var: k}, nil
-	}
 	var sum float64
 	for _, s := range scores {
 		if math.IsNaN(s) || math.IsInf(s, 0) {
@@ -105,11 +100,52 @@ func Update(p Params, prev State, scores []float64) (State, error) {
 		}
 		sum += s
 	}
-	denom := n*k + p.Eta
+	next, _ := filterStep(p, prev, runSums{n: float64(len(scores)), sum: sum})
+	return next, nil
+}
+
+// runSums is one run's score count and score sum, the only view of the
+// run's scores the forward filter needs.
+type runSums struct {
+	n, sum float64
+}
+
+// sumRun sums a run's scores in order from zero, rejecting non-finite ones,
+// as Update does; Update keeps its own loop so that the per-run hot path
+// makes no call.
+func sumRun(scores []float64) (runSums, error) {
+	var sum float64
+	for _, s := range scores {
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			return runSums{}, fmt.Errorf("lds: score %v is not finite", s)
+		}
+		sum += s
+	}
+	return runSums{n: float64(len(scores)), sum: sum}, nil
+}
+
+// filterStep is Theorem 3's update on a run's sums, with p and prev
+// already validated: the posterior after the run and the prior variance K
+// the smoother's gain divides by. Update, the EM filter and the EM lane
+// kernel all step through it, so every path evaluates the same float
+// expressions in the same order.
+func filterStep(p Params, prev State, run runSums) (State, float64) {
+	k := p.A*p.A*prev.Var + p.Gamma // K = a^2*sigma_{r-1} + gamma
+	if run.n == 0 {
+		return State{Mean: p.A * prev.Mean, Var: k}, k
+	}
+	denom := run.n*k + p.Eta
 	return State{
-		Mean: (p.A*p.Eta*prev.Mean + k*sum) / denom, // Eq. (17)
-		Var:  k * p.Eta / denom,                     // Eq. (18)
-	}, nil
+		Mean: (p.A*p.Eta*prev.Mean + k*run.sum) / denom, // Eq. (17)
+		Var:  k * p.Eta / denom,                         // Eq. (18)
+	}, k
+}
+
+// proper is State.Validate as a predicate cheap enough for every filter
+// step: a finite mean (m-m is NaN for NaN and ±Inf) and a positive finite
+// variance.
+func proper(s State) bool {
+	return s.Mean-s.Mean == 0 && s.Var > 0 && s.Var <= math.MaxFloat64
 }
 
 // Filter runs the forward recursion over a full history. history[r] is the
@@ -130,7 +166,7 @@ func FilterInto(dst []State, p Params, init State, history [][]float64) ([]State
 	if err := init.Validate(); err != nil {
 		return nil, err
 	}
-	out := growStates(dst, len(history))
+	out := grow(dst, len(history))
 	cur := init
 	for r, scores := range history {
 		next, err := Update(p, cur, scores)

@@ -65,16 +65,27 @@ func (ws *Workspace) Smooth(p Params, init State, history [][]float64) (*Smoothe
 func (ws *Workspace) backward(p Params) {
 	filtered, predicted, sm := ws.filtered, ws.predicted, &ws.sm
 	n := len(filtered) - 1
-	sm.Mean[n] = filtered[n].Mean
-	sm.Var[n] = filtered[n].Var
+	next := filtered[n]
+	sm.Mean[n], sm.Var[n] = next.Mean, next.Var
 	for t := n - 1; t >= 0; t-- {
-		// Smoother gain J_t = V_t * a / P_{t+1}.
-		j := filtered[t].Var * p.A / predicted[t+1]
-		sm.Mean[t] = filtered[t].Mean + j*(sm.Mean[t+1]-p.A*filtered[t].Mean)
-		sm.Var[t] = filtered[t].Var + j*j*(sm.Var[t+1]-predicted[t+1])
-		// Lag-one covariance Cov(q_{t+1}, q_t | all) = J_t * V_{t+1|T}.
-		sm.CrossCov[t+1] = j * sm.Var[t+1]
+		next, sm.CrossCov[t+1] = smoothStep(p.A, filtered[t], predicted[t+1], next)
+		sm.Mean[t], sm.Var[t] = next.Mean, next.Var
 	}
+}
+
+// smoothStep is one RTS step: from the filtered belief f at t, the prior
+// variance pred of run t+1 and the smoothed belief next at t+1, it returns
+// the smoothed belief at t and the lag-one covariance Cov(q_{t+1}, q_t).
+// The smoother and the EM lane kernel both step through it.
+func smoothStep(a float64, f State, pred float64, next State) (State, float64) {
+	// Smoother gain J_t = V_t * a / P_{t+1}.
+	j := f.Var * a / pred
+	return State{
+			Mean: f.Mean + j*(next.Mean-a*f.Mean),
+			Var:  f.Var + j*j*(next.Var-pred),
+		},
+		// Lag-one covariance Cov(q_{t+1}, q_t | all) = J_t * V_{t+1|T}.
+		j * next.Var
 }
 
 // Runs returns the number of runs R covered by the smoothed history.

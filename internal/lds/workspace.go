@@ -15,28 +15,24 @@ type Workspace struct {
 	predicted []float64
 	sm        Smoothed
 	runs      []runSums // per EM call
-}
-
-// runSums is one run's score count and score sum, the only view of the
-// run's scores the EM forward filter needs.
-type runSums struct {
-	n, sum float64
+	lanes     laneGroup // EMLanes' buffers
 }
 
 // size readies the forward- and backward-pass buffers for n runs (n+1
 // states, index 0 being the initial belief).
 func (ws *Workspace) size(n int) {
-	ws.filtered = growStates(ws.filtered, n+1)
+	ws.filtered = grow(ws.filtered, n+1)
 	ws.predicted = growFloats(ws.predicted, n+1)
 	ws.sm.Mean = growFloats(ws.sm.Mean, n+1)
 	ws.sm.Var = growFloats(ws.sm.Var, n+1)
 	ws.sm.CrossCov = growFloats(ws.sm.CrossCov, n+1)
 }
 
-// growStates returns a State buffer of length n.
-func growStates(buf []State, n int) []State {
+// grow returns buf resized to n elements, reallocating only to grow. The
+// old contents stay: callers overwrite every element they read.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]State, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

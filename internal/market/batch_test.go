@@ -16,9 +16,8 @@ type serialOnly struct {
 // TestEngineBatchObserveMatchesSerial runs two identically-seeded worlds —
 // one where the engine sees *quality.Melody (batch path), one where the
 // estimator is wrapped so only Observe is visible — and requires the full
-// telemetry of every run to be deep-equal. This pins the ISSUE acceptance
-// criterion that the sharded observe path is bit-identical to the seed's
-// serial loop at the system level, not just per worker.
+// telemetry of every run to be deep-equal. This pins the batch observe
+// path to the serial loop at the system level, not just per worker.
 func TestEngineBatchObserveMatchesSerial(t *testing.T) {
 	const seed, n, m, runs = 97, 40, 30, 25
 

@@ -301,8 +301,8 @@ func (e *Engine) Step() (*RunResult, error) {
 
 	// 5. The platform updates every worker's quality for the next run.
 	// Estimators that support batch observation absorb the whole run at
-	// once (MELODY shards its independent per-worker Kalman/EM updates
-	// across a goroutine pool, bit-identically to the serial loop).
+	// once (MELODY runs the due workers' EM re-estimations four at a time
+	// through its lane kernel, bit-identically to the serial loop).
 	if batch, ok := cfg.Estimator.(quality.BatchObserver); ok {
 		if err := batch.ObserveBatch(ids, scoreSets); err != nil {
 			return nil, fmt.Errorf("market: run %d: observe batch: %w", runIdx+1, err)

@@ -72,7 +72,10 @@ const (
 	// EM re-estimation (internal/quality).
 	MetricEMReestimateSeconds = "melody_em_reestimate_seconds"
 	MetricEMRunsTotal         = "melody_em_runs_total"
-	MetricEMLogLikelihood     = "melody_em_log_likelihood"
+	// Re-estimations that stopped at EMConfig.MaxIter without their
+	// parameters settling within EMConfig.Tol.
+	MetricEMUnconvergedTotal = "melody_em_unconverged_total"
+	MetricEMLogLikelihood    = "melody_em_log_likelihood"
 	// Workers whose belief diverged (non-finite) and were restarted from
 	// the initial belief and theta^0 (internal/quality).
 	MetricEstimatorRestartsTotal = "melody_estimator_restarts_total"
@@ -116,8 +119,9 @@ func RegisterBaseline(r *Registry) {
 	r.Counter(MetricAuctionIncrementalRepairsTotal, "Auction cache deltas applied by local repair.")
 	r.Counter(MetricAuctionFullRebuildsTotal, "Auction cache deltas applied by full rebuild.")
 	r.Gauge(MetricAuctionCacheChurnRatio, "Registry fraction mutated by the latest delta.")
-	r.Histogram(MetricEMReestimateSeconds, "Wall time of one per-worker EM re-estimation.", TimeBuckets())
+	r.Histogram(MetricEMReestimateSeconds, "Wall time of one per-worker EM re-estimation (its share of its lane group's time).", TimeBuckets())
 	r.Counter(MetricEMRunsTotal, "EM re-estimations performed.")
+	r.Counter(MetricEMUnconvergedTotal, "EM re-estimations that stopped at the iteration cap without reaching the tolerance.")
 	r.Gauge(MetricEMLogLikelihood, "Final log marginal likelihood of the latest EM re-estimation.")
 	r.Counter(MetricEstimatorRestartsTotal, "Diverged workers restarted from the initial belief.")
 }

@@ -1,12 +1,14 @@
 package quality
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"melody/internal/lds"
+	"melody/internal/obs"
 	"melody/internal/stats"
 )
 
@@ -23,59 +25,114 @@ func batchTestConfig() MelodyConfig {
 // TestObserveBatchMatchesSerial drives two identical estimators through the
 // same multi-run trace — one via per-worker Observe calls, one via
 // ObserveBatch — and requires bit-identical state for every worker after
-// every run. Run under -race this also exercises the sharded pool.
+// every run, the same EM counts and log-likelihood gauge, and equal
+// snapshots at the end. The cases cover the misfit trigger, workers who
+// join mid-season (so windows of unequal length fall due in one batch and
+// run in separate lane groups), and due sets of 1, 4 and 5 workers: a
+// group of one, one full group, and a full group plus one.
 func TestObserveBatchMatchesSerial(t *testing.T) {
-	for _, cfg := range []MelodyConfig{
-		batchTestConfig(),
-		{Init: lds.State{Mean: 5.5, Var: 2.25}, Params: lds.Params{A: 0.98, Gamma: 0.3, Eta: 4},
-			EMPeriod: 3, EMWindow: 0, MisfitTrigger: 2.5, EM: lds.EMConfig{MaxIter: 6}},
+	misfit := MelodyConfig{Init: lds.State{Mean: 5.5, Var: 2.25}, Params: lds.Params{A: 0.98, Gamma: 0.3, Eta: 4},
+		EMPeriod: 3, EMWindow: 0, MisfitTrigger: 2.5, EM: lds.EMConfig{MaxIter: 6}}
+	for _, tc := range []struct {
+		name    string
+		cfg     MelodyConfig
+		workers int
+		joins   func(worker int) int // the run a worker is first observed in
+	}{
+		{name: "period", cfg: batchTestConfig(), workers: 64},
+		{name: "misfit", cfg: misfit, workers: 64},
+		{name: "mid-season joins", cfg: batchTestConfig(), workers: 64, joins: func(i int) int { return i % 9 * 2 }},
+		{name: "due 1", cfg: batchTestConfig(), workers: 1},
+		{name: "due 4", cfg: batchTestConfig(), workers: 4},
+		{name: "due 5", cfg: batchTestConfig(), workers: 5},
 	} {
-		serial, err := NewMelody(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batched, err := NewMelody(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := stats.NewRNG(42)
-		const workers = 64
-		ids := make([]string, workers)
-		for i := range ids {
-			ids[i] = fmt.Sprintf("w%02d", i)
-		}
-		for run := 0; run < 30; run++ {
-			scores := make([][]float64, workers)
-			for i := range scores {
-				// Mix of empty, short and long score sets.
-				n := r.Intn(4)
-				for k := 0; k < n; k++ {
-					scores[i] = append(scores[i], r.Normal(5, 2))
-				}
-			}
-			for i := range ids {
-				if err := serial.Observe(ids[i], scores[i]); err != nil {
+		t.Run(tc.name, func(t *testing.T) {
+			var est [2]*Melody
+			var reg [2]*obs.Registry
+			for k := range est {
+				cfg := tc.cfg
+				reg[k] = obs.NewRegistry()
+				cfg.Metrics = reg[k]
+				var err error
+				if est[k], err = NewMelody(cfg); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := batched.ObserveBatch(ids, scores); err != nil {
+			serial, batched := est[0], est[1]
+			r := stats.NewRNG(42)
+			all := make([]string, tc.workers)
+			for i := range all {
+				all[i] = fmt.Sprintf("w%02d", i)
+			}
+			for run := 0; run < 30; run++ {
+				var ids []string
+				var scores [][]float64
+				for i, id := range all {
+					join := 0
+					if tc.joins != nil {
+						join = tc.joins(i)
+					}
+					if join > run {
+						continue
+					}
+					// Mix of empty, short and long score sets; every worker
+					// scores in its first run, so each one's EM falls due.
+					n := r.Intn(4)
+					if run == join {
+						n = max(n, 1)
+					}
+					var set []float64
+					for k := 0; k < n; k++ {
+						set = append(set, r.Normal(5, 2))
+					}
+					ids, scores = append(ids, id), append(scores, set)
+				}
+				for i := range ids {
+					if err := serial.Observe(ids[i], scores[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := batched.ObserveBatch(ids, scores); err != nil {
+					t.Fatal(err)
+				}
+				for _, id := range ids {
+					se, be := serial.Estimate(id), batched.Estimate(id)
+					if se != be {
+						t.Fatalf("run %d worker %s: serial estimate %v != batch estimate %v", run, id, se, be)
+					}
+					sp, _ := serial.Posterior(id)
+					bp, _ := batched.Posterior(id)
+					if sp != bp {
+						t.Fatalf("run %d worker %s: posterior %+v != %+v", run, id, sp, bp)
+					}
+					if serial.Params(id) != batched.Params(id) {
+						t.Fatalf("run %d worker %s: params diverged", run, id)
+					}
+				}
+				for _, c := range []string{obs.MetricEMRunsTotal, obs.MetricEMUnconvergedTotal} {
+					if s, b := reg[0].Counter(c, "").Value(), reg[1].Counter(c, "").Value(); s != b {
+						t.Fatalf("run %d: %s serial %d, batch %d", run, c, s, b)
+					}
+				}
+				if s, b := reg[0].Gauge(obs.MetricEMLogLikelihood, "").Value(), reg[1].Gauge(obs.MetricEMLogLikelihood, "").Value(); s != b {
+					t.Fatalf("run %d: log-likelihood gauge serial %v, batch %v", run, s, b)
+				}
+			}
+			if reg[0].Counter(obs.MetricEMRunsTotal, "").Value() == 0 {
+				t.Fatal("no EM ran; the case is vacuous")
+			}
+			sb, err := serial.SnapshotState()
+			if err != nil {
 				t.Fatal(err)
 			}
-			for _, id := range ids {
-				se, be := serial.Estimate(id), batched.Estimate(id)
-				if se != be {
-					t.Fatalf("run %d worker %s: serial estimate %v != batch estimate %v", run, id, se, be)
-				}
-				sp, _ := serial.Posterior(id)
-				bp, _ := batched.Posterior(id)
-				if sp != bp {
-					t.Fatalf("run %d worker %s: posterior %+v != %+v", run, id, sp, bp)
-				}
-				if serial.Params(id) != batched.Params(id) {
-					t.Fatalf("run %d worker %s: params diverged", run, id)
-				}
+			bb, err := batched.SnapshotState()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if !bytes.Equal(sb, bb) {
+				t.Fatal("batch snapshot differs from the serial one")
+			}
+		})
 	}
 }
 

@@ -1,10 +1,10 @@
 package quality
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
+	"slices"
 	"time"
 
 	"melody/internal/lds"
@@ -34,14 +34,13 @@ type MelodyConfig struct {
 	MisfitTrigger float64
 	// EM configures the inner EM loop.
 	EM lds.EMConfig
-	// BatchConcurrency bounds the goroutine pool ObserveBatch shards
-	// workers across; zero or negative means runtime.GOMAXPROCS(0).
-	BatchConcurrency int
 	// Metrics optionally receives EM re-estimation metrics: wall time per
-	// re-estimation, total count, and the latest final log-likelihood. Nil
+	// re-estimation, the counts of re-estimations and of those that
+	// stopped at EM.MaxIter, and the latest final log-likelihood. Nil
 	// disables instrumentation.
 	Metrics *obs.Registry
-	// Tracer optionally records an "em.reestimate" span per re-estimation.
+	// Tracer optionally records an "em.reestimate" span per group of
+	// re-estimations run together (see ObserveBatch).
 	Tracer *obs.Tracer
 }
 
@@ -136,8 +135,8 @@ func (h *scoreWindow) view(dst [][]float64) [][]float64 {
 }
 
 // melodyWorker is the per-worker state of Algorithm 3: model state only.
-// Inference scratch lives in the estimator (one scratch per goroutine), so
-// a tracked worker costs its beliefs, theta and its score window.
+// Inference scratch lives in the estimator, so a tracked worker costs its
+// beliefs, theta and its score window.
 type melodyWorker struct {
 	posterior lds.State
 	params    lds.Params
@@ -150,25 +149,27 @@ type melodyWorker struct {
 	hist       scoreWindow
 }
 
-// scratch is one goroutine's inference working memory: the smoother/EM
-// workspace, the window's chronological view and the innovations buffer.
-// Nothing in it outlives the worker update that uses it.
+// scratch is the estimator's inference working memory: the smoother/EM
+// workspace, the windows' chronological views (one per EM lane), the
+// innovations buffer and the EM lane group. Nothing in it outlives the
+// update that uses it.
 type scratch struct {
-	ws   lds.Workspace
-	view [][]float64
-	inn  []lds.Innovation
+	ws    lds.Workspace
+	views [lds.Lanes][][]float64
+	inn   []lds.Innovation
+	lanes [lds.Lanes]lds.EMLane
 }
 
 // history returns the worker's retained runs in chronological order,
-// aliasing the window through the scratch view.
-func (sc *scratch) history(w *melodyWorker) [][]float64 {
-	sc.view = w.hist.view(sc.view)
-	return sc.view
+// aliasing the window through the lane's view.
+func (sc *scratch) history(lane int, w *melodyWorker) [][]float64 {
+	sc.views[lane] = w.hist.view(sc.views[lane])
+	return sc.views[lane]
 }
 
 // misfit is the worker's model-misfit score over its retained window.
 func (sc *scratch) misfit(w *melodyWorker) (float64, error) {
-	innovations, err := lds.InnovationsInto(sc.inn[:0], w.params, w.windowInit, sc.history(w))
+	innovations, err := lds.InnovationsInto(sc.inn[:0], w.params, w.windowInit, sc.history(0, w))
 	if err != nil {
 		return 0, err
 	}
@@ -181,12 +182,13 @@ func (sc *scratch) misfit(w *melodyWorker) (float64, error) {
 // hyper-parameters theta = {a, gamma, eta} are re-learned with EM every
 // EMPeriod runs (Algorithm 3).
 //
-// Melody is not safe for concurrent use with its mutating methods, but
-// ObserveBatch internally shards its independent per-worker updates across
-// a bounded goroutine pool and is bit-identical to the equivalent sequence
-// of Observe calls. The read paths — Estimate, Posterior, Params, Forecast
-// and SnapshotState — write nothing, so any number of them may run at once
-// while no update is in progress.
+// Melody is not safe for concurrent use with its mutating methods.
+// ObserveBatch runs the EM re-estimations a run makes due through the lane
+// kernel (lds.Workspace.EMLanes), several workers at once, and leaves
+// exactly the state the equivalent sequence of Observe calls would. The
+// read paths — Estimate, Posterior, Params, Forecast and SnapshotState —
+// write nothing, so any number of them may run at once while no update is
+// in progress.
 type Melody struct {
 	cfg     MelodyConfig
 	workers map[string]*melodyWorker
@@ -194,18 +196,14 @@ type Melody struct {
 	// duplicate IDs inside one batch are detected without a per-batch set.
 	batchGen uint64
 
-	// scratch serves Observe, Misfit and serial batches; shards holds one
-	// scratch per concurrent ObserveBatch shard, reused across batches.
 	scratch scratch
-	shards  []scratch
 
-	// Instrumentation handles; nil (no-op) when cfg.Metrics is nil. The
-	// handles are internally atomic, so concurrent ObserveBatch shards can
-	// record through them without coordination.
-	emSeconds *obs.Histogram
-	emRuns    *obs.Counter
-	emLoglik  *obs.Gauge
-	restarts  *obs.Counter
+	// Instrumentation handles; nil (no-op) when cfg.Metrics is nil.
+	emSeconds     *obs.Histogram
+	emRuns        *obs.Counter
+	emUnconverged *obs.Counter
+	emLoglik      *obs.Gauge
+	restarts      *obs.Counter
 }
 
 var (
@@ -219,12 +217,13 @@ func NewMelody(cfg MelodyConfig) (*Melody, error) {
 		return nil, err
 	}
 	return &Melody{
-		cfg:       cfg,
-		workers:   make(map[string]*melodyWorker),
-		emSeconds: cfg.Metrics.Histogram(obs.MetricEMReestimateSeconds, "Wall time of one per-worker EM re-estimation.", obs.TimeBuckets()),
-		emRuns:    cfg.Metrics.Counter(obs.MetricEMRunsTotal, "EM re-estimations performed."),
-		emLoglik:  cfg.Metrics.Gauge(obs.MetricEMLogLikelihood, "Final log marginal likelihood of the latest EM re-estimation."),
-		restarts:  cfg.Metrics.Counter(obs.MetricEstimatorRestartsTotal, "Diverged workers restarted from the initial belief."),
+		cfg:           cfg,
+		workers:       make(map[string]*melodyWorker),
+		emSeconds:     cfg.Metrics.Histogram(obs.MetricEMReestimateSeconds, "Wall time of one per-worker EM re-estimation (its share of its lane group's time).", obs.TimeBuckets()),
+		emRuns:        cfg.Metrics.Counter(obs.MetricEMRunsTotal, "EM re-estimations performed."),
+		emUnconverged: cfg.Metrics.Counter(obs.MetricEMUnconvergedTotal, "EM re-estimations that stopped at the iteration cap without reaching the tolerance."),
+		emLoglik:      cfg.Metrics.Gauge(obs.MetricEMLogLikelihood, "Final log marginal likelihood of the latest EM re-estimation."),
+		restarts:      cfg.Metrics.Counter(obs.MetricEstimatorRestartsTotal, "Diverged workers restarted from the initial belief."),
 	}, nil
 }
 
@@ -308,7 +307,23 @@ func (m *Melody) lookup(workerID string) *melodyWorker {
 // EM re-estimation when the worker's parameters have not been updated for
 // EMPeriod runs (Algorithm 3, lines 6-8).
 func (m *Melody) Observe(workerID string, scores []float64) error {
-	return m.observeWorker(m.lookup(workerID), workerID, scores, &m.scratch)
+	return m.observe(m.lookup(workerID), workerID, scores)
+}
+
+// observe is Observe on the worker's state.
+func (m *Melody) observe(w *melodyWorker, workerID string, scores []float64) error {
+	due, err := m.update(w, workerID, scores)
+	if err != nil || !due {
+		return err
+	}
+	lanes := m.scratch.lanes[:1]
+	lanes[0] = lds.EMLane{Start: w.params, Init: w.windowInit, History: m.scratch.history(0, w)}
+	m.reestimate(lanes, workerID)
+	ll, err := m.install(w, workerID, &lanes[0])
+	if err == nil {
+		m.emLoglik.Set(ll)
+	}
+	return err
 }
 
 // restart returns a diverged worker to the unseen-worker state: the
@@ -322,17 +337,17 @@ func (m *Melody) restart(w *melodyWorker) {
 	m.restarts.Inc()
 }
 
-// observeWorker is the single-worker update shared by Observe and
-// ObserveBatch. It touches only the given worker's state, the read-only
-// configuration and the caller's scratch, so distinct workers can be
-// updated concurrently, each goroutine with its own scratch.
-func (m *Melody) observeWorker(w *melodyWorker, workerID string, scores []float64, sc *scratch) error {
+// update is Algorithm 3's per-run step for one worker, without the EM
+// re-estimation: the posterior update, the window slide and, when the
+// parameters are due for re-estimation, the period reset. It reports
+// whether the caller must now run the worker's EM.
+func (m *Melody) update(w *melodyWorker, workerID string, scores []float64) (bool, error) {
 	if err := validateScores(scores); err != nil {
-		return err
+		return false, err
 	}
 	next, err := lds.Update(w.params, w.posterior, scores)
 	if err != nil {
-		return fmt.Errorf("quality: worker %s: %w", workerID, err)
+		return false, fmt.Errorf("quality: worker %s: %w", workerID, err)
 	}
 	// Slide the window: fold the evicted run into the window-start prior
 	// with the filter, so EM sees a correctly anchored chain, before push
@@ -340,7 +355,7 @@ func (m *Melody) observeWorker(w *melodyWorker, workerID string, scores []float6
 	anchor := w.windowInit
 	if evicted, ok := w.hist.evict(m.cfg.EMWindow); ok {
 		if anchor, err = lds.Update(w.params, anchor, evicted); err != nil {
-			return fmt.Errorf("quality: worker %s window: %w", workerID, err)
+			return false, fmt.Errorf("quality: worker %s window: %w", workerID, err)
 		}
 	}
 	if next.Validate() != nil || anchor.Validate() != nil {
@@ -349,7 +364,7 @@ func (m *Melody) observeWorker(w *melodyWorker, workerID string, scores []float6
 		// on it. Restart the worker as unseen and apply this run to that.
 		m.restart(w)
 		if next, err = lds.Update(w.params, w.posterior, scores); err != nil {
-			return fmt.Errorf("quality: worker %s: %w", workerID, err)
+			return false, fmt.Errorf("quality: worker %s: %w", workerID, err)
 		}
 		anchor = w.windowInit
 	}
@@ -357,49 +372,73 @@ func (m *Melody) observeWorker(w *melodyWorker, workerID string, scores []float6
 	w.windowInit = anchor
 	w.hist.push(m.cfg.EMWindow, scores)
 
-	if m.cfg.EMPeriod > 0 {
-		w.sinceEM++
-		due := w.sinceEM >= m.cfg.EMPeriod
-		if !due && m.cfg.MisfitTrigger > 0 && w.hist.hasScores() {
-			// Adaptive re-estimation: a persistently surprised model
-			// re-learns immediately instead of waiting out the period.
-			score, err := sc.misfit(w)
-			if err != nil {
-				return fmt.Errorf("quality: worker %s diagnostics: %w", workerID, err)
-			}
-			due = score > m.cfg.MisfitTrigger
-		}
-		if due {
-			w.sinceEM = 0
-			if w.hist.hasScores() {
-				sp := m.cfg.Tracer.Start("em.reestimate")
-				sp.SetAttr("worker", workerID)
-				start := time.Now()
-				res, err := sc.ws.EM(w.params, w.windowInit, sc.history(w), m.cfg.EM)
-				m.emSeconds.Observe(time.Since(start).Seconds())
-				sp.End()
-				if err != nil {
-					return fmt.Errorf("quality: worker %s EM: %w", workerID, err)
-				}
-				m.emRuns.Inc()
-				m.emLoglik.Set(res.LogLikelihood)
-				w.params = res.Params
-			}
-		}
+	if m.cfg.EMPeriod <= 0 {
+		return false, nil
 	}
-	return nil
+	w.sinceEM++
+	due := w.sinceEM >= m.cfg.EMPeriod
+	if !due && m.cfg.MisfitTrigger > 0 && w.hist.hasScores() {
+		// Adaptive re-estimation: a persistently surprised model re-learns
+		// immediately instead of waiting out the period.
+		score, err := m.scratch.misfit(w)
+		if err != nil {
+			return false, fmt.Errorf("quality: worker %s diagnostics: %w", workerID, err)
+		}
+		due = score > m.cfg.MisfitTrigger
+	}
+	if !due {
+		return false, nil
+	}
+	w.sinceEM = 0
+	return w.hist.hasScores(), nil
 }
 
-// minParallelBatch is the batch size below which sharding overhead beats
-// the win from parallel updates.
-const minParallelBatch = 8
+// reestimate runs one group of due EM re-estimations, windows of equal
+// length, through the lane kernel. The group is one em.reestimate span
+// (worker names the worker when the group has one lane), and each lane
+// observes its share of the group's wall time, so the histogram stays a
+// per-worker distribution whose sum is the time spent.
+func (m *Melody) reestimate(lanes []lds.EMLane, workerID string) {
+	sp := m.cfg.Tracer.Start("em.reestimate")
+	sp.SetAttrInt("lanes", int64(len(lanes)))
+	if len(lanes) == 1 {
+		sp.SetAttr("worker", workerID)
+	}
+	start := time.Now()
+	m.scratch.ws.EMLanes(lanes, m.cfg.EM)
+	share := time.Since(start).Seconds() / float64(len(lanes))
+	sp.End()
+	for range lanes {
+		m.emSeconds.Observe(share)
+	}
+}
+
+// install applies one lane's EM outcome to its worker and counts it. It
+// returns the final log-likelihood for the caller to publish, so a batch
+// can leave the gauge as the serial loop would.
+func (m *Melody) install(w *melodyWorker, workerID string, l *lds.EMLane) (float64, error) {
+	if l.Err != nil {
+		return 0, fmt.Errorf("quality: worker %s EM: %w", workerID, l.Err)
+	}
+	m.emRuns.Inc()
+	if !l.Result.Converged {
+		m.emUnconverged.Inc()
+	}
+	w.params = l.Result.Params
+	return l.Result.LogLikelihood, nil
+}
 
 // ObserveBatch implements BatchObserver: one whole run's observations at
-// once. Per-worker Kalman/EM updates are independent, so the batch is
-// sharded across a bounded goroutine pool; results are bit-identical to
-// calling Observe per worker in order. Unlike a serial Observe loop, which
-// stops at the first failure, every worker is processed and all failures
-// are reported (joined in batch order).
+// once, leaving exactly the state that calling Observe per worker in order
+// would. It first runs every worker's posterior update in batch order,
+// then the EM re-estimations that made due, through the lane kernel: due
+// workers are ordered by window length, keeping batch order among equal
+// lengths, and each length's windows run lds.Lanes at a time. Workers are
+// independent, so how they are grouped changes no result. Unlike a serial
+// Observe loop, which stops at the first failure, every worker is
+// processed and every failure is reported, as a *WorkerError, joined in
+// batch order. A batch that names a worker twice runs as the serial loop,
+// since the worker's second update must follow its first EM.
 func (m *Melody) ObserveBatch(ids []string, scores [][]float64) error {
 	if len(ids) != len(scores) {
 		return fmt.Errorf("quality: batch mismatch: %d ids, %d score sets", len(ids), len(scores))
@@ -407,9 +446,6 @@ func (m *Melody) ObserveBatch(ids []string, scores [][]float64) error {
 	if len(ids) == 0 {
 		return nil
 	}
-	// Resolve (and create) worker state serially: map writes are not
-	// goroutine-safe, and the generation stamp flags duplicate IDs, which
-	// would alias state across goroutines.
 	m.batchGen++
 	workers := make([]*melodyWorker, len(ids))
 	duplicates := false
@@ -422,42 +458,75 @@ func (m *Melody) ObserveBatch(ids []string, scores [][]float64) error {
 		workers[i] = w
 	}
 
-	concurrency := m.cfg.BatchConcurrency
-	if concurrency <= 0 {
-		concurrency = runtime.GOMAXPROCS(0)
-	}
-	if concurrency > len(ids) {
-		concurrency = len(ids)
-	}
-	if duplicates || concurrency <= 1 || len(ids) < minParallelBatch {
-		var errs []error
-		for i := range ids {
-			if err := m.observeWorker(workers[i], ids[i], scores[i], &m.scratch); err != nil {
-				errs = append(errs, err)
+	var errs []batchErr
+	if duplicates {
+		for i, w := range workers {
+			if err := m.observe(w, ids[i], scores[i]); err != nil {
+				errs = append(errs, batchErr{i, err})
 			}
 		}
-		return errors.Join(errs...)
+		return joinBatchErrs(ids, errs)
+	}
+	var due []int
+	for i, w := range workers {
+		isDue, err := m.update(w, ids[i], scores[i])
+		switch {
+		case err != nil:
+			errs = append(errs, batchErr{i, err})
+		case isDue:
+			due = append(due, i)
+		}
+	}
+	if len(due) == 0 {
+		return joinBatchErrs(ids, errs)
 	}
 
-	errs := make([]error, len(ids))
-	chunk := (len(ids) + concurrency - 1) / concurrency
-	if shards := (len(ids) + chunk - 1) / chunk; len(m.shards) < shards {
-		m.shards = append(m.shards, make([]scratch, shards-len(m.shards))...)
-	}
-	var wg sync.WaitGroup
-	for shard, lo := 0, 0; lo < len(ids); shard, lo = shard+1, lo+chunk {
-		hi := lo + chunk
-		if hi > len(ids) {
-			hi = len(ids)
+	runs := func(i int) int { return workers[i].hist.runs }
+	slices.SortStableFunc(due, func(a, b int) int { return cmp.Compare(runs(a), runs(b)) })
+	// The gauge ends at the last successful re-estimation in batch order,
+	// as the serial loop leaves it.
+	last, lastLL := -1, 0.0
+	var groupBuf [lds.Lanes]int
+	group := groupBuf[:0]
+	for k, i := range due {
+		lanes := m.scratch.lanes[:len(group)+1]
+		lanes[len(group)] = lds.EMLane{Start: workers[i].params, Init: workers[i].windowInit, History: m.scratch.history(len(group), workers[i])}
+		group = append(group, i)
+		if len(group) < lds.Lanes && k+1 < len(due) && runs(due[k+1]) == runs(i) {
+			continue
 		}
-		wg.Add(1)
-		go func(sc *scratch, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				errs[i] = m.observeWorker(workers[i], ids[i], scores[i], sc)
+		m.reestimate(lanes, ids[group[0]])
+		for j, i := range group {
+			ll, err := m.install(workers[i], ids[i], &lanes[j])
+			if err != nil {
+				errs = append(errs, batchErr{i, err})
+			} else if i > last {
+				last, lastLL = i, ll
 			}
-		}(&m.shards[shard], lo, hi)
+		}
+		group = group[:0]
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	if last >= 0 {
+		m.emLoglik.Set(lastLL)
+	}
+	slices.SortStableFunc(errs, func(a, b batchErr) int { return cmp.Compare(a.i, b.i) })
+	return joinBatchErrs(ids, errs)
+}
+
+// batchErr is the failure of the worker at batch index i.
+type batchErr struct {
+	i   int
+	err error
+}
+
+// joinBatchErrs joins the failures, in batch order, as *WorkerErrors.
+func joinBatchErrs(ids []string, errs []batchErr) error {
+	if len(errs) == 0 {
+		return nil
+	}
+	joined := make([]error, len(errs))
+	for k, e := range errs {
+		joined[k] = &WorkerError{Worker: ids[e.i], Err: e.err}
+	}
+	return errors.Join(joined...)
 }

@@ -68,7 +68,7 @@ func fusesMultiplyAdd() bool {
 }
 
 // TestEstimatorStatePinned pins the estimator's full dynamic state after a
-// seeded season, through both the serial and the sharded path, to hashes
+// seeded season, through both the serial and the batch (lane kernel) path, to hashes
 // recorded before the per-worker state was slimmed down to model state.
 // Any change to the filter, the window bookkeeping or the EM arithmetic
 // that moves a single bit of any posterior, parameter, anchor or retained
@@ -77,11 +77,10 @@ func fusesMultiplyAdd() bool {
 // paths are compared with each other.
 func TestEstimatorStatePinned(t *testing.T) {
 	base := MelodyConfig{
-		Init:             lds.State{Mean: 5.5, Var: 2.25},
-		Params:           lds.Params{A: 1, Gamma: 0.3, Eta: 9},
-		EMPeriod:         10,
-		EMWindow:         60,
-		BatchConcurrency: 4,
+		Init:     lds.State{Mean: 5.5, Var: 2.25},
+		Params:   lds.Params{A: 1, Gamma: 0.3, Eta: 9},
+		EMPeriod: 10,
+		EMWindow: 60,
 	}
 	misfit := base
 	misfit.MisfitTrigger = 2.5

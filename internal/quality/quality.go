@@ -28,13 +28,27 @@ type Estimator interface {
 // BatchObserver is implemented by estimators that can absorb one whole
 // run's observations at once. ObserveBatch(ids, scores) must produce
 // exactly the state that calling Observe(ids[i], scores[i]) for every i in
-// order would, but may update independent workers concurrently; the market
-// engine prefers it over the serial Observe loop when available. Unlike the
-// serial loop it processes every worker even when some fail, reporting all
-// failures joined in batch order.
+// order would, but may batch the work of independent workers; the market
+// engine and the platform prefer it over the serial Observe loop when
+// available. Unlike the serial loop it processes every worker even when
+// some fail, reporting each failure as a *WorkerError, joined in batch
+// order.
 type BatchObserver interface {
 	ObserveBatch(ids []string, scores [][]float64) error
 }
+
+// WorkerError is one worker's failed update in a batch. Its message is the
+// update's own; Worker names the worker it belongs to.
+type WorkerError struct {
+	Worker string
+	Err    error
+}
+
+// Error returns the failed update's own message.
+func (e *WorkerError) Error() string { return e.Err.Error() }
+
+// Unwrap returns the failed update's error.
+func (e *WorkerError) Unwrap() error { return e.Err }
 
 // CheckScore returns an error for a score no estimator accepts: NaN, or
 // beyond ±1e18 (infinities included). A platform refuses such a score when

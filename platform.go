@@ -572,15 +572,12 @@ func (p *Platform) FinishRun(ctx context.Context) error {
 	if p.open.outcome == nil {
 		return ErrAuctionOpen
 	}
-	ids := p.registry.All()
 	p.estMu.Lock()
-	for _, id := range ids {
-		if err := p.est.Observe(id, p.open.scores[id]); err != nil {
-			p.estMu.Unlock()
-			return fmt.Errorf("melody: update %s: %w", id, err)
-		}
-	}
+	err := p.observeRun(p.registry.All())
 	p.estMu.Unlock()
+	if err != nil {
+		return err
+	}
 	if p.open.settlement != nil {
 		if err := p.open.settlement.Close(); err != nil {
 			return fmt.Errorf("melody: refund escrow: %w", err)
@@ -589,5 +586,35 @@ func (p *Platform) FinishRun(ctx context.Context) error {
 	p.run++
 	p.open = nil
 	p.runsCompleted.Inc()
+	return nil
+}
+
+// observeRun updates the estimator with the open run's scores of every
+// worker in ids. An estimator that absorbs a whole run at once
+// (quality.BatchObserver) gets one batch; any other gets one Observe per
+// worker, up to the first failure. Either way the error names a worker
+// that failed. Callers hold p.mu and estMu.
+func (p *Platform) observeRun(ids []string) error {
+	batch, ok := p.est.(quality.BatchObserver)
+	if !ok {
+		for _, id := range ids {
+			if err := p.est.Observe(id, p.open.scores[id]); err != nil {
+				return fmt.Errorf("melody: update %s: %w", id, err)
+			}
+		}
+		return nil
+	}
+	scores := make([][]float64, len(ids))
+	for i, id := range ids {
+		scores[i] = p.open.scores[id]
+	}
+	err := batch.ObserveBatch(ids, scores)
+	var we *quality.WorkerError
+	switch {
+	case errors.As(err, &we):
+		return fmt.Errorf("melody: update %s: %w", we.Worker, err)
+	case err != nil:
+		return fmt.Errorf("melody: update: %w", err)
+	}
 	return nil
 }
