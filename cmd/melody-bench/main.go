@@ -394,18 +394,17 @@ func obsCounterParallelKernel(b *testing.B) {
 }
 
 // walAppendKernel measures concurrent durable appends against a real file:
-// 32 goroutines per proc hammer Log.Append with fsync-per-commit. serial
-// pins the pre-group-commit baseline (one fsync per append); the group
-// variant coalesces concurrent appends into shared fsyncs. observed adds
-// the obs registry + span ring, for the instrumented-vs-noop guard.
-func walAppendKernel(serial, observed bool) func(b *testing.B) {
+// 32 goroutines per proc hammer Log.Append, which the group-commit pipeline
+// coalesces into shared fsyncs. observed adds the obs registry + span ring,
+// for the instrumented-vs-noop guard.
+func walAppendKernel(observed bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		dir, err := os.MkdirTemp("", "melody-bench-wal-*")
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer os.RemoveAll(dir)
-		opts := eventlog.Options{SyncEveryAppend: true, SerialCommit: serial}
+		opts := eventlog.Options{SyncEveryAppend: true}
 		if observed {
 			reg := obs.NewRegistry()
 			obs.RegisterBaseline(reg)
@@ -700,9 +699,8 @@ func kernels() []kernel {
 		{name: "obs/primitives_noop", fn: obsPrimitivesKernel(false)},
 		{name: "obs/primitives_instrumented", fn: obsPrimitivesKernel(true)},
 		{name: "obs/counter_parallel", fn: obsCounterParallelKernel},
-		{name: "wal/append_fsync_serial", fn: walAppendKernel(true, false)},
-		{name: "wal/append_fsync_group", fn: walAppendKernel(false, false)},
-		{name: "wal/append_fsync_group_obs", fn: walAppendKernel(false, true)},
+		{name: "wal/append_fsync_group", fn: walAppendKernel(false)},
+		{name: "wal/append_fsync_group_obs", fn: walAppendKernel(true)},
 		// Recovery kernels: cold-start time of the segmented engine vs log
 		// length. full_ replays every record from scratch (no snapshots) and
 		// grows linearly with history; snap_ recovers from run-boundary
@@ -712,16 +710,12 @@ func kernels() []kernel {
 		{name: "wal/recovery/full_r2000", fn: walRecoveryKernel(2000, 0)},
 		{name: "wal/recovery/snap_r500", fn: walRecoveryKernel(500, 1000)},
 		{name: "wal/recovery/snap_r2000", fn: walRecoveryKernel(2000, 1000)},
-		// serve/ kernels measure the full HTTP serving path. The wal_serial
-		// variant with batch=1 is the pre-PR configuration (single-bid wire
-		// protocol, one fsync per append); wal_group with batch=16 is the
-		// overhauled path (batched protocol + group commit).
+		// serve/ kernels measure the full HTTP serving path: batched bids
+		// (batch=16) in memory and over the group-commit WAL.
 		{name: "serve/bids_mem_w32_b16", direct: serveKernel(loadgen.Config{
 			Backend: loadgen.BackendMem, Workers: 32, Runs: 3, BidsPerWorker: 32, Batch: 16, Seed: 11})},
 		{name: "serve/bids_wal_group_w32_b16", direct: serveKernel(loadgen.Config{
 			Backend: loadgen.BackendWAL, Workers: 32, Runs: 3, BidsPerWorker: 32, Batch: 16, Seed: 11})},
-		{name: "serve/bids_wal_serial_w32_b1", direct: serveKernel(loadgen.Config{
-			Backend: loadgen.BackendWALSerial, Workers: 32, Runs: 3, BidsPerWorker: 32, Batch: 1, Seed: 11})},
 		// _obs variants run the identical workload with the full
 		// observability stack on (registry + span ring + instrumented
 		// server/client/WAL); the -guard flag compares each pair.

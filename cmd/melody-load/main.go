@@ -53,7 +53,7 @@ import (
 func main() {
 	var cfg loadgen.Config
 	flag.StringVar(&cfg.Backend, "backend", loadgen.BackendMem,
-		"backend: mem, wal (group commit) or wal-serial (per-append fsync baseline)")
+		"backend: mem or wal (group commit)")
 	flag.StringVar(&cfg.WALDir, "wal-dir", "", "directory for the WAL file (default: fresh temp dir)")
 	flag.IntVar(&cfg.Workers, "workers", 16, "concurrent worker clients")
 	flag.IntVar(&cfg.Runs, "runs", 3, "complete runs to drive")
@@ -65,7 +65,7 @@ func main() {
 	flag.StringVar(&cfg.Tenant, "tenant", "", "X-Melody-Tenant header sent by the load clients")
 	flag.BoolVar(&cfg.Observe, "observe", false, "instrument the stack with metrics and trace spans; print a summary after the run")
 
-	scenario := flag.String("scenario", "closed", "closed, poisson, ramp, burst or slo-smoke")
+	scenario := flag.String("scenario", "closed", "closed, poisson, ramp, burst, slo-smoke, multirun or fairness")
 	rate := flag.Float64("rate", 500, "open loop: peak offered bids/sec")
 	baseRate := flag.Float64("base-rate", 0, "open loop: ramp start / burst background rate (default rate/4)")
 	duration := flag.Duration("duration", 2*time.Second, "open loop: bidding phase length per run")
@@ -238,6 +238,8 @@ func runFairness(cfg loadgen.FairnessConfig, asJSON, check bool) error {
 		res.Tenants, res.Rounds, res.TotalRuns, res.CloseConcurrency)
 	fmt.Printf("median close latency across tenants: %.3f..%.3f ms -> fairness ratio %.2f\n",
 		res.MinMedianCloseMs, res.MaxMedianCloseMs, res.FairnessRatio)
+	fmt.Printf("per tenant: median close ms %.3f, mean volley position %.2f\n",
+		res.TenantMedianCloseMs, res.TenantMeanPosition)
 	fmt.Printf("outcomes byte-identical across passes: %v\n", res.OutcomesMatch)
 	fmt.Printf("quota: %d/%d over-quota opens refused; spend matches ledger: %v; WAL replay consistent: %v\n",
 		res.QuotaRefusals, res.Tenants, res.SpentMatchesLedger, res.ReplayConsistent)

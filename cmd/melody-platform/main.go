@@ -69,7 +69,7 @@ func resolveConfig() (platform.Config, error) {
 		retryAfter  = flag.Duration("retry-after", def.RetryAfter.Std(), "admission control: Retry-After hint attached to 429 sheds (default 250ms)")
 		epochEvery  = flag.Int("epoch-every", def.EpochEvery, "settle worker payouts in epochs of this many finished runs instead of per run (requires -fund)")
 		fund        = flag.Float64("fund", def.Fund, "deposit this much into the requester's ledger account at boot; enables double-entry settlement (budgets escrow on open, payouts on finish)")
-		shards      = flag.Int("registry-shards", def.RegistryShards, "worker registry stripe count, rounded up to a power of two (0 uses the default)")
+		shards      = flag.Int("registry-shards", def.RegistryShards, "worker registry stripe count, fixed at boot and rounded up to a power of two (0 uses the default, 32)")
 		closeConc   = flag.Int("close-concurrency", def.CloseConcurrency, "weighted-fair gate: auction closes allowed to run concurrently across tenants (0 disables the gate)")
 		bidDL       = flag.Duration("bid-deadline", def.BidDeadline.Std(), "close a run's auction after this long in bidding (0 disables)")
 		scoreDL     = flag.Duration("score-deadline", def.ScoreDeadline.Std(), "finish a run after this long in scoring, treating absent winners as missing (0 disables)")
@@ -158,18 +158,6 @@ func run() error {
 		return runReplica(logger, registry, tracer, cfg.ReplicaOf, cfg.WALDir, cfg.ReplicaID, cfg.MetricsAddr)
 	}
 
-	trackerConfig := melody.QualityTrackerConfig{
-		InitialMean: cfg.InitMean,
-		InitialVar:  cfg.InitVar,
-		Params:      melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
-		EMPeriod:    cfg.EMPeriod,
-		EMWindow:    60,
-		Metrics:     registry,
-	}
-	auction := melody.AuctionConfig{
-		QualityMin: cfg.QualityMin, QualityMax: cfg.QualityMax,
-		CostMin: cfg.CostMin, CostMax: cfg.CostMax,
-	}
 	var money *melody.Ledger
 	if cfg.Fund > 0 {
 		money = melody.NewLedger()
@@ -203,9 +191,9 @@ func run() error {
 	// (estimator + auction) per tenant, created on a tenant's first open.
 	// A deployment with one tenant runs everything under the default one.
 	sched, err := melody.NewRunScheduler(melody.SchedulerConfig{
-		Auction: auction,
+		Auction: cfg.Auction(),
 		NewEstimator: func(string) (melody.Estimator, error) {
-			return melody.NewQualityTracker(trackerConfig)
+			return melody.NewQualityTracker(cfg.Tracker(registry))
 		},
 		Ledger:           money,
 		EpochEvery:       cfg.EpochEvery,

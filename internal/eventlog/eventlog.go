@@ -11,8 +11,8 @@
 // when its record is on disk. Under concurrent load (a bid burst from the
 // whole worker pool) the fsync cost is amortized across the batch while
 // each Append keeps the write-ahead-log contract — it returns only after
-// its record is durable — and the on-disk format is byte-identical to the
-// serial path.
+// its record is durable — and the on-disk format is one record per line,
+// exactly as a buffered log writes it.
 package eventlog
 
 import (
@@ -143,12 +143,6 @@ type Options struct {
 	// fsynced (write-ahead-log durability); otherwise appends are buffered
 	// and flushed on Close.
 	SyncEveryAppend bool
-	// SerialCommit disables the group-commit pipeline: each durable append
-	// performs its own write+fsync while holding the log lock, the
-	// pre-pipeline behavior. It exists as a measured baseline for
-	// cmd/melody-load and melody-bench; production callers want the
-	// default. Ignored unless SyncEveryAppend is set.
-	SerialCommit bool
 	// Metrics optionally receives the WAL pipeline metrics: accepted
 	// appends, group commits, records per commit, write+fsync wall time,
 	// and the records recovered at open. Nil disables instrumentation.
@@ -175,7 +169,6 @@ type Log struct {
 	w    *bufio.Writer // buffered path for non-durable logs
 	seq  int64
 	sync bool
-	ser  bool // serial commit (baseline mode)
 
 	// seg, when non-nil, routes batch writes through the segmented engine's
 	// rotation-aware writer instead of a plain file append. The commit
@@ -223,7 +216,6 @@ func newLog(f commitTarget, seq int64, opts Options) *Log {
 		seq:     seq,
 		durable: seq, // every recovered record was read back from disk
 		sync:    opts.SyncEveryAppend,
-		ser:     opts.SerialCommit,
 		pending: new(bytes.Buffer),
 		spare:   new(bytes.Buffer),
 	}
@@ -235,7 +227,7 @@ func newLog(f commitTarget, seq int64, opts Options) *Log {
 	l.batchSize = opts.Metrics.Histogram(obs.MetricWALCommitBatchSize, "Records per WAL group commit.", obs.BatchBuckets())
 	l.fsyncSecs = opts.Metrics.Histogram(obs.MetricWALFsyncSeconds, "Wall time of one WAL write+fsync batch.", obs.TimeBuckets())
 	l.tracer = opts.Tracer
-	if l.sync && !l.ser {
+	if l.sync {
 		l.commExit = make(chan struct{})
 		go l.commitLoop()
 	}
@@ -383,8 +375,7 @@ func (l *Log) AppendAsync(e Event) (int64, func(context.Context) error, error) {
 	seq := l.seq
 	l.pendingCount++
 	l.appends.Inc()
-	switch {
-	case !l.sync:
+	if !l.sync {
 		// Buffered mode: hand the record to the bufio writer now; a write
 		// failure here poisons the log like any durability failure. A
 		// segmented log skips the bufio layer so rotation still sees every
@@ -406,19 +397,10 @@ func (l *Log) AppendAsync(e Event) (int64, func(context.Context) error, error) {
 		}
 		l.mu.Unlock()
 		return seq, waitDone, nil
-	case l.ser:
-		// Baseline mode: one write+fsync per append, under the lock.
-		if err := l.commitLocked(); err != nil {
-			l.mu.Unlock()
-			return 0, nil, err
-		}
-		l.mu.Unlock()
-		return seq, waitDone, nil
-	default:
-		l.work.Signal()
-		l.mu.Unlock()
-		return seq, func(ctx context.Context) error { return l.await(ctx, seq) }, nil
 	}
+	l.work.Signal()
+	l.mu.Unlock()
+	return seq, func(ctx context.Context) error { return l.await(ctx, seq) }, nil
 }
 
 // encodeLocked appends e's record bytes to the pending buffer: the JSON of
@@ -480,32 +462,6 @@ func (l *Log) writeAll(p []byte, lo, hi int64) error {
 	}
 	_, err := l.f.Write(p)
 	return err
-}
-
-// commitLocked flushes the pending buffer with one write+fsync. Callers
-// hold l.mu; used by the serial baseline mode and by Close's final drain.
-func (l *Log) commitLocked() error {
-	if l.pending.Len() == 0 {
-		return nil
-	}
-	count := l.pendingCount
-	l.pendingCount = 0
-	start := time.Now()
-	err := l.writeAll(l.pending.Bytes(), l.seq-int64(count)+1, l.seq)
-	l.pending.Reset()
-	if err == nil {
-		err = l.f.Sync()
-	}
-	l.fsyncSecs.Observe(time.Since(start).Seconds())
-	if err != nil {
-		l.failLocked(err)
-		return l.failed
-	}
-	l.commits.Inc()
-	l.batchSize.Observe(float64(count))
-	l.durable = l.seq
-	l.notifyLocked()
-	return nil
 }
 
 // await blocks until seq is durable, the log has failed, or ctx is done.

@@ -145,25 +145,6 @@ func TestGroupCommitCoalescesFsyncs(t *testing.T) {
 	}
 }
 
-// TestSerialCommitBaseline pins the baseline mode: exactly one fsync per
-// append, same on-disk format.
-func TestSerialCommitBaseline(t *testing.T) {
-	target := &countingTarget{}
-	log := newLog(target, 0, Options{SyncEveryAppend: true, SerialCommit: true})
-	for i := 0; i < 5; i++ {
-		if _, err := log.Append(Event{Kind: KindRegister, Worker: fmt.Sprintf("w%d", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writes, syncs := target.stats()
-	if writes != 5 || syncs != 5 {
-		t.Errorf("serial mode did %d writes, %d syncs for 5 appends; want 5 and 5", writes, syncs)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAppendFormatByteIdentical verifies that the pipeline's encoder emits
 // exactly json.Marshal(event) + '\n' with the CRC populated — the format
 // the seed's serial path wrote and the replay corpus depends on — for
@@ -196,7 +177,6 @@ func TestAppendFormatByteIdentical(t *testing.T) {
 		opts Options
 	}{
 		{"group", Options{SyncEveryAppend: true}},
-		{"serial", Options{SyncEveryAppend: true, SerialCommit: true}},
 		{"buffered", Options{}},
 	} {
 		target := &countingTarget{}
@@ -300,10 +280,6 @@ func TestAppendFailureSemantics(t *testing.T) {
 		{"group/write", Options{SyncEveryAppend: true},
 			func(ct *countingTarget) { ct.failWrite = errors.New("disk gone") }},
 		{"group/fsync", Options{SyncEveryAppend: true},
-			func(ct *countingTarget) { ct.failSync = errors.New("fsync eio") }},
-		{"serial/write", Options{SyncEveryAppend: true, SerialCommit: true},
-			func(ct *countingTarget) { ct.failWrite = errors.New("disk gone") }},
-		{"serial/fsync", Options{SyncEveryAppend: true, SerialCommit: true},
 			func(ct *countingTarget) { ct.failSync = errors.New("fsync eio") }},
 	}
 	for _, tc := range cases {

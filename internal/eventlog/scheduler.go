@@ -378,13 +378,6 @@ func (ps *PersistentScheduler) TenantStatuses() []melody.TenantStatus {
 	return ps.s.TenantStatuses()
 }
 
-// ResizeRegistry delegates to the scheduler. Registry placement is
-// derived state (replay re-registers every worker), so resizes are not
-// logged.
-func (ps *PersistentScheduler) ResizeRegistry(ctx context.Context, n int) (melody.RegistryInfo, error) {
-	return ps.s.ResizeRegistry(ctx, n)
-}
-
 // Workers delegates to the scheduler.
 func (ps *PersistentScheduler) Workers() []string { return ps.s.Workers() }
 

@@ -178,7 +178,7 @@ type sealedSegment struct {
 // segment is independently recoverable with the single-file torn-tail scan.
 //
 // The commit paths call writeBatch/Sync from one goroutine at a time (the
-// committer, or the appender under the log lock in serial/buffered modes);
+// committer, or the appender under the log lock in buffered mode);
 // the mutex exists for Manifest and ReadFileRange, which run on replication
 // goroutines.
 type segmentWriter struct {

@@ -28,8 +28,8 @@ func Innovations(p Params, init State, history [][]float64) ([]Innovation, error
 }
 
 // InnovationsInto is the buffer-reusing form of Innovations: residuals are
-// appended into dst[:0] so per-run diagnostics (e.g. a misfit trigger
-// evaluated after every observation) can run allocation-free.
+// appended into dst[:0] so repeated diagnostics (e.g. a misfit score
+// read after every run) can run allocation-free.
 func InnovationsInto(dst []Innovation, p Params, init State, history [][]float64) ([]Innovation, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -9,10 +9,12 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"melody"
 	"melody/internal/eventlog"
+	"melody/internal/platform"
 	"melody/internal/verify"
 )
 
@@ -90,6 +92,12 @@ type FairnessResult struct {
 	MinMedianCloseMs float64 `json:"min_median_close_ms"`
 	MaxMedianCloseMs float64 `json:"max_median_close_ms"`
 	FairnessRatio    float64 `json:"fairness_ratio"`
+	// TenantMedianCloseMs and TenantMeanPosition hold, per tenant, the
+	// median close latency and the mean position (0 = first) at which the
+	// tenant's close returned within its volley. At gate capacity 1 the
+	// return order is the gate's admission order.
+	TenantMedianCloseMs []float64 `json:"tenant_median_close_ms"`
+	TenantMeanPosition  []float64 `json:"tenant_mean_position"`
 	// OutcomesMatch reports byte-identical per-run outcomes between the
 	// serial and concurrent passes — the gate reorders waiting, never
 	// results.
@@ -122,14 +130,11 @@ func newFairnessScheduler(cfg FairnessConfig, closeConcurrency int) (*melody.Run
 	if _, err := money.Deposit(melody.RequesterAccount, funding, "fairness funding"); err != nil {
 		return nil, nil, err
 	}
+	def := platform.DefaultConfig()
 	sched, err := melody.NewRunScheduler(melody.SchedulerConfig{
-		Auction: melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
+		Auction: def.Auction(),
 		NewEstimator: func(string) (melody.Estimator, error) {
-			return melody.NewQualityTracker(melody.QualityTrackerConfig{
-				InitialMean: 5.5, InitialVar: 2.25,
-				Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
-				EMPeriod: 10, EMWindow: 60,
-			})
+			return melody.NewQualityTracker(def.Tracker(nil))
 		},
 		Ledger:           money,
 		CloseConcurrency: closeConcurrency,
@@ -329,6 +334,7 @@ func RunFairness(cfg FairnessConfig) (FairnessResult, error) {
 	concDigests := make(map[string]string)
 	var digestMu sync.Mutex
 	closeLatencies := make([][]float64, cfg.Tenants)
+	positions := make([]int, cfg.Tenants) // sum of volley return positions
 	runIDs := make([]string, cfg.Tenants)
 	outcomes := make([]*melody.Outcome, cfg.Tenants)
 	concStart := time.Now()
@@ -344,14 +350,17 @@ func RunFairness(cfg FairnessConfig) (FairnessResult, error) {
 		// per round so any positional bias in goroutine wakeup spreads
 		// evenly across tenants — the measurement then isolates the gate's
 		// ordering from spawn-order luck.
+		var returned atomic.Int32
 		if err := runPhase(cfg.Tenants, func(k int) error {
 			i := (round - 1 + k) % cfg.Tenants
 			start := time.Now()
 			out, err := sched.CloseAuction(ctx, runIDs[i])
+			elapsed := time.Since(start)
+			positions[i] += int(returned.Add(1) - 1)
 			if err != nil {
 				return fmt.Errorf("close %s: %w", runIDs[i], err)
 			}
-			closeLatencies[i] = append(closeLatencies[i], float64(time.Since(start).Microseconds())/1000)
+			closeLatencies[i] = append(closeLatencies[i], float64(elapsed.Microseconds())/1000)
 			outcomes[i] = out
 			digestMu.Lock()
 			concDigests[runIDs[i]] = coreOutcomeDigest(out)
@@ -386,9 +395,13 @@ func RunFairness(cfg FairnessConfig) (FairnessResult, error) {
 	}
 
 	// Fairness: max/min per-tenant median close latency.
+	res.TenantMedianCloseMs = make([]float64, cfg.Tenants)
+	res.TenantMeanPosition = make([]float64, cfg.Tenants)
 	minMs, maxMs := math.Inf(1), 0.0
-	for _, lats := range closeLatencies {
+	for i, lats := range closeLatencies {
 		m := median(lats)
+		res.TenantMedianCloseMs[i] = m
+		res.TenantMeanPosition[i] = float64(positions[i]) / float64(cfg.Rounds)
 		minMs = math.Min(minMs, m)
 		maxMs = math.Max(maxMs, m)
 	}
@@ -447,8 +460,8 @@ func RunFairness(cfg FairnessConfig) (FairnessResult, error) {
 	res.ReplayConsistent = replayOK
 
 	if res.FairnessRatio > cfg.MaxRatio {
-		return res, fmt.Errorf("loadgen: fairness ratio %.2f exceeds %.2f (medians %.3f..%.3f ms)",
-			res.FairnessRatio, cfg.MaxRatio, minMs, maxMs)
+		return res, fmt.Errorf("loadgen: fairness ratio %.2f exceeds %.2f (medians %.3f..%.3f ms; per tenant: median close ms %.3f, mean volley position %.2f)",
+			res.FairnessRatio, cfg.MaxRatio, minMs, maxMs, res.TenantMedianCloseMs, res.TenantMeanPosition)
 	}
 	return res, nil
 }

@@ -39,14 +39,11 @@ const (
 	// BackendWAL serves from the write-ahead-logged scheduler with the
 	// group-commit pipeline (the production -wal configuration).
 	BackendWAL = "wal"
-	// BackendWALSerial is the pre-group-commit baseline: one fsync per
-	// append. Kept for before/after throughput comparisons.
-	BackendWALSerial = "wal-serial"
 )
 
 // Config parameterizes a load run.
 type Config struct {
-	// Backend is BackendMem, BackendWAL or BackendWALSerial.
+	// Backend is BackendMem or BackendWAL.
 	Backend string
 	// WALDir is where WAL backends put their log file; empty means a fresh
 	// temporary directory, removed when the run ends.
@@ -201,15 +198,11 @@ func startHarness(cfg Config) (*harness, error) {
 		}
 	}
 	var err error
+	def := platform.DefaultConfig()
 	h.sched, err = melody.NewRunScheduler(melody.SchedulerConfig{
-		Auction: melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
+		Auction: def.Auction(),
 		NewEstimator: func(string) (melody.Estimator, error) {
-			return melody.NewQualityTracker(melody.QualityTrackerConfig{
-				InitialMean: 5.5, InitialVar: 2.25,
-				Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
-				EMPeriod: 10, EMWindow: 60,
-				Metrics: h.registry,
-			})
+			return melody.NewQualityTracker(def.Tracker(h.registry))
 		},
 		Ledger:  h.money,
 		Metrics: h.registry,
@@ -222,7 +215,7 @@ func startHarness(cfg Config) (*harness, error) {
 	var backend platform.MultiRunBackend = h.sched
 	switch cfg.Backend {
 	case BackendMem:
-	case BackendWAL, BackendWALSerial:
+	case BackendWAL:
 		dir := cfg.WALDir
 		if dir == "" {
 			tmp, err := os.MkdirTemp("", "melody-load-*")
@@ -234,7 +227,6 @@ func startHarness(cfg Config) (*harness, error) {
 		}
 		opts := eventlog.Options{
 			SyncEveryAppend: true,
-			SerialCommit:    cfg.Backend == BackendWALSerial,
 			Metrics:         h.registry,
 			Tracer:          h.tracer,
 		}

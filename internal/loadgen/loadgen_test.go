@@ -6,7 +6,7 @@ import "testing"
 // checks the harness reports real work: nonzero bids, positive throughput,
 // populated percentiles, clean shutdown (Run errors on anything else).
 func TestRunSmoke(t *testing.T) {
-	for _, backend := range []string{BackendMem, BackendWAL, BackendWALSerial} {
+	for _, backend := range []string{BackendMem, BackendWAL} {
 		t.Run(backend, func(t *testing.T) {
 			res, err := Run(Config{
 				Backend: backend, Workers: 4, Runs: 2, Tasks: 2,

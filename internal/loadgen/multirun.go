@@ -147,14 +147,11 @@ func startMultiStack(cfg MultiRunConfig, pass string) (*multiStack, error) {
 	if _, err := money.Deposit(melody.RequesterAccount, funding, "multirun funding"); err != nil {
 		return nil, err
 	}
+	def := platform.DefaultConfig()
 	sched, err := melody.NewRunScheduler(melody.SchedulerConfig{
-		Auction: melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
+		Auction: def.Auction(),
 		NewEstimator: func(string) (melody.Estimator, error) {
-			return melody.NewQualityTracker(melody.QualityTrackerConfig{
-				InitialMean: 5.5, InitialVar: 2.25,
-				Params:   melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
-				EMPeriod: 10, EMWindow: 60,
-			})
+			return melody.NewQualityTracker(def.Tracker(nil))
 		},
 		Ledger:           money,
 		EpochEvery:       cfg.EpochEvery,

@@ -420,14 +420,6 @@ func (c *Client) PutTenant(ctx context.Context, id string, policy TenantPolicySp
 	return out, err
 }
 
-// ResizeRegistry reshards the server's worker registry online and reports
-// the resulting shard count and how many workers moved.
-func (c *Client) ResizeRegistry(ctx context.Context, shards int) (RegistryResponse, error) {
-	var out RegistryResponse
-	err := c.do(ctx, http.MethodPut, "/v1/registry", RegistryResizeRequest{Shards: shards}, &out)
-	return out, err
-}
-
 // Run returns a handle scoped to one run's /v1/runs/{id}/... endpoints.
 func (c *Client) Run(id string) *RunAPI {
 	return &RunAPI{c: c, id: id}

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"os"
 	"time"
+
+	"melody"
+	"melody/internal/obs"
 )
 
 // Duration is a time.Duration that round-trips through JSON as a Go
@@ -122,6 +125,30 @@ func DefaultConfig() Config {
 		SnapshotEvery: 10000,
 		TraceCapacity: 1024,
 		LogLevel:      "info",
+	}
+}
+
+// Auction returns the mechanism's qualification box
+// [QualityMin, QualityMax] x [CostMin, CostMax].
+func (c Config) Auction() melody.AuctionConfig {
+	return melody.AuctionConfig{
+		QualityMin: c.QualityMin, QualityMax: c.QualityMax,
+		CostMin: c.CostMin, CostMax: c.CostMax,
+	}
+}
+
+// Tracker returns the deployed quality tracker's settings: the prior
+// N(InitMean, InitVar), theta^0 = {a 1, gamma 0.3, eta 9}, and EM every
+// EMPeriod runs over the latest 60 runs with the default EM settings.
+// metrics may be nil.
+func (c Config) Tracker(metrics *obs.Registry) melody.QualityTrackerConfig {
+	return melody.QualityTrackerConfig{
+		InitialMean: c.InitMean,
+		InitialVar:  c.InitVar,
+		Params:      melody.QualityParams{A: 1, Gamma: 0.3, Eta: 9},
+		EMPeriod:    c.EMPeriod,
+		EMWindow:    60,
+		Metrics:     metrics,
 	}
 }
 

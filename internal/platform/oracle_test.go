@@ -2,10 +2,10 @@ package platform
 
 // Differential oracle for the serving stack on the segmented engine: a
 // two-tenant season exercising every kind of durable state (rotation,
-// epoch settlement, tenant policies and a quota refusal, a registry
-// resize, a deadline finish) must recover from snapshot plus tail to
-// exactly the state a full replay reaches, and a restored server must
-// answer retries of runs the snapshot covers as the live one did.
+// epoch settlement, tenant policies and a quota refusal, a deadline
+// finish) must recover from snapshot plus tail to exactly the state a
+// full replay reaches, and a restored server must answer retries of runs
+// the snapshot covers as the live one did.
 
 import (
 	"bytes"
@@ -66,9 +66,6 @@ func TestSegmentedSnapshotMatchesFullReplay(t *testing.T) {
 	drive(acme, "acme")
 	drive(zeta, "zeta")
 	drive(acme, "acme")
-	if _, err := acme.ResizeRegistry(ctx, 8); err != nil {
-		t.Fatal(err)
-	}
 	drive(zeta, "zeta")
 
 	// Nobody scores or finishes this run: the scoring deadline finishes it.

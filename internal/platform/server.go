@@ -44,8 +44,6 @@ type MultiRunBackend interface {
 	SetTenantPolicy(ctx context.Context, tenant string, p melody.TenantPolicy) error
 	TenantStatus(tenant string) (melody.TenantStatus, error)
 	TenantStatuses() []melody.TenantStatus
-	// ResizeRegistry reshards the worker registry online.
-	ResizeRegistry(ctx context.Context, n int) (melody.RegistryInfo, error)
 }
 
 var _ MultiRunBackend = (*melody.RunScheduler)(nil)
@@ -282,7 +280,6 @@ func (s *Server) Handler() http.Handler {
 	s.route(mux, "GET /v1/tenants", "list_tenants", s.handleListTenants)
 	s.route(mux, "GET /v1/tenants/{id}", "get_tenant", s.handleGetTenant)
 	s.route(mux, "PUT /v1/tenants/{id}", "put_tenant", s.handlePutTenant)
-	s.route(mux, "PUT /v1/registry", "resize_registry", s.handleResizeRegistry)
 	if s.replSrc != nil {
 		s.mountReplication(mux)
 	}
@@ -947,21 +944,6 @@ func (s *Server) handlePutTenant(w http.ResponseWriter, r *http.Request) {
 		"budgetQuota", st.Policy.BudgetQuota, "epochBudgetQuota", st.Policy.EpochBudgetQuota,
 		"maxRuns", st.Policy.MaxRuns, "weight", st.Weight)
 	writeJSON(w, http.StatusOK, toTenantStatusResponse(st))
-}
-
-func (s *Server) handleResizeRegistry(w http.ResponseWriter, r *http.Request) {
-	var req RegistryResizeRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	info, err := s.backend.ResizeRegistry(r.Context(), req.Shards)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	s.log.Info("registry resized", "shards", info.Shards, "workers", info.Workers, "moved", info.Moved)
-	writeJSON(w, http.StatusOK, RegistryResponse{Shards: info.Shards, Workers: info.Workers, Moved: info.Moved})
 }
 
 // finishRun is the finish path shared by the HTTP handler and the

@@ -124,27 +124,3 @@ func TestTenantAPIMismatchRejected(t *testing.T) {
 		t.Fatalf("PUT with agreeing header = %v, want success", err)
 	}
 }
-
-// TestRegistryResizeOverHTTP: the elastic reshard admin call reports the
-// rounded shard count and member total, and serving continues across it.
-func TestRegistryResizeOverHTTP(t *testing.T) {
-	ctx := context.Background()
-	sched, _ := newTestScheduler(t, 400, 0)
-	ts := newMultiTestServer(t, sched)
-	c := tenantClient(t, ts, "acme")
-	for i := 0; i < 6; i++ {
-		if err := c.RegisterWorker(ctx, "acme-w"+string(rune('0'+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resp, err := c.ResizeRegistry(ctx, 5) // rounds up to 8
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Shards != 8 || resp.Workers != 6 {
-		t.Fatalf("resize = %+v, want shards 8 workers 6", resp)
-	}
-	if err := driveRunHTTP(ctx, c, "r1", "acme", 6); err != nil {
-		t.Fatalf("run after resize: %v", err)
-	}
-}

@@ -313,19 +313,6 @@ type TenantsResponse struct {
 	Tenants []TenantStatusResponse `json:"tenants"`
 }
 
-// RegistryResizeRequest is the body of PUT /v1/registry: an elastic
-// reshard of the worker registry.
-type RegistryResizeRequest struct {
-	Shards int `json:"shards"`
-}
-
-// RegistryResponse describes the registry after a resize.
-type RegistryResponse struct {
-	Shards  int `json:"shards"`
-	Workers int `json:"workers"`
-	Moved   int `json:"moved,omitempty"`
-}
-
 // toTenantStatusResponse converts a scheduler status to its wire form.
 func toTenantStatusResponse(st melody.TenantStatus) TenantStatusResponse {
 	resp := TenantStatusResponse{

@@ -26,13 +26,14 @@ func batchTestConfig() MelodyConfig {
 // same multi-run trace — one via per-worker Observe calls, one via
 // ObserveBatch — and requires bit-identical state for every worker after
 // every run, the same EM counts and log-likelihood gauge, and equal
-// snapshots at the end. The cases cover the misfit trigger, workers who
-// join mid-season (so windows of unequal length fall due in one batch and
-// run in separate lane groups), and due sets of 1, 4 and 5 workers: a
-// group of one, one full group, and a full group plus one.
+// snapshots at the end. The cases cover a full-history window (EM over
+// the whole, growing history), workers who join mid-season (so windows
+// of unequal length fall due in one batch and run in separate lane
+// groups), and due sets of 1, 4 and 5 workers: a group of one, one full
+// group, and a full group plus one.
 func TestObserveBatchMatchesSerial(t *testing.T) {
-	misfit := MelodyConfig{Init: lds.State{Mean: 5.5, Var: 2.25}, Params: lds.Params{A: 0.98, Gamma: 0.3, Eta: 4},
-		EMPeriod: 3, EMWindow: 0, MisfitTrigger: 2.5, EM: lds.EMConfig{MaxIter: 6}}
+	fullHistory := MelodyConfig{Init: lds.State{Mean: 5.5, Var: 2.25}, Params: lds.Params{A: 0.98, Gamma: 0.3, Eta: 4},
+		EMPeriod: 3, EMWindow: 0, EM: lds.EMConfig{MaxIter: 6}}
 	for _, tc := range []struct {
 		name    string
 		cfg     MelodyConfig
@@ -40,7 +41,7 @@ func TestObserveBatchMatchesSerial(t *testing.T) {
 		joins   func(worker int) int // the run a worker is first observed in
 	}{
 		{name: "period", cfg: batchTestConfig(), workers: 64},
-		{name: "misfit", cfg: misfit, workers: 64},
+		{name: "full history", cfg: fullHistory, workers: 64},
 		{name: "mid-season joins", cfg: batchTestConfig(), workers: 64, joins: func(i int) int { return i % 9 * 2 }},
 		{name: "due 1", cfg: batchTestConfig(), workers: 1},
 		{name: "due 4", cfg: batchTestConfig(), workers: 4},

@@ -59,54 +59,6 @@ func TestMelodyForecastValidation(t *testing.T) {
 	}
 }
 
-func TestMelodyMisfitTriggeredEM(t *testing.T) {
-	// Two trackers with EMPeriod far beyond the horizon: the one with a
-	// misfit trigger must re-learn its parameters when the worker's level
-	// shifts; the one without must keep theta^0.
-	base := testMelodyConfig()
-	base.EMPeriod = 1000
-	base.Params = lds.Params{A: 1, Gamma: 0.05, Eta: 1}
-
-	withTrigger := base
-	withTrigger.MisfitTrigger = 3
-	triggered, err := NewMelody(withTrigger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := NewMelody(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed := func(m *Melody) {
-		t.Helper()
-		for i := 0; i < 30; i++ {
-			level := 5.5
-			if i >= 10 {
-				level = 15 // violent shift the tight gamma cannot explain
-			}
-			if err := m.Observe("w", []float64{level}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	feed(triggered)
-	feed(plain)
-	if plain.Params("w") != base.Params {
-		t.Fatalf("plain tracker ran EM unexpectedly: %+v", plain.Params("w"))
-	}
-	if triggered.Params("w") == base.Params {
-		t.Error("misfit trigger never fired EM despite a level shift")
-	}
-}
-
-func TestMelodyMisfitTriggerValidation(t *testing.T) {
-	cfg := testMelodyConfig()
-	cfg.MisfitTrigger = -1
-	if _, err := NewMelody(cfg); err == nil {
-		t.Error("negative trigger accepted")
-	}
-}
-
 func TestMelodyMisfit(t *testing.T) {
 	cfg := testMelodyConfig()
 	cfg.EMPeriod = 0

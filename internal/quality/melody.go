@@ -26,12 +26,6 @@ type MelodyConfig struct {
 	// zero means the full history. A window keeps the cost of each EM call
 	// constant over a long deployment.
 	EMWindow int
-	// MisfitTrigger, when positive, re-runs EM as soon as the worker's
-	// model-misfit score (mean squared standardized innovation; ~1 for a
-	// well-specified model) exceeds it, without waiting out the full
-	// EMPeriod. This is an extension beyond the paper's fixed-period
-	// Algorithm 3; a typical threshold is 2-4.
-	MisfitTrigger float64
 	// EM configures the inner EM loop.
 	EM lds.EMConfig
 	// Metrics optionally receives EM re-estimation metrics: wall time per
@@ -54,9 +48,6 @@ func (c MelodyConfig) Validate() error {
 	}
 	if c.EMPeriod < 0 || c.EMWindow < 0 {
 		return fmt.Errorf("quality: negative EM period or window")
-	}
-	if c.MisfitTrigger < 0 {
-		return fmt.Errorf("quality: negative misfit trigger")
 	}
 	return nil
 }
@@ -376,17 +367,7 @@ func (m *Melody) update(w *melodyWorker, workerID string, scores []float64) (boo
 		return false, nil
 	}
 	w.sinceEM++
-	due := w.sinceEM >= m.cfg.EMPeriod
-	if !due && m.cfg.MisfitTrigger > 0 && w.hist.hasScores() {
-		// Adaptive re-estimation: a persistently surprised model re-learns
-		// immediately instead of waiting out the period.
-		score, err := m.scratch.misfit(w)
-		if err != nil {
-			return false, fmt.Errorf("quality: worker %s diagnostics: %w", workerID, err)
-		}
-		due = score > m.cfg.MisfitTrigger
-	}
-	if !due {
+	if w.sinceEM < m.cfg.EMPeriod {
 		return false, nil
 	}
 	w.sinceEM = 0

@@ -82,15 +82,12 @@ func TestEstimatorStatePinned(t *testing.T) {
 		EMPeriod: 10,
 		EMWindow: 60,
 	}
-	misfit := base
-	misfit.MisfitTrigger = 2.5
 	for _, tc := range []struct {
 		name string
 		cfg  MelodyConfig
 		want string
 	}{
 		{"period", base, "08ddeb1bd1c5bc82c26f9629c2ce35e2cb18f0eb0a6e4d9c3ac0d91828314c7c"},
-		{"misfit", misfit, "2076b1ccabd3a44af523d62516c611b171d10b1f745697761ea12935ea75bd73"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var blobs [2][]byte

@@ -89,10 +89,6 @@ type PlatformConfig struct {
 	// the RunScheduler drains the pool into aggregated payout batches at
 	// epoch boundaries. Requires Ledger; nil keeps direct per-run payouts.
 	Settler *EpochSettler
-	// Registry optionally shares a striped worker registry with other
-	// platforms (the RunScheduler gives every tenant platform the same
-	// one). Nil gives the platform a private registry.
-	Registry *WorkerRegistry
 	// Metrics optionally receives the platform's mechanism metrics (auction
 	// duration, winners, spent budget, completed runs). Nil disables
 	// instrumentation at zero overhead.
@@ -118,8 +114,8 @@ type Platform struct {
 
 	// registry holds the universal worker set behind striped locks, so
 	// registration and membership checks never queue behind p.mu (and a
-	// RunScheduler can share one registry across every tenant platform).
-	registry *WorkerRegistry
+	// RunScheduler shares one registry across every tenant platform).
+	registry *workerRegistry
 
 	// estMu guards the estimator separately from the run state: Quality
 	// and Forecast take only estMu.RLock, so posterior lookups never
@@ -149,8 +145,13 @@ type openRun struct {
 	settlement *ledger.RunSettlement         // nil when no ledger is attached
 }
 
-// NewPlatform constructs a Platform.
+// NewPlatform constructs a Platform with a private worker registry.
 func NewPlatform(cfg PlatformConfig) (*Platform, error) {
+	return newPlatform(cfg, newWorkerRegistry(0))
+}
+
+// newPlatform constructs a Platform on the given worker registry.
+func newPlatform(cfg PlatformConfig, reg *workerRegistry) (*Platform, error) {
 	if cfg.Estimator == nil {
 		return nil, errors.New("melody: platform needs an estimator")
 	}
@@ -169,10 +170,6 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	}
 	if cfg.Settler != nil && cfg.Ledger == nil {
 		return nil, errors.New("melody: epoch settlement needs a ledger")
-	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = NewWorkerRegistry(0)
 	}
 	return &Platform{
 		auction:       state,
@@ -212,12 +209,6 @@ func (p *Platform) RegisterWorker(ctx context.Context, workerID string) error {
 // Workers returns the registered worker IDs in sorted order.
 func (p *Platform) Workers() []string {
 	return p.registry.All()
-}
-
-// Registry returns the platform's worker registry (shared when the
-// platform was built with PlatformConfig.Registry).
-func (p *Platform) Registry() *WorkerRegistry {
-	return p.registry
 }
 
 // Run returns the number of completed runs.

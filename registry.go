@@ -3,61 +3,30 @@ package melody
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// WorkerRegistry is a striped set of registered worker IDs. The set is
-// split across shards (a power of two) selected by a consistent-hash ring
-// over an FNV-1a hash of the worker ID, so concurrent registrations and
-// membership checks contend only when they land on the same stripe —
-// registration and quality-lookup traffic never queues behind a
-// platform-wide lock, and a registry can be shared by every tenant
-// platform of a RunScheduler without becoming the bottleneck the single
-// `map[string]bool` was.
-//
-// The shard count is elastic: Resize grows or shrinks the stripe set
-// online with no stop-the-world rebuild. Placement goes through a ring of
-// virtual points per shard, so a resize moves only the IDs whose ring
-// owner changed (≈ the changed capacity fraction) instead of rehashing
-// everything modulo-style. During a migration readers consult the old
-// owner before the new one and movers insert-then-delete, so membership
-// answers never flicker; writers re-validate their target stripe under
-// its lock and retry if the ring moved beneath them. 32 shards is the
-// default — enough to spread a GOMAXPROCS' worth of ingest goroutines
-// with a few KB of overhead, and membership checks are read-locked so
-// only same-shard writers ever collide.
-type WorkerRegistry struct {
-	ring     atomic.Pointer[workerRing]
-	resizeMu sync.Mutex // serializes Resize; at most one migration at a time
+// workerRegistry is the universal worker set W behind a fixed array of
+// striped sets, so concurrent registrations and membership checks contend
+// only when they land on the same stripe: registration and quality-lookup
+// traffic never queues behind a platform-wide lock, and a RunScheduler
+// shares one registry across every tenant platform. The stripe count is a
+// power of two fixed at construction, and an ID's stripe is the low bits
+// of its FNV-1a hash. Placement is never observable: All sorts, and
+// nothing is logged per stripe.
+type workerRegistry struct {
+	mask    uint64
+	stripes []registryStripe
 }
 
-// workerRing is one immutable placement epoch: the shard set plus the
-// sorted virtual points that map IDs onto it. During a resize the
-// migrating ring keeps prev pointing at the epoch being drained.
-type workerRing struct {
-	shards []*registryShard
-	points []ringPoint
-	prev   *workerRing
-}
-
-type ringPoint struct {
-	hash  uint64
-	shard uint32
-}
-
-type registryShard struct {
+type registryStripe struct {
 	mu  sync.RWMutex
-	ids map[string]bool
+	ids map[string]struct{}
 }
 
-// DefaultRegistryShards is the shard count used when NewWorkerRegistry is
-// given n <= 0.
-const DefaultRegistryShards = 32
-
-// registryVirtualNodes is the number of ring points per shard. 64 points
-// keeps the load spread within a few percent of even while a 64-shard
-// ring still resolves owners in a ~12-step binary search.
-const registryVirtualNodes = 64
+// defaultRegistryStripes is the stripe count used when newWorkerRegistry
+// is given n <= 0: enough to spread a GOMAXPROCS' worth of ingest
+// goroutines for a few KB of overhead.
+const defaultRegistryStripes = 32
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -65,7 +34,9 @@ const (
 )
 
 // hash64 is FNV-1a over the worker ID, inlined to avoid the hash.Hash
-// allocation on the hot membership path.
+// allocation on the hot membership path. Its low bits mix every byte,
+// the last ones included; its high bits barely depend on an ID's last
+// characters, which is why the stripe is chosen by the low bits.
 func hash64(id string) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(id); i++ {
@@ -75,270 +46,74 @@ func hash64(id string) uint64 {
 	return h
 }
 
-// pointHash places virtual point v of a shard ordinal on the ring. The
-// label depends only on (shard, v), so a retained shard keeps its points
-// across resizes and only the new (or dropped) shards' arcs move.
-func pointHash(shard, v uint32) uint64 {
-	h := uint64(fnvOffset64)
-	for _, w := range [2]uint32{shard, v} {
-		for i := 0; i < 4; i++ {
-			h ^= uint64(byte(w >> (8 * i)))
-			h *= fnvPrime64
-		}
-	}
-	return h
-}
-
-// roundShards rounds a requested shard count up to the next power of two
-// so arc sizes stay balanced under repeated doubling; n <= 0 selects
-// DefaultRegistryShards.
-func roundShards(n int) int {
+// newWorkerRegistry returns an empty registry with n stripes, rounded up
+// to the next power of two; n <= 0 selects defaultRegistryStripes.
+func newWorkerRegistry(n int) *workerRegistry {
 	if n <= 0 {
-		n = DefaultRegistryShards
+		n = defaultRegistryStripes
 	}
 	size := 1
 	for size < n {
 		size <<= 1
 	}
-	return size
-}
-
-// buildPoints returns the sorted ring for n shards.
-func buildPoints(n int) []ringPoint {
-	pts := make([]ringPoint, 0, n*registryVirtualNodes)
-	for s := 0; s < n; s++ {
-		for v := 0; v < registryVirtualNodes; v++ {
-			pts = append(pts, ringPoint{hash: pointHash(uint32(s), uint32(v)), shard: uint32(s)})
-		}
+	r := &workerRegistry{mask: uint64(size - 1), stripes: make([]registryStripe, size)}
+	for i := range r.stripes {
+		r.stripes[i].ids = make(map[string]struct{})
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].hash < pts[j].hash })
-	return pts
-}
-
-// owner returns the shard owning an ID under this ring: the first virtual
-// point at or clockwise-after the ID's hash.
-func (w *workerRing) owner(id string) *registryShard {
-	h := hash64(id)
-	pts := w.points
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].hash >= h })
-	if i == len(pts) {
-		i = 0
-	}
-	return w.shards[pts[i].shard]
-}
-
-// NewWorkerRegistry returns an empty registry with n shards, rounded up to
-// the next power of two. n <= 0 selects DefaultRegistryShards.
-func NewWorkerRegistry(n int) *WorkerRegistry {
-	size := roundShards(n)
-	shards := make([]*registryShard, size)
-	for i := range shards {
-		shards[i] = &registryShard{ids: make(map[string]bool)}
-	}
-	r := &WorkerRegistry{}
-	r.ring.Store(&workerRing{shards: shards, points: buildPoints(size)})
 	return r
+}
+
+func (r *workerRegistry) stripe(id string) *registryStripe {
+	return &r.stripes[hash64(id)&r.mask]
 }
 
 // Register adds a worker ID to the set. Registering an existing worker is
 // a no-op; Register reports whether the ID was new.
-func (r *WorkerRegistry) Register(id string) bool {
-	for {
-		ring := r.ring.Load()
-		if ring.prev != nil {
-			// Mid-migration the ID may still live in its old stripe; treat
-			// that as registered rather than creating a duplicate (the
-			// migration scan will relocate it).
-			if old := ring.prev.owner(id); old != ring.owner(id) {
-				old.mu.RLock()
-				exists := old.ids[id]
-				old.mu.RUnlock()
-				if exists {
-					return false
-				}
-			}
-		}
-		s := ring.owner(id)
-		s.mu.Lock()
-		// Re-validate under the stripe lock: a concurrent Resize may have
-		// published a new ring between the load and the lock, in which
-		// case this stripe may no longer own the ID.
-		if cur := r.ring.Load(); cur != ring && cur.owner(id) != s {
-			s.mu.Unlock()
-			continue
-		}
-		if s.ids[id] {
-			s.mu.Unlock()
-			return false
-		}
-		s.ids[id] = true
-		s.mu.Unlock()
-		return true
+func (r *workerRegistry) Register(id string) bool {
+	s := r.stripe(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.ids[id]; ok {
+		return false
 	}
+	s.ids[id] = struct{}{}
+	return true
 }
 
-// Has reports whether a worker ID is registered. During a migration the
-// old owner is consulted first; paired with the mover's insert-then-
-// delete order this can never miss a registered ID. A miss observed
-// through a ring that was replaced mid-lookup retries against the current
-// epoch, so a relocation concurrent with the lookup cannot hide an ID.
-func (r *WorkerRegistry) Has(id string) bool {
-	for {
-		ring := r.ring.Load()
-		if ring.prev != nil {
-			old := ring.prev.owner(id)
-			old.mu.RLock()
-			exists := old.ids[id]
-			old.mu.RUnlock()
-			if exists {
-				return true
-			}
-		}
-		s := ring.owner(id)
+// Has reports whether a worker ID is registered.
+func (r *workerRegistry) Has(id string) bool {
+	s := r.stripe(id)
+	s.mu.RLock()
+	_, ok := s.ids[id]
+	s.mu.RUnlock()
+	return ok
+}
+
+// Len returns the number of registered workers. The count is per-stripe
+// consistent: IDs registered concurrently may or may not be counted.
+func (r *workerRegistry) Len() int {
+	n := 0
+	for i := range r.stripes {
+		s := &r.stripes[i]
 		s.mu.RLock()
-		exists := s.ids[id]
-		s.mu.RUnlock()
-		if exists {
-			return true
-		}
-		if r.ring.Load() == ring {
-			return false
-		}
-	}
-}
-
-// stripes returns every shard reachable from a ring: its own plus, during
-// a migration, the previous epoch's shards being drained (deduplicated —
-// retained shards are shared structs across epochs).
-func (w *workerRing) stripes() []*registryShard {
-	if w.prev == nil {
-		return w.shards
-	}
-	out := make([]*registryShard, len(w.shards), len(w.shards)+len(w.prev.shards))
-	copy(out, w.shards)
-	seen := make(map[*registryShard]bool, len(out))
-	for _, s := range out {
-		seen[s] = true
-	}
-	for _, s := range w.prev.shards {
-		if !seen[s] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Len returns the number of registered workers. Mid-migration an ID being
-// relocated may transiently count in both stripes; the snapshot is
-// per-shard consistent, exactly like the map iteration it replaces.
-func (r *WorkerRegistry) Len() int {
-	ring := r.ring.Load()
-	if ring.prev == nil {
-		n := 0
-		for _, s := range ring.shards {
-			s.mu.RLock()
-			n += len(s.ids)
-			s.mu.RUnlock()
-		}
-		return n
-	}
-	// Relocations duplicate IDs transiently; count distinct.
-	seen := make(map[string]bool)
-	for _, s := range ring.stripes() {
-		s.mu.RLock()
-		for id := range s.ids {
-			seen[id] = true
-		}
+		n += len(s.ids)
 		s.mu.RUnlock()
 	}
-	return len(seen)
+	return n
 }
 
 // All returns every registered worker ID in sorted order. The snapshot is
-// per-shard consistent: IDs registered concurrently with the scan may or
-// may not appear, exactly like the map iteration it replaces.
-func (r *WorkerRegistry) All() []string {
-	ring := r.ring.Load()
-	migrating := ring.prev != nil
-	var seen map[string]bool
-	if migrating {
-		seen = make(map[string]bool)
-	}
+// per-stripe consistent, like Len.
+func (r *workerRegistry) All() []string {
 	ids := make([]string, 0, 64)
-	for _, s := range ring.stripes() {
+	for i := range r.stripes {
+		s := &r.stripes[i]
 		s.mu.RLock()
 		for id := range s.ids {
-			if migrating {
-				if seen[id] {
-					continue
-				}
-				seen[id] = true
-			}
 			ids = append(ids, id)
 		}
 		s.mu.RUnlock()
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// Shards returns the registry's current shard count (a power of two).
-func (r *WorkerRegistry) Shards() int { return len(r.ring.Load().shards) }
-
-// Resize rescales the registry to n shards (rounded up to a power of two;
-// n <= 0 selects the default) and returns the resulting shard count and
-// how many IDs moved. The migration is online: a transitional ring is
-// published first so new registrations land on their final stripes, then
-// each old stripe is drained by moving only the IDs whose ring owner
-// changed — insert into the new stripe, then delete from the old — while
-// readers and writers proceed under per-stripe locks. Concurrent Resize
-// calls serialize.
-func (r *WorkerRegistry) Resize(n int) (shards, moved int) {
-	r.resizeMu.Lock()
-	defer r.resizeMu.Unlock()
-	size := roundShards(n)
-	old := r.ring.Load()
-	if size == len(old.shards) {
-		return size, 0
-	}
-	next := make([]*registryShard, size)
-	copy(next, old.shards[:min(size, len(old.shards))])
-	for i := len(old.shards); i < size; i++ {
-		next[i] = &registryShard{ids: make(map[string]bool)}
-	}
-	mig := &workerRing{shards: next, points: buildPoints(size), prev: old}
-	r.ring.Store(mig)
-
-	for _, src := range old.shards {
-		src.mu.RLock()
-		var relocate []string
-		for id := range src.ids {
-			if mig.owner(id) != src {
-				relocate = append(relocate, id)
-			}
-		}
-		src.mu.RUnlock()
-		for _, id := range relocate {
-			dst := mig.owner(id)
-			dst.mu.Lock()
-			dst.ids[id] = true
-			dst.mu.Unlock()
-			src.mu.Lock()
-			delete(src.ids, id)
-			src.mu.Unlock()
-			moved++
-		}
-	}
-	r.ring.Store(&workerRing{shards: next, points: mig.points})
-	return size, moved
-}
-
-// RegistryInfo describes the registry after an elastic resize.
-type RegistryInfo struct {
-	// Shards is the registry's shard count after rounding.
-	Shards int
-	// Workers is the number of registered workers.
-	Workers int
-	// Moved is how many worker IDs changed stripes during the resize.
-	Moved int
 }

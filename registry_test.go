@@ -9,8 +9,8 @@ import (
 
 func TestWorkerRegistryShardRounding(t *testing.T) {
 	cases := []struct{ n, want int }{
-		{-1, DefaultRegistryShards},
-		{0, DefaultRegistryShards},
+		{-1, defaultRegistryStripes},
+		{0, defaultRegistryStripes},
 		{1, 1},
 		{2, 2},
 		{3, 4},
@@ -18,14 +18,15 @@ func TestWorkerRegistryShardRounding(t *testing.T) {
 		{64, 64},
 	}
 	for _, c := range cases {
-		if got := NewWorkerRegistry(c.n).Shards(); got != c.want {
-			t.Errorf("NewWorkerRegistry(%d).Shards() = %d, want %d", c.n, got, c.want)
+		r := newWorkerRegistry(c.n)
+		if got := len(r.stripes); got != c.want || r.mask != uint64(c.want-1) {
+			t.Errorf("newWorkerRegistry(%d): %d stripes, mask %#x; want %d", c.n, got, r.mask, c.want)
 		}
 	}
 }
 
 func TestWorkerRegistrySemantics(t *testing.T) {
-	r := NewWorkerRegistry(4)
+	r := newWorkerRegistry(4)
 	if r.Has("w1") {
 		t.Error("empty registry has w1")
 	}
@@ -55,7 +56,7 @@ func TestWorkerRegistrySemantics(t *testing.T) {
 // tripping the race detector.
 func TestWorkerRegistryConcurrent(t *testing.T) {
 	const goroutines, ids = 8, 500
-	r := NewWorkerRegistry(8)
+	r := newWorkerRegistry(8)
 	wins := make([]int, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -88,5 +89,30 @@ func TestWorkerRegistryConcurrent(t *testing.T) {
 	all := r.All()
 	if len(all) != ids || !sort.StringsAreSorted(all) {
 		t.Errorf("All() returned %d ids (sorted=%v), want %d sorted", len(all), sort.StringsAreSorted(all), ids)
+	}
+}
+
+// TestWorkerRegistryStripeBalance registers worker IDs shaped like the
+// end-to-end benchmark's (2,000 `w%04d`, then 2×1,000 `t%d-w%04d`) and
+// requires the default stripes to share them evenly: none empty, none
+// above 1.5× the mean. Sequential IDs differ only in their last
+// characters, so a stripe chosen by the hash's high bits piles them into a
+// few stripes.
+func TestWorkerRegistryStripeBalance(t *testing.T) {
+	r := newWorkerRegistry(0)
+	for i := 0; i < 2000; i++ {
+		r.Register(fmt.Sprintf("w%04d", i))
+	}
+	for tenant := 0; tenant < 2; tenant++ {
+		for i := 0; i < 1000; i++ {
+			r.Register(fmt.Sprintf("t%d-w%04d", tenant, i))
+		}
+	}
+	mean := float64(r.Len()) / float64(len(r.stripes))
+	for i := range r.stripes {
+		n := len(r.stripes[i].ids)
+		if n == 0 || float64(n) > 1.5*mean {
+			t.Errorf("stripe %d holds %d IDs; want 1..%.0f (mean %.1f)", i, n, 1.5*mean, mean)
+		}
 	}
 }

@@ -50,9 +50,9 @@ type SchedulerConfig struct {
 	// accrued escrow payments are drained from the epoch pool into one
 	// aggregated payout batch per worker. 0 keeps direct per-run payouts.
 	EpochEvery int
-	// RegistryShards sets the shared worker registry's initial shard count
-	// (rounded up to a power of two); <= 0 selects the default. The count
-	// is elastic after construction via ResizeRegistry.
+	// RegistryShards sets the shared worker registry's stripe count
+	// (rounded up to a power of two), fixed for the scheduler's lifetime;
+	// <= 0 selects the default.
 	RegistryShards int
 	// CloseConcurrency bounds how many auction closes may execute at
 	// once, admitted in weighted-fair order across tenants (see
@@ -103,7 +103,7 @@ type RunInfo struct {
 // lock waits on it.
 type RunScheduler struct {
 	cfg      SchedulerConfig
-	registry *WorkerRegistry
+	registry *workerRegistry
 	settler  *EpochSettler
 	gate     *fairGate // weighted-fair close admission; nil when ungated
 
@@ -147,7 +147,7 @@ func NewRunScheduler(cfg SchedulerConfig) (*RunScheduler, error) {
 	}
 	s := &RunScheduler{
 		cfg:        cfg,
-		registry:   NewWorkerRegistry(cfg.RegistryShards),
+		registry:   newWorkerRegistry(cfg.RegistryShards),
 		gate:       newFairGate(cfg.CloseConcurrency),
 		tenants:    make(map[string]*Platform),
 		tenantOpen: make(map[string]string),
@@ -158,23 +158,6 @@ func NewRunScheduler(cfg SchedulerConfig) (*RunScheduler, error) {
 		s.settler = NewEpochSettler(cfg.Ledger, cfg.EpochEvery)
 	}
 	return s, nil
-}
-
-// Registry returns the shared striped worker registry.
-func (s *RunScheduler) Registry() *WorkerRegistry { return s.registry }
-
-// ResizeRegistry rescales the shared worker registry to n shards (rounded
-// up to a power of two, <= 0 selects the default) by consistent-hash
-// migration: reads and registrations proceed concurrently and only the
-// keys whose ring owner changed move. Registry placement is derived
-// state, so resizes are not WAL events — replay re-registers workers into
-// whatever shard count the rebooted scheduler was configured with.
-func (s *RunScheduler) ResizeRegistry(ctx context.Context, n int) (RegistryInfo, error) {
-	if err := ctxErr(ctx); err != nil {
-		return RegistryInfo{}, err
-	}
-	shards, moved := s.registry.Resize(n)
-	return RegistryInfo{Shards: shards, Workers: s.registry.Len(), Moved: moved}, nil
 }
 
 // Settler returns the epoch settler, nil when EpochEvery was 0.
@@ -320,15 +303,14 @@ func (s *RunScheduler) newTenantPlatform(tenant string) (*Platform, error) {
 	if err != nil {
 		return nil, fmt.Errorf("melody: estimator for tenant %q: %w", tenant, err)
 	}
-	return NewPlatform(PlatformConfig{
+	return newPlatform(PlatformConfig{
 		Auction:   s.cfg.Auction,
 		Estimator: est,
 		Ledger:    s.cfg.Ledger,
 		Settler:   s.settler,
-		Registry:  s.registry,
 		Metrics:   s.cfg.Metrics,
 		Tracer:    s.cfg.Tracer,
-	})
+	}, s.registry)
 }
 
 // resolve maps a run ID to its scheduling state.
