@@ -238,8 +238,8 @@ func runFairness(cfg loadgen.FairnessConfig, asJSON, check bool) error {
 		res.Tenants, res.Rounds, res.TotalRuns, res.CloseConcurrency)
 	fmt.Printf("median close latency across tenants: %.3f..%.3f ms -> fairness ratio %.2f\n",
 		res.MinMedianCloseMs, res.MaxMedianCloseMs, res.FairnessRatio)
-	fmt.Printf("per tenant: median close ms %.3f, mean volley position %.2f\n",
-		res.TenantMedianCloseMs, res.TenantMeanPosition)
+	fmt.Printf("per tenant: median close ms %.3f, mean volley position %.2f, median volley position %.1f, back-half volleys %d of %d\n",
+		res.TenantMedianCloseMs, res.TenantMeanPosition, res.TenantMedianPosition, res.TenantBackHalf, res.Rounds)
 	fmt.Printf("outcomes byte-identical across passes: %v\n", res.OutcomesMatch)
 	fmt.Printf("quota: %d/%d over-quota opens refused; spend matches ledger: %v; WAL replay consistent: %v\n",
 		res.QuotaRefusals, res.Tenants, res.SpentMatchesLedger, res.ReplayConsistent)

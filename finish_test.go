@@ -148,8 +148,8 @@ type failingBatch struct {
 
 var errUpdate = errors.New("quality: update refused")
 
-func (f failingBatch) ObserveBatch(ids []string, scores [][]float64) error {
-	return errors.Join(&quality.WorkerError{Worker: f.worker, Err: errUpdate})
+func (f failingBatch) ObserveBatch(ids []string, scores [][]float64, logged []quality.Reestimation) ([]quality.Reestimation, error) {
+	return nil, errors.Join(&quality.WorkerError{Worker: f.worker, Err: errUpdate})
 }
 
 // TestFinishRunBatchErrorNamesWorker: a failed batch update fails the

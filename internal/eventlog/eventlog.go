@@ -1,9 +1,14 @@
 // Package eventlog provides durable, append-only persistence for the
 // MELODY platform: every state-changing platform operation is recorded as a
 // JSON-lines event, and a crashed platform is rebuilt by replaying the log
-// into a fresh instance. Replay is exact because the platform is
-// deterministic given its inputs (the auction breaks ties by ID and the
-// quality model is a closed-form recursion).
+// into a fresh instance. Replay is exact for two reasons. The platform is
+// deterministic given its inputs: the auction breaks ties by ID and the
+// quality model's posterior update is a closed-form recursion. And the one
+// costly, iterative step, the EM re-estimation of a worker's
+// hyper-parameters, is not replayed: each finish_run record carries the
+// theta its finish's EMs gave, in encoding/json's shortest exact float
+// form, and replay installs them. A finish record without them, as written
+// before finishes logged them, replays EM, which is deterministic too.
 //
 // Durable appends go through a group-commit pipeline: concurrent Appends
 // encode their records into a shared batch, a single committer goroutine
@@ -27,6 +32,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -66,6 +72,30 @@ type PolicyRecord struct {
 	Weight           float64 `json:"weight,omitempty"`
 }
 
+// EMRecord lists the EM re-estimations a finish made, in the tenant
+// estimator's batch order: Workers[i] got theta = {a, gamma, eta} =
+// Params[i]. The worker IDs let replay check that it makes the same
+// workers due; the theta are float64s in encoding/json's shortest form
+// that parses back to the same bits, so installing them leaves the state
+// EM left.
+type EMRecord struct {
+	Workers []string     `json:"workers"`
+	Params  [][3]float64 `json:"params"`
+}
+
+// validate checks that the record lists one theta per worker.
+func (r *EMRecord) validate() error {
+	switch {
+	case len(r.Workers) == 0:
+		return errors.New("eventlog: finish_run event with an empty em member")
+	case len(r.Params) != len(r.Workers):
+		return fmt.Errorf("eventlog: finish_run em member lists %d workers but %d params", len(r.Workers), len(r.Params))
+	case slices.Contains(r.Workers, ""):
+		return errors.New("eventlog: finish_run em member with an empty worker")
+	}
+	return nil
+}
+
 // Event is one durable platform operation. Fields are populated according
 // to Kind; unused fields are omitted from the encoding.
 type Event struct {
@@ -87,6 +117,11 @@ type Event struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Policy carries a tenant_policy event's full policy record.
 	Policy *PolicyRecord `json:"policy,omitempty"`
+	// EM carries a finish_run event's EM re-estimations, which replay
+	// installs instead of running EM again. A finish that made none, or
+	// whose estimator does not report them, has no EM member and replays
+	// with EM recomputed.
+	EM *EMRecord `json:"em,omitempty"`
 	// CRC is the IEEE CRC-32 of the record's canonical encoding (the JSON
 	// of the event with CRC itself zeroed), detecting silent on-disk
 	// corruption. Zero means "no checksum": records written before
@@ -123,6 +158,12 @@ func (e Event) validate() error {
 	default:
 		return fmt.Errorf("eventlog: unknown event kind %q", e.Kind)
 	}
+	if e.EM != nil {
+		if e.Kind != KindFinish {
+			return fmt.Errorf("eventlog: %s event with an em member", e.Kind)
+		}
+		return e.EM.validate()
+	}
 	return nil
 }
 
@@ -150,6 +191,22 @@ type Options struct {
 	// Tracer optionally records a "wal.recover" span for the recovery at
 	// open and a "wal.commit" span per write+fsync batch.
 	Tracer *obs.Tracer
+}
+
+// maxKeptBuffer bounds the encode buffers a Log keeps for reuse. One that
+// grew past it for a large record or batch (a finish that logs a whole
+// 2,000-worker pool's EM re-estimations is about 150 KB) is dropped after
+// use, so the log does not hold its high-water mark for its lifetime.
+const maxKeptBuffer = 64 << 10
+
+// reuse returns b emptied for the next use, or a fresh buffer when b grew
+// past maxKeptBuffer.
+func reuse(b *bytes.Buffer) *bytes.Buffer {
+	if b.Cap() > maxKeptBuffer {
+		return new(bytes.Buffer)
+	}
+	b.Reset()
+	return b
 }
 
 // commitTarget is the log's durable destination: an *os.File in production,
@@ -387,7 +444,7 @@ func (l *Log) AppendAsync(e Event) (int64, func(context.Context) error, error) {
 		} else {
 			_, werr = l.w.Write(l.pending.Bytes())
 		}
-		l.pending.Reset()
+		l.pending = reuse(l.pending)
 		l.pendingCount = 0
 		if werr != nil {
 			l.failLocked(fmt.Errorf("append: %v", werr))
@@ -407,16 +464,22 @@ func (l *Log) AppendAsync(e Event) (int64, func(context.Context) error, error) {
 // the event with its CRC populated, newline-terminated — byte-identical to
 // json.Marshal plus '\n'. The event is encoded once, canonically, with CRC
 // zeroed and so omitted; see appendRecord for the checksummed record. All
-// scratch buffers are reused, so a steady-state append allocates nothing.
-// Callers hold l.mu.
+// scratch buffers are reused up to maxKeptBuffer, so a steady-state append
+// allocates nothing, and the scratch event is cleared after use, so it
+// keeps none of the event's slices reachable. Callers hold l.mu.
 func (l *Log) encodeLocked(e Event) error {
 	l.encBuf.Reset()
 	l.scratch = e
 	l.scratch.CRC = 0
-	if err := l.enc.Encode(&l.scratch); err != nil {
+	err := l.enc.Encode(&l.scratch)
+	l.scratch = Event{}
+	if err != nil {
 		return fmt.Errorf("eventlog: encode: %w", err)
 	}
 	l.pending.Write(appendRecord(l.pending.AvailableBuffer(), l.encBuf.Bytes()))
+	if l.encBuf.Cap() > maxKeptBuffer {
+		l.encBuf = bytes.Buffer{} // the encoder writes through a pointer to the field
+	}
 	return nil
 }
 
@@ -540,10 +603,9 @@ func (l *Log) commitLoop() {
 		}
 		l.fsyncSecs.Observe(time.Since(start).Seconds())
 		sp.End()
-		batch.Reset()
 
 		l.mu.Lock()
-		l.spare = batch
+		l.spare = reuse(batch)
 		if err != nil {
 			l.failLocked(err)
 			l.mu.Unlock()

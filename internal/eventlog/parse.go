@@ -18,8 +18,9 @@ import (
 // Numbers follow JSON's grammar and go through the strconv calls
 // encoding/json makes. A string must be free of escapes and valid UTF-8,
 // so that its bytes are its value. Anything else, such as an escaped or
-// invalid string, another key order or spacing, null, an empty task list,
-// or an unknown or repeated key, is left to json.Unmarshal. The records
+// invalid string, another key order or spacing, null, an empty array, an
+// em triple of another length, or an unknown or repeated key, is left to
+// json.Unmarshal. The records
 // recovery accepts, their values and its error messages are therefore
 // json.Unmarshal's, whichever path a record takes.
 
@@ -37,6 +38,7 @@ const (
 	evRun
 	evTenant
 	evPolicy
+	evEM
 	evCRC
 )
 
@@ -53,6 +55,7 @@ var eventKeys = []string{
 	evRun:       "run",
 	evTenant:    "tenant",
 	evPolicy:    "policy",
+	evEM:        "em",
 	evCRC:       "crc",
 }
 
@@ -78,6 +81,14 @@ var policyKeys = []string{
 	polMaxRuns:          "maxRuns",
 	polWeight:           "weight",
 }
+
+// EMRecord's keys, in declaration order.
+const (
+	emWorkers = iota
+	emParams
+)
+
+var emKeys = []string{emWorkers: "workers", emParams: "params"}
 
 // parseRecord decodes one record written in the writer's layout, optionally
 // newline-terminated. ok is false when the record leaves that layout
@@ -105,13 +116,15 @@ func parseRecord(line []byte) (e Event, ok bool) {
 		case evBudget:
 			e.Budget, ok = p.float()
 		case evTasks:
-			e.Tasks, ok = p.tasks()
+			e.Tasks, ok = array(&p, p.task)
 		case evRun:
 			e.Run, ok = p.str()
 		case evTenant:
 			e.Tenant, ok = p.str()
 		case evPolicy:
 			e.Policy, ok = p.policy()
+		case evEM:
+			e.EM, ok = p.em()
 		case evCRC:
 			e.CRC, ok = p.uint32()
 		}
@@ -293,33 +306,18 @@ func (p *layoutParser) uint32() (uint32, bool) {
 	return uint32(n), err == nil && n <= math.MaxUint32
 }
 
-// tasks reads a non-empty array of task records.
-func (p *layoutParser) tasks() ([]TaskRecord, bool) {
-	if !p.consume('[') {
-		return nil, false
-	}
-	var tasks []TaskRecord
-	for {
-		var t TaskRecord
-		if !p.object(taskKeys, func(field int) (ok bool) {
-			switch field {
-			case taskID:
-				t.ID, ok = p.str()
-			case taskThreshold:
-				t.Threshold, ok = p.float()
-			}
-			return ok
-		}) {
-			return nil, false
+// task reads a task record.
+func (p *layoutParser) task() (t TaskRecord, ok bool) {
+	ok = p.object(taskKeys, func(field int) (ok bool) {
+		switch field {
+		case taskID:
+			t.ID, ok = p.str()
+		case taskThreshold:
+			t.Threshold, ok = p.float()
 		}
-		tasks = append(tasks, t)
-		if p.consume(']') {
-			return tasks, true
-		}
-		if !p.consume(',') {
-			return nil, false
-		}
-	}
+		return ok
+	})
+	return t, ok
 }
 
 // policy reads a policy record.
@@ -339,4 +337,57 @@ func (p *layoutParser) policy() (*PolicyRecord, bool) {
 		return ok
 	})
 	return r, ok
+}
+
+// em reads an EM record: non-empty arrays of worker IDs and of theta
+// triples. The record's own rules (one triple per worker) are validate's.
+func (p *layoutParser) em() (*EMRecord, bool) {
+	r := new(EMRecord)
+	ok := p.object(emKeys, func(field int) (ok bool) {
+		switch field {
+		case emWorkers:
+			r.Workers, ok = array(p, p.str)
+		case emParams:
+			r.Params, ok = array(p, p.triple)
+		}
+		return ok
+	})
+	return r, ok
+}
+
+// array reads a non-empty array whose elements elem reads.
+func array[T any](p *layoutParser, elem func() (T, bool)) ([]T, bool) {
+	if !p.consume('[') {
+		return nil, false
+	}
+	var out []T
+	for {
+		v, ok := elem()
+		if !ok {
+			return nil, false
+		}
+		out = append(out, v)
+		if p.consume(']') {
+			return out, true
+		}
+		if !p.consume(',') {
+			return nil, false
+		}
+	}
+}
+
+// triple reads an array of exactly three numbers.
+func (p *layoutParser) triple() (t [3]float64, ok bool) {
+	if !p.consume('[') {
+		return t, false
+	}
+	for k := range t {
+		if k > 0 && !p.consume(',') {
+			return t, false
+		}
+		if t[k], ok = p.float(); !ok {
+			return t, false
+		}
+	}
+	return t, p.consume(']')
 }

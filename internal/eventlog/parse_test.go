@@ -9,7 +9,7 @@ import (
 )
 
 // TestParserLayoutMatchesTypes keeps the parser in step with the types it
-// decodes. A field added to Event, TaskRecord or PolicyRecord, or one
+// decodes. A field added to Event, TaskRecord, PolicyRecord or EMRecord, or one
 // renamed or moved, fails here until parse.go learns it, instead of
 // quietly sending every record back through json.Unmarshal.
 func TestParserLayoutMatchesTypes(t *testing.T) {
@@ -20,6 +20,7 @@ func TestParserLayoutMatchesTypes(t *testing.T) {
 		{reflect.TypeOf(Event{}), eventKeys},
 		{reflect.TypeOf(TaskRecord{}), taskKeys},
 		{reflect.TypeOf(PolicyRecord{}), policyKeys},
+		{reflect.TypeOf(EMRecord{}), emKeys},
 	} {
 		var encoded []string
 		for i := 0; i < tc.typ.NumField(); i++ {
@@ -36,11 +37,15 @@ func TestParserLayoutMatchesTypes(t *testing.T) {
 }
 
 // benchmarkShapedEvents is one event of every kind with IDs shaped like a
-// benchmark history's, plus one event with every field set.
+// benchmark history's, a finish that logged EM re-estimations, and one
+// event with every field set (a finish, the only kind an em member may
+// ride on).
 func benchmarkShapedEvents() []Event {
 	const run, worker, task = "t0-r000001", "t0-w0001", "t0-r000001-k0"
 	tasks := []TaskRecord{{ID: task, Threshold: 5}, {ID: "t0-r000001-k1", Threshold: 7.25}}
 	policy := &PolicyRecord{BudgetQuota: 1e6, EpochBudgetQuota: -1, MaxRuns: 4, Weight: 2}
+	em := &EMRecord{Workers: []string{worker, "t0-w0002"},
+		Params: [][3]float64{{1.0123456789012346, 1.7234567890123456e-05, 3.2101234567890123}, {0.9987, 0.3, 9}}}
 	return []Event{
 		{Kind: KindRegister, Worker: worker},
 		{Kind: KindTenantPolicy, Tenant: "tenant0", Policy: policy},
@@ -49,8 +54,9 @@ func benchmarkShapedEvents() []Event {
 		{Kind: KindClose, Run: run},
 		{Kind: KindScore, Run: run, Worker: worker, Task: task, Score: 6.5},
 		{Kind: KindFinish, Run: run},
-		{Kind: KindOpenRun, Worker: worker, Task: task, Cost: 1.25, Frequency: 2, Score: 7.5,
-			Budget: 1500, Tasks: tasks, Run: run, Tenant: "tenant0", Policy: policy},
+		{Kind: KindFinish, Run: run, EM: em},
+		{Kind: KindFinish, Worker: worker, Task: task, Cost: 1.25, Frequency: 2, Score: 7.5,
+			Budget: 1500, Tasks: tasks, Run: run, Tenant: "tenant0", Policy: policy, EM: em},
 	}
 }
 
@@ -76,7 +82,7 @@ func TestParserDecodesWriterOutput(t *testing.T) {
 			t.Errorf("parser decoded %s as %+v, json.Unmarshal as %+v", line, e, want)
 		}
 	}
-	for _, v := range []reflect.Value{reflect.ValueOf(e), reflect.ValueOf(e.Tasks[0]), reflect.ValueOf(*e.Policy)} {
+	for _, v := range []reflect.Value{reflect.ValueOf(e), reflect.ValueOf(e.Tasks[0]), reflect.ValueOf(*e.Policy), reflect.ValueOf(*e.EM)} {
 		for i := 0; i < v.NumField(); i++ {
 			if v.Field(i).IsZero() {
 				t.Errorf("the full event leaves %s.%s unset", v.Type().Name(), v.Type().Field(i).Name)

@@ -238,15 +238,22 @@ func (ps *PersistentScheduler) recordBatch(ctx context.Context, applied melody.B
 }
 
 // CloseAuction closes a run's auction and records the closure; the outcome
-// is recomputed exactly on replay.
+// is recomputed exactly on replay. A retried close of an auction that has
+// closed is already in the log: it appends nothing and waits for the
+// records before it to be durable.
 func (ps *PersistentScheduler) CloseAuction(ctx context.Context, runID string) (*melody.Outcome, error) {
 	ps.mu.Lock()
+	info, err := ps.s.Run(runID)
+	closed := err == nil && info.AuctionClosed
 	out, err := ps.s.CloseAuction(ctx, runID)
 	if err != nil {
 		ps.mu.Unlock()
 		return nil, err
 	}
-	_, wait, err := ps.log.AppendAsync(Event{Kind: KindClose, Run: runID})
+	wait := ps.log.waitTail
+	if !closed {
+		_, wait, err = ps.log.AppendAsync(Event{Kind: KindClose, Run: runID})
+	}
 	ps.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -266,7 +273,11 @@ func (ps *PersistentScheduler) SubmitScore(ctx context.Context, runID, workerID,
 
 // FinishRun finishes and records a run. Finish order across runs is part
 // of the logged total order, so epoch settlement boundaries (every N
-// finished runs) replay identically.
+// finished runs) replay identically. The record carries the EM
+// re-estimations the finish made, which replay installs instead of
+// running EM again. A retried finish of a run that has finished is
+// already in the log: it appends nothing and waits for the records before
+// it to be durable.
 //
 // On a segmented log that is due for a snapshot, the scheduler's state is
 // captured under the ordering lock — so it reflects exactly the log prefix
@@ -277,11 +288,16 @@ func (ps *PersistentScheduler) SubmitScore(ctx context.Context, runID, workerID,
 // tries again.
 func (ps *PersistentScheduler) FinishRun(ctx context.Context, runID string) error {
 	ps.mu.Lock()
-	if err := ps.s.FinishRun(ctx, runID); err != nil {
+	if info, err := ps.s.Run(runID); err == nil && info.Finished {
+		ps.mu.Unlock()
+		return ps.log.waitTail(ctx)
+	}
+	made, err := ps.s.FinishRunEM(ctx, runID, nil)
+	if err != nil {
 		ps.mu.Unlock()
 		return err
 	}
-	seq, wait, err := ps.log.AppendAsync(Event{Kind: KindFinish, Run: runID})
+	seq, wait, err := ps.log.AppendAsync(Event{Kind: KindFinish, Run: runID, EM: emRecord(made)})
 	var snap *melody.SchedulerSnapshot
 	if err == nil && ps.seg != nil && ps.seg.ShouldSnapshot() {
 		snap = ps.snapshotLocked()
@@ -480,8 +496,36 @@ func applyScheduler(s *melody.RunScheduler, e Event) error {
 	case KindScore:
 		return s.SubmitScore(ctx, e.Run, e.Worker, e.Task, e.Score)
 	case KindFinish:
-		return s.FinishRun(ctx, e.Run)
+		_, err := s.FinishRunEM(ctx, e.Run, e.EM.reestimations())
+		return err
 	default:
 		return fmt.Errorf("eventlog: unknown event kind %q", e.Kind)
 	}
+}
+
+// emRecord returns the log form of a finish's re-estimations; nil for
+// none.
+func emRecord(made []melody.Reestimation) *EMRecord {
+	if len(made) == 0 {
+		return nil
+	}
+	r := &EMRecord{Workers: make([]string, len(made)), Params: make([][3]float64, len(made))}
+	for i, m := range made {
+		r.Workers[i] = m.Worker
+		r.Params[i] = [3]float64{m.Params.A, m.Params.Gamma, m.Params.Eta}
+	}
+	return r
+}
+
+// reestimations returns the re-estimations r lists; nil for a nil record.
+func (r *EMRecord) reestimations() []melody.Reestimation {
+	if r == nil {
+		return nil
+	}
+	out := make([]melody.Reestimation, len(r.Workers))
+	for i, id := range r.Workers {
+		p := r.Params[i]
+		out[i] = melody.Reestimation{Worker: id, Params: melody.QualityParams{A: p[0], Gamma: p[1], Eta: p[2]}}
+	}
+	return out
 }

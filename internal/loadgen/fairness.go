@@ -92,12 +92,18 @@ type FairnessResult struct {
 	MinMedianCloseMs float64 `json:"min_median_close_ms"`
 	MaxMedianCloseMs float64 `json:"max_median_close_ms"`
 	FairnessRatio    float64 `json:"fairness_ratio"`
-	// TenantMedianCloseMs and TenantMeanPosition hold, per tenant, the
-	// median close latency and the mean position (0 = first) at which the
-	// tenant's close returned within its volley. At gate capacity 1 the
-	// return order is the gate's admission order.
-	TenantMedianCloseMs []float64 `json:"tenant_median_close_ms"`
-	TenantMeanPosition  []float64 `json:"tenant_mean_position"`
+	// TenantMedianCloseMs, TenantMeanPosition and TenantMedianPosition
+	// hold, per tenant, the median close latency and the mean and median
+	// position (0 = first) at which the tenant's close returned within its
+	// volley; TenantBackHalf counts the volleys in which it returned in
+	// the back half (positions Tenants/2 and later: 4-7 of 8). At gate
+	// capacity 1 the return order is the gate's admission order. A median
+	// latency follows how often a tenant lands in the back half, which the
+	// mean position hides.
+	TenantMedianCloseMs  []float64 `json:"tenant_median_close_ms"`
+	TenantMeanPosition   []float64 `json:"tenant_mean_position"`
+	TenantMedianPosition []float64 `json:"tenant_median_position"`
+	TenantBackHalf       []int     `json:"tenant_back_half"`
 	// OutcomesMatch reports byte-identical per-run outcomes between the
 	// serial and concurrent passes — the gate reorders waiting, never
 	// results.
@@ -334,7 +340,7 @@ func RunFairness(cfg FairnessConfig) (FairnessResult, error) {
 	concDigests := make(map[string]string)
 	var digestMu sync.Mutex
 	closeLatencies := make([][]float64, cfg.Tenants)
-	positions := make([]int, cfg.Tenants) // sum of volley return positions
+	positions := make([][]float64, cfg.Tenants) // each volley's return position
 	runIDs := make([]string, cfg.Tenants)
 	outcomes := make([]*melody.Outcome, cfg.Tenants)
 	concStart := time.Now()
@@ -356,7 +362,7 @@ func RunFairness(cfg FairnessConfig) (FairnessResult, error) {
 			start := time.Now()
 			out, err := sched.CloseAuction(ctx, runIDs[i])
 			elapsed := time.Since(start)
-			positions[i] += int(returned.Add(1) - 1)
+			positions[i] = append(positions[i], float64(returned.Add(1)-1))
 			if err != nil {
 				return fmt.Errorf("close %s: %w", runIDs[i], err)
 			}
@@ -397,11 +403,21 @@ func RunFairness(cfg FairnessConfig) (FairnessResult, error) {
 	// Fairness: max/min per-tenant median close latency.
 	res.TenantMedianCloseMs = make([]float64, cfg.Tenants)
 	res.TenantMeanPosition = make([]float64, cfg.Tenants)
+	res.TenantMedianPosition = make([]float64, cfg.Tenants)
+	res.TenantBackHalf = make([]int, cfg.Tenants)
 	minMs, maxMs := math.Inf(1), 0.0
 	for i, lats := range closeLatencies {
 		m := median(lats)
 		res.TenantMedianCloseMs[i] = m
-		res.TenantMeanPosition[i] = float64(positions[i]) / float64(cfg.Rounds)
+		sum := 0.0
+		for _, pos := range positions[i] {
+			sum += pos
+			if int(pos) >= cfg.Tenants/2 {
+				res.TenantBackHalf[i]++
+			}
+		}
+		res.TenantMeanPosition[i] = sum / float64(cfg.Rounds)
+		res.TenantMedianPosition[i] = median(positions[i])
 		minMs = math.Min(minMs, m)
 		maxMs = math.Max(maxMs, m)
 	}
@@ -460,8 +476,9 @@ func RunFairness(cfg FairnessConfig) (FairnessResult, error) {
 	res.ReplayConsistent = replayOK
 
 	if res.FairnessRatio > cfg.MaxRatio {
-		return res, fmt.Errorf("loadgen: fairness ratio %.2f exceeds %.2f (medians %.3f..%.3f ms; per tenant: median close ms %.3f, mean volley position %.2f)",
-			res.FairnessRatio, cfg.MaxRatio, minMs, maxMs, res.TenantMedianCloseMs, res.TenantMeanPosition)
+		return res, fmt.Errorf("loadgen: fairness ratio %.2f exceeds %.2f (medians %.3f..%.3f ms; per tenant: median close ms %.3f, mean volley position %.2f, median volley position %.1f, back-half volleys %d of %d)",
+			res.FairnessRatio, cfg.MaxRatio, minMs, maxMs, res.TenantMedianCloseMs, res.TenantMeanPosition,
+			res.TenantMedianPosition, res.TenantBackHalf, cfg.Rounds)
 	}
 	return res, nil
 }

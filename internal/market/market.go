@@ -304,7 +304,7 @@ func (e *Engine) Step() (*RunResult, error) {
 	// once (MELODY runs the due workers' EM re-estimations four at a time
 	// through its lane kernel, bit-identically to the serial loop).
 	if batch, ok := cfg.Estimator.(quality.BatchObserver); ok {
-		if err := batch.ObserveBatch(ids, scoreSets); err != nil {
+		if _, err := batch.ObserveBatch(ids, scoreSets, nil); err != nil {
 			return nil, fmt.Errorf("market: run %d: observe batch: %w", runIdx+1, err)
 		}
 	} else {

@@ -2,8 +2,10 @@ package quality
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,11 +24,13 @@ func batchTestConfig() MelodyConfig {
 	}
 }
 
-// TestObserveBatchMatchesSerial drives two identical estimators through the
-// same multi-run trace — one via per-worker Observe calls, one via
-// ObserveBatch — and requires bit-identical state for every worker after
-// every run, the same EM counts and log-likelihood gauge, and equal
-// snapshots at the end. The cases cover a full-history window (EM over
+// TestObserveBatchMatchesSerial drives three identical estimators through
+// the same multi-run trace — one via per-worker Observe calls, one via
+// ObserveBatch, and one via ObserveBatch given the re-estimations the
+// second reported, as recovery replays a log — and requires bit-identical
+// state for every worker after every run, the same EM counts and
+// log-likelihood gauge for the first two, no EM run by the third, and
+// byte-identical snapshots at the end. The cases cover a full-history window (EM over
 // the whole, growing history), workers who join mid-season (so windows
 // of unequal length fall due in one batch and run in separate lane
 // groups), and due sets of 1, 4 and 5 workers: a group of one, one full
@@ -48,8 +52,8 @@ func TestObserveBatchMatchesSerial(t *testing.T) {
 		{name: "due 5", cfg: batchTestConfig(), workers: 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var est [2]*Melody
-			var reg [2]*obs.Registry
+			var est [3]*Melody
+			var reg [3]*obs.Registry
 			for k := range est {
 				cfg := tc.cfg
 				reg[k] = obs.NewRegistry()
@@ -59,7 +63,7 @@ func TestObserveBatchMatchesSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			serial, batched := est[0], est[1]
+			serial, batched, installed := est[0], est[1], est[2]
 			r := stats.NewRNG(42)
 			all := make([]string, tc.workers)
 			for i := range all {
@@ -93,10 +97,25 @@ func TestObserveBatchMatchesSerial(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := batched.ObserveBatch(ids, scores); err != nil {
+				made, err := batched.ObserveBatch(ids, scores, nil)
+				if err != nil {
 					t.Fatal(err)
 				}
+				for k, r := range made {
+					if k > 0 && slices.Index(ids, made[k-1].Worker) >= slices.Index(ids, r.Worker) {
+						t.Fatalf("run %d: re-estimations not in batch order: %v", run, made)
+					}
+					if r.Params != batched.Params(r.Worker) {
+						t.Fatalf("run %d worker %s: reported theta %+v, installed %+v", run, r.Worker, r.Params, batched.Params(r.Worker))
+					}
+				}
+				if got, err := installed.ObserveBatch(ids, scores, made); err != nil || !slices.Equal(got, made) {
+					t.Fatalf("run %d: installing the reported re-estimations = %v, %v", run, got, err)
+				}
 				for _, id := range ids {
+					if batched.Params(id) != installed.Params(id) || batched.Estimate(id) != installed.Estimate(id) {
+						t.Fatalf("run %d worker %s: installed theta diverged from computed", run, id)
+					}
 					se, be := serial.Estimate(id), batched.Estimate(id)
 					if se != be {
 						t.Fatalf("run %d worker %s: serial estimate %v != batch estimate %v", run, id, se, be)
@@ -122,6 +141,9 @@ func TestObserveBatchMatchesSerial(t *testing.T) {
 			if reg[0].Counter(obs.MetricEMRunsTotal, "").Value() == 0 {
 				t.Fatal("no EM ran; the case is vacuous")
 			}
+			if n := reg[2].Counter(obs.MetricEMRunsTotal, "").Value(); n != 0 {
+				t.Fatalf("installing logged re-estimations ran %d EMs", n)
+			}
 			sb, err := serial.SnapshotState()
 			if err != nil {
 				t.Fatal(err)
@@ -132,6 +154,13 @@ func TestObserveBatchMatchesSerial(t *testing.T) {
 			}
 			if !bytes.Equal(sb, bb) {
 				t.Fatal("batch snapshot differs from the serial one")
+			}
+			ib, err := installed.SnapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ib, bb) {
+				t.Fatal("the snapshot after installing logged re-estimations differs from the computed one")
 			}
 		})
 	}
@@ -159,13 +188,65 @@ func TestObserveBatchDuplicateIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := batched.ObserveBatch(ids, scores); err != nil {
+	made, err := batched.ObserveBatch(ids, scores, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(made) == 0 {
+		t.Fatal("no EM fell due; the case is vacuous")
+	}
+	installed, err := NewMelody(batchTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := installed.ObserveBatch(ids, scores, made); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"w0", "w1", "w2"} {
 		if serial.Estimate(id) != batched.Estimate(id) {
 			t.Errorf("worker %s: duplicate-ID batch diverged from serial", id)
 		}
+		if installed.Params(id) != batched.Params(id) || installed.Estimate(id) != batched.Estimate(id) {
+			t.Errorf("worker %s: installed re-estimations diverged from computed", id)
+		}
+	}
+}
+
+// TestObserveBatchLoggedMismatch: logged re-estimations that name other
+// workers than the batch makes due fail the batch, naming the first
+// worker that differs, on the lane path and on the serial one.
+func TestObserveBatchLoggedMismatch(t *testing.T) {
+	cfg := batchTestConfig()
+	cfg.EMPeriod = 1
+	theta := lds.Params{A: 1, Gamma: 0.3, Eta: 9}
+	for _, tc := range []struct {
+		name   string
+		ids    []string
+		logged []Reestimation
+		names  string
+	}{
+		{"missing", []string{"a", "b"}, []Reestimation{{"a", theta}}, "b"},
+		{"extra", []string{"a"}, []Reestimation{{"a", theta}, {"b", theta}}, "b"},
+		{"other", []string{"a", "b"}, []Reestimation{{"a", theta}, {"c", theta}}, "c"},
+		{"order", []string{"a", "b"}, []Reestimation{{"b", theta}, {"a", theta}}, "b"},
+		{"serial missing", []string{"a", "a"}, []Reestimation{{"a", theta}}, "a"},
+		{"serial extra", []string{"a", "a"}, []Reestimation{{"a", theta}, {"a", theta}, {"b", theta}}, "b"},
+		{"none due", nil, []Reestimation{{"a", theta}}, "a"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := NewMelody(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scores := make([][]float64, len(tc.ids))
+			for i := range scores {
+				scores[i] = []float64{6}
+			}
+			_, err = m.ObserveBatch(tc.ids, scores, tc.logged)
+			if !errors.Is(err, ErrReestimationMismatch) || !strings.Contains(err.Error(), "worker "+tc.names) {
+				t.Fatalf("ObserveBatch = %v, want ErrReestimationMismatch naming worker %s", err, tc.names)
+			}
+		})
 	}
 }
 
@@ -184,7 +265,7 @@ func TestObserveBatchReportsAllErrors(t *testing.T) {
 	}
 	scores[2] = []float64{math.NaN()}
 	scores[11] = []float64{math.NaN()}
-	err = m.ObserveBatch(ids, scores)
+	_, err = m.ObserveBatch(ids, scores, nil)
 	if err == nil {
 		t.Fatal("poisoned batch accepted")
 	}
@@ -207,7 +288,7 @@ func TestObserveBatchSizeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ObserveBatch([]string{"a", "b"}, [][]float64{{1}}); err == nil {
+	if _, err := m.ObserveBatch([]string{"a", "b"}, [][]float64{{1}}, nil); err == nil {
 		t.Fatal("ragged batch accepted")
 	}
 }

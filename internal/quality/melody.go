@@ -298,15 +298,16 @@ func (m *Melody) lookup(workerID string) *melodyWorker {
 // EM re-estimation when the worker's parameters have not been updated for
 // EMPeriod runs (Algorithm 3, lines 6-8).
 func (m *Melody) Observe(workerID string, scores []float64) error {
-	return m.observe(m.lookup(workerID), workerID, scores)
-}
-
-// observe is Observe on the worker's state.
-func (m *Melody) observe(w *melodyWorker, workerID string, scores []float64) error {
+	w := m.lookup(workerID)
 	due, err := m.update(w, workerID, scores)
 	if err != nil || !due {
 		return err
 	}
+	return m.reestimateOne(w, workerID)
+}
+
+// reestimateOne runs one due worker's EM on its own, a lane group of one.
+func (m *Melody) reestimateOne(w *melodyWorker, workerID string) error {
 	lanes := m.scratch.lanes[:1]
 	lanes[0] = lds.EMLane{Start: w.params, Init: w.windowInit, History: m.scratch.history(0, w)}
 	m.reestimate(lanes, workerID)
@@ -409,23 +410,34 @@ func (m *Melody) install(w *melodyWorker, workerID string, l *lds.EMLane) (float
 	return l.Result.LogLikelihood, nil
 }
 
+// installLogged gives a due worker the theta a log recorded for its EM
+// re-estimation instead of running EM. It counts nothing: the EM metrics
+// and spans count only the re-estimations computed here.
+func (m *Melody) installLogged(w *melodyWorker, workerID string, params lds.Params) error {
+	if err := params.Validate(); err != nil {
+		return fmt.Errorf("quality: worker %s logged EM: %w", workerID, err)
+	}
+	w.params = params
+	return nil
+}
+
 // ObserveBatch implements BatchObserver: one whole run's observations at
 // once, leaving exactly the state that calling Observe per worker in order
 // would. It first runs every worker's posterior update in batch order,
 // then the EM re-estimations that made due, through the lane kernel: due
 // workers are ordered by window length, keeping batch order among equal
 // lengths, and each length's windows run lds.Lanes at a time. Workers are
-// independent, so how they are grouped changes no result. Unlike a serial
-// Observe loop, which stops at the first failure, every worker is
-// processed and every failure is reported, as a *WorkerError, joined in
-// batch order. A batch that names a worker twice runs as the serial loop,
-// since the worker's second update must follow its first EM.
-func (m *Melody) ObserveBatch(ids []string, scores [][]float64) error {
+// independent, so how they are grouped changes no result. Given logged
+// re-estimations, it installs their theta instead and runs no EM, so the
+// EM metrics, the em.reestimate spans and the log-likelihood gauge are
+// left as they are. Unlike a serial Observe loop, which stops at the first
+// failure, every worker is processed and every failure is reported, as a
+// *WorkerError, joined in batch order. A batch that names a worker twice
+// runs as the serial loop, since the worker's second update must follow
+// its first EM.
+func (m *Melody) ObserveBatch(ids []string, scores [][]float64, logged []Reestimation) ([]Reestimation, error) {
 	if len(ids) != len(scores) {
-		return fmt.Errorf("quality: batch mismatch: %d ids, %d score sets", len(ids), len(scores))
-	}
-	if len(ids) == 0 {
-		return nil
+		return nil, fmt.Errorf("quality: batch mismatch: %d ids, %d score sets", len(ids), len(scores))
 	}
 	m.batchGen++
 	workers := make([]*melodyWorker, len(ids))
@@ -438,16 +450,11 @@ func (m *Melody) ObserveBatch(ids []string, scores [][]float64) error {
 		w.gen = m.batchGen
 		workers[i] = w
 	}
+	if duplicates {
+		return m.observeSerial(ids, workers, scores, logged)
+	}
 
 	var errs []batchErr
-	if duplicates {
-		for i, w := range workers {
-			if err := m.observe(w, ids[i], scores[i]); err != nil {
-				errs = append(errs, batchErr{i, err})
-			}
-		}
-		return joinBatchErrs(ids, errs)
-	}
 	var due []int
 	for i, w := range workers {
 		isDue, err := m.update(w, ids[i], scores[i])
@@ -458,22 +465,52 @@ func (m *Melody) ObserveBatch(ids []string, scores [][]float64) error {
 			due = append(due, i)
 		}
 	}
-	if len(due) == 0 {
-		return joinBatchErrs(ids, errs)
+	if logged != nil {
+		for k, i := range due {
+			if k == len(logged) || logged[k].Worker != ids[i] {
+				return nil, mismatch(logged, k, ids[i])
+			}
+			if err := m.installLogged(workers[i], ids[i], logged[k].Params); err != nil {
+				errs = append(errs, batchErr{i, err})
+			}
+		}
+		if len(logged) > len(due) {
+			return nil, mismatch(logged, len(due), "")
+		}
+	} else if len(due) > 0 {
+		errs = m.reestimateDue(ids, workers, due, errs)
 	}
+	if len(errs) > 0 {
+		slices.SortStableFunc(errs, func(a, b batchErr) int { return cmp.Compare(a.i, b.i) })
+		return nil, joinBatchErrs(ids, errs)
+	}
+	if logged != nil || len(due) == 0 {
+		return logged, nil
+	}
+	made := make([]Reestimation, len(due))
+	for k, i := range due {
+		made[k] = Reestimation{Worker: ids[i], Params: workers[i].params}
+	}
+	return made, nil
+}
 
+// reestimateDue runs the EMs of the due workers (batch indexes, in batch
+// order) through the lane kernel, installs each result and appends each
+// failure to errs.
+func (m *Melody) reestimateDue(ids []string, workers []*melodyWorker, due []int, errs []batchErr) []batchErr {
 	runs := func(i int) int { return workers[i].hist.runs }
-	slices.SortStableFunc(due, func(a, b int) int { return cmp.Compare(runs(a), runs(b)) })
+	byLen := slices.Clone(due)
+	slices.SortStableFunc(byLen, func(a, b int) int { return cmp.Compare(runs(a), runs(b)) })
 	// The gauge ends at the last successful re-estimation in batch order,
 	// as the serial loop leaves it.
 	last, lastLL := -1, 0.0
 	var groupBuf [lds.Lanes]int
 	group := groupBuf[:0]
-	for k, i := range due {
+	for k, i := range byLen {
 		lanes := m.scratch.lanes[:len(group)+1]
 		lanes[len(group)] = lds.EMLane{Start: workers[i].params, Init: workers[i].windowInit, History: m.scratch.history(len(group), workers[i])}
 		group = append(group, i)
-		if len(group) < lds.Lanes && k+1 < len(due) && runs(due[k+1]) == runs(i) {
+		if len(group) < lds.Lanes && k+1 < len(byLen) && runs(byLen[k+1]) == runs(i) {
 			continue
 		}
 		m.reestimate(lanes, ids[group[0]])
@@ -490,8 +527,55 @@ func (m *Melody) ObserveBatch(ids []string, scores [][]float64) error {
 	if last >= 0 {
 		m.emLoglik.Set(lastLL)
 	}
-	slices.SortStableFunc(errs, func(a, b batchErr) int { return cmp.Compare(a.i, b.i) })
-	return joinBatchErrs(ids, errs)
+	return errs
+}
+
+// observeSerial is ObserveBatch for a batch that names a worker twice: the
+// serial Observe loop, each due worker's EM (or its logged theta) right
+// after its update, every failure collected.
+func (m *Melody) observeSerial(ids []string, workers []*melodyWorker, scores [][]float64, logged []Reestimation) ([]Reestimation, error) {
+	var errs []batchErr
+	var made []Reestimation
+	for i, w := range workers {
+		due, err := m.update(w, ids[i], scores[i])
+		if err == nil && due {
+			k := len(made)
+			switch {
+			case logged == nil:
+				err = m.reestimateOne(w, ids[i])
+			case k == len(logged) || logged[k].Worker != ids[i]:
+				return nil, mismatch(logged, k, ids[i])
+			default:
+				err = m.installLogged(w, ids[i], logged[k].Params)
+			}
+			made = append(made, Reestimation{Worker: ids[i], Params: w.params})
+		}
+		if err != nil {
+			errs = append(errs, batchErr{i, err})
+		}
+	}
+	if len(logged) > len(made) {
+		return nil, mismatch(logged, len(made), "")
+	}
+	if len(errs) > 0 {
+		return nil, joinBatchErrs(ids, errs)
+	}
+	return made, nil
+}
+
+// mismatch describes the first difference between logged re-estimations
+// and the workers a batch makes due: logged[k] against the batch's k-th
+// due worker, due, which is empty when the batch makes no more than k
+// workers due.
+func mismatch(logged []Reestimation, k int, due string) error {
+	switch {
+	case k == len(logged):
+		return fmt.Errorf("%w: the batch makes worker %s due, but the log lists only %d re-estimations", ErrReestimationMismatch, due, k)
+	case due == "":
+		return fmt.Errorf("%w: the log lists worker %s, but the batch makes only %d workers due", ErrReestimationMismatch, logged[k].Worker, k)
+	default:
+		return fmt.Errorf("%w: re-estimation %d is of worker %s in the log but of worker %s in the batch", ErrReestimationMismatch, k, logged[k].Worker, due)
+	}
 }
 
 // batchErr is the failure of the worker at batch index i.

@@ -42,7 +42,7 @@ func pinnedSeason(t *testing.T, m *Melody, batch bool) {
 			}
 		}
 		if batch {
-			if err := m.ObserveBatch(ids, scores); err != nil {
+			if _, err := m.ObserveBatch(ids, scores, nil); err != nil {
 				t.Fatalf("run %d: %v", run, err)
 			}
 			continue

@@ -8,7 +8,12 @@
 // quality mu_i^{r+1} the platform uses for allocation in the next run.
 package quality
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+
+	"melody/internal/lds"
+)
 
 // Estimator is the per-run quality estimation interface shared by MELODY and
 // the baselines. Implementations are not safe for concurrent use; the market
@@ -26,16 +31,37 @@ type Estimator interface {
 }
 
 // BatchObserver is implemented by estimators that can absorb one whole
-// run's observations at once. ObserveBatch(ids, scores) must produce
+// run's observations at once. ObserveBatch(ids, scores, nil) must produce
 // exactly the state that calling Observe(ids[i], scores[i]) for every i in
 // order would, but may batch the work of independent workers; the market
 // engine and the platform prefer it over the serial Observe loop when
 // available. Unlike the serial loop it processes every worker even when
 // some fail, reporting each failure as a *WorkerError, joined in batch
 // order.
+//
+// A successful batch returns the EM re-estimations it made, in batch
+// order (nil for none), so a durable layer can log them. Given a log's
+// re-estimations of the same batch (logged non-nil), it installs those
+// instead of running EM and returns them: they must name exactly the
+// workers the batch makes due, in batch order, or the batch fails with
+// ErrReestimationMismatch after its posterior updates, and the estimator
+// must be discarded. The logged θ are the values EM gave, so the state is
+// the one EM would leave.
 type BatchObserver interface {
-	ObserveBatch(ids []string, scores [][]float64) error
+	ObserveBatch(ids []string, scores [][]float64, logged []Reestimation) ([]Reestimation, error)
 }
+
+// Reestimation is one EM re-estimation a batch made: the worker and the
+// hyper-parameters theta = {a, gamma, eta} EM gave it.
+type Reestimation struct {
+	Worker string
+	Params lds.Params
+}
+
+// ErrReestimationMismatch is returned when logged re-estimations name
+// other workers than the ones a batch makes due, as when the EM period
+// differs from the one the log was written with.
+var ErrReestimationMismatch = errors.New("quality: logged EM re-estimations do not match the batch")
 
 // WorkerError is one worker's failed update in a batch. Its message is the
 // update's own; Worker names the worker it belongs to.

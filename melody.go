@@ -37,6 +37,9 @@ type (
 	// QualityForecast is a k-step-ahead predictive distribution over a
 	// worker's latent quality, with credible intervals via Interval.
 	QualityForecast = lds.Forecast
+	// Reestimation is one EM re-estimation of a worker's hyper-parameters
+	// that a finish made (see RunScheduler.FinishRunEM).
+	Reestimation = quality.Reestimation
 )
 
 // Auction is the public handle for the single-run MELODY mechanism

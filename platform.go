@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"melody/internal/core"
@@ -208,7 +209,7 @@ func (p *Platform) RegisterWorker(ctx context.Context, workerID string) error {
 
 // Workers returns the registered worker IDs in sorted order.
 func (p *Platform) Workers() []string {
-	return p.registry.All()
+	return slices.Clone(p.registry.All())
 }
 
 // Run returns the number of completed runs.
@@ -549,8 +550,16 @@ func (p *Platform) submitScoreLocked(workerID, taskID string, score float64) err
 // the scores collected this run (an empty set for workers who won nothing),
 // and the platform becomes ready for the next OpenRun.
 func (p *Platform) FinishRun(ctx context.Context) error {
+	_, err := p.finishRun(ctx, nil)
+	return err
+}
+
+// finishRun is FinishRun with RunScheduler.FinishRunEM's logged
+// re-estimations: it installs logged instead of running EM, and returns
+// the re-estimations the finish made.
+func (p *Platform) finishRun(ctx context.Context, logged []Reestimation) ([]Reestimation, error) {
 	if err := ctxErr(ctx); err != nil {
-		return err
+		return nil, err
 	}
 	sp := p.tracer.Start("run.finish")
 	defer sp.End()
@@ -558,54 +567,56 @@ func (p *Platform) FinishRun(ctx context.Context) error {
 	defer p.mu.Unlock()
 	sp.SetRun(p.run + 1)
 	if p.open == nil {
-		return ErrNoRunOpen
+		return nil, ErrNoRunOpen
 	}
 	if p.open.outcome == nil {
-		return ErrAuctionOpen
+		return nil, ErrAuctionOpen
 	}
 	p.estMu.Lock()
-	err := p.observeRun(p.registry.All())
+	made, err := p.observeRun(p.registry.All(), logged)
 	p.estMu.Unlock()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if p.open.settlement != nil {
 		if err := p.open.settlement.Close(); err != nil {
-			return fmt.Errorf("melody: refund escrow: %w", err)
+			return nil, fmt.Errorf("melody: refund escrow: %w", err)
 		}
 	}
 	p.run++
 	p.open = nil
 	p.runsCompleted.Inc()
-	return nil
+	return made, nil
 }
 
 // observeRun updates the estimator with the open run's scores of every
 // worker in ids. An estimator that absorbs a whole run at once
-// (quality.BatchObserver) gets one batch; any other gets one Observe per
-// worker, up to the first failure. Either way the error names a worker
-// that failed. Callers hold p.mu and estMu.
-func (p *Platform) observeRun(ids []string) error {
+// (quality.BatchObserver) gets one batch, with the logged re-estimations,
+// and reports the ones it made; any other gets one Observe per worker, up
+// to the first failure, runs its own EMs whatever was logged, and reports
+// none. Either way the error names a worker that failed. Callers hold
+// p.mu and estMu.
+func (p *Platform) observeRun(ids []string, logged []Reestimation) ([]Reestimation, error) {
 	batch, ok := p.est.(quality.BatchObserver)
 	if !ok {
 		for _, id := range ids {
 			if err := p.est.Observe(id, p.open.scores[id]); err != nil {
-				return fmt.Errorf("melody: update %s: %w", id, err)
+				return nil, fmt.Errorf("melody: update %s: %w", id, err)
 			}
 		}
-		return nil
+		return nil, nil
 	}
 	scores := make([][]float64, len(ids))
 	for i, id := range ids {
 		scores[i] = p.open.scores[id]
 	}
-	err := batch.ObserveBatch(ids, scores)
+	made, err := batch.ObserveBatch(ids, scores, logged)
 	var we *quality.WorkerError
 	switch {
 	case errors.As(err, &we):
-		return fmt.Errorf("melody: update %s: %w", we.Worker, err)
+		return nil, fmt.Errorf("melody: update %s: %w", we.Worker, err)
 	case err != nil:
-		return fmt.Errorf("melody: update: %w", err)
+		return nil, fmt.Errorf("melody: update: %w", err)
 	}
-	return nil
+	return made, nil
 }

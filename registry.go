@@ -1,8 +1,10 @@
 package melody
 
 import (
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // workerRegistry is the universal worker set W behind a fixed array of
@@ -13,9 +15,21 @@ import (
 // power of two fixed at construction, and an ID's stripe is the low bits
 // of its FNV-1a hash. Placement is never observable: All sorts, and
 // nothing is logged per stripe.
+//
+// All keeps its sorted list until the next registration, because every
+// finish reads the whole set and registrations are rare by comparison.
 type workerRegistry struct {
 	mask    uint64
 	stripes []registryStripe
+
+	// regs counts registrations. Register bumps it after the insert, so a
+	// list tagged with a count read before collecting is never reused past
+	// a registration it may have missed.
+	regs atomic.Uint64
+
+	sortedMu sync.Mutex
+	sorted   []string // All's cached list; nil until built
+	sortedAt uint64   // regs when the cached list was collected
 }
 
 type registryStripe struct {
@@ -77,6 +91,7 @@ func (r *workerRegistry) Register(id string) bool {
 		return false
 	}
 	s.ids[id] = struct{}{}
+	r.regs.Add(1)
 	return true
 }
 
@@ -103,9 +118,21 @@ func (r *workerRegistry) Len() int {
 }
 
 // All returns every registered worker ID in sorted order. The snapshot is
-// per-stripe consistent, like Len.
+// per-stripe consistent, like Len, and includes every registration that
+// returned before the call. The list is shared by every caller until the
+// next registration, so callers must not modify it; it is clipped, so an
+// append copies.
 func (r *workerRegistry) All() []string {
-	ids := make([]string, 0, 64)
+	at := r.regs.Load()
+	r.sortedMu.Lock()
+	if r.sorted != nil && r.sortedAt == at {
+		ids := r.sorted
+		r.sortedMu.Unlock()
+		return ids
+	}
+	r.sortedMu.Unlock()
+
+	ids := make([]string, 0, r.Len())
 	for i := range r.stripes {
 		s := &r.stripes[i]
 		s.mu.RLock()
@@ -115,5 +142,11 @@ func (r *workerRegistry) All() []string {
 		s.mu.RUnlock()
 	}
 	sort.Strings(ids)
+	ids = slices.Clip(ids)
+	r.sortedMu.Lock()
+	if r.sorted == nil || at >= r.sortedAt {
+		r.sorted, r.sortedAt = ids, at
+	}
+	r.sortedMu.Unlock()
 	return ids
 }

@@ -2,6 +2,7 @@ package melody
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -114,5 +115,75 @@ func TestWorkerRegistryStripeBalance(t *testing.T) {
 		if n == 0 || float64(n) > 1.5*mean {
 			t.Errorf("stripe %d holds %d IDs; want 1..%.0f (mean %.1f)", i, n, 1.5*mean, mean)
 		}
+	}
+}
+
+// TestWorkerRegistryAllSeesRacingRegistrations: All keeps its sorted list
+// until the next registration, and a list collected while a registration
+// raced it is never reused past it. Readers keep rebuilding the list while
+// writers register; every All begun after a Register returned must hold
+// the ID. Run it under -race.
+func TestWorkerRegistryAllSeesRacingRegistrations(t *testing.T) {
+	const writers, ids = 4, 200
+	r := newWorkerRegistry(4)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					if all := r.All(); !sort.StringsAreSorted(all) {
+						t.Error("All() is not sorted")
+						return
+					}
+				}
+			}
+		}()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < ids; i++ {
+				id := fmt.Sprintf("g%d-w%03d", g, i)
+				r.Register(id)
+				if _, found := slices.BinarySearch(r.All(), id); !found {
+					t.Errorf("All() after Register(%s) returned misses it", id)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	if got := len(r.All()); got != writers*ids {
+		t.Errorf("All() holds %d IDs, want %d", got, writers*ids)
+	}
+}
+
+// TestWorkersReturnsCopy: the public lists are the caller's to modify; the
+// registry's cached list is not.
+func TestWorkersReturnsCopy(t *testing.T) {
+	s, err := NewRunScheduler(SchedulerConfig{NewEstimator: func(string) (Estimator, error) {
+		return NewQualityTracker(QualityTrackerConfig{InitialMean: 5.5, InitialVar: 2.25, Params: QualityParams{A: 1, Gamma: 0.3, Eta: 9}})
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"w1", "w2"} {
+		if err := s.RegisterWorker(nil, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Workers()[0] = "mutated"
+	if got := s.registry.All(); got[0] != "w1" {
+		t.Fatalf("modifying Workers() changed the registry's list: %v", got)
 	}
 }

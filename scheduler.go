@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"melody/internal/obs"
+	"melody/internal/quality"
 )
 
 // Scheduler errors, matchable with errors.Is.
@@ -180,7 +181,7 @@ func (s *RunScheduler) RegisterWorker(ctx context.Context, workerID string) erro
 }
 
 // Workers returns the registered worker IDs in sorted order.
-func (s *RunScheduler) Workers() []string { return s.registry.All() }
+func (s *RunScheduler) Workers() []string { return slices.Clone(s.registry.All()) }
 
 // CompletedRuns returns the number of finished runs across all tenants.
 func (s *RunScheduler) CompletedRuns() int {
@@ -526,17 +527,40 @@ func (s *RunScheduler) SubmitScores(ctx context.Context, runID string, scores []
 // epoch counter advances, draining the payout pool at epoch boundaries.
 // Finishing an already-finished run is a no-op success.
 func (s *RunScheduler) FinishRun(ctx context.Context, runID string) error {
+	_, err := s.FinishRunEM(ctx, runID, nil)
+	return err
+}
+
+// FinishRunEM is FinishRun for a durable layer that logs the EM
+// re-estimations each finish makes (Algorithm 3's theta update every
+// EMPeriod runs). It returns them in the tenant estimator's batch order:
+// nil when the finish made none, when the estimator does not report them
+// (it does not implement quality.BatchObserver), or when the run had
+// already finished.
+//
+// Given the re-estimations a log recorded for this finish (logged
+// non-nil), it installs their theta instead of running EM, which leaves
+// the state EM would. They must name exactly the workers the finish makes
+// due, or the finish fails with quality.ErrReestimationMismatch and the
+// scheduler must be discarded. An estimator that does not report
+// re-estimations runs its EMs whatever was logged.
+func (s *RunScheduler) FinishRunEM(ctx context.Context, runID string, logged []Reestimation) ([]Reestimation, error) {
 	r, err := s.resolve(runID)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.done {
-		return nil // retried finish
+		if len(logged) > 0 {
+			return nil, fmt.Errorf("%w: run %s already finished, but the log lists re-estimations of worker %s and %d more",
+				quality.ErrReestimationMismatch, runID, logged[0].Worker, len(logged)-1)
+		}
+		return nil, nil // retried finish
 	}
-	if err := r.p.FinishRun(ctx); err != nil {
-		return err
+	made, err := r.p.finishRun(ctx, logged)
+	if err != nil {
+		return nil, err
 	}
 	r.done = true
 	// The run's committed budget settles into actual spend: every
@@ -555,13 +579,13 @@ func (s *RunScheduler) FinishRun(ctx context.Context, runID string) error {
 	if s.settler != nil {
 		settled, err := s.settler.RunFinished()
 		if err != nil {
-			return fmt.Errorf("melody: epoch settlement: %w", err)
+			return nil, fmt.Errorf("melody: epoch settlement: %w", err)
 		}
 		if settled {
 			s.resetEpochSpend()
 		}
 	}
-	return nil
+	return made, nil
 }
 
 // Flush force-settles any payments still parked in the epoch pool — the

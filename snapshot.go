@@ -97,7 +97,7 @@ func (s *RunScheduler) SnapshotState() (*SchedulerSnapshot, error) {
 	if len(s.order) > 0 {
 		return nil, ErrSnapshotMidRun
 	}
-	snap := &SchedulerSnapshot{Version: schedulerSnapshotVersion, Workers: s.registry.All()}
+	snap := &SchedulerSnapshot{Version: schedulerSnapshotVersion, Workers: slices.Clone(s.registry.All())}
 	if s.cfg.Ledger != nil {
 		snap.Ledger = s.cfg.Ledger.Snapshot()
 	}
