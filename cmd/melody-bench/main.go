@@ -420,7 +420,7 @@ func walAppendKernel(observed bool) func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
-			ev := eventlog.Event{Kind: eventlog.KindBid, Worker: "bench", Cost: 1.5, Frequency: 1}
+			ev := eventlog.Event{Kind: eventlog.KindBids, Run: "r1", Bids: []eventlog.BidRecord{{Worker: "bench", Cost: 1.5, Frequency: 1}}}
 			for pb.Next() {
 				if _, err := log.Append(ev); err != nil {
 					b.Fatal(err)

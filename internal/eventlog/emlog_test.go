@@ -146,8 +146,9 @@ func writeEvents(t testing.TB, path string, events []Event) {
 //     as it does for a log written before finishes logged their theta;
 //   - with one theta removed from a finish: recovery fails, naming the
 //     record's seq and the worker that differs;
-//   - with another EM period: recovery fails on the first finish whose due
-//     workers differ from the logged ones.
+//   - with a longer or a shorter EM period: recovery fails on the first
+//     finish whose due workers differ from the logged ones, which for the
+//     shorter one is a finish that logged none.
 func TestRecoveryInstallsLoggedEM(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "season.wal")
@@ -257,10 +258,14 @@ func TestRecoveryInstallsLoggedEM(t *testing.T) {
 		}
 	})
 
+	// A longer period leaves logged re-estimations undue; a shorter one
+	// makes workers due at finishes that logged none, an empty em member.
 	t.Run("period changed", func(t *testing.T) {
-		_, _, err := recover(t, path, 20)
-		if !errors.Is(err, quality.ErrReestimationMismatch) {
-			t.Fatalf("recovery with EMPeriod 20 = %v, want ErrReestimationMismatch", err)
+		for _, period := range []int{20, 5} {
+			_, _, err := recover(t, path, period)
+			if !errors.Is(err, quality.ErrReestimationMismatch) {
+				t.Errorf("recovery with EMPeriod %d = %v, want ErrReestimationMismatch", period, err)
+			}
 		}
 	})
 }

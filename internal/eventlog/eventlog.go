@@ -1,14 +1,17 @@
 // Package eventlog provides durable, append-only persistence for the
 // MELODY platform: every state-changing platform operation is recorded as a
 // JSON-lines event, and a crashed platform is rebuilt by replaying the log
-// into a fresh instance. Replay is exact for two reasons. The platform is
+// into a fresh instance. A bid or score submission is one event however
+// many items it carries, and replay applies it as the submission was
+// applied. Replay is exact for two reasons. The platform is
 // deterministic given its inputs: the auction breaks ties by ID and the
 // quality model's posterior update is a closed-form recursion. And the one
 // costly, iterative step, the EM re-estimation of a worker's
 // hyper-parameters, is not replayed: each finish_run record carries the
 // theta its finish's EMs gave, in encoding/json's shortest exact float
-// form, and replay installs them. A finish record without them, as written
-// before finishes logged them, replays EM, which is deterministic too.
+// form, and replay installs them; a finish whose estimator made none logs an
+// empty list. A finish record without the list, as written before finishes
+// logged it, replays EM, which is deterministic too.
 //
 // Durable appends go through a group-commit pipeline: concurrent Appends
 // encode their records into a shared batch, a single committer goroutine
@@ -47,10 +50,17 @@ type Kind string
 const (
 	KindRegister Kind = "register"
 	KindOpenRun  Kind = "open_run"
-	KindBid      Kind = "bid"
-	KindClose    Kind = "close_auction"
-	KindScore    Kind = "score"
-	KindFinish   Kind = "finish_run"
+	// KindBids records the bids one submission applied, in order.
+	KindBids  Kind = "bids"
+	KindClose Kind = "close_auction"
+	// KindScores records the scores one submission applied, in order.
+	KindScores Kind = "scores"
+	KindFinish Kind = "finish_run"
+	// KindBid and KindScore are one bid or score each, as logs held them
+	// before submissions were logged as batches. Replay still reads them;
+	// nothing writes them.
+	KindBid   Kind = "bid"
+	KindScore Kind = "score"
 	// KindTenantPolicy records a tenant-policy install/update; replay
 	// reconstructs quotas exactly, last write winning.
 	KindTenantPolicy Kind = "tenant_policy"
@@ -60,6 +70,20 @@ const (
 type TaskRecord struct {
 	ID        string  `json:"id"`
 	Threshold float64 `json:"threshold"`
+}
+
+// BidRecord is one applied bid inside a bids event.
+type BidRecord struct {
+	Worker    string  `json:"worker"`
+	Cost      float64 `json:"cost"`
+	Frequency int     `json:"frequency"`
+}
+
+// ScoreRecord is one applied score inside a scores event.
+type ScoreRecord struct {
+	Worker string  `json:"worker"`
+	Task   string  `json:"task"`
+	Score  float64 `json:"score"`
 }
 
 // PolicyRecord is the durable form of a melody.TenantPolicy inside a
@@ -77,17 +101,16 @@ type PolicyRecord struct {
 // Params[i]. The worker IDs let replay check that it makes the same
 // workers due; the theta are float64s in encoding/json's shortest form
 // that parses back to the same bits, so installing them leaves the state
-// EM left.
+// EM left. A finish that made no worker due logs the empty record, `{}`,
+// so replay can tell it from a log that did not record re-estimations.
 type EMRecord struct {
-	Workers []string     `json:"workers"`
-	Params  [][3]float64 `json:"params"`
+	Workers []string     `json:"workers,omitempty"`
+	Params  [][3]float64 `json:"params,omitempty"`
 }
 
 // validate checks that the record lists one theta per worker.
 func (r *EMRecord) validate() error {
 	switch {
-	case len(r.Workers) == 0:
-		return errors.New("eventlog: finish_run event with an empty em member")
 	case len(r.Params) != len(r.Workers):
 		return fmt.Errorf("eventlog: finish_run em member lists %d workers but %d params", len(r.Workers), len(r.Params))
 	case slices.Contains(r.Workers, ""):
@@ -118,10 +141,14 @@ type Event struct {
 	// Policy carries a tenant_policy event's full policy record.
 	Policy *PolicyRecord `json:"policy,omitempty"`
 	// EM carries a finish_run event's EM re-estimations, which replay
-	// installs instead of running EM again. A finish that made none, or
-	// whose estimator does not report them, has no EM member and replays
-	// with EM recomputed.
+	// installs instead of running EM again; it is empty when the finish
+	// made none. A finish whose estimator does not report them has no EM
+	// member and replays with EM recomputed.
 	EM *EMRecord `json:"em,omitempty"`
+	// Bids carries a bids event's applied bids.
+	Bids []BidRecord `json:"bids,omitempty"`
+	// Scores carries a scores event's applied scores.
+	Scores []ScoreRecord `json:"scores,omitempty"`
 	// CRC is the IEEE CRC-32 of the record's canonical encoding (the JSON
 	// of the event with CRC itself zeroed), detecting silent on-disk
 	// corruption. Zero means "no checksum": records written before
@@ -150,6 +177,24 @@ func (e Event) validate() error {
 		if e.Worker == "" || e.Task == "" {
 			return errors.New("eventlog: score event without worker or task")
 		}
+	case KindBids:
+		if len(e.Bids) == 0 {
+			return errors.New("eventlog: bids event without bids")
+		}
+		for _, b := range e.Bids {
+			if b.Worker == "" {
+				return errors.New("eventlog: bids event with a bid without worker")
+			}
+		}
+	case KindScores:
+		if len(e.Scores) == 0 {
+			return errors.New("eventlog: scores event without scores")
+		}
+		for _, sc := range e.Scores {
+			if sc.Worker == "" || sc.Task == "" {
+				return errors.New("eventlog: scores event with a score without worker or task")
+			}
+		}
 	case KindClose, KindFinish:
 	case KindTenantPolicy:
 		if e.Tenant == "" || e.Policy == nil {
@@ -158,10 +203,14 @@ func (e Event) validate() error {
 	default:
 		return fmt.Errorf("eventlog: unknown event kind %q", e.Kind)
 	}
-	if e.EM != nil {
-		if e.Kind != KindFinish {
-			return fmt.Errorf("eventlog: %s event with an em member", e.Kind)
-		}
+	switch {
+	case e.Bids != nil && e.Kind != KindBids:
+		return fmt.Errorf("eventlog: %s event with a bids member", e.Kind)
+	case e.Scores != nil && e.Kind != KindScores:
+		return fmt.Errorf("eventlog: %s event with a scores member", e.Kind)
+	case e.EM != nil && e.Kind != KindFinish:
+		return fmt.Errorf("eventlog: %s event with an em member", e.Kind)
+	case e.EM != nil:
 		return e.EM.validate()
 	}
 	return nil

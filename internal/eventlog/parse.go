@@ -2,6 +2,7 @@ package eventlog
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -20,7 +21,8 @@ import (
 // so that its bytes are its value. Anything else, such as an escaped or
 // invalid string, another key order or spacing, null, an empty array, an
 // em triple of another length, or an unknown or repeated key, is left to
-// json.Unmarshal. The records
+// json.Unmarshal. An empty object is read, as the writer's empty em member
+// is `{}`. The records
 // recovery accepts, their values and its error messages are therefore
 // json.Unmarshal's, whichever path a record takes.
 
@@ -39,6 +41,8 @@ const (
 	evTenant
 	evPolicy
 	evEM
+	evBids
+	evScores
 	evCRC
 )
 
@@ -56,6 +60,8 @@ var eventKeys = []string{
 	evTenant:    "tenant",
 	evPolicy:    "policy",
 	evEM:        "em",
+	evBids:      "bids",
+	evScores:    "scores",
 	evCRC:       "crc",
 }
 
@@ -66,6 +72,24 @@ const (
 )
 
 var taskKeys = []string{taskID: "id", taskThreshold: "threshold"}
+
+// BidRecord's keys, in declaration order.
+const (
+	bidWorker = iota
+	bidCost
+	bidFrequency
+)
+
+var bidKeys = []string{bidWorker: "worker", bidCost: "cost", bidFrequency: "frequency"}
+
+// ScoreRecord's keys, in declaration order.
+const (
+	scoreWorker = iota
+	scoreTask
+	scoreScore
+)
+
+var scoreKeys = []string{scoreWorker: "worker", scoreTask: "task", scoreScore: "score"}
 
 // PolicyRecord's keys, in declaration order.
 const (
@@ -125,6 +149,10 @@ func parseRecord(line []byte) (e Event, ok bool) {
 			e.Policy, ok = p.policy()
 		case evEM:
 			e.EM, ok = p.em()
+		case evBids:
+			e.Bids, ok = array(&p, p.bid)
+		case evScores:
+			e.Scores, ok = array(&p, p.score)
 		case evCRC:
 			e.CRC, ok = p.uint32()
 		}
@@ -165,10 +193,13 @@ func (p *layoutParser) key(k string) bool {
 
 // object reads an object whose members are keys[f] for increasing f, and
 // calls value with f once the position is at that member's value; value
-// reports whether it could read it.
+// reports whether it could read it. The object may be empty.
 func (p *layoutParser) object(keys []string, value func(field int) bool) bool {
 	if !p.consume('{') {
 		return false
+	}
+	if p.consume('}') {
+		return true
 	}
 	for f := 0; ; f++ {
 		for f < len(keys) && !p.key(keys[f]) {
@@ -226,10 +257,14 @@ func kindOf(b []byte) Kind {
 		return KindRegister
 	case KindOpenRun:
 		return KindOpenRun
-	case KindBid:
-		return KindBid
+	case KindBids:
+		return KindBids
 	case KindClose:
 		return KindClose
+	case KindScores:
+		return KindScores
+	case KindBid:
+		return KindBid
 	case KindScore:
 		return KindScore
 	case KindFinish:
@@ -320,6 +355,38 @@ func (p *layoutParser) task() (t TaskRecord, ok bool) {
 	return t, ok
 }
 
+// bid reads a bid record.
+func (p *layoutParser) bid() (b BidRecord, ok bool) {
+	ok = p.object(bidKeys, func(field int) (ok bool) {
+		switch field {
+		case bidWorker:
+			b.Worker, ok = p.str()
+		case bidCost:
+			b.Cost, ok = p.float()
+		case bidFrequency:
+			b.Frequency, ok = p.int()
+		}
+		return ok
+	})
+	return b, ok
+}
+
+// score reads a score record.
+func (p *layoutParser) score() (s ScoreRecord, ok bool) {
+	ok = p.object(scoreKeys, func(field int) (ok bool) {
+		switch field {
+		case scoreWorker:
+			s.Worker, ok = p.str()
+		case scoreTask:
+			s.Task, ok = p.str()
+		case scoreScore:
+			s.Score, ok = p.float()
+		}
+		return ok
+	})
+	return s, ok
+}
+
 // policy reads a policy record.
 func (p *layoutParser) policy() (*PolicyRecord, bool) {
 	r := new(PolicyRecord)
@@ -340,7 +407,8 @@ func (p *layoutParser) policy() (*PolicyRecord, bool) {
 }
 
 // em reads an EM record: non-empty arrays of worker IDs and of theta
-// triples. The record's own rules (one triple per worker) are validate's.
+// triples, or neither. The record's own rules (one triple per worker) are
+// validate's.
 func (p *layoutParser) em() (*EMRecord, bool) {
 	r := new(EMRecord)
 	ok := p.object(emKeys, func(field int) (ok bool) {
@@ -355,20 +423,36 @@ func (p *layoutParser) em() (*EMRecord, bool) {
 	return r, ok
 }
 
-// array reads a non-empty array whose elements elem reads.
+// array reads a non-empty array whose elements elem reads. Up to len(buf)
+// elements gather in a buffer on the stack and cost one allocation, of
+// their own size. A longer array moves to the heap once and grows there
+// as append grows it, with no final copy.
 func array[T any](p *layoutParser, elem func() (T, bool)) ([]T, bool) {
 	if !p.consume('[') {
 		return nil, false
 	}
-	var out []T
+	var buf [16]T
+	n := 0
+	var long []T // the elements, once they outgrow buf
 	for {
 		v, ok := elem()
 		if !ok {
 			return nil, false
 		}
-		out = append(out, v)
+		switch {
+		case n < len(buf):
+			buf[n] = v
+			n++
+		case long == nil:
+			long = append(append(make([]T, 0, 4*len(buf)), buf[:]...), v)
+		default:
+			long = append(long, v)
+		}
 		if p.consume(']') {
-			return out, true
+			if long == nil {
+				return slices.Clone(buf[:n]), true
+			}
+			return slices.Clip(long), true
 		}
 		if !p.consume(',') {
 			return nil, false

@@ -4,16 +4,17 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"melody"
 )
 
 // TestRecorderBatchReplayEquivalence drives a season through the batch
-// submission path (SubmitBids/SubmitScores: one lock acquisition, one group
-// commit per batch) and verifies a fresh scheduler replayed from the log
-// reaches identical state — the batch path must log exactly what the
-// single-op path would have.
+// submission path (SubmitBids/SubmitScores: one lock acquisition, one
+// record per batch) and verifies a fresh scheduler replayed from the log
+// reaches identical state, and that each batch's record lists exactly the
+// items it applied, in order.
 func TestRecorderBatchReplayEquivalence(t *testing.T) {
 	ctx := context.Background()
 	path := filepath.Join(t.TempDir(), "batch.wal")
@@ -98,14 +99,27 @@ func TestRecorderBatchReplayEquivalence(t *testing.T) {
 			t.Errorf("worker %s: replayed quality %v != live %v", id, got, want)
 		}
 	}
-	// The rejected bid must not appear in the log.
+	// Each batch is one record of the items it applied: the rejected bid
+	// is absent.
 	events, err := ReadAll(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var logged []string
+	batches := map[Kind]int{}
 	for _, e := range events {
-		if e.Kind == KindBid && e.Worker == "ghost" {
-			t.Error("rejected bid was logged")
+		batches[e.Kind]++
+		for _, b := range e.Bids {
+			logged = append(logged, b.Worker)
 		}
+		if e.Kind == KindScores && len(e.Scores) != len(scores) {
+			t.Errorf("the scores record lists %d scores, want %d", len(e.Scores), len(scores))
+		}
+	}
+	if batches[KindBids] != 1 || batches[KindScores] != 1 || batches[KindBid]+batches[KindScore] != 0 {
+		t.Errorf("records by kind %v, want one bids and one scores record", batches)
+	}
+	if want := []string{"ada", "bob", "cyd", "dee"}; !slices.Equal(logged, want) {
+		t.Errorf("the bids record lists %q, want %q", logged, want)
 	}
 }

@@ -178,60 +178,74 @@ func (ps *PersistentScheduler) OpenRun(ctx context.Context, runID, tenant string
 	return wait(ctx)
 }
 
-// SubmitBid submits and records a bid against a run.
+// SubmitBid submits and records a bid against a run, as a batch of one.
 func (ps *PersistentScheduler) SubmitBid(ctx context.Context, runID, workerID string, bid melody.Bid) error {
-	return ps.record(ctx,
-		func() error { return ps.s.SubmitBid(ctx, runID, workerID, bid) },
-		Event{Kind: KindBid, Run: runID, Worker: workerID, Cost: bid.Cost, Frequency: bid.Frequency})
+	return ps.SubmitBids(ctx, runID, []melody.WorkerBid{{WorkerID: workerID, Bid: bid}}).ErrAt(0)
 }
 
 // SubmitBids applies and records a whole batch of bids against a run,
-// reporting per-item outcomes in the BatchResult. The batch is applied and
-// enqueued under one acquisition of the ordering lock and waits on a single
-// group commit, so its durability cost is one fsync regardless of size.
+// reporting per-item outcomes in the BatchResult. The bids it applied are
+// one record, so its durability cost is one append and one fsync
+// regardless of size, and a crash keeps all of them or none.
 func (ps *PersistentScheduler) SubmitBids(ctx context.Context, runID string, bids []melody.WorkerBid) melody.BatchResult {
 	ps.mu.Lock()
-	return ps.recordBatch(ctx, ps.s.SubmitBids(ctx, runID, bids), func(i int) Event {
-		b := bids[i]
-		return Event{Kind: KindBid, Run: runID, Worker: b.WorkerID, Cost: b.Bid.Cost, Frequency: b.Bid.Frequency}
-	})
+	applied := ps.s.SubmitBids(ctx, runID, bids)
+	ev := Event{Kind: KindBids, Run: runID}
+	if n := applied.Len() - applied.FailedCount(); n > 0 {
+		ev.Bids = make([]BidRecord, 0, n)
+		for i, b := range bids {
+			if applied.ErrAt(i) == nil {
+				ev.Bids = append(ev.Bids, BidRecord{Worker: b.WorkerID, Cost: b.Bid.Cost, Frequency: b.Bid.Frequency})
+			}
+		}
+	}
+	return ps.recordBatch(ctx, applied, ev)
+}
+
+// SubmitScore submits and records a score against a run, as a batch of
+// one.
+func (ps *PersistentScheduler) SubmitScore(ctx context.Context, runID, workerID, taskID string, score float64) error {
+	return ps.SubmitScores(ctx, runID, []melody.TaskScore{{WorkerID: workerID, TaskID: taskID, Score: score}}).ErrAt(0)
 }
 
 // SubmitScores applies and records a whole batch of scores against a run,
 // with SubmitBids' batch contract.
 func (ps *PersistentScheduler) SubmitScores(ctx context.Context, runID string, scores []melody.TaskScore) melody.BatchResult {
 	ps.mu.Lock()
-	return ps.recordBatch(ctx, ps.s.SubmitScores(ctx, runID, scores), func(i int) Event {
-		sc := scores[i]
-		return Event{Kind: KindScore, Run: runID, Worker: sc.WorkerID, Task: sc.TaskID, Score: sc.Score}
-	})
+	applied := ps.s.SubmitScores(ctx, runID, scores)
+	ev := Event{Kind: KindScores, Run: runID}
+	if n := applied.Len() - applied.FailedCount(); n > 0 {
+		ev.Scores = make([]ScoreRecord, 0, n)
+		for i, sc := range scores {
+			if applied.ErrAt(i) == nil {
+				ev.Scores = append(ev.Scores, ScoreRecord{Worker: sc.WorkerID, Task: sc.TaskID, Score: sc.Score})
+			}
+		}
+	}
+	return ps.recordBatch(ctx, applied, ev)
 }
 
-// recordBatch enqueues the event of every item the batch applied, releases
-// the ordering lock the caller holds, and waits once for durability: it is
-// monotone, so the last record covers the batch.
-func (ps *PersistentScheduler) recordBatch(ctx context.Context, applied melody.BatchResult, event func(i int) Event) melody.BatchResult {
-	errs := make([]error, applied.Len())
+// recordBatch enqueues ev, the record of the items a batch applied, unless
+// it applied none, releases the ordering lock the caller holds, and waits
+// for the record to be durable. A failed append or wait fails every
+// applied item.
+func (ps *PersistentScheduler) recordBatch(ctx context.Context, applied melody.BatchResult, ev Event) melody.BatchResult {
 	var wait func(context.Context) error
-	for i := range errs {
-		if errs[i] = applied.ErrAt(i); errs[i] != nil {
-			continue
-		}
-		_, w, err := ps.log.AppendAsync(event(i))
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		wait = w
+	var err error
+	if ev.Bids != nil || ev.Scores != nil {
+		_, wait, err = ps.log.AppendAsync(ev)
 	}
 	ps.mu.Unlock()
-	if wait != nil {
-		if werr := wait(ctx); werr != nil {
-			for i := range errs {
-				if errs[i] == nil {
-					errs[i] = werr
-				}
-			}
+	if err == nil && wait != nil {
+		err = wait(ctx)
+	}
+	if err == nil {
+		return applied
+	}
+	errs := make([]error, applied.Len())
+	for i := range errs {
+		if errs[i] = applied.ErrAt(i); errs[i] == nil {
+			errs[i] = err
 		}
 	}
 	return melody.NewBatchResult(errs)
@@ -264,20 +278,13 @@ func (ps *PersistentScheduler) CloseAuction(ctx context.Context, runID string) (
 	return out, nil
 }
 
-// SubmitScore submits and records a score against a run.
-func (ps *PersistentScheduler) SubmitScore(ctx context.Context, runID, workerID, taskID string, score float64) error {
-	return ps.record(ctx,
-		func() error { return ps.s.SubmitScore(ctx, runID, workerID, taskID, score) },
-		Event{Kind: KindScore, Run: runID, Worker: workerID, Task: taskID, Score: score})
-}
-
 // FinishRun finishes and records a run. Finish order across runs is part
 // of the logged total order, so epoch settlement boundaries (every N
 // finished runs) replay identically. The record carries the EM
-// re-estimations the finish made, which replay installs instead of
-// running EM again. A retried finish of a run that has finished is
-// already in the log: it appends nothing and waits for the records before
-// it to be durable.
+// re-estimations the finish made, an empty list for none, which replay
+// installs instead of running EM again. A retried finish of a run that
+// has finished is already in the log: it appends nothing and waits for
+// the records before it to be durable.
 //
 // On a segmented log that is due for a snapshot, the scheduler's state is
 // captured under the ordering lock — so it reflects exactly the log prefix
@@ -488,11 +495,23 @@ func applyScheduler(s *melody.RunScheduler, e Event) error {
 			tasks[i] = melody.Task{ID: t.ID, Threshold: t.Threshold}
 		}
 		return s.OpenRun(ctx, e.Run, e.Tenant, tasks, e.Budget)
-	case KindBid:
-		return s.SubmitBid(ctx, e.Run, e.Worker, melody.Bid{Cost: e.Cost, Frequency: e.Frequency})
+	case KindBids:
+		bids := make([]melody.WorkerBid, len(e.Bids))
+		for i, b := range e.Bids {
+			bids[i] = melody.WorkerBid{WorkerID: b.Worker, Bid: melody.Bid{Cost: b.Cost, Frequency: b.Frequency}}
+		}
+		return s.SubmitBids(ctx, e.Run, bids).Err()
 	case KindClose:
 		_, err := s.CloseAuction(ctx, e.Run)
 		return err
+	case KindScores:
+		scores := make([]melody.TaskScore, len(e.Scores))
+		for i, sc := range e.Scores {
+			scores[i] = melody.TaskScore{WorkerID: sc.Worker, TaskID: sc.Task, Score: sc.Score}
+		}
+		return s.SubmitScores(ctx, e.Run, scores).Err()
+	case KindBid:
+		return s.SubmitBid(ctx, e.Run, e.Worker, melody.Bid{Cost: e.Cost, Frequency: e.Frequency})
 	case KindScore:
 		return s.SubmitScore(ctx, e.Run, e.Worker, e.Task, e.Score)
 	case KindFinish:
@@ -503,11 +522,14 @@ func applyScheduler(s *melody.RunScheduler, e Event) error {
 	}
 }
 
-// emRecord returns the log form of a finish's re-estimations; nil for
-// none.
+// emRecord returns the log form of a finish's re-estimations: nil when
+// the estimator does not report them, the empty record when it made none.
 func emRecord(made []melody.Reestimation) *EMRecord {
-	if len(made) == 0 {
+	switch {
+	case made == nil:
 		return nil
+	case len(made) == 0:
+		return &EMRecord{}
 	}
 	r := &EMRecord{Workers: make([]string, len(made)), Params: make([][3]float64, len(made))}
 	for i, m := range made {
@@ -517,7 +539,8 @@ func emRecord(made []melody.Reestimation) *EMRecord {
 	return r
 }
 
-// reestimations returns the re-estimations r lists; nil for a nil record.
+// reestimations returns the re-estimations r lists: nil for a nil record,
+// an empty list for the empty one.
 func (r *EMRecord) reestimations() []melody.Reestimation {
 	if r == nil {
 		return nil

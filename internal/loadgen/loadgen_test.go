@@ -38,8 +38,8 @@ func TestRunUnknownBackend(t *testing.T) {
 // cross-checks the scraped /metrics series against the generator's own
 // bookkeeping: every bid the generator sent must appear in the server's
 // per-endpoint request counters, every run it drove in the runs-completed
-// counter, and the WAL's append counter must cover one record per accepted
-// mutation.
+// counter, and the WAL's append counter must count one record per accepted
+// mutation request.
 func TestRunObserveMetricsMatchTallies(t *testing.T) {
 	const workers, runs, tasks, bidsPer, batch = 4, 2, 2, 4, 2
 	res, err := Run(Config{
@@ -76,12 +76,11 @@ func TestRunObserveMetricsMatchTallies(t *testing.T) {
 		t.Errorf("melody_runs_completed_total = %g, want %d", got, runs)
 	}
 
-	// The WAL records every accepted mutation: registrations, run opens,
-	// every bid (including replaced resubmissions), accepted scores, closes
-	// and finishes. Bids alone give a hard floor.
-	minAppends := float64(workers*runs*bidsPer + workers + 3*runs)
-	if got := res.Metrics["melody_wal_appends_total"]; got < minAppends {
-		t.Errorf("melody_wal_appends_total = %g, want >= %g", got, minAppends)
+	// The WAL holds one record per accepted mutation request: each
+	// registration, open, bid batch, score batch, close and finish.
+	wantAppends := float64(workers + runs*(1+workers*perWorkerPosts+1+2))
+	if got := res.Metrics["melody_wal_appends_total"]; got != wantAppends {
+		t.Errorf("melody_wal_appends_total = %g, want %g", got, wantAppends)
 	}
 	if got := res.Metrics["melody_wal_commits_total"]; got <= 0 || got > res.Metrics["melody_wal_appends_total"] {
 		t.Errorf("melody_wal_commits_total = %g, want in (0, appends]", got)

@@ -112,6 +112,8 @@ type Platform struct {
 	settler *EpochSettler
 	run     int
 	open    *openRun
+	// spare holds the finished run's tables, emptied, for the next run.
+	spare runTables
 
 	// registry holds the universal worker set behind striped locks, so
 	// registration and membership checks never queue behind p.mu (and a
@@ -138,12 +140,64 @@ type Platform struct {
 type openRun struct {
 	tasks      []Task
 	budget     float64
-	bids       map[string]Bid
 	outcome    *Outcome
-	assigned   map[string]map[string]bool    // worker -> task -> assigned
-	scores     map[string][]float64          // worker -> scores this run
-	recorded   map[string]map[string]float64 // worker -> task -> accepted score
-	settlement *ledger.RunSettlement         // nil when no ledger is attached
+	settlement *ledger.RunSettlement // nil when no ledger is attached
+	runTables
+}
+
+// runTables are the open run's per-item tables. A platform hands them on
+// from each run to the next, emptied when the run finishes, so a run
+// refills its tables instead of growing new ones from nothing. A table
+// that grew past maxKeptEntries is dropped instead, so one large run does
+// not leave the platform holding its size.
+type runTables struct {
+	bids map[string]Bid // worker -> the bid that counts
+	// slots holds each assigned (worker, task) pair once the auction has
+	// closed, with its score once one is accepted.
+	slots  map[slotKey]slot
+	scores map[string][]float64 // worker -> accepted scores, in order
+}
+
+// slotKey is an assigned (worker, task) pair.
+type slotKey struct{ worker, task string }
+
+// slot is an assignment's scoring state.
+type slot struct {
+	scored bool
+	score  float64
+}
+
+// maxKeptEntries bounds the tables a platform keeps for its next run.
+const maxKeptEntries = 64
+
+// take returns t with every table it lacks made, for a new run.
+func (t runTables) take() runTables {
+	if t.bids == nil {
+		t.bids = make(map[string]Bid)
+	}
+	if t.slots == nil {
+		t.slots = make(map[slotKey]slot)
+	}
+	if t.scores == nil {
+		t.scores = make(map[string][]float64)
+	}
+	return t
+}
+
+// keep returns t's tables emptied for the next run, without any that grew
+// past maxKeptEntries.
+func (t runTables) keep() runTables {
+	return runTables{bids: emptied(t.bids), slots: emptied(t.slots), scores: emptied(t.scores)}
+}
+
+// emptied returns m cleared, or nil when it holds more than
+// maxKeptEntries entries.
+func emptied[K comparable, V any](m map[K]V) map[K]V {
+	if len(m) > maxKeptEntries {
+		return nil
+	}
+	clear(m)
+	return m
 }
 
 // NewPlatform constructs a Platform with a private worker registry.
@@ -294,12 +348,8 @@ func (p *Platform) OpenRun(ctx context.Context, tasks []Task, budget float64) er
 		seen[t.ID] = true
 		copied[i] = t
 	}
-	run := &openRun{
-		tasks:  copied,
-		budget: budget,
-		bids:   make(map[string]Bid),
-		scores: make(map[string][]float64),
-	}
+	run := &openRun{tasks: copied, budget: budget, runTables: p.spare.take()}
+	p.spare = runTables{}
 	if p.money != nil && budget > 0 {
 		var settlement *ledger.RunSettlement
 		var err error
@@ -380,7 +430,11 @@ func (p *Platform) submitBidLocked(workerID string, bid Bid) error {
 	if p.open == nil {
 		return ErrNoRunOpen
 	}
-	if !p.registry.Has(workerID) {
+	// Keep the registry's copy of the ID: the bid's key becomes the
+	// outcome's WorkerID, so every retained outcome shares one string per
+	// worker instead of holding the one each request decoded.
+	id, ok := p.registry.Lookup(workerID)
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownWorker, workerID)
 	}
 	if !(bid.Cost > 0) {
@@ -390,12 +444,12 @@ func (p *Platform) submitBidLocked(workerID string, bid Bid) error {
 		return fmt.Errorf("melody: bid frequency %d must be at least 1", bid.Frequency)
 	}
 	if p.open.outcome != nil {
-		if prev, ok := p.open.bids[workerID]; ok && prev == bid {
+		if prev, ok := p.open.bids[id]; ok && prev == bid {
 			return nil // retried delivery of the bid that already counted
 		}
 		return ErrAuctionClosed
 	}
-	p.open.bids[workerID] = bid
+	p.open.bids[id] = bid
 	return nil
 }
 
@@ -421,7 +475,7 @@ func (p *Platform) CloseAuction(ctx context.Context) (*Outcome, error) {
 	// (bid, estimate) pairs re-enter the cached ranking, absent bidders
 	// leave it. Delta order does not matter — the kernel's sorted structures
 	// are a pure function of the worker multiset.
-	var delta core.WorkerDelta
+	delta := core.WorkerDelta{Upserts: make([]Worker, 0, len(p.open.bids))}
 	p.estMu.RLock()
 	for id, bid := range p.open.bids {
 		w := Worker{ID: id, Bid: bid, Quality: p.est.Estimate(id)}
@@ -459,13 +513,8 @@ func (p *Platform) CloseAuction(ctx context.Context) (*Outcome, error) {
 		}
 	}
 	p.open.outcome = out
-	p.open.recorded = make(map[string]map[string]float64)
-	p.open.assigned = make(map[string]map[string]bool)
 	for _, a := range out.Assignments {
-		if p.open.assigned[a.WorkerID] == nil {
-			p.open.assigned[a.WorkerID] = make(map[string]bool)
-		}
-		p.open.assigned[a.WorkerID][a.TaskID] = true
+		p.open.slots[slotKey{a.WorkerID, a.TaskID}] = slot{}
 	}
 	return out, nil
 }
@@ -527,21 +576,18 @@ func (p *Platform) submitScoreLocked(workerID, taskID string, score float64) err
 	if p.open.outcome == nil {
 		return ErrAuctionOpen
 	}
-	if !p.open.assigned[workerID][taskID] {
-		if prev, ok := p.open.recorded[workerID][taskID]; ok {
-			if prev == score {
-				return nil // retried delivery of the score that already counted
-			}
-			return fmt.Errorf("%w: worker %s task %s already scored %v (got %v)",
-				ErrNotAssigned, workerID, taskID, prev, score)
-		}
+	key := slotKey{workerID, taskID}
+	prev, ok := p.open.slots[key]
+	switch {
+	case !ok:
 		return fmt.Errorf("%w: worker %s task %s", ErrNotAssigned, workerID, taskID)
+	case prev.scored && prev.score == score:
+		return nil // retried delivery of the score that already counted
+	case prev.scored:
+		return fmt.Errorf("%w: worker %s task %s already scored %v (got %v)",
+			ErrNotAssigned, workerID, taskID, prev.score, score)
 	}
-	p.open.assigned[workerID][taskID] = false // consume the slot
-	if p.open.recorded[workerID] == nil {
-		p.open.recorded[workerID] = make(map[string]float64)
-	}
-	p.open.recorded[workerID][taskID] = score
+	p.open.slots[key] = slot{scored: true, score: score}
 	p.open.scores[workerID] = append(p.open.scores[workerID], score)
 	return nil
 }
@@ -584,6 +630,7 @@ func (p *Platform) finishRun(ctx context.Context, logged []Reestimation) ([]Rees
 		}
 	}
 	p.run++
+	p.spare = p.open.keep()
 	p.open = nil
 	p.runsCompleted.Inc()
 	return made, nil
@@ -592,10 +639,10 @@ func (p *Platform) finishRun(ctx context.Context, logged []Reestimation) ([]Rees
 // observeRun updates the estimator with the open run's scores of every
 // worker in ids. An estimator that absorbs a whole run at once
 // (quality.BatchObserver) gets one batch, with the logged re-estimations,
-// and reports the ones it made; any other gets one Observe per worker, up
-// to the first failure, runs its own EMs whatever was logged, and reports
-// none. Either way the error names a worker that failed. Callers hold
-// p.mu and estMu.
+// and reports the ones it made, a non-nil empty list for none; any other
+// gets one Observe per worker, up to the first failure, runs its own EMs
+// whatever was logged, and reports nil. Either way the error names a
+// worker that failed. Callers hold p.mu and estMu.
 func (p *Platform) observeRun(ids []string, logged []Reestimation) ([]Reestimation, error) {
 	batch, ok := p.est.(quality.BatchObserver)
 	if !ok {
@@ -617,6 +664,8 @@ func (p *Platform) observeRun(ids []string, logged []Reestimation) ([]Reestimati
 		return nil, fmt.Errorf("melody: update %s: %w", we.Worker, err)
 	case err != nil:
 		return nil, fmt.Errorf("melody: update: %w", err)
+	case made == nil:
+		made = []Reestimation{}
 	}
 	return made, nil
 }

@@ -3,6 +3,8 @@ package melody
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -348,5 +350,77 @@ func TestPlatformContextCancellation(t *testing.T) {
 	// The rejected bid must not have been applied: the auction closes empty.
 	if _, err := p.CloseAuction(live); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunTablesStartEmpty: a run's bid and score tables are the previous
+// run's, emptied, so nothing carries over: a worker who bid last run but
+// not this one wins nothing, and last run's assignments take no score.
+// A table that grew past maxKeptEntries is dropped when its run
+// finishes, and one within it is kept for the next run.
+func TestRunTablesStartEmpty(t *testing.T) {
+	ctx := context.Background()
+	p := testPlatform(t)
+	var ids []string
+	for i := 0; i < maxKeptEntries+8; i++ {
+		ids = append(ids, fmt.Sprintf("w%03d", i))
+		if err := p.RegisterWorker(ctx, ids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runOnce := func(run int, bidders []string) *Outcome {
+		t.Helper()
+		if err := p.OpenRun(ctx, []Task{{ID: fmt.Sprintf("r%d-t", run), Threshold: 10}}, 100); err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range bidders {
+			if err := p.SubmitBid(ctx, id, Bid{Cost: 1 + float64(i%10)/10, Frequency: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := p.CloseAuction(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Assignments) == 0 {
+			t.Fatalf("run %d assigned nothing", run)
+		}
+		return out
+	}
+
+	first := runOnce(1, ids[:4])
+	won := first.Assignments[0]
+	if err := p.SubmitScore(ctx, won.WorkerID, won.TaskID, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.FinishRun(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if p.spare.bids == nil || len(p.spare.bids) != 0 || len(p.spare.slots) != 0 || len(p.spare.scores) != 0 {
+		t.Fatalf("after a small run the platform keeps %+v, want its tables emptied", p.spare)
+	}
+
+	second := runOnce(2, ids[4:8])
+	for _, a := range second.Assignments {
+		if slices.Contains(ids[:4], a.WorkerID) {
+			t.Errorf("run 2 assigned %s, who bid only in run 1", a.WorkerID)
+		}
+	}
+	if err := p.SubmitScore(ctx, won.WorkerID, won.TaskID, 7); !errors.Is(err, ErrNotAssigned) {
+		t.Errorf("a score for run 1's assignment in run 2 = %v, want ErrNotAssigned", err)
+	}
+	if err := p.FinishRun(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	runOnce(3, ids)
+	if err := p.FinishRun(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if p.spare.bids != nil {
+		t.Errorf("after a run of %d bids the platform keeps its bids table, want it dropped", len(ids))
+	}
+	if p.spare.slots == nil || p.spare.scores == nil {
+		t.Error("a run of few assignments dropped its slot or score table")
 	}
 }

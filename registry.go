@@ -32,9 +32,11 @@ type workerRegistry struct {
 	sortedAt uint64   // regs when the cached list was collected
 }
 
+// registryStripe maps each of its IDs to the string the registry stores
+// for it, so callers can keep that copy instead of their own.
 type registryStripe struct {
 	mu  sync.RWMutex
-	ids map[string]struct{}
+	ids map[string]string
 }
 
 // defaultRegistryStripes is the stripe count used when newWorkerRegistry
@@ -72,7 +74,7 @@ func newWorkerRegistry(n int) *workerRegistry {
 	}
 	r := &workerRegistry{mask: uint64(size - 1), stripes: make([]registryStripe, size)}
 	for i := range r.stripes {
-		r.stripes[i].ids = make(map[string]struct{})
+		r.stripes[i].ids = make(map[string]string)
 	}
 	return r
 }
@@ -90,18 +92,24 @@ func (r *workerRegistry) Register(id string) bool {
 	if _, ok := s.ids[id]; ok {
 		return false
 	}
-	s.ids[id] = struct{}{}
+	s.ids[id] = id
 	r.regs.Add(1)
 	return true
 }
 
 // Has reports whether a worker ID is registered.
 func (r *workerRegistry) Has(id string) bool {
+	_, ok := r.Lookup(id)
+	return ok
+}
+
+// Lookup returns the registry's stored copy of a registered worker ID.
+func (r *workerRegistry) Lookup(id string) (string, bool) {
 	s := r.stripe(id)
 	s.mu.RLock()
-	_, ok := s.ids[id]
+	stored, ok := s.ids[id]
 	s.mu.RUnlock()
-	return ok
+	return stored, ok
 }
 
 // Len returns the number of registered workers. The count is per-stripe

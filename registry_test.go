@@ -1,11 +1,14 @@
 package melody
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestWorkerRegistryShardRounding(t *testing.T) {
@@ -185,5 +188,45 @@ func TestWorkersReturnsCopy(t *testing.T) {
 	s.Workers()[0] = "mutated"
 	if got := s.registry.All(); got[0] != "w1" {
 		t.Fatalf("modifying Workers() changed the registry's list: %v", got)
+	}
+}
+
+// TestBidsKeepRegistryIDs: an accepted bid keeps the registry's copy of
+// its worker ID, so the outcome's assignments share one string per worker
+// instead of holding the copy each request or replayed record decoded.
+func TestBidsKeepRegistryIDs(t *testing.T) {
+	ctx := context.Background()
+	p := testPlatform(t)
+	ids := []string{"ada", "bob", "cyd", "dee", "eve"}
+	for _, id := range ids {
+		if err := p.RegisterWorker(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.OpenRun(ctx, []Task{{ID: "t1", Threshold: 10}, {ID: "t2", Threshold: 10}}, 100); err != nil {
+		t.Fatal(err)
+	}
+	bids := make([]WorkerBid, len(ids))
+	for i, id := range ids {
+		bids[i] = WorkerBid{WorkerID: strings.Clone(id), Bid: Bid{Cost: 1 + 0.1*float64(i), Frequency: 2}}
+	}
+	if err := p.SubmitBid(ctx, bids[0].WorkerID, bids[0].Bid); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SubmitBids(ctx, bids[1:]).Err(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.CloseAuction(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Assignments) == 0 {
+		t.Fatal("the auction assigned nothing")
+	}
+	for _, a := range out.Assignments {
+		registered := ids[slices.Index(ids, a.WorkerID)]
+		if unsafe.StringData(a.WorkerID) != unsafe.StringData(registered) {
+			t.Errorf("assignment of %s to %s holds the bid's copy of the worker ID, not the registry's", a.WorkerID, a.TaskID)
+		}
 	}
 }

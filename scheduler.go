@@ -534,9 +534,9 @@ func (s *RunScheduler) FinishRun(ctx context.Context, runID string) error {
 // FinishRunEM is FinishRun for a durable layer that logs the EM
 // re-estimations each finish makes (Algorithm 3's theta update every
 // EMPeriod runs). It returns them in the tenant estimator's batch order:
-// nil when the finish made none, when the estimator does not report them
-// (it does not implement quality.BatchObserver), or when the run had
-// already finished.
+// a non-nil empty list when the estimator reports re-estimations and no
+// worker was due; nil when the estimator does not report them (it does
+// not implement quality.BatchObserver) or the run had already finished.
 //
 // Given the re-estimations a log recorded for this finish (logged
 // non-nil), it installs their theta instead of running EM, which leaves
