@@ -3,11 +3,11 @@ GO ?= go
 # exploration sessions (e.g. make fuzz-smoke FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: ci vet build test race verify-props bench-smoke bench-scale-smoke bench-e2e-smoke bench-snapshot chaos-smoke fuzz-smoke load-smoke obs-smoke slo-smoke overload-bench-smoke multirun-smoke fairness-smoke clean
+.PHONY: ci vet build test race verify-props bench-smoke bench-scale-smoke bench-e2e-smoke bench-full-smoke bench-snapshot chaos-smoke fuzz-smoke load-smoke obs-smoke slo-smoke overload-bench-smoke multirun-smoke fairness-smoke clean
 
 # ci is the tier-1 gate (see ROADMAP.md): everything must pass before a
 # change lands.
-ci: vet build test race verify-props chaos-smoke fuzz-smoke bench-smoke bench-scale-smoke bench-e2e-smoke load-smoke obs-smoke slo-smoke overload-bench-smoke multirun-smoke fairness-smoke
+ci: vet build test race verify-props chaos-smoke fuzz-smoke bench-smoke bench-scale-smoke bench-e2e-smoke bench-full-smoke load-smoke obs-smoke slo-smoke overload-bench-smoke multirun-smoke fairness-smoke
 
 # vet also fails on any tracked Go file that gofmt would change, bench/
 # included; the untracked .bench_build/ is not listed.
@@ -104,6 +104,19 @@ slo-smoke:
 # the benchmark uses fails here rather than when the benchmark is next run.
 bench-e2e-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# bench-full-smoke runs each end-to-end workload once at full history
+# scale, with 2-second windows and no traced pass, and fails on a non-zero
+# exit: a failed request, boot, history write or correctness check.
+# bench-e2e-smoke's 2% scale cuts bids_open_r1000 to one history run per
+# tenant, so only this target replays the histories a benchmark run does.
+# Each workload takes about 3-5 s; the tables go to stdout.
+BENCH_WORKLOADS = lifecycle_wal bids_open_r1000 auction_wal recovery_wal
+bench-full-smoke:
+	@for w in $(BENCH_WORKLOADS); do \
+		echo "bench-full-smoke: $$w"; \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 || { echo "bench-full-smoke: $$w failed"; exit 1; }; \
+	done
 
 # overload-bench-smoke single-shots the serve/overload kernel family (Poisson
 # rated + 3x, flash-crowd burst) through melody-bench: a liveness gate for

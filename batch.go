@@ -85,28 +85,53 @@ type BatchItem struct {
 // BatchResult reports the per-item outcomes of a batch submission
 // (SubmitBids, SubmitScores). Items are applied independently in order; a
 // rejected item never aborts its neighbours, so the result carries one
-// outcome per submitted item rather than a single error.
+// outcome per submitted item rather than a single error. The per-item
+// errors are allocated only at the first failure, so an accepted batch
+// costs no allocation.
 //
 // The zero BatchResult is an empty, fully-successful result.
 type BatchResult struct {
-	errs   []error
+	n      int
+	errs   []error // nil while every item is accepted
 	failed int
 }
 
 // NewBatchResult builds a BatchResult from a positional error slice
 // (errs[i] nil meaning item i was accepted).
 func NewBatchResult(errs []error) BatchResult {
-	r := BatchResult{errs: errs}
+	r := BatchResult{n: len(errs)}
 	for _, err := range errs {
 		if err != nil {
+			r.errs = errs
 			r.failed++
 		}
 	}
 	return r
 }
 
+// failedBatch is the result of n items all rejected with err.
+func failedBatch(n int, err error) BatchResult {
+	r := BatchResult{n: n}
+	for i := range n {
+		r.set(i, err)
+	}
+	return r
+}
+
+// set records item i's outcome.
+func (r *BatchResult) set(i int, err error) {
+	if err == nil {
+		return
+	}
+	if r.errs == nil {
+		r.errs = make([]error, r.n)
+	}
+	r.errs[i] = err
+	r.failed++
+}
+
 // Len returns the number of submitted items.
-func (r BatchResult) Len() int { return len(r.errs) }
+func (r BatchResult) Len() int { return r.n }
 
 // OK reports whether every item was accepted.
 func (r BatchResult) OK() bool { return r.failed == 0 }
@@ -116,8 +141,16 @@ func (r BatchResult) FailedCount() int { return r.failed }
 
 // ErrAt returns item i's outcome: nil when accepted, the same error the
 // single-item call would have returned otherwise. It panics when i is out
-// of range, exactly like indexing the submitted slice would.
-func (r BatchResult) ErrAt(i int) error { return r.errs[i] }
+// of range, like indexing the submitted slice would.
+func (r BatchResult) ErrAt(i int) error {
+	if i < 0 || i >= r.n {
+		panic(fmt.Sprintf("melody: batch item %d out of range [0:%d]", i, r.n))
+	}
+	if r.errs == nil {
+		return nil
+	}
+	return r.errs[i]
+}
 
 // Failed returns the rejected items in submission order, each with its
 // index, error and wire code.

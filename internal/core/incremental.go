@@ -210,6 +210,11 @@ func rankedBefore(wa Worker, da float64, wb Worker, db float64) bool {
 	return wa.ID < wb.ID
 }
 
+// SetTracer replaces the tracer that records the state's auction.run and
+// auction.incremental spans; nil records none. Like Apply, it must not run
+// concurrently with the state's other methods.
+func (s *AuctionState) SetTracer(t *obs.Tracer) { s.tracer = t }
+
 // Apply validates and ingests one run's registry delta, repairing the
 // cached sorted structures. On error the state is unchanged.
 func (s *AuctionState) Apply(d WorkerDelta) error {

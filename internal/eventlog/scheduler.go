@@ -345,11 +345,20 @@ func (ps *PersistentScheduler) snapshotLocked() *melody.SchedulerSnapshot {
 
 // writeSnapshot encodes and installs a scheduler snapshot, recording rather
 // than returning failures: the run that triggered the snapshot has already
-// committed.
+// committed. Two quiescent finishes whose durable waits complete out of
+// order capture overlapping snapshots; the older one, which the installed
+// snapshot already covers, is skipped without being encoded and leaves
+// SnapshotErr as it was.
 func (ps *PersistentScheduler) writeSnapshot(seq int64, snap *melody.SchedulerSnapshot) {
+	if ps.seg.SnapshotSeq() >= seq {
+		return
+	}
 	state, err := json.Marshal(snap)
 	if err == nil {
 		err = ps.seg.WriteSnapshot(seq, len(snap.Runs), state)
+	}
+	if errors.Is(err, errStaleSnapshot) {
+		return // a newer snapshot was installed while this one was encoded
 	}
 	ps.mu.Lock()
 	ps.snapErr = err
@@ -474,8 +483,12 @@ func replayer(s *melody.RunScheduler) func(Event) error {
 	return ps.replay
 }
 
+// replayCtx is the context every replayed request runs under: replay
+// records no tracing span.
+var replayCtx = melody.ReplayContext(context.Background())
+
 func applyScheduler(s *melody.RunScheduler, e Event) error {
-	ctx := context.Background()
+	ctx := replayCtx
 	if e.Kind != KindRegister && e.Kind != KindTenantPolicy && e.Run == "" {
 		return errors.New("eventlog: scheduler event without run ID (single-run log?)")
 	}

@@ -316,7 +316,7 @@ func (s *SegmentedLog) WriteSnapshot(seq int64, runs int, state []byte) error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	if seq <= s.snapSeq {
-		return fmt.Errorf("eventlog: snapshot at seq %d not beyond the installed one at %d", seq, s.snapSeq)
+		return fmt.Errorf("%w: snapshot at seq %d not beyond the installed one at %d", errStaleSnapshot, seq, s.snapSeq)
 	}
 	name, err := writeSnapshotFile(s.dir, Snapshot{
 		Format:  SnapshotFormat,
@@ -343,6 +343,10 @@ func (s *SegmentedLog) WriteSnapshot(seq int64, runs int, state []byte) error {
 	}
 	return nil
 }
+
+// errStaleSnapshot is WriteSnapshot's error for a snapshot the installed
+// one already covers.
+var errStaleSnapshot = errors.New("eventlog: stale snapshot")
 
 // SegmentInfo describes one segment file in a replication manifest. Size is
 // the durable byte count: the full file for sealed segments, the fsynced

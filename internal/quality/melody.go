@@ -186,6 +186,9 @@ type Melody struct {
 	// batchGen stamps workers touched by the current ObserveBatch so
 	// duplicate IDs inside one batch are detected without a per-batch set.
 	batchGen uint64
+	// batch is ObserveBatch's worker list, kept for the next batch unless
+	// it grew past maxKeptBatch.
+	batch []*melodyWorker
 
 	scratch scratch
 
@@ -201,6 +204,10 @@ var (
 	_ Estimator     = (*Melody)(nil)
 	_ BatchObserver = (*Melody)(nil)
 )
+
+// maxKeptBatch bounds the batch buffer an estimator keeps between batches,
+// so one large batch does not leave it holding that size.
+const maxKeptBatch = 64
 
 // NewMelody constructs the MELODY estimator.
 func NewMelody(cfg MelodyConfig) (*Melody, error) {
@@ -261,6 +268,41 @@ func (m *Melody) Forecast(workerID string, steps int) (lds.Forecast, error) {
 		params = w.params
 	}
 	return lds.ForecastAhead(params, posterior, steps)
+}
+
+// EstimateIdle is Estimate of a worker that update has seen runs times,
+// each with no scores, computed without storing it.
+func (m *Melody) EstimateIdle(runs int) float64 {
+	return m.cfg.Params.A * m.idle(runs).Mean
+}
+
+// ForecastIdle is Forecast of a worker that update has seen runs times,
+// each with no scores, computed without storing it.
+func (m *Melody) ForecastIdle(runs, steps int) (lds.Forecast, error) {
+	return lds.ForecastAhead(m.cfg.Params, m.idle(runs), steps)
+}
+
+// idle returns the posterior update leaves a new worker after runs runs
+// without scores, restarts included, writing and counting nothing. Such a
+// window never makes EM due, so theta stays theta^0. lds.Update fails only
+// on an invalid theta or belief, and neither occurs here: theta^0 is
+// validated, and a diverged belief restarts as in update.
+func (m *Melody) idle(runs int) lds.State {
+	posterior, anchor, held := m.cfg.Init, m.cfg.Init, 0
+	for range runs {
+		next, _ := lds.Update(m.cfg.Params, posterior, nil)
+		if m.cfg.EMWindow > 0 && held >= m.cfg.EMWindow {
+			anchor, _ = lds.Update(m.cfg.Params, anchor, nil)
+			held--
+		}
+		if next.Validate() != nil || anchor.Validate() != nil {
+			next, _ = lds.Update(m.cfg.Params, m.cfg.Init, nil)
+			anchor, held = m.cfg.Init, 0
+		}
+		posterior = next
+		held++
+	}
+	return posterior
 }
 
 // Misfit returns the worker's model-misfit score: the mean squared
@@ -440,7 +482,14 @@ func (m *Melody) ObserveBatch(ids []string, scores [][]float64, logged []Reestim
 		return nil, fmt.Errorf("quality: batch mismatch: %d ids, %d score sets", len(ids), len(scores))
 	}
 	m.batchGen++
-	workers := make([]*melodyWorker, len(ids))
+	workers := slices.Grow(m.batch[:0], len(ids))[:len(ids)]
+	defer func() {
+		clear(workers)
+		if cap(workers) > maxKeptBatch {
+			workers = nil
+		}
+		m.batch = workers[:0]
+	}()
 	duplicates := false
 	for i, id := range ids {
 		w := m.lookup(id)

@@ -25,8 +25,15 @@ type Estimator interface {
 	// never seen before receive the estimator's initial estimate.
 	Estimate(workerID string) float64
 	// Observe records the scores the worker earned in the run that just
-	// ended and updates the worker's estimate. Call it for every worker
-	// every run, with an empty slice when the worker earned no scores.
+	// ended and updates the worker's estimate. Call it every run for every
+	// worker the caller tracks, with an empty slice when the worker earned
+	// no scores. A caller may start tracking a worker late, as a platform
+	// does at the worker's first bid: it then first gives the worker, in
+	// order, the empty observations of the runs it missed. Until then it
+	// reads the worker's estimate as Estimate gives it for a worker never
+	// seen, or, from an estimator whose estimate moves on runs without
+	// scores (MELODY's prediction step scales the mean by a), with the
+	// estimator's EstimateIdle.
 	Observe(workerID string, scores []float64) error
 }
 

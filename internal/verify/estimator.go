@@ -20,7 +20,8 @@ import (
 //
 // runs[r][i] holds the scores ids[i] earned in run r; an empty slice means
 // the worker was unobserved that run, mirroring Estimator.Observe's
-// contract that it is called for every worker every run.
+// contract that it is called every run for every worker the caller
+// tracks.
 func CheckEstimator(e quality.Estimator, ids []string, runs [][][]float64) error {
 	if est := e.Estimate("verify-never-seen-worker"); !finite(est) {
 		return fmt.Errorf("verify: %s: initial estimate %v for unseen worker is not finite", e.Name(), est)

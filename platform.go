@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 
 	"melody/internal/core"
@@ -98,11 +99,31 @@ type PlatformConfig struct {
 	Tracer *obs.Tracer
 }
 
+// replayKey marks a context whose calls replay logged requests.
+type replayKey struct{}
+
+// ReplayContext returns a context for replaying logged requests. A call
+// made with it changes state exactly as the live request did, but records
+// no tracing span, so a boot neither pays for spans of past runs nor fills
+// the trace ring with them.
+func ReplayContext(ctx context.Context) context.Context {
+	return context.WithValue(ctx, replayKey{}, true)
+}
+
+// tracerFor returns the tracer a call made with ctx records its spans
+// with: none for a replay.
+func (p *Platform) tracerFor(ctx context.Context) *obs.Tracer {
+	if ctx != nil && ctx.Value(replayKey{}) != nil {
+		return nil
+	}
+	return p.tracer
+}
+
 // Platform is the paper's crowdsourcing platform: it owns the worker
 // registry, runs the per-run reverse auction, collects answer scores and
-// updates every worker's quality estimate between runs (the Fig. 2
-// workflow). Platform is safe for concurrent use; read-only queries
-// (Workers, Run, Quality, Forecast) share a read lock, so status
+// updates the quality estimate of every worker it tracks between runs
+// (the Fig. 2 workflow). Platform is safe for concurrent use; read-only
+// queries (Workers, Run, Quality, Forecast) share a read lock, so status
 // polls never queue behind bid ingest.
 type Platform struct {
 	mu      sync.RWMutex
@@ -131,6 +152,22 @@ type Platform struct {
 	// (changed bids or estimates, joins, leaves) instead of the full
 	// registry.
 	bidders map[string]Worker
+
+	// tracked lists, sorted by ID, the workers whose bids have reached one
+	// of this platform's closes: the workers each finish observes, as
+	// Algorithm 3 keeps an LDS per worker the requester observes. A
+	// worker joins at its first such close, after catching up on what the
+	// finishes since it registered would have given it (see track).
+	// finishes is the number of the latest finish that reached the
+	// estimator, and marks records when the finishes saw the registry grow
+	// (see owed). All three are written under p.mu and estMu, so either
+	// lock reads them.
+	tracked  []string
+	finishes int
+	marks    []registryMark
+	// batchScores is the finish's score batch, reused under p.mu and
+	// dropped past maxKeptEntries like the run tables.
+	batchScores [][]float64
 
 	runsCompleted *obs.Counter // nil-safe; nil when PlatformConfig.Metrics is nil
 	tracer        *obs.Tracer
@@ -167,8 +204,14 @@ type slot struct {
 	score  float64
 }
 
-// maxKeptEntries bounds the tables a platform keeps for its next run.
+// maxKeptEntries bounds the tables and buffers a platform keeps for its
+// next run.
 const maxKeptEntries = 64
+
+// registryMark records that finish number finish was the first of a
+// platform's finishes to see regs workers registered; every later finish
+// saw at least as many.
+type registryMark struct{ regs, finish int }
 
 // take returns t with every table it lacks made, for a new run.
 func (t runTables) take() runTables {
@@ -263,7 +306,7 @@ func (p *Platform) RegisterWorker(ctx context.Context, workerID string) error {
 
 // Workers returns the registered worker IDs in sorted order.
 func (p *Platform) Workers() []string {
-	return slices.Clone(p.registry.All())
+	return p.registry.All()
 }
 
 // Run returns the number of completed runs.
@@ -276,21 +319,42 @@ func (p *Platform) Run() int {
 // Quality returns the platform's current quality estimate for the worker.
 // The estimator is only read (never advanced), so concurrent Quality calls
 // share the estimator's read lock — never p.mu, so a quality poll cannot
-// queue behind bid ingest.
+// queue behind bid ingest. A worker the platform does not track yet gets
+// the estimate of the prior advanced by the finishes since it registered
+// (idleEstimator), the one it will catch up to at its first close.
 func (p *Platform) Quality(workerID string) (float64, error) {
-	if !p.registry.Has(workerID) {
+	e, ok := p.registry.entry(workerID)
+	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownWorker, workerID)
 	}
 	p.estMu.RLock()
 	defer p.estMu.RUnlock()
+	if idle, ok := p.est.(idleEstimator); ok && !p.isTracked(e.id) {
+		return idle.EstimateIdle(p.owed(e.seq)), nil
+	}
 	return p.est.Estimate(workerID), nil
 }
 
+// idleEstimator is the capability of an estimator whose estimate of a
+// worker moves on runs without scores, as the LDS tracker's does: it reads
+// a worker observed only runs times, each with no scores, without storing
+// anything for it. An estimator without it must leave a never-scored
+// worker at the estimate it gives a worker it has never seen (see
+// Estimator.Observe).
+type idleEstimator interface {
+	EstimateIdle(runs int) float64
+	ForecastIdle(runs, steps int) (QualityForecast, error)
+}
+
+var _ idleEstimator = (*quality.Melody)(nil)
+
 // Forecast returns the k-step-ahead predictive distribution of a worker's
 // quality, when the platform's estimator supports it (the LDS tracker
-// does); otherwise ErrNoForecast.
+// does); otherwise ErrNoForecast. A worker the platform does not track yet
+// is forecast as Quality estimates it.
 func (p *Platform) Forecast(workerID string, steps int) (QualityForecast, error) {
-	if !p.registry.Has(workerID) {
+	e, ok := p.registry.entry(workerID)
+	if !ok {
 		return QualityForecast{}, fmt.Errorf("%w: %s", ErrUnknownWorker, workerID)
 	}
 	f, ok := p.est.(Forecaster)
@@ -299,7 +363,29 @@ func (p *Platform) Forecast(workerID string, steps int) (QualityForecast, error)
 	}
 	p.estMu.RLock()
 	defer p.estMu.RUnlock()
+	if idle, ok := p.est.(idleEstimator); ok && !p.isTracked(e.id) {
+		return idle.ForecastIdle(p.owed(e.seq), steps)
+	}
 	return f.Forecast(workerID, steps)
+}
+
+// isTracked reports whether the platform tracks the worker. Callers hold
+// p.mu or estMu.
+func (p *Platform) isTracked(id string) bool {
+	_, ok := slices.BinarySearch(p.tracked, id)
+	return ok
+}
+
+// owed returns how many of the platform's finishes came after the worker
+// numbered seq registered: the empty observations an untracked worker
+// would have had if every finish observed every registered worker.
+// Callers hold p.mu or estMu.
+func (p *Platform) owed(seq int) int {
+	j := sort.Search(len(p.marks), func(j int) bool { return p.marks[j].regs > seq })
+	if j == len(p.marks) {
+		return 0
+	}
+	return p.finishes - p.marks[j].finish + 1
 }
 
 // OpenRun starts a new run: the requester publishes a task set and a
@@ -410,19 +496,16 @@ type WorkerBid struct {
 // with the context error before any is applied — batches are all-or-nothing
 // with respect to cancellation.
 func (p *Platform) SubmitBids(ctx context.Context, bids []WorkerBid) BatchResult {
-	errs := make([]error, len(bids))
 	if err := ctxErr(ctx); err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return NewBatchResult(errs)
+		return failedBatch(len(bids), err)
 	}
+	res := BatchResult{n: len(bids)}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i, b := range bids {
-		errs[i] = p.submitBidLocked(b.WorkerID, b.Bid)
+		res.set(i, p.submitBidLocked(b.WorkerID, b.Bid))
 	}
-	return NewBatchResult(errs)
+	return res
 }
 
 // submitBidLocked is SubmitBid's body; callers hold p.mu.
@@ -474,16 +557,35 @@ func (p *Platform) CloseAuction(ctx context.Context) (*Outcome, error) {
 	// Feed the incremental kernel this run's bidder delta: new and changed
 	// (bid, estimate) pairs re-enter the cached ranking, absent bidders
 	// leave it. Delta order does not matter — the kernel's sorted structures
-	// are a pure function of the worker multiset.
+	// are a pure function of the worker multiset. A bidder the platform
+	// does not track yet joins the tracked set before its estimate is read.
 	delta := core.WorkerDelta{Upserts: make([]Worker, 0, len(p.open.bids))}
+	var joining []string
 	p.estMu.RLock()
 	for id, bid := range p.open.bids {
+		prev, ok := p.bidders[id]
+		if !ok && !p.isTracked(id) {
+			joining = append(joining, id)
+			continue
+		}
 		w := Worker{ID: id, Bid: bid, Quality: p.est.Estimate(id)}
-		if prev, ok := p.bidders[id]; !ok || prev != w {
+		if !ok || prev != w {
 			delta.Upserts = append(delta.Upserts, w)
 		}
 	}
 	p.estMu.RUnlock()
+	if joining != nil {
+		p.estMu.Lock()
+		err := p.track(joining)
+		for _, id := range joining {
+			delta.Upserts = append(delta.Upserts, Worker{ID: id, Bid: p.open.bids[id], Quality: p.est.Estimate(id)})
+		}
+		p.estMu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+	}
+	p.auction.SetTracer(p.tracerFor(ctx))
 	for id := range p.bidders {
 		if _, ok := p.open.bids[id]; !ok {
 			delta.Removes = append(delta.Removes, id)
@@ -550,19 +652,16 @@ type TaskScore struct {
 // item does not affect its neighbours. A cancelled ctx rejects every item
 // with the context error before any is applied.
 func (p *Platform) SubmitScores(ctx context.Context, scores []TaskScore) BatchResult {
-	errs := make([]error, len(scores))
 	if err := ctxErr(ctx); err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return NewBatchResult(errs)
+		return failedBatch(len(scores), err)
 	}
+	res := BatchResult{n: len(scores)}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i, s := range scores {
-		errs[i] = p.submitScoreLocked(s.WorkerID, s.TaskID, s.Score)
+		res.set(i, p.submitScoreLocked(s.WorkerID, s.TaskID, s.Score))
 	}
-	return NewBatchResult(errs)
+	return res
 }
 
 // submitScoreLocked is SubmitScore's body; callers hold p.mu.
@@ -592,9 +691,12 @@ func (p *Platform) submitScoreLocked(workerID, taskID string, score float64) err
 	return nil
 }
 
-// FinishRun ends the run: every registered worker's quality is updated from
-// the scores collected this run (an empty set for workers who won nothing),
-// and the platform becomes ready for the next OpenRun.
+// FinishRun ends the run: the quality of every worker the platform tracks
+// (every worker whose bid reached one of its closes) is updated from the
+// scores collected this run, an empty set for workers who won nothing, and
+// the platform becomes ready for the next OpenRun. A registered worker who
+// has never bid here is not updated; its first close catches it up on
+// these finishes first.
 func (p *Platform) FinishRun(ctx context.Context) error {
 	_, err := p.finishRun(ctx, nil)
 	return err
@@ -607,7 +709,7 @@ func (p *Platform) finishRun(ctx context.Context, logged []Reestimation) ([]Rees
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	sp := p.tracer.Start("run.finish")
+	sp := p.tracerFor(ctx).Start("run.finish")
 	defer sp.End()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -619,7 +721,17 @@ func (p *Platform) finishRun(ctx context.Context, logged []Reestimation) ([]Rees
 		return nil, ErrAuctionOpen
 	}
 	p.estMu.Lock()
-	made, err := p.observeRun(p.registry.All(), logged)
+	// The finish reads only the registration count: the workers it does
+	// not observe are owed its empty observation from it (see owed).
+	p.finishes = p.run + 1
+	if n := p.registry.Count(); len(p.marks) == 0 || p.marks[len(p.marks)-1].regs < n {
+		if k := len(p.marks) - 1; k >= 0 && p.marks[k].finish == p.finishes {
+			p.marks[k].regs = n // a retried finish
+		} else if n > 0 {
+			p.marks = append(p.marks, registryMark{regs: n, finish: p.finishes})
+		}
+	}
+	made, err := p.observe(p.tracked, p.open.scores, logged)
 	p.estMu.Unlock()
 	if err != nil {
 		return nil, err
@@ -636,28 +748,84 @@ func (p *Platform) finishRun(ctx context.Context, logged []Reestimation) ([]Rees
 	return made, nil
 }
 
-// observeRun updates the estimator with the open run's scores of every
-// worker in ids. An estimator that absorbs a whole run at once
-// (quality.BatchObserver) gets one batch, with the logged re-estimations,
-// and reports the ones it made, a non-nil empty list for none; any other
-// gets one Observe per worker, up to the first failure, runs its own EMs
-// whatever was logged, and reports nil. Either way the error names a
-// worker that failed. Callers hold p.mu and estMu.
-func (p *Platform) observeRun(ids []string, logged []Reestimation) ([]Reestimation, error) {
+// track starts tracking the workers in joining, whose bids reach one of
+// the platform's closes for the first time. Each first catches up on the
+// finishes since it registered: the empty observations they would have
+// given it, in the batches they would have given them, oldest first, so
+// the estimator reaches the state it would hold had every finish observed
+// every registered worker. A window with no scores makes no EM due, so no
+// batch re-estimates anything. The workers join the tracked set even when
+// the catch-up fails, so that a retried close does not repeat it. Callers
+// hold p.mu and estMu.
+func (p *Platform) track(joining []string) error {
+	slices.Sort(joining)
+	owed := make([]int, len(joining))
+	most := 0
+	for i, id := range joining {
+		e, _ := p.registry.entry(id)
+		owed[i] = p.owed(e.seq)
+		most = max(most, owed[i])
+	}
+	var err error
+	if most > 0 {
+		batch := make([]string, 0, len(joining))
+		for k := most; k > 0 && err == nil; k-- {
+			batch = batch[:0]
+			for i, id := range joining {
+				if owed[i] >= k {
+					batch = append(batch, id)
+				}
+			}
+			_, err = p.observe(batch, nil, nil)
+		}
+	}
+	p.tracked = mergeSorted(p.tracked, joining)
+	return err
+}
+
+// mergeSorted merges the sorted, disjoint b into the sorted a, in place
+// when a has the room.
+func mergeSorted(a, b []string) []string {
+	i, j := len(a)-1, len(b)-1
+	a = slices.Grow(a, len(b))[:len(a)+len(b)]
+	for k := len(a) - 1; j >= 0; k-- {
+		if i >= 0 && a[i] > b[j] {
+			a[k], i = a[i], i-1
+		} else {
+			a[k], j = b[j], j-1
+		}
+	}
+	return a
+}
+
+// observe gives the estimator one finish's batch: the scores of every
+// worker in ids, in that order, nil for a worker scores does not list. An
+// estimator that absorbs a whole run at once (quality.BatchObserver) gets
+// one batch, with the logged re-estimations, and reports the ones it made,
+// a non-nil empty list for none; any other gets one Observe per worker, up
+// to the first failure, runs its own EMs whatever was logged, and reports
+// nil. Either way the error names a worker that failed. Callers hold p.mu
+// and estMu.
+func (p *Platform) observe(ids []string, scores map[string][]float64, logged []Reestimation) ([]Reestimation, error) {
 	batch, ok := p.est.(quality.BatchObserver)
 	if !ok {
 		for _, id := range ids {
-			if err := p.est.Observe(id, p.open.scores[id]); err != nil {
+			if err := p.est.Observe(id, scores[id]); err != nil {
 				return nil, fmt.Errorf("melody: update %s: %w", id, err)
 			}
 		}
 		return nil, nil
 	}
-	scores := make([][]float64, len(ids))
-	for i, id := range ids {
-		scores[i] = p.open.scores[id]
+	buf := slices.Grow(p.batchScores[:0], len(ids))
+	for _, id := range ids {
+		buf = append(buf, scores[id])
 	}
-	made, err := batch.ObserveBatch(ids, scores, logged)
+	made, err := batch.ObserveBatch(ids, buf, logged)
+	clear(buf)
+	if cap(buf) > maxKeptEntries {
+		buf = nil
+	}
+	p.batchScores = buf[:0]
 	var we *quality.WorkerError
 	switch {
 	case errors.As(err, &we):

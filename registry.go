@@ -1,8 +1,8 @@
 package melody
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -16,27 +16,32 @@ import (
 // of its FNV-1a hash. Placement is never observable: All sorts, and
 // nothing is logged per stripe.
 //
-// All keeps its sorted list until the next registration, because every
-// finish reads the whole set and registrations are rare by comparison.
+// Each worker also gets its registration number, 0 for the first. A
+// platform's finish reads only Count, and the numbers then tell which of
+// its finishes came after a worker registered (Platform.owed); no finish
+// reads the whole set.
 type workerRegistry struct {
 	mask    uint64
 	stripes []registryStripe
 
-	// regs counts registrations. Register bumps it after the insert, so a
-	// list tagged with a count read before collecting is never reused past
-	// a registration it may have missed.
-	regs atomic.Uint64
-
-	sortedMu sync.Mutex
-	sorted   []string // All's cached list; nil until built
-	sortedAt uint64   // regs when the cached list was collected
+	// regs counts registrations. Register takes the new worker's number
+	// from it under the stripe lock, so Count covers every number handed
+	// out.
+	regs atomic.Int64
 }
 
-// registryStripe maps each of its IDs to the string the registry stores
-// for it, so callers can keep that copy instead of their own.
+// registryEntry is one registered worker: the ID string the registry
+// stores, which callers keep instead of their own copy, and its
+// registration number.
+type registryEntry struct {
+	id  string
+	seq int
+}
+
+// registryStripe maps each of its IDs to its entry.
 type registryStripe struct {
 	mu  sync.RWMutex
-	ids map[string]string
+	ids map[string]registryEntry
 }
 
 // defaultRegistryStripes is the stripe count used when newWorkerRegistry
@@ -74,7 +79,7 @@ func newWorkerRegistry(n int) *workerRegistry {
 	}
 	r := &workerRegistry{mask: uint64(size - 1), stripes: make([]registryStripe, size)}
 	for i := range r.stripes {
-		r.stripes[i].ids = make(map[string]string)
+		r.stripes[i].ids = make(map[string]registryEntry)
 	}
 	return r
 }
@@ -92,8 +97,7 @@ func (r *workerRegistry) Register(id string) bool {
 	if _, ok := s.ids[id]; ok {
 		return false
 	}
-	s.ids[id] = id
-	r.regs.Add(1)
+	s.ids[id] = registryEntry{id: id, seq: int(r.regs.Add(1) - 1)}
 	return true
 }
 
@@ -105,12 +109,22 @@ func (r *workerRegistry) Has(id string) bool {
 
 // Lookup returns the registry's stored copy of a registered worker ID.
 func (r *workerRegistry) Lookup(id string) (string, bool) {
+	e, ok := r.entry(id)
+	return e.id, ok
+}
+
+// entry returns a registered worker's entry.
+func (r *workerRegistry) entry(id string) (registryEntry, bool) {
 	s := r.stripe(id)
 	s.mu.RLock()
-	stored, ok := s.ids[id]
+	e, ok := s.ids[id]
 	s.mu.RUnlock()
-	return stored, ok
+	return e, ok
 }
+
+// Count returns the number of registrations so far: every worker numbered
+// below it has registered.
+func (r *workerRegistry) Count() int { return int(r.regs.Load()) }
 
 // Len returns the number of registered workers. The count is per-stripe
 // consistent: IDs registered concurrently may or may not be counted.
@@ -125,21 +139,10 @@ func (r *workerRegistry) Len() int {
 	return n
 }
 
-// All returns every registered worker ID in sorted order. The snapshot is
-// per-stripe consistent, like Len, and includes every registration that
-// returned before the call. The list is shared by every caller until the
-// next registration, so callers must not modify it; it is clipped, so an
-// append copies.
+// All returns every registered worker ID in sorted order, in a list the
+// caller owns. The snapshot is per-stripe consistent, like Len, and
+// includes every registration that returned before the call.
 func (r *workerRegistry) All() []string {
-	at := r.regs.Load()
-	r.sortedMu.Lock()
-	if r.sorted != nil && r.sortedAt == at {
-		ids := r.sorted
-		r.sortedMu.Unlock()
-		return ids
-	}
-	r.sortedMu.Unlock()
-
 	ids := make([]string, 0, r.Len())
 	for i := range r.stripes {
 		s := &r.stripes[i]
@@ -149,12 +152,26 @@ func (r *workerRegistry) All() []string {
 		}
 		s.mu.RUnlock()
 	}
-	sort.Strings(ids)
-	ids = slices.Clip(ids)
-	r.sortedMu.Lock()
-	if r.sorted == nil || at >= r.sortedAt {
-		r.sorted, r.sortedAt = ids, at
+	slices.Sort(ids)
+	return ids
+}
+
+// InOrder returns every registered worker ID in registration order. Call
+// it only while no registration can run, as a snapshot does.
+func (r *workerRegistry) InOrder() []string {
+	entries := make([]registryEntry, 0, r.Len())
+	for i := range r.stripes {
+		s := &r.stripes[i]
+		s.mu.RLock()
+		for _, e := range s.ids {
+			entries = append(entries, e)
+		}
+		s.mu.RUnlock()
 	}
-	r.sortedMu.Unlock()
+	slices.SortFunc(entries, func(a, b registryEntry) int { return cmp.Compare(a.seq, b.seq) })
+	ids := make([]string, len(entries))
+	for i, e := range entries {
+		ids[i] = e.id
+	}
 	return ids
 }

@@ -121,11 +121,9 @@ func TestWorkerRegistryStripeBalance(t *testing.T) {
 	}
 }
 
-// TestWorkerRegistryAllSeesRacingRegistrations: All keeps its sorted list
-// until the next registration, and a list collected while a registration
-// raced it is never reused past it. Readers keep rebuilding the list while
-// writers register; every All begun after a Register returned must hold
-// the ID. Run it under -race.
+// TestWorkerRegistryAllSeesRacingRegistrations: readers keep listing the
+// registry while writers register; every list is sorted, and every All
+// begun after a Register returned must hold the ID. Run it under -race.
 func TestWorkerRegistryAllSeesRacingRegistrations(t *testing.T) {
 	const writers, ids = 4, 200
 	r := newWorkerRegistry(4)
@@ -171,8 +169,7 @@ func TestWorkerRegistryAllSeesRacingRegistrations(t *testing.T) {
 	}
 }
 
-// TestWorkersReturnsCopy: the public lists are the caller's to modify; the
-// registry's cached list is not.
+// TestWorkersReturnsCopy: the public lists are the caller's to modify.
 func TestWorkersReturnsCopy(t *testing.T) {
 	s, err := NewRunScheduler(SchedulerConfig{NewEstimator: func(string) (Estimator, error) {
 		return NewQualityTracker(QualityTrackerConfig{InitialMean: 5.5, InitialVar: 2.25, Params: QualityParams{A: 1, Gamma: 0.3, Eta: 9}})

@@ -181,7 +181,7 @@ func (s *RunScheduler) RegisterWorker(ctx context.Context, workerID string) erro
 }
 
 // Workers returns the registered worker IDs in sorted order.
-func (s *RunScheduler) Workers() []string { return slices.Clone(s.registry.All()) }
+func (s *RunScheduler) Workers() []string { return s.registry.All() }
 
 // CompletedRuns returns the number of finished runs across all tenants.
 func (s *RunScheduler) CompletedRuns() int {
@@ -452,11 +452,7 @@ func (s *RunScheduler) SubmitBids(ctx context.Context, runID string, bids []Work
 			return r.p.SubmitBids(ctx, bids)
 		}
 	}
-	errs := make([]error, len(bids))
-	for i := range errs {
-		errs[i] = err
-	}
-	return NewBatchResult(errs)
+	return failedBatch(len(bids), err)
 }
 
 // CloseAuction ends a run's bidding phase and returns the outcome.
@@ -515,11 +511,7 @@ func (s *RunScheduler) SubmitScores(ctx context.Context, runID string, scores []
 			return r.p.SubmitScores(ctx, scores)
 		}
 	}
-	errs := make([]error, len(scores))
-	for i := range errs {
-		errs[i] = err
-	}
-	return NewBatchResult(errs)
+	return failedBatch(len(scores), err)
 }
 
 // FinishRun completes a run: quality estimates update from the collected

@@ -39,9 +39,11 @@ var (
 // round-trips exactly (floats use Go's shortest-exact JSON encoding) and
 // each auction kernel's caches are a pure function of its bidder set.
 type SchedulerSnapshot struct {
-	// Version guards the encoding; it differs from every earlier payload
-	// version, so an older snapshot is refused instead of misread.
-	Version int              `json:"version"`
+	// Version guards the encoding: version 3 is written, and version 2
+	// is still restored. Any other version is refused instead of misread.
+	Version int `json:"version"`
+	// Workers lists the registered workers in registration order (sorted
+	// in version 2).
 	Workers []string         `json:"workers,omitempty"`
 	Ledger  *ledger.Snapshot `json:"ledger,omitempty"`
 	// Settler is the epoch settler's accrual state; nil without epochs.
@@ -66,7 +68,15 @@ type TenantSnapshot struct {
 	Runs int `json:"runs"`
 	// Bidders is the worker set last applied to the tenant's auction
 	// kernel, with the exact quality estimates captured at its close.
-	Bidders    []Worker        `json:"bidders,omitempty"`
+	Bidders []Worker `json:"bidders,omitempty"`
+	// Tracked lists, sorted, the workers the tenant's finishes observe:
+	// those whose bids reached one of its closes. Marks are its
+	// (registrations, finish) pairs, each the first of its finishes to
+	// see that many workers registered, from which a worker's owed empty
+	// observations are counted. A version-2 tenant tracks every worker
+	// the snapshot lists and has no marks.
+	Tracked    []string        `json:"tracked,omitempty"`
+	Marks      [][2]int        `json:"marks,omitempty"`
 	Estimator  json.RawMessage `json:"estimator,omitempty"`
 	Spent      float64         `json:"spent,omitempty"`
 	EpochSpent float64         `json:"epoch_spent,omitempty"`
@@ -83,8 +93,9 @@ type RunSnapshot struct {
 }
 
 // schedulerSnapshotVersion guards the snapshot encoding. Version 1 was the
-// single-run platform's payload.
-const schedulerSnapshotVersion = 2
+// single-run platform's payload; version 2 had no tracked sets, since every
+// finish then observed every registered worker.
+const schedulerSnapshotVersion = 3
 
 // SnapshotState captures the scheduler's full state. It fails with
 // ErrSnapshotMidRun while any run is open and with ErrNoSnapshot when a
@@ -97,7 +108,7 @@ func (s *RunScheduler) SnapshotState() (*SchedulerSnapshot, error) {
 	if len(s.order) > 0 {
 		return nil, ErrSnapshotMidRun
 	}
-	snap := &SchedulerSnapshot{Version: schedulerSnapshotVersion, Workers: slices.Clone(s.registry.All())}
+	snap := &SchedulerSnapshot{Version: schedulerSnapshotVersion, Workers: s.registry.InOrder()}
 	if s.cfg.Ledger != nil {
 		snap.Ledger = s.cfg.Ledger.Snapshot()
 	}
@@ -148,8 +159,8 @@ func (s *RunScheduler) RestoreSnapshot(snap *SchedulerSnapshot) error {
 	if snap == nil {
 		return errors.New("melody: restore needs a snapshot")
 	}
-	if snap.Version != schedulerSnapshotVersion {
-		return fmt.Errorf("melody: snapshot version %d (want %d)", snap.Version, schedulerSnapshotVersion)
+	if snap.Version != schedulerSnapshotVersion && snap.Version != 2 {
+		return fmt.Errorf("melody: snapshot version %d (want 2 or %d)", snap.Version, schedulerSnapshotVersion)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -185,10 +196,20 @@ func (s *RunScheduler) RestoreSnapshot(snap *SchedulerSnapshot) error {
 		ts := s.tenantStateLocked(t)
 		ts.policy, ts.hasPolicy = pol, true
 	}
+	var everyone []string // a version-2 tenant's tracked set
+	if snap.Version == 2 {
+		everyone = s.registry.All()
+	}
 	for _, tsnap := range snap.Tenants {
 		p, err := s.platformFor(tsnap.Tenant)
 		if err != nil {
 			return err
+		}
+		if snap.Version == 2 {
+			if tsnap.Tracked != nil || tsnap.Marks != nil {
+				return fmt.Errorf("melody: version-2 snapshot tenant %q has tracked workers", tsnap.Tenant)
+			}
+			tsnap.Tracked = everyone
 		}
 		if err := p.importState(tsnap); err != nil {
 			return fmt.Errorf("melody: restore tenant %q: %w", tsnap.Tenant, err)
@@ -230,6 +251,10 @@ func (p *Platform) exportState(tenant string) (TenantSnapshot, error) {
 		return ts, fmt.Errorf("melody: snapshot estimator: %w", err)
 	}
 	ts.Estimator = est
+	ts.Tracked = slices.Clone(p.tracked)
+	for _, m := range p.marks {
+		ts.Marks = append(ts.Marks, [2]int{m.regs, m.finish})
+	}
 	for _, w := range p.bidders {
 		ts.Bidders = append(ts.Bidders, w)
 	}
@@ -237,13 +262,27 @@ func (p *Platform) exportState(tenant string) (TenantSnapshot, error) {
 	return ts, nil
 }
 
-// importState installs exportState's capture into a fresh platform.
+// importState installs exportState's capture into a fresh platform on the
+// restored registry.
 func (p *Platform) importState(ts TenantSnapshot) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.run != 0 || p.open != nil || len(p.bidders) != 0 {
 		return errors.New("melody: restore target is not a fresh platform")
 	}
+	for i, id := range ts.Tracked {
+		if !p.registry.Has(id) || i > 0 && ts.Tracked[i-1] >= id {
+			return fmt.Errorf("melody: tracked worker %q is unregistered, repeated or out of order", id)
+		}
+	}
+	for i, m := range ts.Marks {
+		if m[0] < 1 || m[0] > p.registry.Count() || m[1] < 1 || m[1] > ts.Runs ||
+			i > 0 && (ts.Marks[i-1][0] >= m[0] || ts.Marks[i-1][1] >= m[1]) {
+			return fmt.Errorf("melody: registry mark %v is out of range or order", m)
+		}
+		p.marks = append(p.marks, registryMark{regs: m[0], finish: m[1]})
+	}
+	p.tracked = slices.Clone(ts.Tracked)
 	if len(ts.Estimator) > 0 {
 		es, ok := p.est.(EstimatorSnapshotter)
 		if !ok {
@@ -256,7 +295,9 @@ func (p *Platform) importState(ts TenantSnapshot) error {
 	if len(ts.Bidders) > 0 {
 		// The auction kernel's cached ranking is derived state: a pure
 		// function of the bidder multiset. Reseeding it through the same
-		// delta path CloseAuction uses reproduces it exactly.
+		// delta path CloseAuction uses reproduces it exactly; a restore
+		// records no span.
+		p.auction.SetTracer(nil)
 		if err := p.auction.Apply(core.WorkerDelta{Upserts: slices.Clone(ts.Bidders)}); err != nil {
 			return fmt.Errorf("melody: restore auction state: %w", err)
 		}
@@ -264,6 +305,6 @@ func (p *Platform) importState(ts TenantSnapshot) error {
 			p.bidders[w.ID] = w
 		}
 	}
-	p.run = ts.Runs
+	p.run, p.finishes = ts.Runs, ts.Runs
 	return nil
 }
