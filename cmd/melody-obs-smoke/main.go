@@ -1,8 +1,9 @@
 // Command melody-obs-smoke is the observability end-to-end check behind
 // `make obs-smoke`: it builds the real melody-platform binary, boots it with
-// -metrics and a WAL, drives one complete run through the HTTP client, then
-// scrapes GET /metrics and GET /debug/traces off the side listener and fails
-// unless the documented series and span names are present with sane values.
+// -metrics, a WAL and a funded ledger, drives one complete run through the
+// HTTP client, then scrapes GET /metrics and GET /debug/traces off the side
+// listener and fails unless the documented series and span names are
+// present with sane values.
 // It then boots the binary on the segmented engine (-wal-dir) with a
 // snapshot after every record, drives the same run, stops the process and
 // boots it again on the same directory: the reboot must restore the
@@ -51,7 +52,7 @@ func run() error {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	n, err := boot(ctx, bin, "-wal", filepath.Join(dir, "smoke.wal"))
+	n, err := boot(ctx, bin, "-wal", filepath.Join(dir, "smoke.wal"), "-fund", "1000")
 	if err != nil {
 		return err
 	}
@@ -291,6 +292,14 @@ func checkSeries(series map[string]float64) error {
 	}
 	if got := series["melody_wal_commits_total"]; got <= 0 {
 		return fmt.Errorf("melody_wal_commits_total = %g, want > 0", got)
+	}
+	// The run wrote its escrow, payments and refund after the boot deposit,
+	// and the journal encodes each entry in well under the 48 bytes a
+	// fixed record took.
+	entries, bytes := series[obs.MetricLedgerEntries], series[obs.MetricLedgerJournalBytes]
+	if entries < 4 || !(bytes > 0 && bytes < 48*entries) {
+		return fmt.Errorf("%s = %g and %s = %g, want at least 4 entries in under 48 bytes each",
+			obs.MetricLedgerEntries, entries, obs.MetricLedgerJournalBytes, bytes)
 	}
 	return nil
 }

@@ -68,7 +68,7 @@ func OpenPersistentScheduler(path string, s *melody.RunScheduler, opts Options) 
 	ps := &PersistentScheduler{s: s, logged: make(map[string]bool)}
 	// One pass over the file both replays it and finds the end appends
 	// resume from; a missing log file is a first boot.
-	log, err := openLog(path, opts, ps.replay)
+	log, err := openLog(path, opts, ps.replayer())
 	if err != nil {
 		return nil, nil, fmt.Errorf("eventlog: recover from %s: %w", path, err)
 	}
@@ -92,7 +92,7 @@ func OpenSegmentedScheduler(dir string, s *melody.RunScheduler, opts SegmentedOp
 		return nil, nil, errors.New("eventlog: recover needs a scheduler")
 	}
 	ps := &PersistentScheduler{s: s, logged: make(map[string]bool)}
-	seg, _, err := recoverSegmented(dir, opts, ps.restore, ps.replay)
+	seg, _, err := recoverSegmented(dir, opts, ps.restore, ps.replayer())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -115,15 +115,27 @@ func (ps *PersistentScheduler) restore(snap *Snapshot) error {
 	return nil
 }
 
-// replay applies one recovered event to the scheduler.
-func (ps *PersistentScheduler) replay(e Event) error {
-	if err := applyScheduler(ps.s, e); err != nil {
-		return fmt.Errorf("eventlog: replay seq %d (%s): %w", e.Seq, e.Kind, err)
+// replayer returns the callback that applies each recovered event to the
+// scheduler. It converts every bids or scores record into one buffer of
+// each kind, reused from record to record: the scheduler copies what it
+// keeps of a batch.
+func (ps *PersistentScheduler) replayer() func(Event) error {
+	var buf replayBuffers
+	return func(e Event) error {
+		if err := applyScheduler(ps.s, e, &buf); err != nil {
+			return fmt.Errorf("eventlog: replay seq %d (%s): %w", e.Seq, e.Kind, err)
+		}
+		if e.Kind == KindTenantPolicy {
+			ps.logged[e.Tenant] = true
+		}
+		return nil
 	}
-	if e.Kind == KindTenantPolicy {
-		ps.logged[e.Tenant] = true
-	}
-	return nil
+}
+
+// replayBuffers are the batches replay hands the scheduler.
+type replayBuffers struct {
+	bids   []melody.WorkerBid
+	scores []melody.TaskScore
 }
 
 // Scheduler exposes the wrapped scheduler for read-only queries.
@@ -480,14 +492,14 @@ func ReplaySegments(dir string, s *melody.RunScheduler) error {
 // replayer returns the callback that replays each event into s.
 func replayer(s *melody.RunScheduler) func(Event) error {
 	ps := &PersistentScheduler{s: s, logged: make(map[string]bool)}
-	return ps.replay
+	return ps.replayer()
 }
 
 // replayCtx is the context every replayed request runs under: replay
 // records no tracing span.
 var replayCtx = melody.ReplayContext(context.Background())
 
-func applyScheduler(s *melody.RunScheduler, e Event) error {
+func applyScheduler(s *melody.RunScheduler, e Event, buf *replayBuffers) error {
 	ctx := replayCtx
 	if e.Kind != KindRegister && e.Kind != KindTenantPolicy && e.Run == "" {
 		return errors.New("eventlog: scheduler event without run ID (single-run log?)")
@@ -509,20 +521,20 @@ func applyScheduler(s *melody.RunScheduler, e Event) error {
 		}
 		return s.OpenRun(ctx, e.Run, e.Tenant, tasks, e.Budget)
 	case KindBids:
-		bids := make([]melody.WorkerBid, len(e.Bids))
-		for i, b := range e.Bids {
-			bids[i] = melody.WorkerBid{WorkerID: b.Worker, Bid: melody.Bid{Cost: b.Cost, Frequency: b.Frequency}}
+		buf.bids = buf.bids[:0]
+		for _, b := range e.Bids {
+			buf.bids = append(buf.bids, melody.WorkerBid{WorkerID: b.Worker, Bid: melody.Bid{Cost: b.Cost, Frequency: b.Frequency}})
 		}
-		return s.SubmitBids(ctx, e.Run, bids).Err()
+		return s.SubmitBids(ctx, e.Run, buf.bids).Err()
 	case KindClose:
 		_, err := s.CloseAuction(ctx, e.Run)
 		return err
 	case KindScores:
-		scores := make([]melody.TaskScore, len(e.Scores))
-		for i, sc := range e.Scores {
-			scores[i] = melody.TaskScore{WorkerID: sc.Worker, TaskID: sc.Task, Score: sc.Score}
+		buf.scores = buf.scores[:0]
+		for _, sc := range e.Scores {
+			buf.scores = append(buf.scores, melody.TaskScore{WorkerID: sc.Worker, TaskID: sc.Task, Score: sc.Score})
 		}
-		return s.SubmitScores(ctx, e.Run, scores).Err()
+		return s.SubmitScores(ctx, e.Run, buf.scores).Err()
 	case KindBid:
 		return s.SubmitBid(ctx, e.Run, e.Worker, melody.Bid{Cost: e.Cost, Frequency: e.Frequency})
 	case KindScore:

@@ -3,6 +3,7 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -23,7 +24,8 @@ const KindPayout EntryKind = "payout"
 // accrues each worker's share, and every Every finished runs the pool is
 // drained in one sorted pass of aggregated transfers. Money conservation
 // is preserved by construction — every movement is a ledger Transfer —
-// and the pool returns to (float-residue) zero at each epoch boundary.
+// and the residue sweep returns the pool to exactly zero at each epoch
+// boundary.
 //
 // All pool movements (accruals and payouts) are serialized under the
 // settler's own mutex, so a Settle never observes a payment that reached
@@ -111,6 +113,8 @@ func (s *EpochSettler) Flush() error {
 // settleLocked drains the pool into per-worker aggregated payouts; callers
 // hold s.mu. Workers are paid in sorted order so the entry sequence — and
 // therefore every balance — is deterministic for a given accrual history.
+// Each worker leaves pending as its payout lands, so a settle that fails
+// part-way is resumed by the next one without paying anyone twice.
 func (s *EpochSettler) settleLocked() error {
 	epoch := s.epochs + 1
 	workers := make([]Account, 0, len(s.pending))
@@ -119,29 +123,35 @@ func (s *EpochSettler) settleLocked() error {
 	}
 	sort.Slice(workers, func(i, j int) bool { return workers[i] < workers[j] })
 	for _, w := range workers {
-		amount := s.pending[w]
-		if amount <= 0 {
-			continue
+		if amount := s.pending[w]; amount > 0 {
+			if _, err := s.ledger.transfer(KindPayout, EpochPool, w, amount,
+				memoParts{form: memoPayout, num: int64(epoch)}); err != nil {
+				return fmt.Errorf("ledger: epoch %d payout to %q: %w", epoch, w, err)
+			}
 		}
-		if _, err := s.ledger.transfer(KindPayout, EpochPool, w, amount,
-			memoParts{form: memoPayout, num: int64(epoch)}); err != nil {
-			return fmt.Errorf("ledger: epoch %d payout to %q: %w", epoch, w, err)
-		}
+		delete(s.pending, w)
 	}
 	// Aggregated per-worker sums and the pool's running balance accumulate
 	// the same payments in different orders, so up to a few ULPs can be
-	// left behind. Sweep a positive residue back to the requester; anything
-	// above float noise means a real accounting bug.
-	if residue := s.ledger.Balance(EpochPool); residue > 0 {
-		if residue > 1e-6 {
-			return fmt.Errorf("ledger: epoch %d left %.9f in the pool", epoch, residue)
-		}
-		if _, err := s.ledger.transfer(KindRefund, EpochPool, Requester, residue,
-			memoParts{form: memoResidue, num: int64(epoch)}); err != nil {
-			return err
-		}
+	// left behind, or missing. Sweep a positive residue back to the
+	// requester and top a negative one up from it, so the pool starts every
+	// epoch at exactly 0; anything above float noise means a real
+	// accounting bug.
+	residue := s.ledger.Balance(EpochPool)
+	if math.Abs(residue) > 1e-6 {
+		return fmt.Errorf("ledger: epoch %d left %.9f in the pool", epoch, residue)
 	}
-	s.pending = make(map[Account]float64)
+	memo := memoParts{form: memoResidue, num: int64(epoch)}
+	var err error
+	switch {
+	case residue > 0:
+		_, err = s.ledger.transfer(KindRefund, EpochPool, Requester, residue, memo)
+	case residue < 0:
+		_, err = s.ledger.transfer(KindRefund, Requester, EpochPool, -residue, memo)
+	}
+	if err != nil {
+		return err
+	}
 	s.runs = 0
 	s.epochs = epoch
 	return nil

@@ -1,0 +1,272 @@
+package ledger
+
+import (
+	"encoding/binary"
+	"math"
+	"strconv"
+	"strings"
+)
+
+// chunkBytes is the capacity of a full journal chunk: 32 KiB, four 8 KiB
+// pages and the largest object the allocator serves from a size class.
+const chunkBytes = 32 << 10
+
+// firstChunkBytes is the first chunk's starting capacity. It doubles up to
+// chunkBytes, so a small ledger pays for about the entries it holds.
+const firstChunkBytes = 64
+
+// journal is the entry history as an append-only log of encoded entries,
+// kept in byte chunks that hold no pointers. An entry never straddles two
+// chunks, and each chunk's first entry is encoded in full, so every chunk
+// decodes on its own (see chunkReader). A chunk is closed when the next
+// entry does not fit: every chunk but the first and the last has capacity
+// chunkBytes, except that an entry longer than that gets a chunk of its own
+// at exactly its size. Growth appends a chunk and never copies a full one;
+// only the first chunk is copied while it doubles.
+//
+// An entry is encoded as
+//
+//	header    1 byte: the memo form, and sameText when the entry's text
+//	          repeats the previous entry's in its chunk
+//	kind      uvarint index into the ledger's names
+//	from, to  uvarint indexes into the ledger's names
+//	number    zigzag varint: the run or epoch number minus that of the
+//	          chunk's previous entry with one (0 before the first);
+//	          absent for a verbatim memo
+//	amount    8 bytes, the IEEE-754 bits, little-endian
+//	text      uvarint length and the bytes; absent under sameText
+//
+// Payments arrive grouped by task, so a run's payments for one task share
+// their text.
+type journal struct {
+	chunks [][]byte
+	n      int
+	size   int // the chunks' capacity in bytes
+	// The encoder's state in the last chunk: the number of its last entry
+	// with a run or epoch number, and where its last entry's text sits.
+	num             int64
+	textAt, textLen int
+}
+
+// The header byte: the memo form in its low bits, and the sameText flag.
+const (
+	formBits byte = 0x07
+	sameText byte = 0x08
+)
+
+// append encodes an entry as the last one.
+func (j *journal) append(kind, from, to uint32, amount float64, m memoParts) {
+	last := len(j.chunks) - 1
+	same := last >= 0 && string(j.chunks[last][j.textAt:j.textAt+j.textLen]) == m.text
+	need := encodedLen(kind, from, to, m, j.num, same)
+	if last < 0 || cap(j.chunks[last])-len(j.chunks[last]) < need {
+		if !j.growFirst(need) {
+			// A new chunk: its first entry is encoded in full.
+			j.num, same = 0, false
+			need = encodedLen(kind, from, to, m, 0, false)
+			size := chunkBytes
+			if last < 0 {
+				size = firstChunkBytes
+				for size < need && size < chunkBytes {
+					size *= 2
+				}
+			}
+			j.chunks = append(j.chunks, make([]byte, 0, max(size, need)))
+			j.size += cap(j.chunks[last+1])
+			last++
+		}
+	}
+	c := j.chunks[last]
+	h := byte(m.form)
+	if same {
+		h |= sameText
+	}
+	c = append(c, h)
+	c = binary.AppendUvarint(c, uint64(kind))
+	c = binary.AppendUvarint(c, uint64(from))
+	c = binary.AppendUvarint(c, uint64(to))
+	if m.form != memoVerbatim {
+		c = binary.AppendVarint(c, m.num-j.num)
+		j.num = m.num
+	}
+	c = binary.LittleEndian.AppendUint64(c, math.Float64bits(amount))
+	if !same {
+		c = binary.AppendUvarint(c, uint64(len(m.text)))
+		j.textAt, j.textLen = len(c), len(m.text)
+		c = append(c, m.text...)
+	}
+	j.chunks[last] = c
+	j.n++
+}
+
+// growFirst doubles the only chunk, while it is below chunkBytes, until
+// need more bytes fit, and reports whether they do.
+func (j *journal) growFirst(need int) bool {
+	if len(j.chunks) != 1 {
+		return false
+	}
+	c := j.chunks[0]
+	size := cap(c)
+	for size < len(c)+need && size < chunkBytes {
+		size *= 2
+	}
+	if size == cap(c) || len(c)+need > size {
+		return false
+	}
+	grown := make([]byte, len(c), size)
+	copy(grown, c)
+	j.chunks[0] = grown
+	j.size += size - cap(c)
+	return true
+}
+
+// encodedLen returns the bytes an entry takes after an entry numbered num,
+// with its text repeated (same) or not.
+func encodedLen(kind, from, to uint32, m memoParts, num int64, same bool) int {
+	n := 1 + uvarintLen(uint64(kind)) + uvarintLen(uint64(from)) + uvarintLen(uint64(to)) + 8
+	if m.form != memoVerbatim {
+		d := m.num - num
+		n += uvarintLen(uint64(d<<1) ^ uint64(d>>63))
+	}
+	if !same {
+		n += uvarintLen(uint64(len(m.text))) + len(m.text)
+	}
+	return n
+}
+
+// uvarintLen returns the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// rec is one decoded entry; its text aliases the chunk.
+type rec struct {
+	kind, from, to uint64
+	amount         float64
+	form           memoForm
+	num            int64
+	text           []byte
+	// same is set when the text repeats the previous entry's in the chunk.
+	same bool
+}
+
+// chunkReader decodes one chunk's entries in order, starting from the
+// state every chunk's encoding starts in.
+type chunkReader struct {
+	c    []byte
+	num  int64
+	text []byte
+}
+
+// next decodes the next entry into r, reporting false at the chunk's end.
+// A malformed chunk panics: chunks are only ever written by append.
+func (d *chunkReader) next(r *rec) bool {
+	if len(d.c) == 0 {
+		return false
+	}
+	h := d.c[0]
+	d.c = d.c[1:]
+	if h&^(formBits|sameText) != 0 || int(h&formBits) >= len(memoAffixes) {
+		panic("ledger: corrupt journal chunk")
+	}
+	r.form = memoForm(h & formBits)
+	r.kind, r.from, r.to = d.uvarint(), d.uvarint(), d.uvarint()
+	r.num = 0
+	if r.form != memoVerbatim {
+		v, n := binary.Varint(d.c)
+		if n <= 0 {
+			panic("ledger: corrupt journal chunk")
+		}
+		d.c = d.c[n:]
+		d.num += v
+		r.num = d.num
+	}
+	r.amount = math.Float64frombits(binary.LittleEndian.Uint64(d.c))
+	d.c = d.c[8:]
+	r.same = h&sameText != 0
+	if !r.same {
+		n := d.uvarint()
+		d.text, d.c = d.c[:n:n], d.c[n:]
+	}
+	r.text = d.text
+	return true
+}
+
+func (d *chunkReader) uvarint() uint64 {
+	v, n := binary.Uvarint(d.c)
+	if n <= 0 {
+		panic("ledger: corrupt journal chunk")
+	}
+	d.c = d.c[n:]
+	return v
+}
+
+// memo formats r's memo as the settlement paths write it.
+func (r *rec) memo() string {
+	if r.form == memoVerbatim {
+		return string(r.text)
+	}
+	a := memoAffixes[r.form]
+	var buf [64]byte
+	b := append(buf[:0], a[0]...)
+	b = strconv.AppendInt(b, r.num, 10)
+	b = append(b, a[1]...)
+	return string(append(b, r.text...))
+}
+
+// memoForm is the shape of an entry's memo.
+type memoForm uint8
+
+// The memo forms: a verbatim memo is its text; every other form is its
+// affixes around the run or epoch number, followed by the text.
+const (
+	memoVerbatim memoForm = iota
+	memoBudget
+	memoPayment
+	memoRefund
+	memoPayout
+	memoResidue
+)
+
+var memoAffixes = [...][2]string{
+	memoBudget:  {"run ", " budget"},
+	memoPayment: {"run ", " task "},
+	memoRefund:  {"run ", " refund"},
+	memoPayout:  {"epoch ", " payout"},
+	memoResidue: {"epoch ", " rounding residue"},
+}
+
+// memoParts is a memo as its form, its run or epoch number, and its text:
+// what follows the affixes (a payment's task ID), or the whole of a
+// verbatim memo.
+type memoParts struct {
+	form memoForm
+	num  int64
+	text string
+}
+
+// parseMemo splits a memo into the parts that format back to it; a memo in
+// no settlement form stays verbatim.
+func parseMemo(memo string) memoParts {
+	for form := memoBudget; int(form) < len(memoAffixes); form++ {
+		a := memoAffixes[form]
+		rest, ok := strings.CutPrefix(memo, a[0])
+		if !ok {
+			continue
+		}
+		digits, text, ok := strings.Cut(rest, a[1])
+		if !ok {
+			continue
+		}
+		num, err := strconv.ParseInt(digits, 10, 64)
+		if err != nil || strconv.FormatInt(num, 10) != digits {
+			continue
+		}
+		return memoParts{form: form, num: num, text: text}
+	}
+	return memoParts{text: memo}
+}

@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -56,130 +54,11 @@ type Entry struct {
 type Ledger struct {
 	mu       sync.Mutex
 	balances map[Account]float64
-	// journal is the entry history, one record per entry: entry i has Seq
-	// i+1. Records name accounts and kinds by their index in names.
+	// journal is the entry history: entry i has Seq i+1. Entries name
+	// accounts and kinds by their index in names.
 	journal journal
 	names   []string
 	ids     map[string]uint32
-}
-
-// chunkRecords is the number of records in a full journal chunk: 48 KiB,
-// a whole number of 8 KiB pages.
-const chunkRecords = 1024
-
-// journal holds the records in fixed-size chunks: record i is
-// chunks[i/chunkRecords][i%chunkRecords], and every chunk but the last
-// holds exactly chunkRecords records at exactly that capacity. A full
-// chunk is never copied or grown again, and the unused capacity is what
-// the last chunk has left, under one chunk. The first chunk starts with
-// one record and doubles up to chunkRecords, so a small ledger pays for
-// about the records it holds.
-type journal struct {
-	chunks [][]record
-	n      int
-}
-
-// append adds r as the last record.
-func (j *journal) append(r record) {
-	last := len(j.chunks) - 1
-	if last < 0 || len(j.chunks[last]) == cap(j.chunks[last]) {
-		last = j.grow()
-	}
-	j.chunks[last] = append(j.chunks[last], r)
-	j.n++
-}
-
-// grow makes room for one record when the last chunk is full or there is
-// none, and returns the last chunk's index.
-func (j *journal) grow() int {
-	switch n := len(j.chunks); {
-	case n == 0:
-		j.chunks = [][]record{make([]record, 0, 1)}
-	case n == 1 && cap(j.chunks[0]) < chunkRecords:
-		c := make([]record, len(j.chunks[0]), min(2*cap(j.chunks[0]), chunkRecords))
-		copy(c, j.chunks[0])
-		j.chunks[0] = c
-	default:
-		j.chunks = append(j.chunks, make([]record, 0, chunkRecords))
-	}
-	return len(j.chunks) - 1
-}
-
-// record is one journal entry in 48 bytes. Its memo is kept as its parts
-// and formatted only when an Entry is built, so a payment's memo costs no
-// more than the task ID string its outcome already holds.
-type record struct {
-	amount         float64
-	text           string
-	num            int64
-	from, to, kind uint32
-	form           memoForm
-}
-
-// memoForm is the shape of an entry's memo.
-type memoForm uint8
-
-// The memo forms: a verbatim memo is its text; every other form is its
-// affixes around the run or epoch number, followed by the text.
-const (
-	memoVerbatim memoForm = iota
-	memoBudget
-	memoPayment
-	memoRefund
-	memoPayout
-	memoResidue
-)
-
-var memoAffixes = [...][2]string{
-	memoBudget:  {"run ", " budget"},
-	memoPayment: {"run ", " task "},
-	memoRefund:  {"run ", " refund"},
-	memoPayout:  {"epoch ", " payout"},
-	memoResidue: {"epoch ", " rounding residue"},
-}
-
-// memoParts is a memo as its form, its run or epoch number, and its text:
-// what follows the affixes (a payment's task ID), or the whole of a
-// verbatim memo.
-type memoParts struct {
-	form memoForm
-	num  int64
-	text string
-}
-
-// String formats the memo as the settlement paths write it.
-func (m memoParts) String() string {
-	if m.form == memoVerbatim {
-		return m.text
-	}
-	a := memoAffixes[m.form]
-	var buf [64]byte
-	b := append(buf[:0], a[0]...)
-	b = strconv.AppendInt(b, m.num, 10)
-	b = append(b, a[1]...)
-	return string(append(b, m.text...))
-}
-
-// parseMemo splits a memo into the parts that format back to it; a memo in
-// no settlement form stays verbatim.
-func parseMemo(memo string) memoParts {
-	for form := memoBudget; int(form) < len(memoAffixes); form++ {
-		a := memoAffixes[form]
-		rest, ok := strings.CutPrefix(memo, a[0])
-		if !ok {
-			continue
-		}
-		digits, text, ok := strings.Cut(rest, a[1])
-		if !ok {
-			continue
-		}
-		num, err := strconv.ParseInt(digits, 10, 64)
-		if err != nil || strconv.FormatInt(num, 10) != digits {
-			continue
-		}
-		return memoParts{form: form, num: num, text: strings.Clone(text)}
-	}
-	return memoParts{text: memo}
 }
 
 // New returns an empty ledger.
@@ -224,10 +103,7 @@ func (l *Ledger) transfer(kind EntryKind, from, to Account, amount float64, memo
 
 // write appends an entry and returns its Seq; callers hold l.mu.
 func (l *Ledger) write(kind EntryKind, from, to Account, amount float64, memo memoParts) int64 {
-	l.journal.append(record{
-		amount: amount, text: memo.text, num: memo.num, form: memo.form,
-		from: l.intern(string(from)), to: l.intern(string(to)), kind: l.intern(string(kind)),
-	})
+	l.journal.append(l.intern(string(kind)), l.intern(string(from)), l.intern(string(to)), amount, memo)
 	return int64(l.journal.n)
 }
 
@@ -257,23 +133,39 @@ func (l *Ledger) Entries() []Entry {
 	return l.entriesLocked()
 }
 
-// entriesLocked builds the history's entries; callers hold l.mu.
+// entriesLocked decodes the history's entries; callers hold l.mu. An
+// entry whose memo repeats the previous entry's shares its string.
 func (l *Ledger) entriesLocked() []Entry {
 	out := make([]Entry, 0, l.journal.n)
+	var r, prev rec
 	for _, c := range l.journal.chunks {
-		for i := range c {
-			r := &c[i]
-			out = append(out, Entry{
+		d := chunkReader{c: c}
+		for d.next(&r) {
+			e := Entry{
 				Seq:    int64(len(out) + 1),
 				Kind:   EntryKind(l.names[r.kind]),
 				From:   Account(l.names[r.from]),
 				To:     Account(l.names[r.to]),
 				Amount: r.amount,
-				Memo:   memoParts{form: r.form, num: r.num, text: r.text}.String(),
-			})
+			}
+			if r.same && r.form == prev.form && r.num == prev.num {
+				e.Memo = out[len(out)-1].Memo
+			} else {
+				e.Memo = r.memo()
+			}
+			out = append(out, e)
+			prev = r
 		}
 	}
 	return out
+}
+
+// JournalSize returns the number of entries the journal holds and the bytes
+// its chunks take.
+func (l *Ledger) JournalSize() (entries, bytes int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.journal.n, l.journal.size
 }
 
 // Accounts returns all accounts with their balances, sorted by name.

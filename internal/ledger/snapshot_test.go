@@ -88,16 +88,32 @@ func TestLedgerRestoreValidation(t *testing.T) {
 }
 
 // TestMemoRoundTrip: a restored entry's memo formats back to the text it
-// was restored from, whether or not it reads like a settlement memo.
+// was restored from, whether or not it reads like a settlement memo. Each
+// memo is restored twice in a row, and then once more after a memo of
+// another number or form with the same text, so the journal's repeated
+// text is read back in every case.
 func TestMemoRoundTrip(t *testing.T) {
+	var memos []string
 	for _, memo := range []string{
 		"", "funding", "run 3 budget", "run 3 task t1", "run 3 task ", "run 3 task a task b",
 		"run 3 refund", "epoch 12 payout", "epoch 12 rounding residue", "run -4 budget",
 		"run 03 budget", "run +3 budget", "run -0 refund", "run 3 budget ", "run 3 budget budget",
 		"run  3 refund", "run 3 payout", "epoch 1 task t", "run 99999999999999999999 budget",
+		"run 4 task t1", "epoch 4 payout", "t1", "run 3 task t1",
 	} {
-		if got := parseMemo(memo).String(); got != memo {
-			t.Errorf("memo %q formats back as %q", memo, got)
+		memos = append(memos, memo, memo)
+	}
+	snap := &Snapshot{Seq: int64(len(memos))}
+	for i, memo := range memos {
+		snap.Entries = append(snap.Entries, Entry{Seq: int64(i + 1), Kind: KindDeposit, To: Requester, Amount: 1, Memo: memo})
+	}
+	l := New()
+	if err := l.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range l.Entries() {
+		if e.Memo != memos[i] {
+			t.Errorf("memo %q formats back as %q", memos[i], e.Memo)
 		}
 	}
 }

@@ -79,6 +79,11 @@ const (
 	// Workers whose belief diverged (non-finite) and were restarted from
 	// the initial belief and theta^0 (internal/quality).
 	MetricEstimatorRestartsTotal = "melody_estimator_restarts_total"
+
+	// Ledger journal (internal/ledger via the run scheduler), set at every
+	// finish and snapshot restore.
+	MetricLedgerEntries      = "melody_ledger_entries"
+	MetricLedgerJournalBytes = "melody_ledger_journal_bytes"
 )
 
 // RegisterBaseline pre-registers the platform's standard metric families so
@@ -124,4 +129,6 @@ func RegisterBaseline(r *Registry) {
 	r.Counter(MetricEMUnconvergedTotal, "EM re-estimations that stopped at the iteration cap without reaching the tolerance.")
 	r.Gauge(MetricEMLogLikelihood, "Final log marginal likelihood of the latest EM re-estimation.")
 	r.Counter(MetricEstimatorRestartsTotal, "Diverged workers restarted from the initial belief.")
+	r.Gauge(MetricLedgerEntries, "Entries in the ledger's journal.")
+	r.Gauge(MetricLedgerJournalBytes, "Bytes the ledger's journal chunks take.")
 }

@@ -15,10 +15,9 @@ import (
 )
 
 // retainedPerRunMax bounds the live heap one finished lifecycle-shaped run
-// adds. It sits between the 1,130 B measured while outcomes kept per-task
-// payments in a map and the journal was one append-grown slice, and the
-// 940 B measured with a payment slice and a chunked journal.
-const retainedPerRunMax = 1040
+// adds. It sits between the 937 B measured while the journal kept 48-byte
+// records and the 687 B measured with entries encoded in byte chunks.
+const retainedPerRunMax = 800
 
 // TestRetainedBytesPerRun runs a lifecycle-shaped season through the run
 // scheduler with a ledger and epoch settlement every 8 runs: 2 tenants of

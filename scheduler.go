@@ -107,6 +107,9 @@ type RunScheduler struct {
 	registry *workerRegistry
 	settler  *EpochSettler
 	gate     *fairGate // weighted-fair close admission; nil when ungated
+	// ledgerEntries and journalBytes report the ledger's journal; nil
+	// without metrics or a ledger.
+	ledgerEntries, journalBytes *obs.Gauge
 
 	mu         sync.RWMutex
 	tenants    map[string]*Platform
@@ -158,7 +161,21 @@ func NewRunScheduler(cfg SchedulerConfig) (*RunScheduler, error) {
 	if cfg.EpochEvery > 0 {
 		s.settler = NewEpochSettler(cfg.Ledger, cfg.EpochEvery)
 	}
+	if cfg.Ledger != nil {
+		s.ledgerEntries = cfg.Metrics.Gauge(obs.MetricLedgerEntries, "Entries in the ledger's journal.")
+		s.journalBytes = cfg.Metrics.Gauge(obs.MetricLedgerJournalBytes, "Bytes the ledger's journal chunks take.")
+	}
 	return s, nil
+}
+
+// observeLedger sets the ledger gauges from the journal's size.
+func (s *RunScheduler) observeLedger() {
+	if s.ledgerEntries == nil {
+		return
+	}
+	entries, bytes := s.cfg.Ledger.JournalSize()
+	s.ledgerEntries.Set(float64(entries))
+	s.journalBytes.Set(float64(bytes))
 }
 
 // Settler returns the epoch settler, nil when EpochEvery was 0.
@@ -568,6 +585,7 @@ func (s *RunScheduler) FinishRunEM(ctx context.Context, runID string, logged []R
 	s.completed++
 	s.settleRunLocked(r.tenant, spend)
 	s.mu.Unlock()
+	defer s.observeLedger()
 	if s.settler != nil {
 		settled, err := s.settler.RunFinished()
 		if err != nil {

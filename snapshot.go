@@ -227,6 +227,7 @@ func (s *RunScheduler) RestoreSnapshot(snap *SchedulerSnapshot) error {
 		s.opened = max(s.opened, rsnap.Num)
 	}
 	s.completed = len(snap.Runs)
+	s.observeLedger()
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"melody"
+	"melody/internal/obs"
 )
 
 func snapshotScheduler(t *testing.T) (*melody.RunScheduler, *melody.Ledger) {
@@ -193,4 +194,54 @@ func TestRestoreSnapshotRequiresFreshPlatform(t *testing.T) {
 	if err := fresh.RestoreSnapshot(&old); err == nil {
 		t.Error("restore of a single-run platform snapshot accepted")
 	}
+}
+
+// TestLedgerGauges: the scheduler reports the ledger journal's entries and
+// bytes after every finish and after a snapshot restore.
+func TestLedgerGauges(t *testing.T) {
+	gauged := func() (*melody.RunScheduler, *melody.Ledger, *obs.Registry) {
+		reg := obs.NewRegistry()
+		ledger := melody.NewLedger()
+		if _, err := ledger.Deposit(melody.RequesterAccount, 1000, "season funding"); err != nil {
+			t.Fatal(err)
+		}
+		s, err := melody.NewRunScheduler(melody.SchedulerConfig{
+			Auction: melody.AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
+			NewEstimator: func(string) (melody.Estimator, error) {
+				return melody.NewQualityTracker(melody.QualityTrackerConfig{
+					InitialMean: 5.5, InitialVar: 2.25, Params: melody.QualityParams{A: 1, Gamma: 0.3, Eta: 4},
+				})
+			},
+			Ledger:     ledger,
+			EpochEvery: 2,
+			Metrics:    reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, ledger, reg
+	}
+	check := func(what string, ledger *melody.Ledger, reg *obs.Registry) {
+		t.Helper()
+		entries, bytes := ledger.JournalSize()
+		got := [2]float64{reg.Gauge(obs.MetricLedgerEntries, "").Value(), reg.Gauge(obs.MetricLedgerJournalBytes, "").Value()}
+		if entries < 2 || got != [2]float64{float64(entries), float64(bytes)} {
+			t.Errorf("%s: gauges read %v, the journal holds %d entries in %d bytes", what, got, entries, bytes)
+		}
+	}
+	s, ledger, reg := gauged()
+	driveSeason(t, s, 1, "acme")
+	check("after a finish", ledger, reg)
+	driveSeason(t, s, 2, "acme", "zeta")
+	check("after an epoch", ledger, reg)
+
+	snap, err := s.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, restoredLedger, restoredReg := gauged()
+	if err := restored.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	check("after a restore", restoredLedger, restoredReg)
 }
