@@ -79,6 +79,7 @@ fuzz-smoke:
 	$(GO) test ./internal/eventlog/ -run '^$$' -fuzz '^FuzzSegmentHeaderDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eventlog/ -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ledger/ -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime $(FUZZTIME)
+	$(GO) test . -run '^$$' -fuzz '^FuzzRunArchive$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/platform/ -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lds/ -run '^$$' -fuzz '^FuzzKalmanFilter$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lds/ -run '^$$' -fuzz '^FuzzEMStats$$' -fuzztime $(FUZZTIME)

@@ -1,0 +1,397 @@
+package melody
+
+import (
+	"encoding/binary"
+	"math"
+
+	"melody/internal/chunk"
+)
+
+// runArchive holds the scheduler's finished runs, each folded at its
+// finish into one encoded record in byte chunks that hold no pointers
+// (chunk.Log), and indexed by run ID. A reader decodes a fresh copy of the
+// run; nothing in the archive changes once written. Callers serialize
+// writes against reads (RunScheduler.mu); reads may run concurrently.
+//
+// A record is encoded as
+//
+//	flags        1 byte: an outcome is present; Tasks, Assignments,
+//	             SelectedTasks or TaskPayments is nil rather than empty
+//	id           uvarint length and the run ID's bytes
+//	tenant       uvarint index into the archive's names
+//	num          uvarint, the run number's 32 bits
+//	budget       8 bytes
+//	tasks        uvarint count; per task, its ID front-coded (a uvarint
+//	             of the length of the prefix it shares with the previous
+//	             ID, the run ID for the first, shifted left by one over
+//	             the repeat bit; the rest as a uvarint length and its
+//	             bytes) and its threshold as a repeatable float
+//
+// and, when an outcome is present,
+//
+//	total        8 bytes, the total payment
+//	selected     uvarint count; per task, a task reference
+//	payments     uvarint count; 8 bytes each
+//	assignments  uvarint count; per assignment, the worker's index into
+//	             the names shifted left by one over the repeat bit, as a
+//	             uvarint, a task reference and the payment as a
+//	             repeatable float
+//
+// A task reference is the 1-based index of the first task in the run's
+// list with that ID, or 0 followed by the ID's uvarint length and bytes
+// when the list has none. Floats are their IEEE-754 bits, little-endian,
+// so every value decodes bit for bit. A repeatable float is absent when
+// its bits equal the previous one's in its list (0 before the first), as
+// the repeat bit says: a run's tasks mostly share a threshold, and a
+// task's winners its critical payment.
+type runArchive struct {
+	chunk.Log
+	n    int
+	hash func(string) uint64
+	// index maps a run ID's hash to its record's position, the chunk in
+	// the high 32 bits and the offset in the low ones. An ID whose hash an
+	// earlier ID took is in overflow instead. Both are made at first use.
+	index    map[uint64]uint64
+	overflow map[string]uint64
+	// names interns tenants and worker IDs.
+	names []string
+	ids   map[string]uint32
+	// buf is the record being encoded, and taskAt a long task list's IDs
+	// by 1-based index while it is.
+	buf    []byte
+	taskAt map[string]uint32
+}
+
+// The flags byte of a record.
+const (
+	archOutcome byte = 1 << iota
+	archNilTasks
+	archNilAssignments
+	archNilSelected
+	archNilPayments
+)
+
+// linearTasks is the longest task list whose references are found by a
+// scan; a longer one is indexed in taskAt.
+const linearTasks = 8
+
+// newRunArchive returns an empty archive that indexes run IDs by hash.
+func newRunArchive(hash func(string) uint64) runArchive {
+	return runArchive{hash: hash}
+}
+
+// add appends a finished run's record and indexes it. Callers have checked
+// that the archive does not hold the ID.
+func (a *runArchive) add(r RunSnapshot) {
+	b := a.buf[:0]
+	var flags byte
+	if r.Tasks == nil {
+		flags |= archNilTasks
+	}
+	out := r.Outcome
+	if out != nil {
+		flags |= archOutcome
+		if out.Assignments == nil {
+			flags |= archNilAssignments
+		}
+		if out.SelectedTasks == nil {
+			flags |= archNilSelected
+		}
+		if out.TaskPayments == nil {
+			flags |= archNilPayments
+		}
+	}
+	b = append(b, flags)
+	b = appendText(b, r.ID)
+	b = binary.AppendUvarint(b, uint64(a.intern(r.Tenant)))
+	b = binary.AppendUvarint(b, uint64(uint32(r.Num)))
+	b = appendFloat(b, r.Budget)
+	b = binary.AppendUvarint(b, uint64(len(r.Tasks)))
+	prev, last := r.ID, uint64(0)
+	for _, t := range r.Tasks {
+		k := sharedPrefix(prev, t.ID)
+		bits := math.Float64bits(t.Threshold)
+		b = binary.AppendUvarint(b, uint64(k)<<1|repeatBit(bits, last))
+		b = appendText(b, t.ID[k:])
+		b = appendRepeatable(b, bits, last)
+		prev, last = t.ID, bits
+	}
+	if out != nil {
+		indexed := len(r.Tasks) > linearTasks
+		if indexed {
+			if a.taskAt == nil {
+				a.taskAt = make(map[string]uint32, len(r.Tasks))
+			}
+			for i := len(r.Tasks) - 1; i >= 0; i-- {
+				a.taskAt[r.Tasks[i].ID] = uint32(i + 1)
+			}
+		}
+		b = appendFloat(b, out.TotalPayment)
+		b = binary.AppendUvarint(b, uint64(len(out.SelectedTasks)))
+		for _, id := range out.SelectedTasks {
+			b = a.appendTaskRef(b, r.Tasks, id)
+		}
+		b = binary.AppendUvarint(b, uint64(len(out.TaskPayments)))
+		for _, p := range out.TaskPayments {
+			b = appendFloat(b, p)
+		}
+		b = binary.AppendUvarint(b, uint64(len(out.Assignments)))
+		last = 0
+		for _, as := range out.Assignments {
+			bits := math.Float64bits(as.Payment)
+			b = binary.AppendUvarint(b, uint64(a.intern(as.WorkerID))<<1|repeatBit(bits, last))
+			b = a.appendTaskRef(b, r.Tasks, as.TaskID)
+			b = appendRepeatable(b, bits, last)
+			last = bits
+		}
+		if indexed {
+			clear(a.taskAt)
+		}
+	}
+	c, off := a.Append(b)
+	pos := uint64(c)<<32 | uint64(off)
+	if a.index == nil {
+		a.index = make(map[uint64]uint64)
+	}
+	h := a.hash(r.ID)
+	if _, taken := a.index[h]; taken {
+		if a.overflow == nil {
+			a.overflow = make(map[string]uint64)
+		}
+		a.overflow[r.ID] = pos
+	} else {
+		a.index[h] = pos
+	}
+	a.n++
+	if cap(b) > chunk.Full {
+		b = nil // a run longer than a chunk does not keep its buffer
+	}
+	a.buf = b
+}
+
+// appendTaskRef appends the reference to task ID id of a run with tasks.
+func (a *runArchive) appendTaskRef(b []byte, tasks []Task, id string) []byte {
+	i := uint32(0)
+	if len(tasks) > linearTasks {
+		i = a.taskAt[id]
+	} else {
+		for k := range tasks {
+			if tasks[k].ID == id {
+				i = uint32(k + 1)
+				break
+			}
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(i))
+	if i == 0 {
+		b = appendText(b, id)
+	}
+	return b
+}
+
+// intern returns name's index in a.names, adding it on first use.
+func (a *runArchive) intern(name string) uint32 {
+	id, ok := a.ids[name]
+	if !ok {
+		if a.ids == nil {
+			a.ids = make(map[string]uint32)
+		}
+		id = uint32(len(a.names))
+		a.names = append(a.names, name)
+		a.ids[name] = id
+	}
+	return id
+}
+
+// find returns the position of the record of run id.
+func (a *runArchive) find(id string) (uint64, bool) {
+	pos, ok := a.index[a.hash(id)]
+	if !ok {
+		return 0, false
+	}
+	if string(a.idAt(pos)) == id {
+		return pos, true
+	}
+	pos, ok = a.overflow[id]
+	return pos, ok
+}
+
+// has reports whether the archive holds run id.
+func (a *runArchive) has(id string) bool {
+	_, ok := a.find(id)
+	return ok
+}
+
+// run decodes the record of run id.
+func (a *runArchive) run(id string) (RunSnapshot, bool) {
+	pos, ok := a.find(id)
+	if !ok {
+		return RunSnapshot{}, false
+	}
+	r, _ := a.decode(a.at(pos))
+	return r, true
+}
+
+// each decodes every record in the order the runs were added.
+func (a *runArchive) each(fn func(RunSnapshot)) {
+	for _, c := range a.Chunks {
+		for len(c) > 0 {
+			var r RunSnapshot
+			r, c = a.decode(c)
+			fn(r)
+		}
+	}
+}
+
+// at returns the bytes from pos to the end of its chunk.
+func (a *runArchive) at(pos uint64) []byte {
+	return a.Chunks[pos>>32][uint32(pos):]
+}
+
+// idAt returns the run ID of the record at pos, aliasing the chunk.
+func (a *runArchive) idAt(pos uint64) []byte {
+	d := archReader{b: a.at(pos)[1:]}
+	return d.text()
+}
+
+// decode decodes the record at the start of c and returns the bytes after
+// it.
+func (a *runArchive) decode(c []byte) (RunSnapshot, []byte) {
+	d := archReader{b: c}
+	flags := d.take(1)[0]
+	var r RunSnapshot
+	id := d.text()
+	r.ID = string(id)
+	r.Tenant = a.names[d.uvarint()]
+	r.Num = int(int32(uint32(d.uvarint())))
+	r.Budget = d.float()
+	if n := d.uvarint(); n > 0 || flags&archNilTasks == 0 {
+		r.Tasks = make([]Task, n)
+	}
+	var scratch [64]byte
+	buf, prev, last := scratch[:0], id, uint64(0)
+	for i := range r.Tasks {
+		v := d.uvarint()
+		if v>>1 > uint64(len(prev)) {
+			panic("melody: corrupt run archive chunk")
+		}
+		buf = append(append(buf[:0], prev[:v>>1]...), d.text()...)
+		last = d.repeatable(v, last)
+		r.Tasks[i] = Task{ID: string(buf), Threshold: math.Float64frombits(last)}
+		prev = buf
+	}
+	if flags&archOutcome == 0 {
+		return r, d.b
+	}
+	out := &Outcome{TotalPayment: d.float()}
+	if n := d.uvarint(); n > 0 || flags&archNilSelected == 0 {
+		out.SelectedTasks = make([]string, n)
+	}
+	for i := range out.SelectedTasks {
+		out.SelectedTasks[i] = d.taskRef(r.Tasks)
+	}
+	if n := d.uvarint(); n > 0 || flags&archNilPayments == 0 {
+		out.TaskPayments = make([]float64, n)
+	}
+	for i := range out.TaskPayments {
+		out.TaskPayments[i] = d.float()
+	}
+	if n := d.uvarint(); n > 0 || flags&archNilAssignments == 0 {
+		out.Assignments = make([]Assignment, n)
+	}
+	last = 0
+	for i := range out.Assignments {
+		v := d.uvarint()
+		task := d.taskRef(r.Tasks)
+		last = d.repeatable(v, last)
+		out.Assignments[i] = Assignment{WorkerID: a.names[v>>1], TaskID: task, Payment: math.Float64frombits(last)}
+	}
+	r.Outcome = out
+	return r, d.b
+}
+
+// archReader decodes a record's fields in order. A malformed record
+// panics: records are only ever written by add.
+type archReader struct{ b []byte }
+
+func (d *archReader) take(n uint64) []byte {
+	if n > uint64(len(d.b)) {
+		panic("melody: corrupt run archive chunk")
+	}
+	v := d.b[:n:n]
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *archReader) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		panic("melody: corrupt run archive chunk")
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *archReader) float() float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(d.take(8)))
+}
+
+// repeatable decodes a repeatable float's bits: last's when the repeat bit,
+// v's lowest, is set, else the 8 bytes that follow.
+func (d *archReader) repeatable(v, last uint64) uint64 {
+	if v&1 != 0 {
+		return last
+	}
+	return binary.LittleEndian.Uint64(d.take(8))
+}
+
+// text decodes a length and the bytes that follow.
+func (d *archReader) text() []byte { return d.take(d.uvarint()) }
+
+// taskRef decodes a task reference against the run's tasks.
+func (d *archReader) taskRef(tasks []Task) string {
+	i := d.uvarint()
+	switch {
+	case i == 0:
+		return string(d.text())
+	case i > uint64(len(tasks)):
+		panic("melody: corrupt run archive chunk")
+	}
+	return tasks[i-1].ID
+}
+
+func appendText(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+func appendFloat(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+}
+
+// repeatBit is 1 when a float's bits repeat the previous float's.
+func repeatBit(bits, last uint64) uint64 {
+	if bits == last {
+		return 1
+	}
+	return 0
+}
+
+// appendRepeatable appends a float's bits unless they repeat last.
+func appendRepeatable(b []byte, bits, last uint64) []byte {
+	if bits == last {
+		return b
+	}
+	return binary.LittleEndian.AppendUint64(b, bits)
+}
+
+// sharedPrefix returns the length of the longest common prefix of a and b.
+func sharedPrefix(a, b string) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}

@@ -1,0 +1,398 @@
+package melody
+
+import (
+	"context"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"melody/internal/chunk"
+	"melody/internal/obs"
+)
+
+// FuzzRunArchive turns its input into a sequence of finished runs, archives
+// them, and reads each back through the index: the decoded run must equal
+// the input under reflect.DeepEqual and encode to the same JSON, and the
+// archive must list the runs in order and know no other ID. The inputs
+// reach IDs longer than a chunk, task IDs the spec lacks or repeats, nil
+// and empty slices, and arbitrary float bits (−0, subnormals and
+// infinities; NaN is left out only because it never equals itself under
+// DeepEqual). The same sequence then goes through an archive whose hash is
+// constant, so every ID after the first takes the collision path.
+func FuzzRunArchive(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x03lifecycle\x01\x07\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x44\x40\x02"))
+	f.Add([]byte("\x01long\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x80\x0f\x02\x06\x02\x06\x03\x05"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runs := fuzzRuns(data)
+		checkArchive(t, newRunArchive(hash64), runs)
+		checkArchive(t, newRunArchive(func(string) uint64 { return 7 }), runs)
+	})
+}
+
+// checkArchive adds runs to a and checks every read of them.
+func checkArchive(t *testing.T, a runArchive, runs []RunSnapshot) {
+	t.Helper()
+	for i, r := range runs {
+		if a.has(r.ID) {
+			t.Fatalf("run %d: the archive holds %.40q before it was added", i, r.ID)
+		}
+		a.add(r)
+		sameRun(t, "added", &a, r)
+	}
+	for _, r := range runs {
+		sameRun(t, "after all adds", &a, r)
+		if a.has(r.ID + "?") {
+			t.Fatalf("the archive holds %.40q, which was never added", r.ID+"?")
+		}
+	}
+	i := 0
+	a.each(func(got RunSnapshot) {
+		if i >= len(runs) || !reflect.DeepEqual(got, runs[i]) {
+			t.Fatalf("each: run %d differs from the one added", i)
+		}
+		i++
+	})
+	if i != len(runs) || a.n != len(runs) {
+		t.Fatalf("each lists %d runs and the archive counts %d; %d were added", i, a.n, len(runs))
+	}
+	size := 0
+	for _, c := range a.Chunks {
+		size += cap(c)
+	}
+	if size != a.Size {
+		t.Fatalf("chunks take %d bytes, the archive counts %d", size, a.Size)
+	}
+}
+
+// sameRun looks r up in a and fails unless it decodes to r.
+func sameRun(t *testing.T, when string, a *runArchive, r RunSnapshot) {
+	t.Helper()
+	got, ok := a.run(r.ID)
+	if !ok {
+		t.Fatalf("%s: run %.40q not found", when, r.ID)
+	}
+	if !reflect.DeepEqual(got, r) {
+		t.Fatalf("%s: run %.40q decodes to %+v, want %+v", when, r.ID, got, r)
+	}
+	want, wantErr := json.Marshal(r)
+	body, err := json.Marshal(got)
+	if string(body) != string(want) || (err == nil) != (wantErr == nil) {
+		t.Fatalf("%s: run %.40q encodes to %s (%v), want %s (%v)", when, r.ID, body, err, want, wantErr)
+	}
+}
+
+// fuzzRuns decodes up to 48 finished runs from data, at most two of them
+// with an ID longer than a chunk. Run IDs are unique; everything else may
+// repeat.
+func fuzzRuns(data []byte) []RunSnapshot {
+	in := fuzzInput{b: data}
+	var runs []RunSnapshot
+	long := 0
+	for i := 0; len(in.b) > 0 && i < 48; i++ {
+		op := in.byte()
+		id := in.text() + "#" + strconv.Itoa(i)
+		if op&1 != 0 && long < 2 {
+			id = strings.Repeat(id, chunk.Full/len(id)+1)
+			long++
+		}
+		r := RunSnapshot{ID: id, Tenant: fuzzNames[int(in.byte())%len(fuzzNames)],
+			Num: int(int32(in.uint32())), Budget: in.float()}
+		if n := in.count(); n >= 0 {
+			r.Tasks = make([]Task, n)
+		}
+		for k := range r.Tasks {
+			var task string
+			switch in.byte() % 4 {
+			case 0:
+				task = id + "-k" + strconv.Itoa(k)
+			case 1:
+				if k > 0 {
+					task = r.Tasks[k-1].ID
+				}
+			default:
+				task = in.text()
+			}
+			r.Tasks[k] = Task{ID: task, Threshold: in.float()}
+		}
+		if op&2 != 0 {
+			r.Outcome = fuzzOutcome(&in, r.Tasks)
+		}
+		runs = append(runs, r)
+	}
+	return runs
+}
+
+// fuzzOutcome decodes an outcome for a run with tasks.
+func fuzzOutcome(in *fuzzInput, tasks []Task) *Outcome {
+	out := &Outcome{TotalPayment: in.float()}
+	if n := in.count(); n >= 0 {
+		out.SelectedTasks = make([]string, n)
+	}
+	for i := range out.SelectedTasks {
+		out.SelectedTasks[i] = in.task(tasks)
+	}
+	if n := in.count(); n >= 0 {
+		out.TaskPayments = make([]float64, n)
+	}
+	for i := range out.TaskPayments {
+		out.TaskPayments[i] = in.float()
+	}
+	if n := in.count(); n >= 0 {
+		out.Assignments = make([]Assignment, n)
+	}
+	for i := range out.Assignments {
+		worker := fuzzNames[int(in.byte())%len(fuzzNames)]
+		if worker == "" {
+			worker = in.text()
+		}
+		out.Assignments[i] = Assignment{WorkerID: worker, TaskID: in.task(tasks), Payment: in.float()}
+	}
+	return out
+}
+
+// fuzzNames are tenant and worker names; the empty one asks for text.
+var fuzzNames = []string{"", "default", "a", "w1", "w2", "tenant-β"}
+
+// fuzzInput hands out fuzz bytes as values, reading zeros once they run
+// out.
+type fuzzInput struct{ b []byte }
+
+func (in *fuzzInput) take(n int) []byte {
+	n = min(n, len(in.b))
+	v := in.b[:n]
+	in.b = in.b[n:]
+	return v
+}
+
+func (in *fuzzInput) byte() byte {
+	if v := in.take(1); len(v) == 1 {
+		return v[0]
+	}
+	return 0
+}
+
+func (in *fuzzInput) uint32() uint32 {
+	var v [4]byte
+	copy(v[:], in.take(4))
+	return binary.LittleEndian.Uint32(v[:])
+}
+
+// float reads 8 bytes of IEEE-754 bits, turning a NaN finite.
+func (in *fuzzInput) float() float64 {
+	var v [8]byte
+	copy(v[:], in.take(8))
+	bits := binary.LittleEndian.Uint64(v[:])
+	if math.IsNaN(math.Float64frombits(bits)) {
+		bits &^= 1 << 62
+	}
+	return math.Float64frombits(bits)
+}
+
+// text reads a length under 16 and that many bytes.
+func (in *fuzzInput) text() string { return string(in.take(int(in.byte() % 16))) }
+
+// count reads a slice length under 13, or -1 for a nil slice.
+func (in *fuzzInput) count() int {
+	if n := int(in.byte() % 14); n < 13 {
+		return n
+	}
+	return -1
+}
+
+// task reads a task ID: mostly one of tasks, else one they may lack.
+func (in *fuzzInput) task(tasks []Task) string {
+	if b := in.byte(); len(tasks) > 0 && b%4 != 0 {
+		return tasks[int(b)%len(tasks)].ID
+	}
+	return "absent-" + in.text()
+}
+
+// TestFinishedRunsMoveToArchive: a finish moves the run from the open runs
+// to the archive, whose gauge follows its size at every finish and at a
+// snapshot restore. Reads of the finished run decode a fresh copy equal to
+// what it was, and its retries take the paths they take on an open run
+// that has finished.
+func TestFinishedRunsMoveToArchive(t *testing.T) {
+	ctx := context.Background()
+	newSched := func() (*RunScheduler, *obs.Registry) {
+		reg := obs.NewRegistry()
+		s, err := NewRunScheduler(SchedulerConfig{
+			Auction: AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
+			NewEstimator: func(string) (Estimator, error) {
+				return NewQualityTracker(QualityTrackerConfig{InitialMean: 5.5, InitialVar: 2.25,
+					Params: QualityParams{A: 1, Gamma: 0.3, Eta: 9}})
+			},
+			Metrics: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, reg
+	}
+	gauge := func(what string, s *RunScheduler, reg *obs.Registry) {
+		t.Helper()
+		if got := reg.Gauge(obs.MetricRunArchiveBytes, "").Value(); got <= 0 || got != float64(s.archive.Size) {
+			t.Errorf("%s: %s = %v, the archive takes %d bytes", what, obs.MetricRunArchiveBytes, got, s.archive.Size)
+		}
+	}
+	s, reg := newSched()
+	for i := 0; i < 4; i++ {
+		if err := s.RegisterWorker(ctx, "w"+strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tasks := []Task{{ID: "a1-t1", Threshold: 9}, {ID: "a1-t2", Threshold: 9}}
+	open := func(id, tenant string) *Outcome {
+		t.Helper()
+		if err := s.OpenRun(ctx, id, tenant, tasks, 100); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if err := s.SubmitBid(ctx, id, "w"+strconv.Itoa(i), Bid{Cost: 1 + 0.1*float64(i), Frequency: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := s.CloseAuction(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	out := open("a1", "a")
+	if len(out.Assignments) == 0 {
+		t.Fatal("the run selected nobody; the test wants winners")
+	}
+	if err := s.FinishRun(ctx, "a1"); err != nil {
+		t.Fatal(err)
+	}
+	gauge("after a finish", s, reg)
+	open("b1", "b")
+	if len(s.runs) != 1 || s.runs["b1"] == nil || s.archive.n != 1 {
+		t.Fatalf("open runs %d and archived runs %d, want b1 open and a1 archived", len(s.runs), s.archive.n)
+	}
+
+	info, err := s.Run("a1")
+	if err != nil || !info.Finished || info.Tenant != "a" || info.Num != 1 || !reflect.DeepEqual(info.Outcome, out) {
+		t.Fatalf("Run(a1) = %+v, %v; want finished run 1 of a with the close's outcome", info, err)
+	}
+	again, _ := s.Run("a1")
+	if again.Outcome == info.Outcome || again.Outcome == out {
+		t.Error("Run(a1) returns a shared outcome, want a fresh copy each call")
+	}
+	if got, err := s.CloseAuction(ctx, "a1"); err != nil || !reflect.DeepEqual(got, out) {
+		t.Errorf("close of finished a1 = %+v, %v; want the close's outcome", got, err)
+	}
+	if err := s.OpenRun(ctx, "a1", "a", tasks, 100); err != nil {
+		t.Errorf("open of finished a1 with its spec = %v, want success", err)
+	}
+	if err := s.OpenRun(ctx, "a1", "a", tasks, 90); !errors.Is(err, ErrRunOpen) {
+		t.Errorf("open of finished a1 with another budget = %v, want ErrRunOpen", err)
+	}
+	if err := s.OpenRun(ctx, "a1", "b", tasks, 100); err == nil {
+		t.Error("open of finished a1 for another tenant succeeded")
+	}
+	if err := s.SubmitBid(ctx, "a1", "w0", Bid{Cost: 1, Frequency: 1}); !errors.Is(err, ErrNoRunOpen) {
+		t.Errorf("bid on finished a1 = %v, want ErrNoRunOpen", err)
+	}
+	if err := s.FinishRun(ctx, "a1"); err != nil {
+		t.Errorf("finish of finished a1 = %v, want success", err)
+	}
+	if err := s.FinishRun(ctx, "b1"); err != nil {
+		t.Fatal(err)
+	}
+	gauge("after a second finish", s, reg)
+
+	snap, err := s.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, restoredReg := newSched()
+	if err := restored.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	gauge("after a restore", restored, restoredReg)
+	if got, err := restored.Run("a1"); err != nil || !reflect.DeepEqual(got, info) {
+		t.Errorf("restored Run(a1) = %+v, %v; want %+v", got, err, info)
+	}
+}
+
+// TestArchiveReadsRaceFinishes reads finished runs back from several
+// goroutines while other runs finish and grow the archive, its first chunk
+// included. Run it under -race: reads decode under the scheduler's read
+// lock and share no bytes with the chunks.
+func TestArchiveReadsRaceFinishes(t *testing.T) {
+	ctx := context.Background()
+	s, err := NewRunScheduler(SchedulerConfig{
+		Auction: AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
+		NewEstimator: func(string) (Estimator, error) {
+			return NewQualityTracker(QualityTrackerConfig{InitialMean: 5.5, InitialVar: 2.25,
+				Params: QualityParams{A: 1, Gamma: 0.3, Eta: 9}})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := s.RegisterWorker(ctx, "w"+strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	finish := func(n int) *Outcome {
+		id := "r" + strconv.Itoa(n)
+		if err := s.OpenRun(ctx, id, "a", []Task{{ID: id + "-t1", Threshold: 9}}, 100); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if err := s.SubmitBid(ctx, id, "w"+strconv.Itoa(i), Bid{Cost: 1 + 0.1*float64(i), Frequency: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out, err := s.CloseAuction(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.FinishRun(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	first := finish(0)
+	done := make(chan struct{})
+	errs := make(chan error, 3)
+	for g := 0; g < 3; g++ {
+		go func() {
+			for {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				info, err := s.Run("r0")
+				if err != nil || !info.Finished || !reflect.DeepEqual(info.Outcome, first) {
+					errs <- fmt.Errorf("Run(r0) = %+v, %v while runs finish", info, err)
+					return
+				}
+			}
+		}()
+	}
+	for n := 1; n <= 200; n++ {
+		finish(n)
+	}
+	close(done)
+	for g := 0; g < 3; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if len(s.archive.Chunks) != 1 || cap(s.archive.Chunks[0]) <= chunk.First {
+		t.Errorf("the archive holds %d chunks; the test wants its first chunk grown", len(s.archive.Chunks))
+	}
+}

@@ -301,6 +301,12 @@ func checkSeries(series map[string]float64) error {
 		return fmt.Errorf("%s = %g and %s = %g, want at least 4 entries in under 48 bytes each",
 			obs.MetricLedgerEntries, entries, obs.MetricLedgerJournalBytes, bytes)
 	}
+	// The finished run was folded into the archive, well under 1 KB.
+	runs, archive := series["melody_runs_completed_total"], series[obs.MetricRunArchiveBytes]
+	if !(archive > 0 && archive < 1024*runs) {
+		return fmt.Errorf("%s = %g after %g finished runs, want above 0 and under 1 KB per run",
+			obs.MetricRunArchiveBytes, archive, runs)
+	}
 	return nil
 }
 

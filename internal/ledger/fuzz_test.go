@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"melody/internal/chunk"
 )
 
 // FuzzJournal turns the fuzz bytes into a sequence of deposits, transfers,
@@ -153,7 +155,7 @@ var (
 	fuzzMemos    = []string{
 		"", "t1", "funding", "run 07 budget", "run 3 budget", "run 5 task t1", "epoch 2 payout",
 		"epoch 9 rounding residue", "a task id with spaces", "\xff\xfe not utf-8", "run 4 task \xc3\x28",
-		strings.Repeat("long memo ", chunkBytes/10+1),
+		strings.Repeat("long memo ", chunk.Full/10+1),
 	}
 )
 

@@ -5,24 +5,15 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"melody/internal/chunk"
 )
 
-// chunkBytes is the capacity of a full journal chunk: 32 KiB, four 8 KiB
-// pages and the largest object the allocator serves from a size class.
-const chunkBytes = 32 << 10
-
-// firstChunkBytes is the first chunk's starting capacity. It doubles up to
-// chunkBytes, so a small ledger pays for about the entries it holds.
-const firstChunkBytes = 64
-
-// journal is the entry history as an append-only log of encoded entries,
-// kept in byte chunks that hold no pointers. An entry never straddles two
-// chunks, and each chunk's first entry is encoded in full, so every chunk
-// decodes on its own (see chunkReader). A chunk is closed when the next
-// entry does not fit: every chunk but the first and the last has capacity
-// chunkBytes, except that an entry longer than that gets a chunk of its own
-// at exactly its size. Growth appends a chunk and never copies a full one;
-// only the first chunk is copied while it doubles.
+// journal is the entry history as an append-only log of encoded entries in
+// byte chunks that hold no pointers (chunk.Log: an entry never straddles
+// two chunks, full chunks are never copied, and an entry longer than a
+// chunk gets one of its own). Each chunk's first entry is encoded in full,
+// so every chunk decodes on its own (see chunkReader).
 //
 // An entry is encoded as
 //
@@ -39,9 +30,8 @@ const firstChunkBytes = 64
 // Payments arrive grouped by task, so a run's payments for one task share
 // their text.
 type journal struct {
-	chunks [][]byte
-	n      int
-	size   int // the chunks' capacity in bytes
+	chunk.Log
+	n int
 	// The encoder's state in the last chunk: the number of its last entry
 	// with a run or epoch number, and where its last entry's text sits.
 	num             int64
@@ -56,27 +46,15 @@ const (
 
 // append encodes an entry as the last one.
 func (j *journal) append(kind, from, to uint32, amount float64, m memoParts) {
-	last := len(j.chunks) - 1
-	same := last >= 0 && string(j.chunks[last][j.textAt:j.textAt+j.textLen]) == m.text
-	need := encodedLen(kind, from, to, m, j.num, same)
-	if last < 0 || cap(j.chunks[last])-len(j.chunks[last]) < need {
-		if !j.growFirst(need) {
-			// A new chunk: its first entry is encoded in full.
-			j.num, same = 0, false
-			need = encodedLen(kind, from, to, m, 0, false)
-			size := chunkBytes
-			if last < 0 {
-				size = firstChunkBytes
-				for size < need && size < chunkBytes {
-					size *= 2
-				}
-			}
-			j.chunks = append(j.chunks, make([]byte, 0, max(size, need)))
-			j.size += cap(j.chunks[last+1])
-			last++
-		}
+	last := len(j.Chunks) - 1
+	same := last >= 0 && string(j.Chunks[last][j.textAt:j.textAt+j.textLen]) == m.text
+	if !j.Room(encodedLen(kind, from, to, m, j.num, same)) {
+		// A new chunk: its first entry is encoded in full.
+		j.num, same = 0, false
+		j.Open(encodedLen(kind, from, to, m, 0, false))
+		last = len(j.Chunks) - 1
 	}
-	c := j.chunks[last]
+	c := j.Chunks[last]
 	h := byte(m.form)
 	if same {
 		h |= sameText
@@ -95,29 +73,8 @@ func (j *journal) append(kind, from, to uint32, amount float64, m memoParts) {
 		j.textAt, j.textLen = len(c), len(m.text)
 		c = append(c, m.text...)
 	}
-	j.chunks[last] = c
+	j.Chunks[last] = c
 	j.n++
-}
-
-// growFirst doubles the only chunk, while it is below chunkBytes, until
-// need more bytes fit, and reports whether they do.
-func (j *journal) growFirst(need int) bool {
-	if len(j.chunks) != 1 {
-		return false
-	}
-	c := j.chunks[0]
-	size := cap(c)
-	for size < len(c)+need && size < chunkBytes {
-		size *= 2
-	}
-	if size == cap(c) || len(c)+need > size {
-		return false
-	}
-	grown := make([]byte, len(c), size)
-	copy(grown, c)
-	j.chunks[0] = grown
-	j.size += size - cap(c)
-	return true
 }
 
 // encodedLen returns the bytes an entry takes after an entry numbered num,

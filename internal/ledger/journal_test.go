@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"melody/internal/chunk"
 	"melody/internal/stats"
 )
 
@@ -174,7 +176,7 @@ func TestLedgerRetainedBytesPerEntry(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	n, encoded := l.journal.n, 0
-	for _, c := range l.journal.chunks {
+	for _, c := range l.journal.Chunks {
 		encoded += len(c)
 	}
 	perEntry := float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
@@ -230,7 +232,7 @@ func TestJournalSlackUnderOneChunk(t *testing.T) {
 	l := New()
 	var full [][]byte // the closed chunks as first seen
 	settler := NewEpochSettler(l, 3)
-	for i := 0; len(l.journal.chunks) < 5; i++ {
+	for i := 0; len(l.journal.Chunks) < 5; i++ {
 		switch i % 4 {
 		case 0:
 			if _, err := l.Deposit(Requester, float64(i+1), strings.Repeat("m", i%97)); err != nil {
@@ -239,7 +241,7 @@ func TestJournalSlackUnderOneChunk(t *testing.T) {
 		default:
 			settleOneRun(t, l, settler, i, 4)
 		}
-		chunks := l.journal.chunks
+		chunks := l.journal.Chunks
 		for k, c := range full {
 			if unsafe.SliceData(chunks[k]) != unsafe.SliceData(c) || len(chunks[k]) != len(c) || cap(chunks[k]) != cap(c) {
 				t.Fatalf("after %d entries: full chunk %d was copied or changed", l.journal.n, k)
@@ -254,13 +256,13 @@ func TestJournalSlackUnderOneChunk(t *testing.T) {
 			closedSize += cap(c)
 			closedUsed += len(c)
 		}
-		if lastFree := cap(chunks[len(chunks)-1]) - len(chunks[len(chunks)-1]); lastFree >= chunkBytes || 100*(closedSize-closedUsed) > closedSize {
+		if lastFree := cap(chunks[len(chunks)-1]) - len(chunks[len(chunks)-1]); lastFree >= chunk.Full || 100*(closedSize-closedUsed) > closedSize {
 			t.Fatalf("after %d entries: the last chunk has %d bytes free, and the closed ones %d of %d; want under one chunk and 1%%",
 				l.journal.n, lastFree, closedSize-closedUsed, closedSize)
 		}
 	}
-	if cap(l.journal.chunks[0]) != chunkBytes {
-		t.Errorf("the first chunk stopped doubling at %d bytes", cap(l.journal.chunks[0]))
+	if cap(l.journal.Chunks[0]) != chunk.Full {
+		t.Errorf("the first chunk stopped doubling at %d bytes", cap(l.journal.Chunks[0]))
 	}
 	checkChunks(t, l)
 }
@@ -271,7 +273,7 @@ func TestJournalSlackUnderOneChunk(t *testing.T) {
 // direct runs whose numbers and repeated task IDs span the boundaries. A
 // restored journal keeps the chunk layout.
 func TestJournalAcrossChunks(t *testing.T) {
-	long := strings.Repeat("long memo ", chunkBytes/10+7)
+	long := strings.Repeat("long memo ", chunk.Full/10+7)
 	l := New()
 	var want []Entry
 	add := func(kind EntryKind, from, to Account, amount float64, memo string) {
@@ -285,9 +287,9 @@ func TestJournalAcrossChunks(t *testing.T) {
 		add(KindDeposit, "", Requester, amount, memo)
 	}
 	deposit(1e6, long)
-	for i := 0; i < chunkBytes/8; i++ {
+	for i := 0; i < chunk.Full/8; i++ {
 		deposit(float64(i+1), strconv.Itoa(i))
-		if i == chunkBytes/20 {
+		if i == chunk.Full/20 {
 			deposit(0.5, long+"!")
 		}
 		if i%5 != 0 {
@@ -313,8 +315,8 @@ func TestJournalAcrossChunks(t *testing.T) {
 		add(KindRefund, Escrow, Requester, 7, prefix+" refund")
 	}
 
-	if len(l.journal.chunks) < 4 {
-		t.Fatalf("%d entries take %d chunks; the test wants at least 4", len(want), len(l.journal.chunks))
+	if len(l.journal.Chunks) < 4 {
+		t.Fatalf("%d entries take %d chunks; the test wants at least 4", len(want), len(l.journal.Chunks))
 	}
 	checkChunks(t, l)
 	if got := l.Entries(); !slices.Equal(got, want) {
@@ -331,8 +333,8 @@ func TestJournalAcrossChunks(t *testing.T) {
 	if !slices.Equal(r.Entries(), want) {
 		t.Fatal("restored journal's entries differ")
 	}
-	if len(r.journal.chunks) != len(l.journal.chunks) {
-		t.Errorf("restored journal takes %d chunks, the original %d", len(r.journal.chunks), len(l.journal.chunks))
+	if len(r.journal.Chunks) != len(l.journal.Chunks) {
+		t.Errorf("restored journal takes %d chunks, the original %d", len(r.journal.Chunks), len(l.journal.Chunks))
 	}
 }
 
@@ -374,7 +376,7 @@ func checkChunks(t *testing.T, l *Ledger) {
 	j := &l.journal
 	entries := l.entriesLocked()
 	size, at := 0, 0
-	for i, c := range j.chunks {
+	for i, c := range j.Chunks {
 		size += cap(c)
 		var got []Entry
 		var r rec
@@ -383,34 +385,69 @@ func checkChunks(t *testing.T, l *Ledger) {
 				From: Account(l.names[r.from]), To: Account(l.names[r.to]), Amount: r.amount, Memo: r.memo()})
 		}
 		if len(got) == 0 || c[0]&sameText != 0 {
-			t.Fatalf("n=%d: chunk %d of %d is empty or opens with a repeated text", j.n, i, len(j.chunks))
+			t.Fatalf("n=%d: chunk %d of %d is empty or opens with a repeated text", j.n, i, len(j.Chunks))
 		}
 		if end := at + len(got); end > len(entries) || !slices.Equal(got, entries[at:end]) {
-			t.Fatalf("n=%d: chunk %d of %d decoded alone differs from the ledger's entries", j.n, i, len(j.chunks))
+			t.Fatalf("n=%d: chunk %d of %d decoded alone differs from the ledger's entries", j.n, i, len(j.Chunks))
 		}
 		at += len(got)
-		if i == len(j.chunks)-1 {
+		if i == len(j.Chunks)-1 {
 			continue
 		}
-		if i > 0 && cap(c) != chunkBytes && !(len(got) == 1 && len(c) == cap(c) && cap(c) > chunkBytes) {
-			t.Fatalf("n=%d: chunk %d of %d holds %d entries in %d of %d bytes", j.n, i, len(j.chunks), len(got), len(c), cap(c))
+		if i > 0 && cap(c) != chunk.Full && !(len(got) == 1 && len(c) == cap(c) && cap(c) > chunk.Full) {
+			t.Fatalf("n=%d: chunk %d of %d holds %d entries in %d of %d bytes", j.n, i, len(j.Chunks), len(got), len(c), cap(c))
 		}
-		next := j.chunks[i+1]
+		next := j.Chunks[i+1]
 		d := chunkReader{c: next}
 		d.next(&r)
 		opener := len(next) - len(d.c)
 		if cap(c)-len(c) >= opener {
 			t.Fatalf("n=%d: chunk %d of %d was closed with %d bytes free, room for the next chunk's first entry of %d",
-				j.n, i, len(j.chunks), cap(c)-len(c), opener)
+				j.n, i, len(j.Chunks), cap(c)-len(c), opener)
 		}
-		if i == 0 && cap(c) < chunkBytes && len(c)+opener <= chunkBytes {
+		if i == 0 && cap(c) < chunk.Full && len(c)+opener <= chunk.Full {
 			t.Fatalf("n=%d: the first chunk was closed at %d bytes, with room to double for the next entry", j.n, cap(c))
 		}
 	}
 	if at != j.n || at != len(entries) {
 		t.Fatalf("chunks decode to %d entries, journal counts %d", at, j.n)
 	}
-	if size != j.size {
-		t.Fatalf("chunks take %d bytes, journal counts %d", size, j.size)
+	if size != j.Size {
+		t.Fatalf("chunks take %d bytes, journal counts %d", size, j.Size)
+	}
+}
+
+// TestEachAmountMatchesEntries: the walk yields every entry's Seq, kind and
+// amount in order, bit for bit as Entries decodes them, across chunks and
+// memos longer than a chunk, and stops when asked.
+func TestEachAmountMatchesEntries(t *testing.T) {
+	l := New()
+	settler := NewEpochSettler(l, 3)
+	if _, err := l.Deposit(Requester, 1e6, strings.Repeat("long memo ", chunk.Full/10+1)); err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; len(l.journal.Chunks) < 4; run++ {
+		settleOneRun(t, l, settler, run, 5)
+	}
+	want := l.Entries()
+	i := 0
+	l.EachAmount(func(seq int64, kind EntryKind, amount float64) bool {
+		if i >= len(want) {
+			t.Fatalf("the walk yields more than the %d entries", len(want))
+		}
+		e := want[i]
+		if seq != e.Seq || kind != e.Kind || math.Float64bits(amount) != math.Float64bits(e.Amount) {
+			t.Fatalf("entry %d: walk yields (%d, %s, %v), Entries (%d, %s, %v)", i, seq, kind, amount, e.Seq, e.Kind, e.Amount)
+		}
+		i++
+		return true
+	})
+	if i != len(want) {
+		t.Fatalf("the walk yields %d entries, Entries %d", i, len(want))
+	}
+	n := 0
+	l.EachAmount(func(int64, EntryKind, float64) bool { n++; return n < 3 })
+	if n != 3 {
+		t.Errorf("the walk went on for %d entries after fn returned false at the third", n)
 	}
 }

@@ -138,7 +138,7 @@ func (l *Ledger) Entries() []Entry {
 func (l *Ledger) entriesLocked() []Entry {
 	out := make([]Entry, 0, l.journal.n)
 	var r, prev rec
-	for _, c := range l.journal.chunks {
+	for _, c := range l.journal.Chunks {
 		d := chunkReader{c: c}
 		for d.next(&r) {
 			e := Entry{
@@ -160,12 +160,30 @@ func (l *Ledger) entriesLocked() []Entry {
 	return out
 }
 
+// EachAmount calls fn with each entry's Seq, kind and amount in journal
+// order, building no Entry and no memo, until fn returns false. fn runs
+// under the ledger's lock and must not call the ledger.
+func (l *Ledger) EachAmount(fn func(seq int64, kind EntryKind, amount float64) bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var r rec
+	seq := int64(0)
+	for _, c := range l.journal.Chunks {
+		for d := (chunkReader{c: c}); d.next(&r); {
+			seq++
+			if !fn(seq, EntryKind(l.names[r.kind]), r.amount) {
+				return
+			}
+		}
+	}
+}
+
 // JournalSize returns the number of entries the journal holds and the bytes
 // its chunks take.
 func (l *Ledger) JournalSize() (entries, bytes int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.journal.n, l.journal.size
+	return l.journal.n, l.journal.Size
 }
 
 // Accounts returns all accounts with their balances, sorted by name.

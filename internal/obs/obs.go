@@ -84,6 +84,10 @@ const (
 	// finish and snapshot restore.
 	MetricLedgerEntries      = "melody_ledger_entries"
 	MetricLedgerJournalBytes = "melody_ledger_journal_bytes"
+
+	// Finished-run archive (the run scheduler), set at every finish and
+	// snapshot restore.
+	MetricRunArchiveBytes = "melody_run_archive_bytes"
 )
 
 // RegisterBaseline pre-registers the platform's standard metric families so
@@ -131,4 +135,5 @@ func RegisterBaseline(r *Registry) {
 	r.Counter(MetricEstimatorRestartsTotal, "Diverged workers restarted from the initial belief.")
 	r.Gauge(MetricLedgerEntries, "Entries in the ledger's journal.")
 	r.Gauge(MetricLedgerJournalBytes, "Bytes the ledger's journal chunks take.")
+	r.Gauge(MetricRunArchiveBytes, "Bytes the finished-run archive's chunks take.")
 }

@@ -194,6 +194,111 @@ func TestFinishedRunRetriedAfterRestart(t *testing.T) {
 	wantAPIError(t, "finish of a never-opened run", err, http.StatusNotFound, melody.ErrUnknownRun)
 }
 
+// TestServerKeepsOnlyRunsInFlight: after k finishes the server's run map
+// holds only the run still in flight, and a run finished a moment ago
+// answers late retries as TestFinishedRunRetriedAfterRestart's run does
+// after a restart: open and finish succeed and log nothing, close and
+// outcome return the bodies they returned before the finish, and bids,
+// answers and scores find no open run.
+func TestServerKeepsOnlyRunsInFlight(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "sched.wal")
+	sched, _ := newTestScheduler(t, 1000, 0)
+	ps, wal, err := eventlog.OpenPersistentScheduler(path, sched, eventlog.Options{SyncEveryAppend: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	srv, err := NewMultiServer(ps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := tenantClient(t, ts, "a")
+	for i := 0; i < 4; i++ {
+		if err := c.RegisterWorker(ctx, fmt.Sprintf("a-w%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const k = 3
+	for i := 1; i < k; i++ {
+		if err := driveRunHTTP(ctx, c, fmt.Sprintf("r%d", i), "a", 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := []TaskSpec{{ID: "r3-t1", Threshold: 10}, {ID: "r3-t2", Threshold: 10}}
+	run, err := c.OpenRunID(ctx, "r3", "a", spec, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := run.SubmitBid(ctx, fmt.Sprintf("a-w%d", i), 1+0.1*float64(i), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := run.CloseAuction(ctx); err != nil {
+		t.Fatal(err)
+	}
+	bodies := func() [][]byte {
+		t.Helper()
+		var out [][]byte
+		for _, req := range []struct{ method, suffix string }{
+			{http.MethodPost, "/close"}, {http.MethodGet, "/outcome"},
+		} {
+			body, err := rawBody(ts, req.method, "/v1/runs/r3"+req.suffix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, body)
+		}
+		return out
+	}
+	before := bodies()
+	if err := run.FinishRun(ctx); err != nil {
+		t.Fatal(err)
+	}
+	inFlight, err := tenantClient(t, ts, "b").OpenRunID(ctx, "b1", "b", spec[:1], 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.RLock()
+	tracked := len(srv.runs)
+	_, trackedB1 := srv.runs[inFlight.ID()]
+	srv.mu.RUnlock()
+	if tracked != 1 || !trackedB1 {
+		t.Fatalf("after %d finishes the server tracks %d runs, want only the in-flight b1", k, tracked)
+	}
+
+	records := walRecords(t, path)
+	if _, err := c.OpenRunID(ctx, "r3", "a", spec, 100); err != nil {
+		t.Errorf("open of finished r3 = %v, want success", err)
+	}
+	if err := run.FinishRun(ctx); err != nil {
+		t.Errorf("finish of finished r3 = %v, want success", err)
+	}
+	for i, body := range bodies() {
+		if string(body) != string(before[i]) {
+			t.Errorf("body %d after the finish = %q, want %q", i, body, before[i])
+		}
+	}
+	wantAPIError(t, "bid on finished r3", run.SubmitBid(ctx, "a-w0", 1.2, 1),
+		http.StatusConflict, melody.ErrNoRunOpen)
+	wantAPIError(t, "answer on finished r3", run.SubmitAnswer(ctx, "a-w0", "r3-t1", AnswerPayload(7)),
+		http.StatusConflict, melody.ErrNoRunOpen)
+	wantAPIError(t, "score on finished r3", run.SubmitScore(ctx, "a-w0", "r3-t1", 7),
+		http.StatusConflict, melody.ErrNoRunOpen)
+	if got := walRecords(t, path); got != records {
+		t.Errorf("late retries on finished r3 appended to the WAL: %d -> %d records", records, got)
+	}
+	srv.mu.RLock()
+	tracked = len(srv.runs)
+	srv.mu.RUnlock()
+	if tracked != 1 {
+		t.Errorf("late retries left the server tracking %d runs, want 1", tracked)
+	}
+}
+
 // bootOneTenant opens the WAL at path into a fresh unfunded scheduler and
 // serves it with the given scoring deadline to a client that names no
 // tenant.

@@ -48,11 +48,6 @@ type MultiRunBackend interface {
 
 var _ MultiRunBackend = (*melody.RunScheduler)(nil)
 
-// maxDoneRuns bounds how many finished runs the server remembers for
-// idempotent replays of late client retries; older entries are evicted in
-// completion order.
-const maxDoneRuns = 1024
-
 // runState is one run's HTTP-side state machine: its lifecycle phase,
 // recorded outcome, answer store, watchdog timer and phase span. Each run
 // owns its own mutex, so two tenants' runs never contend on a shared
@@ -114,10 +109,9 @@ type Server struct {
 
 	nameMu sync.Mutex // held from naming an unnamed open until the backend opens it
 
-	mu        sync.RWMutex
-	runs      map[string]*runState // by run ID, in-flight and recently done
-	order     []string             // in-flight run IDs in open order
-	doneOrder []string             // finished run IDs, for bounded retention
+	mu    sync.RWMutex
+	runs  map[string]*runState // in-flight runs by ID
+	order []string             // in-flight run IDs in open order
 
 	// replSrc, when non-nil, exposes the storage engine's durable files on
 	// the /v1/replication endpoints; replMu guards the ack positions.
@@ -379,10 +373,11 @@ func decodeBody(r *http.Request, v any) error {
 // backend numbers num.
 func runName(num int) string { return "r" + strconv.Itoa(num) }
 
-// lookupRun resolves a run path segment to its state. A run the server no
-// longer tracks (evicted after maxDoneRuns later finishes, or finished
-// before a restart) resolves to a finished run when the backend reports it
-// finished, so late retries behave as they do on a tracked finished run.
+// lookupRun resolves a run path segment to its state. The server tracks
+// only runs in flight; a finished run resolves to a transient finished
+// runState, with the outcome the backend reports, so late retries of it
+// are answered from the backend's record whether it finished a moment ago
+// or before a restart.
 func (s *Server) lookupRun(name string) (*runState, error) {
 	s.mu.RLock()
 	rs := s.runs[name]
@@ -561,8 +556,9 @@ func (s *Server) handleOpenRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if info.Finished {
-		// The backend replayed an open for a run it already completed but
-		// the server no longer tracks; acknowledge without resurrecting it.
+		// The backend replayed an open for a run it already completed; the
+		// server tracks only runs in flight, so acknowledge without
+		// resurrecting it.
 		writeJSON(w, http.StatusCreated, OpenRunResponse{RunID: id})
 		return
 	}
@@ -968,9 +964,8 @@ func (s *Server) finishRun(ctx context.Context, rs *runState) error {
 }
 
 // completeRun transitions a run to done: the watchdog disarms, the phase
-// span ends, the answer store is released, and the run leaves the
-// in-flight registry (retained for idempotent replays until evicted). The recorded outcome is kept so
-// late close retries still replay it.
+// span ends, and the run leaves the registry with its answers and outcome.
+// Late retries resolve it through the backend (see lookupRun).
 func (s *Server) completeRun(rs *runState) {
 	rs.mu.Lock()
 	if rs.done {
@@ -995,11 +990,6 @@ func (s *Server) completeRun(rs *runState) {
 			break
 		}
 	}
-	s.doneOrder = append(s.doneOrder, rs.id)
-	for len(s.doneOrder) > maxDoneRuns {
-		evict := s.doneOrder[0]
-		s.doneOrder = s.doneOrder[1:]
-		delete(s.runs, evict)
-	}
+	delete(s.runs, rs.id)
 	s.mu.Unlock()
 }

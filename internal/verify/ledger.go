@@ -15,13 +15,19 @@ import (
 // go negative or balances would exceed deposits.
 func CheckMoneyConservation(l *ledger.Ledger) error {
 	var deposits float64
-	for _, e := range l.Entries() {
-		if !finite(e.Amount) || e.Amount <= 0 {
-			return fmt.Errorf("verify: ledger entry %d has non-positive amount %v", e.Seq, e.Amount)
+	var bad error
+	l.EachAmount(func(seq int64, kind ledger.EntryKind, amount float64) bool {
+		if !finite(amount) || amount <= 0 {
+			bad = fmt.Errorf("verify: ledger entry %d has non-positive amount %v", seq, amount)
+			return false
 		}
-		if e.Kind == ledger.KindDeposit {
-			deposits += e.Amount
+		if kind == ledger.KindDeposit {
+			deposits += amount
 		}
+		return true
+	})
+	if bad != nil {
+		return bad
 	}
 	var total float64
 	for _, ab := range l.Accounts() {

@@ -11,13 +11,22 @@ import (
 	"hash/fnv"
 	"math/rand/v2"
 	"runtime"
+	"strconv"
 	"testing"
 )
 
 // retainedPerRunMax bounds the live heap one finished lifecycle-shaped run
-// adds. It sits between the 937 B measured while the journal kept 48-byte
-// records and the 687 B measured with entries encoded in byte chunks.
-const retainedPerRunMax = 800
+// adds. It sits between the 696 B measured while the scheduler kept each
+// finished run's schedRun and outcome and the 297 B measured with finished
+// runs folded into archive records.
+const retainedPerRunMax = 450
+
+// retainedPerAuctionRunMax bounds the live heap one finished auction-shaped
+// run adds. It sits between the 21.0 KB measured while the scheduler kept
+// each finished run's schedRun and outcome and the 10.3 KB measured with
+// archive records. Most of the rest is the ledger journal: about 200
+// payments a run and, every 8 runs, one payout per paid worker.
+const retainedPerAuctionRunMax = 14000
 
 // TestRetainedBytesPerRun runs a lifecycle-shaped season through the run
 // scheduler with a ledger and epoch settlement every 8 runs: 2 tenants of
@@ -25,12 +34,48 @@ const retainedPerRunMax = 800
 // threshold 10, budget 40, every assignment scored. It measures the live
 // heap per finished run between run 5,000 and run 15,000, where the
 // estimators' windows are full and what grows is what each run leaves
-// behind: its scheduler entry, its outcome and its journal records.
+// behind: its archive record and its journal entries.
 func TestRetainedBytesPerRun(t *testing.T) {
+	perRun := retainedPerRun(t, retainedSeason{workers: 16, tasks: 2, budget: 40, from: 5000, to: 15000})
+	t.Logf("live heap per finished run: %.0f B (bound %d B)", perRun, retainedPerRunMax)
+	if perRun > retainedPerRunMax {
+		t.Errorf("each finished run retains %.0f B, want at most %d B", perRun, retainedPerRunMax)
+	}
+}
+
+// TestRetainedBytesPerAuctionRun is TestRetainedBytesPerRun on the
+// auction_wal benchmark's shape: 2 tenants sharing 2,000 workers, 100 tasks
+// of threshold 10 and budget 2,000, so about 200 winners a run. It measures
+// runs 150 to 450, after both tenants' estimator windows have filled.
+func TestRetainedBytesPerAuctionRun(t *testing.T) {
+	perRun := retainedPerRun(t, retainedSeason{workers: 2000, shared: true, tasks: 100, budget: 2000, from: 150, to: 450})
+	t.Logf("live heap per finished run: %.0f B (bound %d B)", perRun, retainedPerAuctionRunMax)
+	if perRun > retainedPerAuctionRunMax {
+		t.Errorf("each finished run retains %.0f B, want at most %d B", perRun, retainedPerAuctionRunMax)
+	}
+}
+
+// retainedSeason is the shape of a retained-heap season: workers per
+// tenant, or one pool both tenants share, and each run's tasks and budget.
+// Runs from to to are measured.
+type retainedSeason struct {
+	workers  int
+	shared   bool
+	tasks    int
+	budget   float64
+	from, to int
+}
+
+// retainedPerRun runs a season of 2 tenants through the run scheduler with
+// a ledger and epoch settlement every 8 runs: every worker of the tenant's
+// pool bids once per run at a cost drawn per run, every task has threshold
+// 10 and every assignment is scored. It returns the live heap per run
+// finished between runs from and to.
+func retainedPerRun(t *testing.T, season retainedSeason) float64 {
 	ctx := context.Background()
-	const tenants, workers, from, to = 2, 16, 5000, 15000
+	const tenants = 2
 	money := NewLedger()
-	if _, err := money.Deposit(RequesterAccount, 40*to, "season funding"); err != nil {
+	if _, err := money.Deposit(RequesterAccount, season.budget*float64(season.to), "season funding"); err != nil {
 		t.Fatal(err)
 	}
 	s, err := NewRunScheduler(SchedulerConfig{
@@ -50,7 +95,11 @@ func TestRetainedBytesPerRun(t *testing.T) {
 	}
 	pools := make([][]string, tenants)
 	for tn := range pools {
-		for i := 0; i < workers; i++ {
+		if season.shared && tn > 0 {
+			pools[tn] = pools[0]
+			continue
+		}
+		for i := 0; i < season.workers; i++ {
 			w := fmt.Sprintf("t%d-w%02d", tn, i)
 			if err := s.RegisterWorker(ctx, w); err != nil {
 				t.Fatal(err)
@@ -62,11 +111,14 @@ func TestRetainedBytesPerRun(t *testing.T) {
 	run := func(n int) {
 		tn := n % tenants
 		id := fmt.Sprintf("t%d-r%06d", tn, n/tenants)
-		tasks := []Task{{ID: id + "-k0", Threshold: 10}, {ID: id + "-k1", Threshold: 10}}
-		if err := s.OpenRun(ctx, id, fmt.Sprintf("t%d", tn), tasks, 40); err != nil {
+		tasks := make([]Task, season.tasks)
+		for k := range tasks {
+			tasks[k] = Task{ID: id + "-k" + strconv.Itoa(k), Threshold: 10}
+		}
+		if err := s.OpenRun(ctx, id, fmt.Sprintf("t%d", tn), tasks, season.budget); err != nil {
 			t.Fatalf("open %s: %v", id, err)
 		}
-		bids := make([]WorkerBid, workers)
+		bids := make([]WorkerBid, len(pools[tn]))
 		for i, w := range pools[tn] {
 			bids[i] = WorkerBid{WorkerID: w, Bid: Bid{Cost: 1 + rng.Float64(), Frequency: 1}}
 		}
@@ -89,20 +141,19 @@ func TestRetainedBytesPerRun(t *testing.T) {
 		}
 	}
 	n := 0
-	for ; n < from; n++ {
+	for ; n < season.from; n++ {
 		run(n)
 	}
 	before := liveHeap()
-	for ; n < to; n++ {
+	for ; n < season.to; n++ {
 		run(n)
 	}
-	perRun := float64(liveHeap()-before) / (to - from)
-	t.Logf("live heap per finished run: %.0f B (bound %d B)", perRun, retainedPerRunMax)
-	if perRun > retainedPerRunMax {
-		t.Errorf("each finished run retains %.0f B, want at most %d B", perRun, retainedPerRunMax)
-	}
+	perRun := float64(liveHeap()-before) / float64(season.to-season.from)
+	t.Logf("the archive holds %d runs in %d chunk bytes, %.0f B each", s.archive.n, s.archive.Size,
+		float64(s.archive.Size)/float64(s.archive.n))
 	// The season must still be reachable when the second measurement runs.
 	runtime.KeepAlive(s)
+	return perRun
 }
 
 // latentScore scores an assignment as the worker's fixed latent quality in

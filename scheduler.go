@@ -79,7 +79,9 @@ type RunInfo struct {
 	AuctionClosed bool
 	// Finished reports whether the run has completed settlement.
 	Finished bool
-	// Outcome is the allocation; non-nil once AuctionClosed.
+	// Outcome is the allocation; non-nil once AuctionClosed. For a
+	// finished run it is a fresh copy decoded from the scheduler's archive
+	// at each call.
 	Outcome *Outcome
 }
 
@@ -102,21 +104,28 @@ type RunInfo struct {
 // RunScheduler.mu is held across a Platform call only by SnapshotState and
 // RestoreSnapshot, which run while no run is open, so no holder of a run
 // lock waits on it.
+//
+// Only open runs keep a schedRun. A finish folds the run into the archive
+// of finished runs, and every read of a finished run decodes it into a
+// transient schedRun marked done, so retries of finished runs take the
+// same paths either way.
 type RunScheduler struct {
 	cfg      SchedulerConfig
 	registry *workerRegistry
 	settler  *EpochSettler
 	gate     *fairGate // weighted-fair close admission; nil when ungated
 	// ledgerEntries and journalBytes report the ledger's journal; nil
-	// without metrics or a ledger.
-	ledgerEntries, journalBytes *obs.Gauge
+	// without metrics or a ledger. archiveBytes reports the archive; nil
+	// without metrics.
+	ledgerEntries, journalBytes, archiveBytes *obs.Gauge
 
 	mu         sync.RWMutex
 	tenants    map[string]*Platform
-	tenantOpen map[string]string // tenant -> its open run ID
-	runs       map[string]*schedRun
-	order      []string // open run IDs in open order
-	opened     int      // number of the newest run
+	tenantOpen map[string]string    // tenant -> its open run ID
+	runs       map[string]*schedRun // the open runs
+	archive    runArchive           // the finished runs
+	order      []string             // open run IDs in open order
+	opened     int                  // number of the newest run
 	completed  int
 	tstates    map[string]*tenantState // tenant -> policy + spend ledger
 }
@@ -156,6 +165,7 @@ func NewRunScheduler(cfg SchedulerConfig) (*RunScheduler, error) {
 		tenants:    make(map[string]*Platform),
 		tenantOpen: make(map[string]string),
 		runs:       make(map[string]*schedRun),
+		archive:    newRunArchive(hash64),
 		tstates:    make(map[string]*tenantState),
 	}
 	if cfg.EpochEvery > 0 {
@@ -165,6 +175,7 @@ func NewRunScheduler(cfg SchedulerConfig) (*RunScheduler, error) {
 		s.ledgerEntries = cfg.Metrics.Gauge(obs.MetricLedgerEntries, "Entries in the ledger's journal.")
 		s.journalBytes = cfg.Metrics.Gauge(obs.MetricLedgerJournalBytes, "Bytes the ledger's journal chunks take.")
 	}
+	s.archiveBytes = cfg.Metrics.Gauge(obs.MetricRunArchiveBytes, "Bytes the finished-run archive's chunks take.")
 	return s, nil
 }
 
@@ -334,12 +345,27 @@ func (s *RunScheduler) newTenantPlatform(tenant string) (*Platform, error) {
 // resolve maps a run ID to its scheduling state.
 func (s *RunScheduler) resolve(runID string) (*schedRun, error) {
 	s.mu.RLock()
-	r := s.runs[runID]
+	r := s.lookupLocked(runID)
 	s.mu.RUnlock()
 	if r == nil {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownRun, runID)
 	}
 	return r, nil
+}
+
+// lookupLocked returns an open run's schedRun, or a finished run decoded
+// from the archive into a transient one marked done, or nil. Callers hold
+// s.mu.
+func (s *RunScheduler) lookupLocked(runID string) *schedRun {
+	if r := s.runs[runID]; r != nil {
+		return r
+	}
+	rs, ok := s.archive.run(runID)
+	if !ok {
+		return nil
+	}
+	return &schedRun{id: rs.ID, tenant: rs.Tenant, num: int32(rs.Num), p: s.tenants[rs.Tenant],
+		tasks: rs.Tasks, budget: rs.Budget, outcome: rs.Outcome, done: true}
 }
 
 // OpenRun opens a run under a scheduler-wide unique ID for a tenant; an
@@ -360,7 +386,7 @@ func (s *RunScheduler) OpenRun(ctx context.Context, runID, tenant string, tasks 
 	}
 	tenant = tenantOrDefault(tenant)
 	s.mu.Lock()
-	if r := s.runs[runID]; r != nil {
+	if r := s.lookupLocked(runID); r != nil {
 		s.mu.Unlock()
 		return s.reopen(ctx, r, tenant, tasks, budget)
 	}
@@ -579,9 +605,16 @@ func (s *RunScheduler) FinishRunEM(ctx context.Context, runID string, logged []R
 	if r.outcome != nil {
 		spend = r.outcome.TotalPayment
 	}
+	// The run leaves the open runs for the archive in one critical
+	// section, so a lookup finds it in exactly one of them. Holders of r
+	// still see its fields, with done set.
 	s.mu.Lock()
 	delete(s.tenantOpen, r.tenant)
 	s.dropOpenLocked(r.id)
+	delete(s.runs, r.id)
+	s.archive.add(RunSnapshot{ID: r.id, Tenant: r.tenant, Num: int(r.num), Tasks: r.tasks,
+		Budget: r.budget, Outcome: r.outcome})
+	s.archiveBytes.Set(float64(s.archive.Size))
 	s.completed++
 	s.settleRunLocked(r.tenant, spend)
 	s.mu.Unlock()

@@ -100,8 +100,8 @@ const schedulerSnapshotVersion = 3
 // SnapshotState captures the scheduler's full state. It fails with
 // ErrSnapshotMidRun while any run is open and with ErrNoSnapshot when a
 // tenant's estimator cannot export its state. The returned snapshot shares
-// no mutable memory with the live scheduler; outcomes are shared, and
-// nothing mutates an outcome after its close.
+// no mutable memory with the live scheduler: its runs are decoded from the
+// archive of finished runs.
 func (s *RunScheduler) SnapshotState() (*SchedulerSnapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -138,11 +138,9 @@ func (s *RunScheduler) SnapshotState() (*SchedulerSnapshot, error) {
 		snap.Tenants = append(snap.Tenants, ts)
 	}
 	sort.Slice(snap.Tenants, func(i, j int) bool { return snap.Tenants[i].Tenant < snap.Tenants[j].Tenant })
-	for _, r := range s.runs {
-		r.mu.Lock()
-		snap.Runs = append(snap.Runs, RunSnapshot{ID: r.id, Tenant: r.tenant, Num: int(r.num),
-			Tasks: slices.Clone(r.tasks), Budget: r.budget, Outcome: r.outcome})
-		r.mu.Unlock()
+	if s.archive.n > 0 {
+		snap.Runs = make([]RunSnapshot, 0, s.archive.n)
+		s.archive.each(func(r RunSnapshot) { snap.Runs = append(snap.Runs, r) })
 	}
 	sort.Slice(snap.Runs, func(i, j int) bool { return snap.Runs[i].Num < snap.Runs[j].Num })
 	return snap, nil
@@ -164,7 +162,7 @@ func (s *RunScheduler) RestoreSnapshot(snap *SchedulerSnapshot) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.runs) != 0 || len(s.tenants) != 0 || s.registry.Len() != 0 {
+	if len(s.runs) != 0 || s.archive.n != 0 || len(s.tenants) != 0 || s.registry.Len() != 0 {
 		return errors.New("melody: restore target is not a fresh scheduler")
 	}
 	for _, id := range snap.Workers {
@@ -218,15 +216,14 @@ func (s *RunScheduler) RestoreSnapshot(snap *SchedulerSnapshot) error {
 		ts.spent, ts.epochSpent, ts.runsOpened = tsnap.Spent, tsnap.EpochSpent, tsnap.Runs
 	}
 	for _, rsnap := range snap.Runs {
-		p := s.tenants[rsnap.Tenant]
-		if p == nil || rsnap.ID == "" || s.runs[rsnap.ID] != nil {
+		if s.tenants[rsnap.Tenant] == nil || rsnap.ID == "" || s.archive.has(rsnap.ID) {
 			return fmt.Errorf("melody: snapshot run %q (tenant %q) is unknown or repeated", rsnap.ID, rsnap.Tenant)
 		}
-		s.runs[rsnap.ID] = &schedRun{id: rsnap.ID, tenant: rsnap.Tenant, num: int32(rsnap.Num), p: p,
-			tasks: rsnap.Tasks, budget: rsnap.Budget, outcome: rsnap.Outcome, done: true}
+		s.archive.add(rsnap)
 		s.opened = max(s.opened, rsnap.Num)
 	}
 	s.completed = len(snap.Runs)
+	s.archiveBytes.Set(float64(s.archive.Size))
 	s.observeLedger()
 	return nil
 }
