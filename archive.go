@@ -11,7 +11,9 @@ import (
 // finish into one encoded record in byte chunks that hold no pointers
 // (chunk.Log), and indexed by run ID. A reader decodes a fresh copy of the
 // run; nothing in the archive changes once written. Callers serialize
-// writes against reads (RunScheduler.mu); reads may run concurrently.
+// writes against reads (RunScheduler.mu); reads may run concurrently. A
+// closed chunk may be spilled (RunScheduler.SpillTo): a read takes it back
+// into a pooled buffer, and a decoded run shares no bytes with it.
 //
 // A record is encoded as
 //
@@ -70,6 +72,9 @@ const (
 	archNilSelected
 	archNilPayments
 )
+
+// archiveName names the archive in a failed spill read's panic.
+const archiveName = "run archive"
 
 // linearTasks is the longest task list whose references are found by a
 // scan; a longer one is indexed in taskAt.
@@ -203,55 +208,89 @@ func (a *runArchive) intern(name string) uint32 {
 	return id
 }
 
-// find returns the position of the record of run id.
-func (a *runArchive) find(id string) (uint64, bool) {
+// find returns the record of run id: its first n bytes, or the bytes to
+// the end of its chunk when n is negative. A spilled chunk is read back
+// into *buf.
+func (a *runArchive) find(id string, n int, buf *[]byte) ([]byte, bool) {
 	pos, ok := a.index[a.hash(id)]
 	if !ok {
-		return 0, false
+		return nil, false
 	}
-	if string(a.idAt(pos)) == id {
-		return pos, true
+	if rec := a.record(pos, n, buf); holdsID(rec, id) {
+		return rec, true
 	}
-	pos, ok = a.overflow[id]
-	return pos, ok
+	if pos, ok = a.overflow[id]; !ok {
+		return nil, false
+	}
+	return a.record(pos, n, buf), true
+}
+
+// record returns n bytes of the record at pos, or the bytes to the end of
+// its chunk when n is negative.
+func (a *runArchive) record(pos uint64, n int, buf *[]byte) []byte {
+	return a.Read(int(pos>>32), int(uint32(pos)), n, buf)
+}
+
+// head is the length of a record's flags byte and run ID when the ID is id.
+func head(id string) int {
+	var n [binary.MaxVarintLen64]byte
+	return 1 + binary.PutUvarint(n[:], uint64(len(id))) + len(id)
+}
+
+// holdsID reports whether rec, a record or its head, is run id's.
+func holdsID(rec []byte, id string) bool {
+	if len(rec) == 0 {
+		return false
+	}
+	n, k := binary.Uvarint(rec[1:])
+	return k > 0 && n == uint64(len(id)) && len(rec) >= 1+k+len(id) && string(rec[1+k:1+k+len(id)]) == id
 }
 
 // has reports whether the archive holds run id.
 func (a *runArchive) has(id string) bool {
-	_, ok := a.find(id)
+	buf := chunk.Buffer()
+	defer chunk.Release(buf)
+	_, ok := a.find(id, head(id), buf)
 	return ok
+}
+
+// flags returns the flags byte of run id's record, reading only the
+// record's head.
+func (a *runArchive) flags(id string) (byte, bool) {
+	buf := chunk.Buffer()
+	defer chunk.Release(buf)
+	rec, ok := a.find(id, head(id), buf)
+	if !ok {
+		return 0, false
+	}
+	return rec[0], true
 }
 
 // run decodes the record of run id.
 func (a *runArchive) run(id string) (RunSnapshot, bool) {
-	pos, ok := a.find(id)
+	buf := chunk.Buffer()
+	defer chunk.Release(buf)
+	rec, ok := a.find(id, -1, buf)
 	if !ok {
 		return RunSnapshot{}, false
 	}
-	r, _ := a.decode(a.at(pos))
+	r, _ := a.decode(rec)
 	return r, true
 }
 
-// each decodes every record in the order the runs were added.
+// each decodes every record in the order the runs were added, reading
+// each chunk once.
 func (a *runArchive) each(fn func(RunSnapshot)) {
-	for _, c := range a.Chunks {
+	buf := chunk.Buffer()
+	defer chunk.Release(buf)
+	for i := range a.Chunks {
+		c := a.Read(i, 0, -1, buf)
 		for len(c) > 0 {
 			var r RunSnapshot
 			r, c = a.decode(c)
 			fn(r)
 		}
 	}
-}
-
-// at returns the bytes from pos to the end of its chunk.
-func (a *runArchive) at(pos uint64) []byte {
-	return a.Chunks[pos>>32][uint32(pos):]
-}
-
-// idAt returns the run ID of the record at pos, aliasing the chunk.
-func (a *runArchive) idAt(pos uint64) []byte {
-	d := archReader{b: a.at(pos)[1:]}
-	return d.text()
 }
 
 // decode decodes the record at the start of c and returns the bytes after

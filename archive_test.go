@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"melody/internal/chunk"
+	"melody/internal/chunk/chunktest"
 	"melody/internal/obs"
 )
 
@@ -24,24 +26,48 @@ import (
 // and empty slices, and arbitrary float bits (−0, subnormals and
 // infinities; NaN is left out only because it never equals itself under
 // DeepEqual). The same sequence then goes through an archive whose hash is
-// constant, so every ID after the first takes the collision path.
+// constant, so every ID after the first takes the collision path. Both
+// then run again on archives that spill closed chunks to a sink, where the
+// input also chooses runs before which the open chunk closes, so every
+// read goes through spilled chunks and records land at any offset.
 func FuzzRunArchive(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x03lifecycle\x01\x07\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x44\x40\x02"))
 	f.Add([]byte("\x01long\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x80\x0f\x02\x06\x02\x06\x03\x05"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runs := fuzzRuns(data)
-		checkArchive(t, newRunArchive(hash64), runs)
-		checkArchive(t, newRunArchive(func(string) uint64 { return 7 }), runs)
+		runs, closes := fuzzRuns(data)
+		for _, hash := range []func(string) uint64{hash64, func(string) uint64 { return 7 }} {
+			checkArchive(t, newRunArchive(hash), runs, nil)
+			checkArchive(t, spillingArchive(hash, new(chunktest.File)), runs, closes)
+		}
 	})
 }
 
-// checkArchive adds runs to a and checks every read of them.
-func checkArchive(t *testing.T, a runArchive, runs []RunSnapshot) {
+// spillingArchive returns an empty archive that spills closed chunks to f.
+func spillingArchive(hash func(string) uint64, f chunk.File) runArchive {
+	a := newRunArchive(hash)
+	a.SpillTo(chunk.NewSink(f, nil), archiveName)
+	return a
+}
+
+// closeChunk closes the archive's open chunk, spilling it, as if the next
+// record did not fit.
+func (a *runArchive) closeChunk() {
+	if last := len(a.Chunks) - 1; last >= 0 && len(a.Chunks[last]) > 0 {
+		a.Open(0)
+	}
+}
+
+// checkArchive adds runs to a, closing its open chunk before run i when
+// closes[i] is set, and checks every read of them.
+func checkArchive(t *testing.T, a runArchive, runs []RunSnapshot, closes []bool) {
 	t.Helper()
 	for i, r := range runs {
 		if a.has(r.ID) {
 			t.Fatalf("run %d: the archive holds %.40q before it was added", i, r.ID)
+		}
+		if closes != nil && closes[i] {
+			a.closeChunk()
 		}
 		a.add(r)
 		sameRun(t, "added", &a, r)
@@ -62,12 +88,27 @@ func checkArchive(t *testing.T, a runArchive, runs []RunSnapshot) {
 	if i != len(runs) || a.n != len(runs) {
 		t.Fatalf("each lists %d runs and the archive counts %d; %d were added", i, a.n, len(runs))
 	}
-	size := 0
-	for _, c := range a.Chunks {
-		size += cap(c)
+	if a.Sink() == nil {
+		size := 0
+		for _, c := range a.Chunks {
+			size += cap(c)
+		}
+		if size != a.Size {
+			t.Fatalf("chunks take %d bytes, the archive counts %d", size, a.Size)
+		}
+		return
 	}
-	if size != a.Size {
-		t.Fatalf("chunks take %d bytes, the archive counts %d", size, a.Size)
+	var buf []byte
+	spilled := 0
+	for i, c := range a.Chunks {
+		if last := i == len(a.Chunks)-1; (c == nil) == last {
+			t.Fatalf("chunk %d of %d is spilled %v; want every closed chunk spilled", i, len(a.Chunks), c == nil)
+		} else if !last {
+			spilled += len(a.Read(i, 0, -1, &buf))
+		}
+	}
+	if got := a.Sink().Size(); got != int64(spilled) {
+		t.Fatalf("the sink holds %d bytes, the closed chunks %d", got, spilled)
 	}
 }
 
@@ -89,11 +130,13 @@ func sameRun(t *testing.T, when string, a *runArchive, r RunSnapshot) {
 }
 
 // fuzzRuns decodes up to 48 finished runs from data, at most two of them
-// with an ID longer than a chunk. Run IDs are unique; everything else may
-// repeat.
-func fuzzRuns(data []byte) []RunSnapshot {
+// with an ID longer than a chunk, and for each whether a spilling archive
+// closes its open chunk before adding it. Run IDs are unique; everything
+// else may repeat.
+func fuzzRuns(data []byte) ([]RunSnapshot, []bool) {
 	in := fuzzInput{b: data}
 	var runs []RunSnapshot
+	var closes []bool
 	long := 0
 	for i := 0; len(in.b) > 0 && i < 48; i++ {
 		op := in.byte()
@@ -125,8 +168,9 @@ func fuzzRuns(data []byte) []RunSnapshot {
 			r.Outcome = fuzzOutcome(&in, r.Tasks)
 		}
 		runs = append(runs, r)
+		closes = append(closes, op&4 != 0)
 	}
-	return runs
+	return runs, closes
 }
 
 // fuzzOutcome decodes an outcome for a run with tasks.
@@ -326,8 +370,15 @@ func TestFinishedRunsMoveToArchive(t *testing.T) {
 // TestArchiveReadsRaceFinishes reads finished runs back from several
 // goroutines while other runs finish and grow the archive, its first chunk
 // included. Run it under -race: reads decode under the scheduler's read
-// lock and share no bytes with the chunks.
+// lock and share no bytes with the chunks. On a spilling scheduler every
+// tenth finish closes the archive's open chunk, so cold reads of the first
+// run's spilled chunk race finishes that spill chunks.
 func TestArchiveReadsRaceFinishes(t *testing.T) {
+	t.Run("resident", func(t *testing.T) { archiveReadsRaceFinishes(t, false) })
+	t.Run("spilled", func(t *testing.T) { archiveReadsRaceFinishes(t, true) })
+}
+
+func archiveReadsRaceFinishes(t *testing.T, spill bool) {
 	ctx := context.Background()
 	s, err := NewRunScheduler(SchedulerConfig{
 		Auction: AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
@@ -338,6 +389,9 @@ func TestArchiveReadsRaceFinishes(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if spill {
+		s.SpillTo(new(chunktest.File))
 	}
 	for i := 0; i < 4; i++ {
 		if err := s.RegisterWorker(ctx, "w"+strconv.Itoa(i)); err != nil {
@@ -361,6 +415,11 @@ func TestArchiveReadsRaceFinishes(t *testing.T) {
 		if err := s.FinishRun(ctx, id); err != nil {
 			t.Fatal(err)
 		}
+		if spill && n%10 == 0 {
+			s.mu.Lock()
+			s.archive.closeChunk()
+			s.mu.Unlock()
+		}
 		return out
 	}
 	first := finish(0)
@@ -380,6 +439,10 @@ func TestArchiveReadsRaceFinishes(t *testing.T) {
 					errs <- fmt.Errorf("Run(r0) = %+v, %v while runs finish", info, err)
 					return
 				}
+				if closed, finished, err := s.RunState("r0"); err != nil || !closed || !finished {
+					errs <- fmt.Errorf("RunState(r0) = %v, %v, %v while runs finish", closed, finished, err)
+					return
+				}
 			}
 		}()
 	}
@@ -392,7 +455,10 @@ func TestArchiveReadsRaceFinishes(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if len(s.archive.Chunks) != 1 || cap(s.archive.Chunks[0]) <= chunk.First {
+	if !spill && (len(s.archive.Chunks) != 1 || cap(s.archive.Chunks[0]) <= chunk.First) {
 		t.Errorf("the archive holds %d chunks; the test wants its first chunk grown", len(s.archive.Chunks))
+	}
+	if spill && (len(s.archive.Chunks) < 21 || slices.ContainsFunc(s.archive.Chunks[:len(s.archive.Chunks)-1], func(c []byte) bool { return c != nil })) {
+		t.Errorf("the archive holds %d chunks; the test wants 21 or more, every closed one spilled", len(s.archive.Chunks))
 	}
 }

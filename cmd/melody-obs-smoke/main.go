@@ -273,6 +273,8 @@ func checkSeries(series map[string]float64) error {
 		"melody_auction_duration_seconds",
 		"melody_em_reestimate_seconds",
 		"melody_em_unconverged_total",
+		obs.MetricSpillBytes,
+		obs.MetricSpillWriteErrorsTotal,
 	} {
 		if !obs.FamilyPresent(series, fam) {
 			return fmt.Errorf("/metrics is missing family %s", fam)

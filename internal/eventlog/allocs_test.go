@@ -6,9 +6,13 @@ package eventlog
 // zero-alloc pin lives behind !race.
 
 import (
+	"context"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"testing"
+
+	"melody/internal/obs"
 )
 
 // TestAppendSteadyStateAllocs pins the scratch-buffer reuse: after warmup,
@@ -93,5 +97,52 @@ func TestReplayAllocsPerRun(t *testing.T) {
 	const ceiling = 57
 	if perRun > ceiling {
 		t.Errorf("replay allocates %.1f times per run, want at most %d", perRun, ceiling)
+	}
+}
+
+// TestRetriesOfSpilledRunDecodeOnce: a retried finish of a finished run
+// whose record was spilled reads only the record's head and decodes no
+// outcome, and a retried close decodes the record once, as Run does.
+func TestRetriesOfSpilledRunDecodeOnce(t *testing.T) {
+	ctx := context.Background()
+	reg := obs.NewRegistry()
+	s := newMeteredScheduler(t, reg)
+	ps, log, err := OpenPersistentScheduler(filepath.Join(t.TempDir(), "w.wal"), s, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	driveLifecycleSeason(t, ps, 250)
+	requireSpilledArchive(t, reg)
+	const id = "t0-r000001"
+	if closed, finished, err := s.RunState(id); err != nil || !closed || !finished {
+		t.Fatalf("RunState(%s) = %v, %v, %v; want closed and finished", id, closed, finished, err)
+	}
+	state := testing.AllocsPerRun(100, func() { _, _, _ = s.RunState(id) })
+	decode := testing.AllocsPerRun(100, func() { _, _ = s.Run(id) })
+	tail := testing.AllocsPerRun(100, func() { _ = log.waitTail(ctx) })
+	finish := testing.AllocsPerRun(100, func() {
+		if err := ps.FinishRun(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	})
+	closeAgain := testing.AllocsPerRun(100, func() {
+		if _, err := ps.CloseAuction(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations: RunState %.0f, Run %.0f, wait %.0f, retried finish %.0f, retried close %.0f",
+		state, decode, tail, finish, closeAgain)
+	if state != 0 {
+		t.Errorf("RunState of a spilled run allocates %.0f times, want 0", state)
+	}
+	if decode < 2 {
+		t.Fatalf("Run allocates %.0f times; the test wants a decode to allocate", decode)
+	}
+	if finish != tail {
+		t.Errorf("a retried finish allocates %.0f times, want the wait's %.0f: it decodes no outcome", finish, tail)
+	}
+	if closeAgain != decode+tail {
+		t.Errorf("a retried close allocates %.0f times, want one decode and the wait, %.0f", closeAgain, decode+tail)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 
@@ -65,6 +66,9 @@ func OpenPersistentScheduler(path string, s *melody.RunScheduler, opts Options) 
 	if s == nil {
 		return nil, nil, errors.New("eventlog: recover needs a scheduler")
 	}
+	if err := spillBeside(filepath.Dir(path), s); err != nil {
+		return nil, nil, err
+	}
 	ps := &PersistentScheduler{s: s, logged: make(map[string]bool)}
 	// One pass over the file both replays it and finds the end appends
 	// resume from; a missing log file is a first boot.
@@ -91,6 +95,12 @@ func OpenSegmentedScheduler(dir string, s *melody.RunScheduler, opts SegmentedOp
 	if s == nil {
 		return nil, nil, errors.New("eventlog: recover needs a scheduler")
 	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, nil, fmt.Errorf("eventlog: create %s: %w", dir, err)
+	}
+	if err := spillBeside(dir, s); err != nil {
+		return nil, nil, err
+	}
 	ps := &PersistentScheduler{s: s, logged: make(map[string]bool)}
 	seg, _, err := recoverSegmented(dir, opts, ps.restore, ps.replayer())
 	if err != nil {
@@ -98,6 +108,28 @@ func OpenSegmentedScheduler(dir string, s *melody.RunScheduler, opts SegmentedOp
 	}
 	ps.log, ps.seg = seg.Log, seg
 	return ps, seg, nil
+}
+
+// spillBeside gives s a scratch file in dir, the WAL's directory, for the
+// closed chunks of its run archive and ledger journal
+// (melody.RunScheduler.SpillTo). Replay and snapshot restore rebuild what
+// the file holds, so no boot reads it, and it is unlinked as soon as it is
+// made: no directory scan sees it, two schedulers on one path do not meet,
+// and its space returns when the scheduler is collected and the file's
+// descriptor closed. A crash before the unlink leaves a *.tmp file, which
+// the segmented engine sweeps at its next boot.
+func spillBeside(dir string, s *melody.RunScheduler) error {
+	f, err := os.CreateTemp(dir, "spill-*.tmp")
+	if err != nil {
+		return fmt.Errorf("eventlog: create spill file: %w", err)
+	}
+	// Another boot in dir may have swept the file first.
+	if err := os.Remove(f.Name()); err != nil && !errors.Is(err, os.ErrNotExist) {
+		f.Close()
+		return fmt.Errorf("eventlog: unlink spill file: %w", err)
+	}
+	s.SpillTo(f)
+	return nil
 }
 
 // restore installs a snapshot's scheduler state.
@@ -144,17 +176,28 @@ func (ps *PersistentScheduler) Scheduler() *melody.RunScheduler { return ps.s }
 // record applies op and enqueues ev under the ordering lock, waiting for
 // durability outside it.
 func (ps *PersistentScheduler) record(ctx context.Context, op func() error, ev Event) error {
-	ps.mu.Lock()
-	if err := op(); err != nil {
-		ps.mu.Unlock()
-		return err
-	}
-	_, wait, err := ps.log.AppendAsync(ev)
-	ps.mu.Unlock()
+	wait, err := ps.apply(op, ev)
 	if err != nil {
 		return err
 	}
 	return wait(ctx)
+}
+
+// apply applies op and enqueues ev under the ordering lock, and returns
+// the wait for ev's durability.
+//
+// Every section under the ordering lock releases it with defer: a read of
+// a finished run or old ledger entry whose spilled chunk fails to read
+// back panics (melody.RunScheduler.SpillTo), and the panic must fail only
+// its own request.
+func (ps *PersistentScheduler) apply(op func() error, ev Event) (func(context.Context) error, error) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if err := op(); err != nil {
+		return nil, err
+	}
+	_, wait, err := ps.log.AppendAsync(ev)
+	return wait, err
 }
 
 // RegisterWorker registers and records a worker.
@@ -172,22 +215,37 @@ func (ps *PersistentScheduler) OpenRun(ctx context.Context, runID, tenant string
 	for i, t := range tasks {
 		records[i] = TaskRecord{ID: t.ID, Threshold: t.Threshold}
 	}
-	ps.mu.Lock()
-	_, err := ps.s.Run(runID)
-	known := err == nil
-	if err := ps.s.OpenRun(ctx, runID, tenant, tasks, budget); err != nil {
-		ps.mu.Unlock()
-		return err
-	}
-	wait := ps.log.waitTail
-	if !known {
-		_, wait, err = ps.log.AppendAsync(Event{Kind: KindOpenRun, Run: runID, Tenant: tenant, Tasks: records, Budget: budget})
-	}
-	ps.mu.Unlock()
+	wait, err := ps.openLocked(ctx, runID, tenant, tasks, budget, records)
 	if err != nil {
 		return err
 	}
+	return ps.await(ctx, wait)
+}
+
+// await calls wait, or when wait is nil, the wait of a retry, which is
+// already in the log: for the records before it to be durable.
+func (ps *PersistentScheduler) await(ctx context.Context, wait func(context.Context) error) error {
+	if wait == nil {
+		return ps.log.waitTail(ctx)
+	}
 	return wait(ctx)
+}
+
+// openLocked is OpenRun's section under the ordering lock; its wait is nil
+// for a retry.
+func (ps *PersistentScheduler) openLocked(ctx context.Context, runID, tenant string, tasks []melody.Task, budget float64, records []TaskRecord) (func(context.Context) error, error) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	_, _, err := ps.s.RunState(runID)
+	known := err == nil
+	if err := ps.s.OpenRun(ctx, runID, tenant, tasks, budget); err != nil {
+		return nil, err
+	}
+	if known {
+		return nil, nil
+	}
+	_, wait, err := ps.log.AppendAsync(Event{Kind: KindOpenRun, Run: runID, Tenant: tenant, Tasks: records, Budget: budget})
+	return wait, err
 }
 
 // SubmitBid submits and records a bid against a run, as a batch of one.
@@ -200,18 +258,19 @@ func (ps *PersistentScheduler) SubmitBid(ctx context.Context, runID, workerID st
 // one record, so its durability cost is one append and one fsync
 // regardless of size, and a crash keeps all of them or none.
 func (ps *PersistentScheduler) SubmitBids(ctx context.Context, runID string, bids []melody.WorkerBid) melody.BatchResult {
-	ps.mu.Lock()
-	applied := ps.s.SubmitBids(ctx, runID, bids)
-	ev := Event{Kind: KindBids, Run: runID}
-	if n := applied.Len() - applied.FailedCount(); n > 0 {
-		ev.Bids = make([]BidRecord, 0, n)
-		for i, b := range bids {
-			if applied.ErrAt(i) == nil {
-				ev.Bids = append(ev.Bids, BidRecord{Worker: b.WorkerID, Cost: b.Bid.Cost, Frequency: b.Bid.Frequency})
+	return ps.recordBatch(ctx, func() (melody.BatchResult, Event) {
+		applied := ps.s.SubmitBids(ctx, runID, bids)
+		ev := Event{Kind: KindBids, Run: runID}
+		if n := applied.Len() - applied.FailedCount(); n > 0 {
+			ev.Bids = make([]BidRecord, 0, n)
+			for i, b := range bids {
+				if applied.ErrAt(i) == nil {
+					ev.Bids = append(ev.Bids, BidRecord{Worker: b.WorkerID, Cost: b.Bid.Cost, Frequency: b.Bid.Frequency})
+				}
 			}
 		}
-	}
-	return ps.recordBatch(ctx, applied, ev)
+		return applied, ev
+	})
 }
 
 // SubmitScore submits and records a score against a run, as a batch of
@@ -223,31 +282,28 @@ func (ps *PersistentScheduler) SubmitScore(ctx context.Context, runID, workerID,
 // SubmitScores applies and records a whole batch of scores against a run,
 // with SubmitBids' batch contract.
 func (ps *PersistentScheduler) SubmitScores(ctx context.Context, runID string, scores []melody.TaskScore) melody.BatchResult {
-	ps.mu.Lock()
-	applied := ps.s.SubmitScores(ctx, runID, scores)
-	ev := Event{Kind: KindScores, Run: runID}
-	if n := applied.Len() - applied.FailedCount(); n > 0 {
-		ev.Scores = make([]ScoreRecord, 0, n)
-		for i, sc := range scores {
-			if applied.ErrAt(i) == nil {
-				ev.Scores = append(ev.Scores, ScoreRecord{Worker: sc.WorkerID, Task: sc.TaskID, Score: sc.Score})
+	return ps.recordBatch(ctx, func() (melody.BatchResult, Event) {
+		applied := ps.s.SubmitScores(ctx, runID, scores)
+		ev := Event{Kind: KindScores, Run: runID}
+		if n := applied.Len() - applied.FailedCount(); n > 0 {
+			ev.Scores = make([]ScoreRecord, 0, n)
+			for i, sc := range scores {
+				if applied.ErrAt(i) == nil {
+					ev.Scores = append(ev.Scores, ScoreRecord{Worker: sc.WorkerID, Task: sc.TaskID, Score: sc.Score})
+				}
 			}
 		}
-	}
-	return ps.recordBatch(ctx, applied, ev)
+		return applied, ev
+	})
 }
 
-// recordBatch enqueues ev, the record of the items a batch applied, unless
-// it applied none, releases the ordering lock the caller holds, and waits
-// for the record to be durable. A failed append or wait fails every
-// applied item.
-func (ps *PersistentScheduler) recordBatch(ctx context.Context, applied melody.BatchResult, ev Event) melody.BatchResult {
-	var wait func(context.Context) error
-	var err error
-	if ev.Bids != nil || ev.Scores != nil {
-		_, wait, err = ps.log.AppendAsync(ev)
-	}
-	ps.mu.Unlock()
+// recordBatch applies a batch with apply under the ordering lock, which
+// returns what it applied and ev, the record of the items it applied;
+// enqueues ev unless it applied none; and waits for the record to be
+// durable outside the lock. A failed append or wait fails every applied
+// item.
+func (ps *PersistentScheduler) recordBatch(ctx context.Context, apply func() (melody.BatchResult, Event)) melody.BatchResult {
+	applied, wait, err := ps.enqueueBatch(apply)
 	if err == nil && wait != nil {
 		err = wait(ctx)
 	}
@@ -263,31 +319,49 @@ func (ps *PersistentScheduler) recordBatch(ctx context.Context, applied melody.B
 	return melody.NewBatchResult(errs)
 }
 
+// enqueueBatch is recordBatch's section under the ordering lock; its wait
+// is nil when the batch applied nothing.
+func (ps *PersistentScheduler) enqueueBatch(apply func() (melody.BatchResult, Event)) (melody.BatchResult, func(context.Context) error, error) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	applied, ev := apply()
+	if ev.Bids == nil && ev.Scores == nil {
+		return applied, nil, nil
+	}
+	_, wait, err := ps.log.AppendAsync(ev)
+	return applied, wait, err
+}
+
 // CloseAuction closes a run's auction and records the closure; the outcome
 // is recomputed exactly on replay. A retried close of an auction that has
 // closed is already in the log: it appends nothing and waits for the
 // records before it to be durable.
 func (ps *PersistentScheduler) CloseAuction(ctx context.Context, runID string) (*melody.Outcome, error) {
-	ps.mu.Lock()
-	info, err := ps.s.Run(runID)
-	closed := err == nil && info.AuctionClosed
-	out, err := ps.s.CloseAuction(ctx, runID)
-	if err != nil {
-		ps.mu.Unlock()
-		return nil, err
-	}
-	wait := ps.log.waitTail
-	if !closed {
-		_, wait, err = ps.log.AppendAsync(Event{Kind: KindClose, Run: runID})
-	}
-	ps.mu.Unlock()
+	out, wait, err := ps.closeLocked(ctx, runID)
 	if err != nil {
 		return nil, err
 	}
-	if err := wait(ctx); err != nil {
+	if err := ps.await(ctx, wait); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// closeLocked is CloseAuction's section under the ordering lock; its wait
+// is nil for a retry.
+func (ps *PersistentScheduler) closeLocked(ctx context.Context, runID string) (*melody.Outcome, func(context.Context) error, error) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	closed, _, _ := ps.s.RunState(runID)
+	out, err := ps.s.CloseAuction(ctx, runID)
+	if err != nil {
+		return nil, nil, err
+	}
+	if closed {
+		return out, nil, nil
+	}
+	_, wait, err := ps.log.AppendAsync(Event{Kind: KindClose, Run: runID})
+	return out, wait, err
 }
 
 // FinishRun finishes and records a run. Finish order across runs is part
@@ -306,32 +380,41 @@ func (ps *PersistentScheduler) CloseAuction(ctx context.Context, runID string) (
 // While another run is open there is no state to capture; the next finish
 // tries again.
 func (ps *PersistentScheduler) FinishRun(ctx context.Context, runID string) error {
-	ps.mu.Lock()
-	if info, err := ps.s.Run(runID); err == nil && info.Finished {
-		ps.mu.Unlock()
-		return ps.log.waitTail(ctx)
-	}
-	made, err := ps.s.FinishRunEM(ctx, runID, nil)
-	if err != nil {
-		ps.mu.Unlock()
-		return err
-	}
-	seq, wait, err := ps.log.AppendAsync(Event{Kind: KindFinish, Run: runID, EM: emRecord(made)})
-	var snap *melody.SchedulerSnapshot
-	if err == nil && ps.seg != nil && ps.seg.ShouldSnapshot() {
-		snap = ps.snapshotLocked()
-	}
-	ps.mu.Unlock()
+	seq, wait, snap, err := ps.finishLocked(ctx, runID)
 	if err != nil {
 		return err
 	}
-	if err := wait(ctx); err != nil {
+	if err := ps.await(ctx, wait); err != nil {
 		return err
 	}
 	if snap != nil {
 		ps.writeSnapshot(seq, snap)
 	}
 	return nil
+}
+
+// finishLocked is FinishRun's section under the ordering lock. It returns
+// the finish record's sequence, the wait for its durability (nil for a
+// retry) and the snapshot to write once it is durable, if one is due.
+func (ps *PersistentScheduler) finishLocked(ctx context.Context, runID string) (int64, func(context.Context) error, *melody.SchedulerSnapshot, error) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if _, finished, _ := ps.s.RunState(runID); finished {
+		return 0, nil, nil, nil
+	}
+	made, err := ps.s.FinishRunEM(ctx, runID, nil)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	seq, wait, err := ps.log.AppendAsync(Event{Kind: KindFinish, Run: runID, EM: emRecord(made)})
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	var snap *melody.SchedulerSnapshot
+	if ps.seg != nil && ps.seg.ShouldSnapshot() {
+		snap = ps.snapshotLocked()
+	}
+	return seq, wait, snap, nil
 }
 
 // snapshotLocked captures the scheduler's state for a snapshot, or returns

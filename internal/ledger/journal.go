@@ -13,7 +13,8 @@ import (
 // byte chunks that hold no pointers (chunk.Log: an entry never straddles
 // two chunks, full chunks are never copied, and an entry longer than a
 // chunk gets one of its own). Each chunk's first entry is encoded in full,
-// so every chunk decodes on its own (see chunkReader).
+// so every chunk decodes on its own (see chunkReader), and a chunk spilled
+// to disk (chunk.Log.SpillTo) is its bytes verbatim.
 //
 // An entry is encoded as
 //
@@ -38,6 +39,9 @@ type journal struct {
 	textAt, textLen int
 }
 
+// journalName names the journal in a failed spill read's panic.
+const journalName = "ledger journal"
+
 // The header byte: the memo form in its low bits, and the sameText flag.
 const (
 	formBits byte = 0x07
@@ -47,7 +51,7 @@ const (
 // append encodes an entry as the last one.
 func (j *journal) append(kind, from, to uint32, amount float64, m memoParts) {
 	last := len(j.Chunks) - 1
-	same := last >= 0 && string(j.Chunks[last][j.textAt:j.textAt+j.textLen]) == m.text
+	same := last >= 0 && len(j.Chunks[last]) > 0 && string(j.Chunks[last][j.textAt:j.textAt+j.textLen]) == m.text
 	if !j.Room(encodedLen(kind, from, to, m, j.num, same)) {
 		// A new chunk: its first entry is encoded in full.
 		j.num, same = 0, false

@@ -12,6 +12,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"melody/internal/chunk"
 )
 
 // Account identifies a ledger account.
@@ -138,8 +140,10 @@ func (l *Ledger) Entries() []Entry {
 func (l *Ledger) entriesLocked() []Entry {
 	out := make([]Entry, 0, l.journal.n)
 	var r, prev rec
-	for _, c := range l.journal.Chunks {
-		d := chunkReader{c: c}
+	buf := chunk.Buffer()
+	defer chunk.Release(buf)
+	for i := range l.journal.Chunks {
+		d := chunkReader{c: l.journal.Read(i, 0, -1, buf)}
 		for d.next(&r) {
 			e := Entry{
 				Seq:    int64(len(out) + 1),
@@ -168,8 +172,10 @@ func (l *Ledger) EachAmount(fn func(seq int64, kind EntryKind, amount float64) b
 	defer l.mu.Unlock()
 	var r rec
 	seq := int64(0)
-	for _, c := range l.journal.Chunks {
-		for d := (chunkReader{c: c}); d.next(&r); {
+	buf := chunk.Buffer()
+	defer chunk.Release(buf)
+	for i := range l.journal.Chunks {
+		for d := (chunkReader{c: l.journal.Read(i, 0, -1, buf)}); d.next(&r); {
 			seq++
 			if !fn(seq, EntryKind(l.names[r.kind]), r.amount) {
 				return
@@ -178,8 +184,17 @@ func (l *Ledger) EachAmount(fn func(seq int64, kind EntryKind, amount float64) b
 	}
 }
 
+// SpillTo makes the journal write each chunk it closes to sink and keep
+// only where it went; Entries, Snapshot and EachAmount read closed chunks
+// back from there. A journal spills to one sink, kept across Restore.
+func (l *Ledger) SpillTo(sink *chunk.Sink) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.journal.SpillTo(sink, journalName)
+}
+
 // JournalSize returns the number of entries the journal holds and the bytes
-// its chunks take.
+// its chunks take, spilled ones included.
 func (l *Ledger) JournalSize() (entries, bytes int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -61,7 +61,9 @@ func (l *Ledger) Restore(s *Snapshot) error {
 	for a, b := range s.Balances {
 		l.balances[a] = b
 	}
+	sink := l.journal.Sink()
 	l.journal = journal{}
+	l.journal.SpillTo(sink, journalName)
 	l.names, l.ids = nil, make(map[string]uint32)
 	for _, e := range s.Entries {
 		l.write(e.Kind, e.From, e.To, e.Amount, parseMemo(e.Memo))

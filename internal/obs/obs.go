@@ -88,6 +88,11 @@ const (
 	// Finished-run archive (the run scheduler), set at every finish and
 	// snapshot restore.
 	MetricRunArchiveBytes = "melody_run_archive_bytes"
+
+	// Spill of closed journal and archive chunks (internal/chunk) to a
+	// scratch file beside the WAL, updated at every spill.
+	MetricSpillBytes            = "melody_spill_bytes"
+	MetricSpillWriteErrorsTotal = "melody_spill_write_errors_total"
 )
 
 // RegisterBaseline pre-registers the platform's standard metric families so
@@ -136,4 +141,6 @@ func RegisterBaseline(r *Registry) {
 	r.Gauge(MetricLedgerEntries, "Entries in the ledger's journal.")
 	r.Gauge(MetricLedgerJournalBytes, "Bytes the ledger's journal chunks take.")
 	r.Gauge(MetricRunArchiveBytes, "Bytes the finished-run archive's chunks take.")
+	r.Gauge(MetricSpillBytes, "Bytes of closed ledger-journal and run-archive chunks spilled to scratch files.")
+	r.Counter(MetricSpillWriteErrorsTotal, "Chunk spills that failed to write and left the chunk in the heap.")
 }

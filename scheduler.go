@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 	"sync"
 
+	"melody/internal/chunk"
 	"melody/internal/obs"
 	"melody/internal/quality"
 )
@@ -189,6 +191,30 @@ func (s *RunScheduler) observeLedger() {
 	s.journalBytes.Set(float64(bytes))
 }
 
+// SpillTo moves the closed chunks of the finished-run archive and of the
+// ledger's journal out of the heap into f as they close, keeping only
+// where each went. f is scratch space the scheduler owns from then on:
+// reads of old runs and entries (Run, retries, SnapshotState, Entries) take
+// their chunk back from it, and nothing else reads it, so a durable layer
+// can hand it a file no boot will read. The chunks' bytes are their heap
+// bytes verbatim. A failed write keeps the chunk in the heap and counts
+// melody_spill_write_errors_total; a failed read panics with a
+// *chunk.ReadError and fails the request that made it, holding no lock.
+// Call SpillTo before the scheduler serves or replays anything; a second
+// call, or one on a ledger that already spills, is ignored.
+func (s *RunScheduler) SpillTo(f interface {
+	io.ReaderAt
+	io.WriterAt
+}) {
+	sink := chunk.NewSink(f, s.cfg.Metrics)
+	s.mu.Lock()
+	s.archive.SpillTo(sink, archiveName)
+	s.mu.Unlock()
+	if s.cfg.Ledger != nil {
+		s.cfg.Ledger.SpillTo(sink)
+	}
+}
+
 // Settler returns the epoch settler, nil when EpochEvery was 0.
 func (s *RunScheduler) Settler() *EpochSettler { return s.settler }
 
@@ -342,15 +368,43 @@ func (s *RunScheduler) newTenantPlatform(tenant string) (*Platform, error) {
 	}, s.registry)
 }
 
-// resolve maps a run ID to its scheduling state.
+// resolve maps a run ID to its scheduling state. A failed read of a
+// spilled archive chunk panics out of it with s.mu released.
 func (s *RunScheduler) resolve(runID string) (*schedRun, error) {
 	s.mu.RLock()
-	r := s.lookupLocked(runID)
-	s.mu.RUnlock()
-	if r == nil {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownRun, runID)
+	defer s.mu.RUnlock()
+	if r := s.lookupLocked(runID); r != nil {
+		return r, nil
 	}
-	return r, nil
+	return nil, fmt.Errorf("%w: %s", ErrUnknownRun, runID)
+}
+
+// RunState reports whether a run's auction has closed and whether the run
+// has finished, or ErrUnknownRun. Unlike Run it decodes no outcome: of a
+// finished run it reads only its archive record's flags byte and ID.
+func (s *RunScheduler) RunState(runID string) (closed, finished bool, err error) {
+	r, flags, archived := s.state(runID)
+	switch {
+	case r != nil:
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.outcome != nil, r.done, nil
+	case archived:
+		return flags&archOutcome != 0, true, nil
+	}
+	return false, false, fmt.Errorf("%w: %s", ErrUnknownRun, runID)
+}
+
+// state returns an open run's schedRun, or a finished run's archive flags
+// and true.
+func (s *RunScheduler) state(runID string) (*schedRun, byte, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if r := s.runs[runID]; r != nil {
+		return r, 0, false
+	}
+	flags, ok := s.archive.flags(runID)
+	return nil, flags, ok
 }
 
 // lookupLocked returns an open run's schedRun, or a finished run decoded
@@ -385,40 +439,15 @@ func (s *RunScheduler) OpenRun(ctx context.Context, runID, tenant string, tasks 
 		return errors.New("melody: empty run ID")
 	}
 	tenant = tenantOrDefault(tenant)
-	s.mu.Lock()
-	if r := s.lookupLocked(runID); r != nil {
-		s.mu.Unlock()
+	r, known, err := s.claimRun(runID, tenant, tasks, budget)
+	switch {
+	case known:
 		return s.reopen(ctx, r, tenant, tasks, budget)
-	}
-	if openID, busy := s.tenantOpen[tenant]; busy {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: tenant %q run %q", ErrRunOpen, tenant, openID)
-	}
-	// Enforce the tenant's policy (budget quota against settled spend,
-	// run-count cap) before any money moves; on success the budget is
-	// committed to the tenant's spend ledger until the run finishes.
-	if err := s.admitRunLocked(tenant, budget); err != nil {
-		s.mu.Unlock()
+	case err != nil:
 		return err
 	}
-	p, err := s.platformFor(tenant)
-	if err != nil {
-		s.releaseRunLocked(tenant)
-		s.mu.Unlock()
-		return err
-	}
-	// Claim the slot before the (escrowing) platform call so a concurrent
-	// OpenRun for the same tenant conflicts instead of double-opening;
-	// roll the claim back if the platform rejects the spec.
-	s.opened++
-	r := &schedRun{id: runID, tenant: tenant, num: int32(s.opened), p: p,
-		tasks: append([]Task(nil), tasks...), budget: budget}
-	s.runs[runID] = r
-	s.tenantOpen[tenant] = runID
-	s.order = append(s.order, runID)
-	s.mu.Unlock()
-
-	if err := p.OpenRun(ctx, tasks, budget); err != nil {
+	if err := r.p.OpenRun(ctx, tasks, budget); err != nil {
+		// The platform rejected the spec: roll the claim back.
 		s.mu.Lock()
 		delete(s.runs, runID)
 		delete(s.tenantOpen, tenant)
@@ -431,6 +460,38 @@ func (s *RunScheduler) OpenRun(ctx context.Context, runID, tenant string, tasks 
 		return err
 	}
 	return nil
+}
+
+// claimRun returns the known run runID and true, or claims a new run for
+// the tenant: it admits the run under the tenant's policy (budget quota
+// against settled spend, run-count cap), committing the budget to the
+// tenant's spend until the run finishes, and takes the next number. The
+// claim comes before the (escrowing) platform call so that a concurrent
+// OpenRun for the same tenant conflicts instead of double-opening.
+func (s *RunScheduler) claimRun(runID, tenant string, tasks []Task, budget float64) (*schedRun, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r := s.lookupLocked(runID); r != nil {
+		return r, true, nil
+	}
+	if openID, busy := s.tenantOpen[tenant]; busy {
+		return nil, false, fmt.Errorf("%w: tenant %q run %q", ErrRunOpen, tenant, openID)
+	}
+	if err := s.admitRunLocked(tenant, budget); err != nil {
+		return nil, false, err
+	}
+	p, err := s.platformFor(tenant)
+	if err != nil {
+		s.releaseRunLocked(tenant)
+		return nil, false, err
+	}
+	s.opened++
+	r := &schedRun{id: runID, tenant: tenant, num: int32(s.opened), p: p,
+		tasks: append([]Task(nil), tasks...), budget: budget}
+	s.runs[runID] = r
+	s.tenantOpen[tenant] = runID
+	s.order = append(s.order, runID)
+	return r, false, nil
 }
 
 // dropOpenLocked removes a run from the open order. Callers hold s.mu.
