@@ -3,11 +3,11 @@ GO ?= go
 # exploration sessions (e.g. make fuzz-smoke FUZZTIME=10m).
 FUZZTIME ?= 10s
 
-.PHONY: ci vet build test race verify-props bench-smoke bench-scale-smoke bench-e2e-smoke bench-full-smoke bench-snapshot chaos-smoke fuzz-smoke load-smoke obs-smoke slo-smoke overload-bench-smoke multirun-smoke fairness-smoke clean
+.PHONY: ci vet build test race verify-props bench-smoke bench-scale-smoke bench-e2e-smoke bench-full-smoke bench-snapshot chaos-smoke fuzz-smoke scenario-smoke obs-smoke clean
 
 # ci is the tier-1 gate (see ROADMAP.md): everything must pass before a
 # change lands.
-ci: vet build test race verify-props chaos-smoke fuzz-smoke bench-smoke bench-scale-smoke bench-e2e-smoke bench-full-smoke load-smoke obs-smoke slo-smoke overload-bench-smoke multirun-smoke fairness-smoke
+ci: vet build test race verify-props chaos-smoke fuzz-smoke bench-smoke bench-scale-smoke bench-e2e-smoke bench-full-smoke scenario-smoke obs-smoke
 
 # vet also fails on any tracked Go file that gofmt would change, bench/
 # included; the untracked .bench_build/ is not listed.
@@ -85,20 +85,30 @@ fuzz-smoke:
 	$(GO) test ./internal/lds/ -run '^$$' -fuzz '^FuzzEMStats$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lds/ -run '^$$' -fuzz '^FuzzEMLanes$$' -fuzztime $(FUZZTIME)
 
-# load-smoke drives a short seeded load run through the real serving path
-# (loopback HTTP server, WAL group-commit backend, batched bids) and fails
-# unless it reports nonzero sustained throughput and shuts down cleanly.
-load-smoke:
+# scenario-smoke runs every load scenario through the one loadgen harness
+# (internal/loadgen), each of which checks the books (money conserved,
+# escrow and epoch pool drained, tenant quotas, every run completed) and
+# goroutine leaks:
+#   - the closed loop over the real serving path (loopback HTTP, WAL
+#     group-commit backend, batched bids): work accepted, runs completed,
+#     clean shutdown;
+#   - the overload SLO gate (TESTING.md "The SLO gate"): calibrate the
+#     machine's ungated capacity, then a rated run (shedding rare, bounded
+#     tail) and a 3x overload (shedding engages, every run settles);
+#   - the serve/overload kernels through melody-bench (-smoke writes no
+#     snapshot);
+#   - multirun, 2 tenants x 4 runs over HTTP, serially then concurrently:
+#     every run's outcome byte-identical across the passes;
+#   - fairness, 8 quota-bounded tenants closing in synchronized volleys
+#     behind the weighted-fair gate: max/min per-tenant median close latency
+#     <= 2, every over-quota open refused, spend equal to the ledger outflow,
+#     quotas surviving WAL replay, outcomes byte-identical to serial.
+scenario-smoke:
 	$(GO) run ./cmd/melody-load -backend wal -workers 8 -runs 2 -bids-per-worker 4 -batch 4 -seed 1 -check
-
-# slo-smoke is the overload SLO gate (see TESTING.md "The SLO gate"): it
-# calibrates the machine's ungated bid capacity, then drives a rated run
-# (shedding must be rare) and a 3x-overload run (shedding must engage, every
-# run must settle, the money invariants must hold exactly, goroutines must
-# drain). All assertions are relative to the calibrated capacity, so the
-# gate is meaningful on any machine.
-slo-smoke:
 	$(GO) run ./cmd/melody-load -scenario slo-smoke -duration 1s
+	$(GO) run ./cmd/melody-bench -smoke -filter '^serve/overload'
+	$(GO) run ./cmd/melody-load -scenario multirun -tenants 2 -runs 4 -workers 8 -epoch-every 2 -seed 1 -check
+	$(GO) run ./cmd/melody-load -scenario fairness -seed 1 -check
 
 # bench-e2e-smoke vets and tests the end-to-end benchmark in bench/, its own
 # module, which the targets above never compile: every workload runs at 2%
@@ -120,12 +130,6 @@ bench-full-smoke:
 		bash bench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 || { echo "bench-full-smoke: $$w failed"; exit 1; }; \
 	done
 
-# overload-bench-smoke single-shots the serve/overload kernel family (Poisson
-# rated + 3x, flash-crowd burst) through melody-bench: a liveness gate for
-# the open-loop overload path. -smoke writes no snapshot.
-overload-bench-smoke:
-	$(GO) run ./cmd/melody-bench -smoke -filter '^serve/overload'
-
 # obs-smoke boots the real melody-platform binary with -metrics and a WAL,
 # drives one complete run over HTTP, and scrapes /metrics + /debug/traces,
 # failing unless the documented series and lifecycle spans are present; it
@@ -135,23 +139,6 @@ overload-bench-smoke:
 # needed).
 obs-smoke:
 	$(GO) run ./cmd/melody-obs-smoke
-
-# multirun-smoke drives the mixed-tenant scenario through the run
-# scheduler's full HTTP path: 2 tenants x 4 overlapping runs, once with
-# tenants serialized and once concurrent. The scenario fails unless every
-# run's outcome is byte-identical across the passes, money is conserved
-# exactly with escrow and the epoch pool drained, and the serving stacks
-# leak no goroutines.
-multirun-smoke:
-	$(GO) run ./cmd/melody-load -scenario multirun -tenants 2 -runs 4 -workers-per-tenant 8 -epoch-every 2 -seed 1 -check
-
-# fairness-smoke drives 8 quota-bounded tenants through synchronized close
-# volleys behind the weighted-fair gate and fails unless the max/min
-# per-tenant median close-latency ratio stays <= 2, every over-quota open is
-# refused, spend matches the ledger exactly (including after WAL replay),
-# and per-run outcomes are byte-identical to serial execution.
-fairness-smoke:
-	$(GO) run ./cmd/melody-load -scenario fairness -seed 1 -check
 
 # bench-snapshot records a full BENCH_<n>.json regression snapshot against
 # the latest committed one (see cmd/melody-bench). Includes the serve/

@@ -17,6 +17,8 @@ import (
 //
 // A record is encoded as
 //
+//	length       uvarint, the length of the rest of the record, so a
+//	             lookup reads about its record only
 //	flags        1 byte: an outcome is present; Tasks, Assignments,
 //	             SelectedTasks or TaskPayments is nil rather than empty
 //	id           uvarint length and the run ID's bytes
@@ -58,8 +60,8 @@ type runArchive struct {
 	// names interns tenants and worker IDs.
 	names []string
 	ids   map[string]uint32
-	// buf is the record being encoded, and taskAt a long task list's IDs
-	// by 1-based index while it is.
+	// buf is the record being encoded, after room for its length, and
+	// taskAt a long task list's IDs by 1-based index while it is.
 	buf    []byte
 	taskAt map[string]uint32
 }
@@ -88,7 +90,7 @@ func newRunArchive(hash func(string) uint64) runArchive {
 // add appends a finished run's record and indexes it. Callers have checked
 // that the archive does not hold the ID.
 func (a *runArchive) add(r RunSnapshot) {
-	b := a.buf[:0]
+	b := append(a.buf[:0], make([]byte, binary.MaxVarintLen64)...)
 	var flags byte
 	if r.Tasks == nil {
 		flags |= archNilTasks
@@ -153,7 +155,12 @@ func (a *runArchive) add(r RunSnapshot) {
 			clear(a.taskAt)
 		}
 	}
-	c, off := a.Append(b)
+	// The length goes right before the rest, in the room left for it.
+	var n [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(n[:], uint64(len(b)-binary.MaxVarintLen64))
+	start := binary.MaxVarintLen64 - k
+	copy(b[start:], n[:k])
+	c, off := a.Append(b[start:])
 	pos := uint64(c)<<32 | uint64(off)
 	if a.index == nil {
 		a.index = make(map[uint64]uint64)
@@ -208,49 +215,57 @@ func (a *runArchive) intern(name string) uint32 {
 	return id
 }
 
-// find returns the record of run id: its first n bytes, or the bytes to
-// the end of its chunk when n is negative. A spilled chunk is read back
-// into *buf.
-func (a *runArchive) find(id string, n int, buf *[]byte) ([]byte, bool) {
+// readAhead is how many bytes past its head a record's lookup reads at
+// first: enough for a lifecycle-shaped run, so one read usually takes the
+// whole record back from a spilled chunk.
+const readAhead = 128
+
+// find returns the position of run id's record and the record's first
+// head(id)+more bytes, or fewer at its chunk's end. A spilled chunk is read
+// back into *buf.
+func (a *runArchive) find(id string, more int, buf *[]byte) (uint64, []byte, bool) {
 	pos, ok := a.index[a.hash(id)]
 	if !ok {
-		return nil, false
+		return 0, nil, false
 	}
-	if rec := a.record(pos, n, buf); holdsID(rec, id) {
-		return rec, true
+	if h := a.record(pos, head(id)+more, buf); holdsID(h, id) {
+		return pos, h, true
 	}
 	if pos, ok = a.overflow[id]; !ok {
-		return nil, false
+		return 0, nil, false
 	}
-	return a.record(pos, n, buf), true
+	return pos, a.record(pos, head(id)+more, buf), true
 }
 
-// record returns n bytes of the record at pos, or the bytes to the end of
-// its chunk when n is negative.
+// record returns n bytes of the record at pos, or fewer at its chunk's
+// end.
 func (a *runArchive) record(pos uint64, n int, buf *[]byte) []byte {
 	return a.Read(int(pos>>32), int(uint32(pos)), n, buf)
 }
 
-// head is the length of a record's flags byte and run ID when the ID is id.
+// head bounds the length of a record's head when its run ID is id: the
+// longest length uvarint, the flags byte and the ID.
 func head(id string) int {
 	var n [binary.MaxVarintLen64]byte
-	return 1 + binary.PutUvarint(n[:], uint64(len(id))) + len(id)
+	return binary.MaxVarintLen64 + 1 + binary.PutUvarint(n[:], uint64(len(id))) + len(id)
 }
 
-// holdsID reports whether rec, a record or its head, is run id's.
-func holdsID(rec []byte, id string) bool {
-	if len(rec) == 0 {
+// holdsID reports whether h, a record's head, is run id's.
+func holdsID(h []byte, id string) bool {
+	_, k := binary.Uvarint(h)
+	if k <= 0 || len(h) <= k {
 		return false
 	}
-	n, k := binary.Uvarint(rec[1:])
-	return k > 0 && n == uint64(len(id)) && len(rec) >= 1+k+len(id) && string(rec[1+k:1+k+len(id)]) == id
+	n, j := binary.Uvarint(h[k+1:])
+	k += 1 + j
+	return j > 0 && n == uint64(len(id)) && len(h) >= k+len(id) && string(h[k:k+len(id)]) == id
 }
 
 // has reports whether the archive holds run id.
 func (a *runArchive) has(id string) bool {
 	buf := chunk.Buffer()
 	defer chunk.Release(buf)
-	_, ok := a.find(id, head(id), buf)
+	_, _, ok := a.find(id, 0, buf)
 	return ok
 }
 
@@ -259,20 +274,25 @@ func (a *runArchive) has(id string) bool {
 func (a *runArchive) flags(id string) (byte, bool) {
 	buf := chunk.Buffer()
 	defer chunk.Release(buf)
-	rec, ok := a.find(id, head(id), buf)
+	_, h, ok := a.find(id, 0, buf)
 	if !ok {
 		return 0, false
 	}
-	return rec[0], true
+	_, k := binary.Uvarint(h)
+	return h[k], true
 }
 
-// run decodes the record of run id.
+// run decodes the record of run id. A record longer than its first read
+// is read again, whole.
 func (a *runArchive) run(id string) (RunSnapshot, bool) {
 	buf := chunk.Buffer()
 	defer chunk.Release(buf)
-	rec, ok := a.find(id, -1, buf)
+	pos, rec, ok := a.find(id, readAhead, buf)
 	if !ok {
 		return RunSnapshot{}, false
+	}
+	if n, k := binary.Uvarint(rec); k+int(n) > len(rec) {
+		rec = a.record(pos, k+int(n), buf)
 	}
 	r, _ := a.decode(rec)
 	return r, true
@@ -293,10 +313,11 @@ func (a *runArchive) each(fn func(RunSnapshot)) {
 	}
 }
 
-// decode decodes the record at the start of c and returns the bytes after
-// it.
+// decode decodes the record at the start of c, its length included, and
+// returns the bytes after it.
 func (a *runArchive) decode(c []byte) (RunSnapshot, []byte) {
 	d := archReader{b: c}
+	d.uvarint()
 	flags := d.take(1)[0]
 	var r RunSnapshot
 	id := d.text()

@@ -462,3 +462,87 @@ func archiveReadsRaceFinishes(t *testing.T, spill bool) {
 		t.Errorf("the archive holds %d chunks; the test wants 21 or more, every closed one spilled", len(s.archive.Chunks))
 	}
 }
+
+// countingFile is an in-memory chunk.File that counts the bytes read back.
+type countingFile struct {
+	chunktest.File
+	read int
+}
+
+func (f *countingFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.read += n
+	return n, err
+}
+
+// TestSpilledRunReadsItsRecord finishes 2,000 lifecycle-shaped runs (16
+// bids, 2 tasks) through a spilling scheduler and looks every spilled run
+// up: each Run reads its record's head and a bounded read-ahead, and the
+// record again only when it is longer, never the rest of its chunk. So it
+// reads at most the record plus head(id)+readAhead bytes. The record's
+// length is measured by encoding the run into an archive of its own.
+func TestSpilledRunReadsItsRecord(t *testing.T) {
+	ctx := context.Background()
+	s, err := NewRunScheduler(SchedulerConfig{
+		Auction: AuctionConfig{QualityMin: 1, QualityMax: 10, CostMin: 1, CostMax: 2},
+		NewEstimator: func(string) (Estimator, error) {
+			return NewQualityTracker(QualityTrackerConfig{InitialMean: 5.5, InitialVar: 2.25,
+				Params: QualityParams{A: 1, Gamma: 0.3, Eta: 9}})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := new(countingFile)
+	s.SpillTo(f)
+	for i := 0; i < 16; i++ {
+		if err := s.RegisterWorker(ctx, "w"+strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 2000
+	for n := 0; n < runs; n++ {
+		id := "r" + strconv.Itoa(n)
+		tasks := []Task{{ID: id + "-t0", Threshold: 9}, {ID: id + "-t1", Threshold: 9}}
+		if err := s.OpenRun(ctx, id, "a", tasks, 100); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 16; i++ {
+			if err := s.SubmitBid(ctx, id, "w"+strconv.Itoa(i), Bid{Cost: 1 + 0.05*float64(i), Frequency: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.CloseAuction(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.FinishRun(ctx, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spilled := 0
+	for n := 0; n < runs; n++ {
+		id := "r" + strconv.Itoa(n)
+		s.mu.RLock()
+		pos := s.archive.index[s.archive.hash(id)]
+		inHeap := s.archive.Chunks[pos>>32] != nil
+		snap, _ := s.archive.run(id)
+		s.mu.RUnlock()
+		if inHeap {
+			continue
+		}
+		spilled++
+		own := newRunArchive(hash64)
+		own.add(snap)
+		record := len(own.Chunks[0])
+		f.read = 0
+		if info, err := s.Run(id); err != nil || !info.Finished {
+			t.Fatalf("Run(%s) = %+v, %v", id, info, err)
+		}
+		if bound := record + head(id) + readAhead; f.read > bound {
+			t.Fatalf("Run(%s) read %d bytes for a %d-byte record; want at most %d", id, f.read, record, bound)
+		}
+	}
+	if spilled < runs/2 {
+		t.Fatalf("%d of %d runs spilled; the test wants most of them in closed chunks", spilled, runs)
+	}
+}

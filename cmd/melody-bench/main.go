@@ -540,139 +540,91 @@ func walRecoveryKernel(runs, snapshotEvery int) func(b *testing.B) {
 	}
 }
 
-// serveKernel runs the end-to-end HTTP serving path through loadgen:
-// NsPerOp is nanoseconds of bidding wall-clock per ingested bid, and the
-// throughput/latency detail lands in Entry.Metrics.
-func serveKernel(cfg loadgen.Config) func() (Entry, error) {
+// scenarioKernel runs one loadgen scenario, which checks its own books,
+// outcomes and leaks, so any violation fails the kernel, as does a run
+// that accepted no bid. A scenario with a serial baseline pass (multirun,
+// fairness) is measured per run of its second pass: NsPerOp is that pass's
+// wall clock per completed run. Any other is measured per accepted bid:
+// NsPerOp is bidding wall clock per accepted bid. Entry.Metrics holds the
+// named keys of scenarioMetrics.
+func scenarioKernel(run func(loadgen.Scenario) (loadgen.Result, error), sc loadgen.Scenario, keys ...string) func() (Entry, error) {
 	return func() (Entry, error) {
-		res, err := loadgen.Run(cfg)
+		res, err := run(sc)
 		if err != nil {
 			return Entry{}, err
-		}
-		return Entry{
-			Iterations: res.Bids,
-			NsPerOp:    res.BidPhaseSeconds * 1e9 / float64(res.Bids),
-			Metrics: map[string]float64{
-				"bids_per_sec":   res.BidsPerSec,
-				"latency_p50_ms": res.Latency.P50,
-				"latency_p95_ms": res.Latency.P95,
-				"latency_p99_ms": res.Latency.P99,
-				"latency_max_ms": res.Latency.Max,
-			},
-		}, nil
-	}
-}
-
-// overloadKernel runs an open-loop overload scenario through loadgen:
-// NsPerOp is goodput wall-clock per accepted bid, and the offered/goodput/
-// shed detail lands in Entry.Metrics. Invariant violations fail the kernel.
-func overloadKernel(cfg loadgen.OverloadConfig) func() (Entry, error) {
-	return func() (Entry, error) {
-		res, err := loadgen.RunOverload(cfg)
-		if err != nil {
-			return Entry{}, err
-		}
-		if len(res.Violations) > 0 {
-			return Entry{}, fmt.Errorf("invariant violations: %s", strings.Join(res.Violations, "; "))
 		}
 		if res.Accepted == 0 {
 			return Entry{}, fmt.Errorf("no bids accepted (%d offered, %d shed)", res.Offered, res.Shed)
 		}
-		return Entry{
-			Iterations: res.Accepted,
-			NsPerOp:    1e9 / res.GoodputPerSec,
-			Metrics: map[string]float64{
-				"offered_per_sec": res.OfferedPerSec,
-				"bids_per_sec":    res.GoodputPerSec,
-				"shed_rate":       res.ShedRate,
-				"latency_p50_ms":  res.Latency.P50,
-				"latency_p99_ms":  res.Latency.P99,
-				"runs_completed":  float64(res.RunsCompleted),
-			},
-		}, nil
+		e := Entry{Iterations: res.Accepted, NsPerOp: res.BidPhaseSeconds * 1e9 / float64(res.Accepted)}
+		if res.SerialSeconds > 0 {
+			e.Iterations, e.NsPerOp = res.RunsCompleted, res.ElapsedSeconds*1e9/float64(res.RunsCompleted)
+		}
+		e.Metrics = make(map[string]float64, len(keys))
+		for _, k := range keys {
+			e.Metrics[k] = scenarioMetrics[k](res)
+		}
+		return e, nil
 	}
 }
 
-// multirunKernel runs the mixed-tenant multi-run scenario through loadgen:
-// the identical workload executes once with tenants serial and once with
-// all tenants concurrent, against fresh run-scheduler stacks. NsPerOp is
-// concurrent wall-clock per completed run; the serial/concurrent goodput
-// and their ratio land in Entry.Metrics. The scenario itself asserts
-// byte-identical per-run outcomes, exact money conservation, drained
-// settlement and zero goroutine leaks — any violation fails the kernel.
-func multirunKernel(cfg loadgen.MultiRunConfig) func() (Entry, error) {
-	return func() (Entry, error) {
-		res, err := loadgen.RunMultiRun(cfg)
-		if err != nil {
-			return Entry{}, err
-		}
-		match := 0.0
-		if res.OutcomesMatch {
-			match = 1
-		}
-		return Entry{
-			Iterations: res.TotalRuns,
-			NsPerOp:    res.ConcurrentSeconds * 1e9 / float64(res.TotalRuns),
-			Metrics: map[string]float64{
-				"serial_runs_per_sec":     res.SerialRunsPerSec,
-				"concurrent_runs_per_sec": res.ConcurrentRunsPerSec,
-				"speedup":                 res.Speedup,
-				"outcomes_match":          match,
-				"epochs":                  float64(res.Epochs),
-				"bids":                    float64(res.Bids),
-			},
-		}, nil
-	}
+// scenarioMetrics reads each Entry.Metrics key of the serve/ kernels from a
+// scenario's result.
+var scenarioMetrics = map[string]func(loadgen.Result) float64{
+	"bids_per_sec":            func(r loadgen.Result) float64 { return r.BidsPerSec },
+	"offered_per_sec":         func(r loadgen.Result) float64 { return r.OfferedPerSec },
+	"shed_rate":               func(r loadgen.Result) float64 { return r.ShedRate },
+	"latency_p50_ms":          func(r loadgen.Result) float64 { return r.Latency.P50 },
+	"latency_p95_ms":          func(r loadgen.Result) float64 { return r.Latency.P95 },
+	"latency_p99_ms":          func(r loadgen.Result) float64 { return r.Latency.P99 },
+	"latency_max_ms":          func(r loadgen.Result) float64 { return r.Latency.Max },
+	"runs_completed":          func(r loadgen.Result) float64 { return float64(r.RunsCompleted) },
+	"serial_runs_per_sec":     func(r loadgen.Result) float64 { return float64(r.RunsCompleted) / r.SerialSeconds },
+	"concurrent_runs_per_sec": func(r loadgen.Result) float64 { return float64(r.RunsCompleted) / r.ElapsedSeconds },
+	"speedup":                 func(r loadgen.Result) float64 { return r.Speedup },
+	"outcomes_match":          func(r loadgen.Result) float64 { return flag01(r.OutcomesMatch) },
+	"epochs":                  func(r loadgen.Result) float64 { return float64(r.Epochs) },
+	"bids":                    func(r loadgen.Result) float64 { return float64(r.Accepted) },
+	"fairness_ratio":          func(r loadgen.Result) float64 { return r.FairnessRatio },
+	"min_median_close_ms":     func(r loadgen.Result) float64 { return r.MinMedianCloseMs },
+	"max_median_close_ms":     func(r loadgen.Result) float64 { return r.MaxMedianCloseMs },
+	"quota_refusals":          func(r loadgen.Result) float64 { return float64(r.QuotaRefusals) },
+	"replay_consistent":       func(r loadgen.Result) float64 { return flag01(r.ReplayConsistent) },
 }
 
-// fairnessKernel runs the weighted-fair close scheduling scenario through
-// loadgen: 8 equal-weight tenants close in synchronized volleys through a
-// fair gate, with lifetime budget quotas enforced at every open. NsPerOp
-// is gated wall-clock per completed run; the fairness ratio (max/min
-// per-tenant median close latency), quota refusal count and replay verdict
-// land in Entry.Metrics. The scenario itself asserts the ratio bound,
-// byte-identical outcomes, ledger-exact spend accounting and quota
-// survival across WAL replay — any violation fails the kernel.
-func fairnessKernel(cfg loadgen.FairnessConfig) func() (Entry, error) {
-	return func() (Entry, error) {
-		res, err := loadgen.RunFairness(cfg)
-		if err != nil {
-			return Entry{}, err
-		}
-		match, replay := 0.0, 0.0
-		if res.OutcomesMatch {
-			match = 1
-		}
-		if res.ReplayConsistent {
-			replay = 1
-		}
-		return Entry{
-			Iterations: res.TotalRuns,
-			NsPerOp:    res.ConcurrentSeconds * 1e9 / float64(res.TotalRuns),
-			Metrics: map[string]float64{
-				"fairness_ratio":      res.FairnessRatio,
-				"min_median_close_ms": res.MinMedianCloseMs,
-				"max_median_close_ms": res.MaxMedianCloseMs,
-				"quota_refusals":      float64(res.QuotaRefusals),
-				"outcomes_match":      match,
-				"replay_consistent":   replay,
-			},
-		}, nil
+func flag01(b bool) float64 {
+	if b {
+		return 1
 	}
+	return 0
 }
 
-// overloadLoad is the shared harness config for the serve/overload kernels:
-// a 250 bids/sec per-tenant admission budget, single-attempt clients (one
-// arrival, one verdict), and a funded ledger so the money invariants run.
-func overloadLoad(seed int64) loadgen.Config {
-	return loadgen.Config{
-		Backend: loadgen.BackendMem, Workers: 16, Runs: 2, Tasks: 2, Seed: seed,
-		Tenant: "bench",
-		Retry:  &platform.RetryPolicy{MaxAttempts: 1},
+// The Entry.Metrics keys of each serve/ kernel family.
+var (
+	bidKeys      = []string{"bids_per_sec", "latency_p50_ms", "latency_p95_ms", "latency_p99_ms", "latency_max_ms"}
+	overloadKeys = []string{"offered_per_sec", "bids_per_sec", "shed_rate", "latency_p50_ms", "latency_p99_ms", "runs_completed"}
+	multirunKeys = []string{"serial_runs_per_sec", "concurrent_runs_per_sec", "speedup", "outcomes_match", "epochs", "bids"}
+	fairnessKeys = []string{"fairness_ratio", "min_median_close_ms", "max_median_close_ms", "quota_refusals", "outcomes_match", "replay_consistent"}
+)
+
+// overloadScenario is the serve/overload kernels' scenario: a 250
+// bids/sec per-tenant admission budget and single-attempt clients (one
+// arrival, one verdict).
+func overloadScenario(seed int64, arrival loadgen.Arrival, rate float64) loadgen.Scenario {
+	return loadgen.Scenario{
+		Workers: 16, Runs: 2, Tasks: 2, Seed: seed, Arrival: arrival, Rate: rate, Duration: time.Second,
+		Retry: &platform.RetryPolicy{MaxAttempts: 1},
 		Admission: &platform.AdmissionConfig{
 			TenantRatePerSec: 250, TenantBurst: 50, RetryAfter: 5 * time.Millisecond,
 		},
 	}
+}
+
+// multirunScenario is the serve/multirun kernels' scenario: 8 tenants of
+// 8 workers, 2 runs each.
+func multirunScenario(backend string, direct bool) loadgen.Scenario {
+	return loadgen.Scenario{Tenants: 8, Runs: 2, Workers: 8, Tasks: 2, BidsPerWorker: 4, EpochEvery: 4, Seed: 11,
+		Backend: backend, Direct: direct}
 }
 
 func kernels() []kernel {
@@ -712,31 +664,30 @@ func kernels() []kernel {
 		{name: "wal/recovery/snap_r2000", fn: walRecoveryKernel(2000, 1000)},
 		// serve/ kernels measure the full HTTP serving path: batched bids
 		// (batch=16) in memory and over the group-commit WAL.
-		{name: "serve/bids_mem_w32_b16", direct: serveKernel(loadgen.Config{
-			Backend: loadgen.BackendMem, Workers: 32, Runs: 3, BidsPerWorker: 32, Batch: 16, Seed: 11})},
-		{name: "serve/bids_wal_group_w32_b16", direct: serveKernel(loadgen.Config{
-			Backend: loadgen.BackendWAL, Workers: 32, Runs: 3, BidsPerWorker: 32, Batch: 16, Seed: 11})},
+		{name: "serve/bids_mem_w32_b16", direct: scenarioKernel(loadgen.Run, loadgen.Scenario{
+			Backend: loadgen.BackendMem, Workers: 32, Runs: 3, BidsPerWorker: 32, Batch: 16, Seed: 11}, bidKeys...)},
+		{name: "serve/bids_wal_group_w32_b16", direct: scenarioKernel(loadgen.Run, loadgen.Scenario{
+			Backend: loadgen.BackendWAL, Workers: 32, Runs: 3, BidsPerWorker: 32, Batch: 16, Seed: 11}, bidKeys...)},
 		// _obs variants run the identical workload with the full
 		// observability stack on (registry + span ring + instrumented
 		// server/client/WAL); the -guard flag compares each pair.
-		{name: "serve/bids_mem_w32_b16_obs", direct: serveKernel(loadgen.Config{
+		{name: "serve/bids_mem_w32_b16_obs", direct: scenarioKernel(loadgen.Run, loadgen.Scenario{
 			Backend: loadgen.BackendMem, Workers: 32, Runs: 3, BidsPerWorker: 32, Batch: 16, Seed: 11,
-			Observe: true})},
+			Observe: true}, bidKeys...)},
 		// serve/overload kernels drive the admission-controlled path
 		// open-loop against a 250 bids/sec tenant budget: rated offers 200/s
 		// (shed ~0), 3x offers 750/s (sheds roughly two thirds), flash
 		// alternates 1500/s crowds with a 100/s background. Every variant
 		// must settle all runs with exact money conservation.
-		{name: "serve/overload_rated_r200", direct: overloadKernel(loadgen.OverloadConfig{
-			Load: overloadLoad(11), Arrival: loadgen.ArrivalPoisson,
-			Rate: 200, Duration: time.Second})},
-		{name: "serve/overload_3x_r750", direct: overloadKernel(loadgen.OverloadConfig{
-			Load: overloadLoad(12), Arrival: loadgen.ArrivalPoisson,
-			Rate: 750, Duration: time.Second})},
-		{name: "serve/overload_flash_r1500", direct: overloadKernel(loadgen.OverloadConfig{
-			Load: overloadLoad(13), Arrival: loadgen.ArrivalBurst,
-			Rate: 1500, BaseRate: 100, Duration: time.Second,
-			BurstPeriod: 250 * time.Millisecond, BurstLen: 60 * time.Millisecond})},
+		{name: "serve/overload_rated_r200", direct: scenarioKernel(loadgen.RunOverload,
+			overloadScenario(11, loadgen.ArrivalPoisson, 200), overloadKeys...)},
+		{name: "serve/overload_3x_r750", direct: scenarioKernel(loadgen.RunOverload,
+			overloadScenario(12, loadgen.ArrivalPoisson, 750), overloadKeys...)},
+		{name: "serve/overload_flash_r1500", direct: scenarioKernel(loadgen.RunOverload, func() loadgen.Scenario {
+			sc := overloadScenario(13, loadgen.ArrivalBurst, 1500)
+			sc.BaseRate, sc.BurstPeriod, sc.BurstLen = 100, 250*time.Millisecond, 60*time.Millisecond
+			return sc
+		}(), overloadKeys...)},
 		// serve/multirun kernels: 8 tenants drive 8 concurrent runs through
 		// the run scheduler, measured against the identical workload with
 		// tenants executed one at a time (the speedup metric is concurrent
@@ -744,29 +695,23 @@ func kernels() []kernel {
 		// drives the scheduler in-process over the group-commit WAL — the
 		// fsync-bound case where overlapping runs amortize commits — while
 		// the http_ variants pay the full serving path per request.
-		{name: "serve/multirun_sched_wal_t8", direct: multirunKernel(loadgen.MultiRunConfig{
-			Tenants: 8, RunsPerTenant: 2, WorkersPerTenant: 8, Tasks: 2,
-			BidsPerWorker: 4, EpochEvery: 4, Seed: 11,
-			Backend: loadgen.BackendWAL, Direct: true})},
-		{name: "serve/multirun_sched_mem_t8", direct: multirunKernel(loadgen.MultiRunConfig{
-			Tenants: 8, RunsPerTenant: 2, WorkersPerTenant: 8, Tasks: 2,
-			BidsPerWorker: 4, EpochEvery: 4, Seed: 11, Direct: true})},
-		{name: "serve/multirun_http_mem_t8", direct: multirunKernel(loadgen.MultiRunConfig{
-			Tenants: 8, RunsPerTenant: 2, WorkersPerTenant: 8, Tasks: 2,
-			BidsPerWorker: 4, EpochEvery: 4, Seed: 11})},
-		{name: "serve/multirun_http_wal_t8", direct: multirunKernel(loadgen.MultiRunConfig{
-			Tenants: 8, RunsPerTenant: 2, WorkersPerTenant: 8, Tasks: 2,
-			BidsPerWorker: 4, EpochEvery: 4, Seed: 11,
-			Backend: loadgen.BackendWAL})},
+		{name: "serve/multirun_sched_wal_t8", direct: scenarioKernel(loadgen.RunMultiRun,
+			multirunScenario(loadgen.BackendWAL, true), multirunKeys...)},
+		{name: "serve/multirun_sched_mem_t8", direct: scenarioKernel(loadgen.RunMultiRun,
+			multirunScenario(loadgen.BackendMem, true), multirunKeys...)},
+		{name: "serve/multirun_http_mem_t8", direct: scenarioKernel(loadgen.RunMultiRun,
+			multirunScenario(loadgen.BackendMem, false), multirunKeys...)},
+		{name: "serve/multirun_http_wal_t8", direct: scenarioKernel(loadgen.RunMultiRun,
+			multirunScenario(loadgen.BackendWAL, false), multirunKeys...)},
 		// serve/fairness kernels: 8 quota-bounded tenants close in
 		// synchronized volleys through the weighted-fair gate (capacity 1 =
-		// fully serialized closes, capacity 2 = two at a time). Each kernel
-		// asserts the max/min median close-latency ratio <= 2, quota
-		// refusals, exact spend accounting and WAL-replay consistency.
-		{name: "serve/fairness_gate1_t8", direct: fairnessKernel(loadgen.FairnessConfig{
-			Tenants: 8, CloseConcurrency: 1, Seed: 11})},
-		{name: "serve/fairness_gate2_t8", direct: fairnessKernel(loadgen.FairnessConfig{
-			Tenants: 8, CloseConcurrency: 2, Seed: 11})},
+		// fully serialized closes, capacity 2 = two at a time), in process.
+		// Each kernel asserts the max/min median close-latency ratio <= 2,
+		// quota refusals, exact spend accounting and WAL-replay consistency.
+		{name: "serve/fairness_gate1_t8", direct: scenarioKernel(loadgen.RunFairness, loadgen.Scenario{
+			Tenants: 8, CloseConcurrency: 1, Seed: 11, Direct: true}, fairnessKeys...)},
+		{name: "serve/fairness_gate2_t8", direct: scenarioKernel(loadgen.RunFairness, loadgen.Scenario{
+			Tenants: 8, CloseConcurrency: 2, Seed: 11, Direct: true}, fairnessKeys...)},
 	}
 }
 

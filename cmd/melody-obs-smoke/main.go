@@ -315,16 +315,12 @@ func checkSeries(series map[string]float64) error {
 // checkTraces asserts the span ring serves JSON and recorded the run's
 // lifecycle spans.
 func checkTraces(url string) error {
-	resp, err := http.Get(url)
+	body, err := get(url)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: HTTP %d", url, resp.StatusCode)
-	}
 	var tr obs.TracesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
+	if err := json.Unmarshal(body, &tr); err != nil {
 		return fmt.Errorf("decode /debug/traces: %w", err)
 	}
 	seen := make(map[string]bool, len(tr.Spans))
@@ -333,19 +329,11 @@ func checkTraces(url string) error {
 	}
 	for _, name := range []string{"run.bidding", "run.scoring", "auction.run", "run.finish", "wal.commit"} {
 		if !seen[name] {
-			return fmt.Errorf("/debug/traces is missing span %q (have %v)", name, keys(seen))
+			return fmt.Errorf("/debug/traces is missing span %q (have %v)", name, seen)
 		}
 	}
 	if tr.Total < uint64(len(tr.Spans)) {
 		return fmt.Errorf("trace total %d < retained %d", tr.Total, len(tr.Spans))
 	}
 	return nil
-}
-
-func keys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }

@@ -8,15 +8,15 @@ import "testing"
 func TestRunSmoke(t *testing.T) {
 	for _, backend := range []string{BackendMem, BackendWAL} {
 		t.Run(backend, func(t *testing.T) {
-			res, err := Run(Config{
+			res, err := Run(Scenario{
 				Backend: backend, Workers: 4, Runs: 2, Tasks: 2,
 				BidsPerWorker: 3, Batch: 2, Seed: 7,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Bids != 4*2*3 {
-				t.Errorf("Bids = %d, want %d", res.Bids, 4*2*3)
+			if res.Accepted != 4*2*3 {
+				t.Errorf("Accepted = %d, want %d", res.Accepted, 4*2*3)
 			}
 			if res.BidsPerSec <= 0 {
 				t.Errorf("BidsPerSec = %v, want > 0", res.BidsPerSec)
@@ -29,7 +29,7 @@ func TestRunSmoke(t *testing.T) {
 }
 
 func TestRunUnknownBackend(t *testing.T) {
-	if _, err := Run(Config{Backend: "floppy"}); err == nil {
+	if _, err := Run(Scenario{Backend: "floppy"}); err == nil {
 		t.Error("unknown backend accepted")
 	}
 }
@@ -42,7 +42,7 @@ func TestRunUnknownBackend(t *testing.T) {
 // mutation request.
 func TestRunObserveMetricsMatchTallies(t *testing.T) {
 	const workers, runs, tasks, bidsPer, batch = 4, 2, 2, 4, 2
-	res, err := Run(Config{
+	res, err := Run(Scenario{
 		Backend: BackendWAL, Workers: workers, Runs: runs, Tasks: tasks,
 		BidsPerWorker: bidsPer, Batch: batch, Seed: 7, Observe: true,
 	})

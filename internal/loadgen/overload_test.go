@@ -24,13 +24,12 @@ func tightAdmission() *platform.AdmissionConfig {
 var noRetry = platform.RetryPolicy{MaxAttempts: 1}
 
 func TestScheduleShapes(t *testing.T) {
-	base := OverloadConfig{Rate: 2000, BaseRate: 200, Duration: time.Second,
+	base := Scenario{Rate: 2000, BaseRate: 200, Duration: time.Second,
 		BurstPeriod: 250 * time.Millisecond, BurstLen: 50 * time.Millisecond}
 	counts := map[Arrival]int{}
 	for _, a := range []Arrival{ArrivalPoisson, ArrivalRamp, ArrivalBurst} {
 		cfg := base
 		cfg.Arrival = a
-		cfg.Load = Config{}.withDefaults()
 		arrivals := cfg.schedule(stats.NewRNG(42))
 		counts[a] = len(arrivals)
 		last := time.Duration(-1)
@@ -58,14 +57,11 @@ func TestScheduleShapes(t *testing.T) {
 // accepted/shed/failed, shedding really happened, every run settled, and
 // the money invariants hold.
 func TestRunOverloadSheds(t *testing.T) {
-	res, err := RunOverload(OverloadConfig{
-		Load: Config{
-			Workers: 8, Runs: 2, Tasks: 2, Seed: 11,
-			Admission: &platform.AdmissionConfig{TenantRatePerSec: 40, TenantBurst: 5,
-				RetryAfter: 5 * time.Millisecond},
-			Tenant: "load",
-			Retry:  &noRetry,
-		},
+	res, err := RunOverload(Scenario{
+		Workers: 8, Runs: 2, Tasks: 2, Seed: 11,
+		Admission: &platform.AdmissionConfig{TenantRatePerSec: 40, TenantBurst: 5,
+			RetryAfter: 5 * time.Millisecond},
+		Retry:    &noRetry,
 		Arrival:  ArrivalPoisson,
 		Rate:     300,
 		Duration: 400 * time.Millisecond,
@@ -102,12 +98,10 @@ func TestRunOverloadSheds(t *testing.T) {
 // TestRunOverloadBurstWithConcurrencyGate exercises the flash-crowd
 // arrival process against the in-flight gate (the other shedding path).
 func TestRunOverloadBurstWithConcurrencyGate(t *testing.T) {
-	res, err := RunOverload(OverloadConfig{
-		Load: Config{
-			Workers: 8, Runs: 1, Tasks: 2, Seed: 13,
-			Admission: tightAdmission(),
-			Retry:     &noRetry,
-		},
+	res, err := RunOverload(Scenario{
+		Workers: 8, Runs: 1, Tasks: 2, Seed: 13,
+		Admission:   tightAdmission(),
+		Retry:       &noRetry,
 		Arrival:     ArrivalBurst,
 		Rate:        2500,
 		BaseRate:    50,
@@ -136,21 +130,18 @@ func TestRunOverloadWithChaos(t *testing.T) {
 	scenario := chaos.Scenario{Seed: 7, Err: 0.05, Lose: 0.02,
 		DelayMin: 0, DelayMax: 2 * time.Millisecond}
 	retry := platform.RetryPolicy{MaxAttempts: 6, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond}
-	res, err := RunOverload(OverloadConfig{
-		Load: Config{
-			Workers: 8, Runs: 2, Tasks: 2, Seed: 17,
-			Admission: &platform.AdmissionConfig{TenantRatePerSec: 60, TenantBurst: 10,
-				RetryAfter: 2 * time.Millisecond},
-			Tenant: "load",
-			Retry:  &retry,
-			WrapHandler: func(next http.Handler) http.Handler {
-				h, err := chaos.Middleware(scenario, next)
-				if err != nil {
-					t.Fatal(err)
-					return next
-				}
-				return h
-			},
+	res, err := RunOverload(Scenario{
+		Workers: 8, Runs: 2, Tasks: 2, Seed: 17,
+		Admission: &platform.AdmissionConfig{TenantRatePerSec: 60, TenantBurst: 10,
+			RetryAfter: 2 * time.Millisecond},
+		Retry: &retry,
+		WrapHandler: func(next http.Handler) http.Handler {
+			h, err := chaos.Middleware(scenario, next)
+			if err != nil {
+				t.Fatal(err)
+				return next
+			}
+			return h
 		},
 		Arrival:  ArrivalPoisson,
 		Rate:     250,
@@ -171,16 +162,16 @@ func TestRunOverloadWithChaos(t *testing.T) {
 }
 
 func TestRunOverloadRejectsBadConfig(t *testing.T) {
-	if _, err := RunOverload(OverloadConfig{Rate: 0}); err == nil {
+	if _, err := RunOverload(Scenario{Rate: 0}); err == nil {
 		t.Error("zero rate accepted")
 	}
-	if _, err := RunOverload(OverloadConfig{Rate: 10, Arrival: "tsunami"}); err == nil {
+	if _, err := RunOverload(Scenario{Rate: 10, Arrival: "tsunami"}); err == nil {
 		t.Error("unknown arrival process accepted")
 	}
 }
 
 func TestAssertSLO(t *testing.T) {
-	healthy := OverloadResult{
+	healthy := Result{
 		Offered: 1000, Accepted: 700, Shed: 300, ShedRate: 0.3,
 		RunsCompleted:  3,
 		Latency:        Latency{N: 700, P50: 2, P99: 10},
@@ -193,16 +184,16 @@ func TestAssertSLO(t *testing.T) {
 	if err := AssertSLO(healthy, slo); err != nil {
 		t.Fatalf("healthy result failed: %v", err)
 	}
-	for name, breakIt := range map[string]func(*OverloadResult, *SLO){
-		"violations":    func(r *OverloadResult, _ *SLO) { r.Violations = []string{"money leaked"} },
-		"failures":      func(r *OverloadResult, _ *SLO) { r.Failed = 1 },
-		"shed too high": func(_ *OverloadResult, s *SLO) { s.MaxShedRate = 0.1 },
-		"shed too low":  func(_ *OverloadResult, s *SLO) { s.MinShedRate = 0.9 },
-		"goodput":       func(_ *OverloadResult, s *SLO) { s.MinAccepted = 10000 },
-		"settlement":    func(_ *OverloadResult, s *SLO) { s.MinRunsCompleted = 4 },
-		"tail ratio":    func(r *OverloadResult, _ *SLO) { r.Latency.P99 = 100 },
-		"absolute p99":  func(_ *OverloadResult, s *SLO) { s.MaxP99Ms = 5 },
-		"goroutines":    func(r *OverloadResult, _ *SLO) { r.GoroutineEnd = 100 },
+	for name, breakIt := range map[string]func(*Result, *SLO){
+		"violations":    func(r *Result, _ *SLO) { r.Violations = []string{"money leaked"} },
+		"failures":      func(r *Result, _ *SLO) { r.Failed = 1 },
+		"shed too high": func(_ *Result, s *SLO) { s.MaxShedRate = 0.1 },
+		"shed too low":  func(_ *Result, s *SLO) { s.MinShedRate = 0.9 },
+		"goodput":       func(_ *Result, s *SLO) { s.MinAccepted = 10000 },
+		"settlement":    func(_ *Result, s *SLO) { s.MinRunsCompleted = 4 },
+		"tail ratio":    func(r *Result, _ *SLO) { r.Latency.P99 = 100 },
+		"absolute p99":  func(_ *Result, s *SLO) { s.MaxP99Ms = 5 },
+		"goroutines":    func(r *Result, _ *SLO) { r.GoroutineEnd = 100 },
 	} {
 		r, s := healthy, slo
 		breakIt(&r, &s)
@@ -224,7 +215,7 @@ func TestAssertSLO(t *testing.T) {
 }
 
 func TestCalibrateRate(t *testing.T) {
-	rate, err := CalibrateRate(Config{Workers: 4, Runs: 1, Tasks: 2, BidsPerWorker: 4, Seed: 3})
+	rate, err := CalibrateRate(Scenario{Workers: 4, Runs: 1, Tasks: 2, BidsPerWorker: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 	"strings"
 )
 
-// SLO is a set of service-level assertions over an OverloadResult. Zero
+// SLO is a set of service-level assertions over an open-loop Result. Zero
 // fields disable their check (except failures and invariant violations,
 // which always count — see AssertSLO).
 type SLO struct {
@@ -28,7 +28,7 @@ type SLO struct {
 	// a server that sheds 100% is "up" in no useful sense.
 	MinAccepted int
 	// MinRunsCompleted asserts settlement survived the load; normally
-	// Load.Runs.
+	// the scenario's Runs.
 	MinRunsCompleted int
 	// MaxP99OverP50 bounds the accepted-bid tail relative to its own
 	// median — the machine-scaled form of a p99 target. Zero disables.
@@ -48,7 +48,7 @@ type SLO struct {
 // missed target, or nil when the SLO holds. Invariant violations recorded
 // on the result (money conservation, escrow settlement, unfinished runs)
 // always fail the gate, whatever the SLO says.
-func AssertSLO(res OverloadResult, slo SLO) error {
+func AssertSLO(res Result, slo SLO) error {
 	var missed []string
 	for _, v := range res.Violations {
 		missed = append(missed, "invariant: "+v)
@@ -97,10 +97,9 @@ func AssertSLO(res OverloadResult, slo SLO) error {
 // rated and overload rates from this number, so the same gate passes on
 // any machine that can serve at all: "rated" means a fraction of what this
 // box just demonstrated, not a hard-coded request rate.
-func CalibrateRate(cfg Config) (float64, error) {
-	cfg = cfg.withDefaults()
-	cfg.Admission = nil // measure capacity, not policy
-	res, err := Run(cfg)
+func CalibrateRate(sc Scenario) (float64, error) {
+	sc.Admission = nil // measure capacity, not policy
+	res, err := Run(sc)
 	if err != nil {
 		return 0, fmt.Errorf("loadgen: calibrate: %w", err)
 	}
