@@ -14,6 +14,8 @@
 //     stale copies are dropped, re-sorted upserts are merged in. Past a
 //     configurable churn threshold it falls back to a full rebuild, which
 //     is both simpler and faster once most of the array moves anyway.
+//     Sync takes a run's full worker set instead and diffs it against the
+//     registry itself, so a caller keeps no mirror of what it last fed.
 //   - Run* executes an auction against the cached structures. Consumed
 //     frequencies and compressed skip pointers are restored afterwards by
 //     walking only the winner arena — O(Σ winners), not O(N) — so a
@@ -48,13 +50,11 @@ type WorkerDelta struct {
 	Removes []string
 }
 
-// Churn returns the number of registry mutations in the delta.
-func (d WorkerDelta) Churn() int { return len(d.Upserts) + len(d.Removes) }
-
 // AuctionStateOptions configure an AuctionState.
 type AuctionStateOptions struct {
-	// ChurnThreshold is the fraction of the registry above which Apply
-	// abandons local repair and rebuilds the sorted structures from scratch.
+	// ChurnThreshold is the fraction of the registry above which Apply and
+	// Sync abandon local repair and rebuild the sorted structures from
+	// scratch.
 	// Zero means the default of 0.5.
 	ChurnThreshold float64
 	// ReuseOutcome makes Run* return an outcome backed by state-owned
@@ -71,15 +71,20 @@ type AuctionStateOptions struct {
 }
 
 // AuctionState is the persistent cross-run auction kernel. It owns the
-// worker registry; callers feed it per-run deltas via Apply and execute
-// auctions with RunMelody, RunDual or RunOptUB. All three mechanisms are
-// byte-identical to their stateless counterparts run on the registry
-// snapshot. Not safe for concurrent use.
+// worker registry; callers feed it per-run deltas via Apply or full worker
+// sets via Sync and execute auctions with RunMelody, RunDual or RunOptUB.
+// All three mechanisms are byte-identical to their stateless counterparts
+// run on the registry snapshot. Not safe for concurrent use.
 type AuctionState struct {
 	cfg  Config
 	opts AuctionStateOptions
 
-	byID map[string]Worker // the full registry, qualified or not
+	// byID is the registry, qualified or not: one entry per current worker.
+	// Each ingest stamps the entries it names with the next epoch, which
+	// backs duplicate detection and, in a Sync, finds the workers that
+	// leave: those left unstamped.
+	byID  map[string]entry
+	epoch uint64
 
 	// MELODY/DUAL ranking structures. ranked/density are fully sorted and
 	// double-buffered for the merge repair; the rankStream view over them is
@@ -97,14 +102,11 @@ type AuctionState struct {
 	ubRemaining []float64
 	capsValid   bool
 
-	// Per-Apply scratch. gone only backs delta validation (duplicate and
-	// upsert-vs-remove detection; an entry is "in the set" when its stamp
-	// equals the current epoch); the repairs themselves locate outgoing
-	// entries by binary search on oldRec, the pre-delta records of every
-	// touched worker, so the merge sweeps never do per-element map lookups.
-	gone    map[string]uint64
-	epoch   uint64
-	oldRec  []Worker
+	// Repair scratch, filled only when a delta is repaired rather than
+	// rebuilt: insEnt holds the incoming records and goneEnt the pre-delta
+	// records of every replaced or departing worker, both qualified ones
+	// only. The repairs locate outgoing entries by binary search on
+	// goneEnt's keys, so the merge sweeps never do per-element map lookups.
 	inserts []Worker
 	insDen  []float64
 	insEnt  []rankEntry
@@ -158,8 +160,7 @@ func NewAuctionState(cfg Config, opts AuctionStateOptions) (*AuctionState, error
 	s := &AuctionState{
 		cfg:      cfg,
 		opts:     opts,
-		byID:     make(map[string]Worker),
-		gone:     make(map[string]uint64),
+		byID:     make(map[string]entry),
 		taskSeen: make(map[string]struct{}),
 		tracer:   opts.Tracer,
 	}
@@ -186,16 +187,16 @@ func (s *AuctionState) QualifiedSize() int { return len(s.ranked) }
 
 // Lookup returns the stored worker, if registered.
 func (s *AuctionState) Lookup(id string) (Worker, bool) {
-	w, ok := s.byID[id]
-	return w, ok
+	e, ok := s.byID[id]
+	return e.w, ok
 }
 
 // Snapshot returns the registry as a worker slice sorted by ID — the
 // canonical equivalent Instance worker set for differential oracles.
 func (s *AuctionState) Snapshot() []Worker {
 	ws := make([]Worker, 0, len(s.byID))
-	for _, w := range s.byID {
-		ws = append(ws, w)
+	for _, e := range s.byID {
+		ws = append(ws, e.w)
 	}
 	sort.Slice(ws, func(i, j int) bool { return ws[i].ID < ws[j].ID })
 	return ws
@@ -215,62 +216,127 @@ func rankedBefore(wa Worker, da float64, wb Worker, db float64) bool {
 // concurrently with the state's other methods.
 func (s *AuctionState) SetTracer(t *obs.Tracer) { s.tracer = t }
 
+// entry is one registered worker with the stamp of the latest ingest that
+// named it.
+type entry struct {
+	w     Worker
+	stamp uint64
+}
+
 // Apply validates and ingests one run's registry delta, repairing the
 // cached sorted structures. On error the state is unchanged.
 func (s *AuctionState) Apply(d WorkerDelta) error {
-	if d.Churn() == 0 {
-		return nil
-	}
-	sp := s.tracer.Start("auction.incremental")
-	sp.SetAttrInt("upserts", int64(len(d.Upserts)))
-	sp.SetAttrInt("removes", int64(len(d.Removes)))
-	defer sp.End()
+	return s.ingest(d.Upserts, d.Removes, false)
+}
 
-	// Validate the whole delta before mutating anything, capturing the
-	// pre-delta record of every touched worker along the way: removals drop
-	// out of the sorted structures, upserts re-enter at their new position,
-	// and the old sort keys are what locates the outgoing entries. The
-	// duplicate-detection set is epoch-stamped so large deltas don't pay a
-	// map clear on every Apply. oldRec is scratch — a validation failure
-	// below leaves observable state untouched.
+// Sync validates and ingests one run's full worker set: workers not yet
+// registered join, registered ones whose record differs are replaced, and
+// registered workers the set does not name leave. It is Apply of the delta
+// between the registry and the set, which the kernel diffs itself; the set
+// is read, never retained. A duplicate ID or an invalid worker is an error,
+// and on error the state is unchanged.
+func (s *AuctionState) Sync(workers []Worker) error {
+	return s.ingest(workers, nil, true)
+}
+
+// ingest is Apply and Sync. It validates ups and removes before it changes
+// any record, stamping each registered worker they name with a stamp new
+// to the call; workers not yet registered are checked for repeats among
+// themselves. A delta churns the registry by its upserts and removes, a
+// sync by the records it changes, adds and drops. The commit deletes
+// before it inserts, so the registry never holds more than the larger of
+// the old and the new worker set.
+func (s *AuctionState) ingest(ups []Worker, removes []string, sync bool) error {
 	s.epoch++
-	s.oldRec = s.oldRec[:0]
-	for _, w := range d.Upserts {
+	seen := s.epoch
+	n := len(s.byID)
+	named, changed := 0, 0
+	var joins []string
+	for _, w := range ups {
 		if err := validateWorker(w); err != nil {
 			return err
 		}
-		if s.gone[w.ID] == s.epoch {
+		e, ok := s.byID[w.ID]
+		switch {
+		case !ok:
+			joins = append(joins, w.ID)
+		case e.stamp == seen:
 			return fmt.Errorf("core: delta upserts worker %q twice", w.ID)
-		}
-		s.gone[w.ID] = s.epoch
-		if prev, ok := s.byID[w.ID]; ok {
-			s.oldRec = append(s.oldRec, prev)
+		default:
+			s.byID[w.ID] = entry{e.w, seen}
+			named++
+			if e.w != w {
+				changed++
+			}
 		}
 	}
-	for _, id := range d.Removes {
-		prev, ok := s.byID[id]
+	slices.Sort(joins)
+	for i := 1; i < len(joins); i++ {
+		if joins[i] == joins[i-1] {
+			return fmt.Errorf("core: delta upserts worker %q twice", joins[i])
+		}
+	}
+	for _, id := range removes {
+		e, ok := s.byID[id]
 		if !ok {
 			return fmt.Errorf("core: delta removes unknown worker %q", id)
 		}
-		if s.gone[id] == s.epoch {
+		if e.stamp == seen {
 			return fmt.Errorf("core: delta both upserts and removes worker %q", id)
 		}
-		s.gone[id] = s.epoch
-		s.oldRec = append(s.oldRec, prev)
+		s.byID[id] = entry{e.w, seen}
 	}
+	upserts, leaving := len(ups), len(removes)
+	if sync {
+		upserts, leaving = changed+len(joins), n-named
+	}
+	churn := upserts + leaving
+	if churn == 0 {
+		return nil
+	}
+	sp := s.tracer.Start("auction.incremental")
+	sp.SetAttrInt("upserts", int64(upserts))
+	sp.SetAttrInt("removes", int64(leaving))
+	defer sp.End()
 
 	ratio := 1.0
-	if n := len(s.byID); n > 0 {
-		ratio = float64(d.Churn()) / float64(n)
+	if n > 0 {
+		ratio = float64(churn) / float64(n)
 	}
 	s.churnRatio.Set(ratio)
 	rebuild := ratio > s.opts.ChurnThreshold
 
-	for _, id := range d.Removes {
+	// Commit. Only a repair reads the pre-delta records, so only a repair
+	// collects them, with the incoming ones.
+	s.insEnt, s.goneEnt = s.insEnt[:0], s.goneEnt[:0]
+	drop := func(id string, old Worker) {
+		if !rebuild {
+			s.goneEnt = s.appendRanked(s.goneEnt, old)
+		}
 		delete(s.byID, id)
 	}
-	for _, w := range d.Upserts {
-		s.byID[w.ID] = w
+	for _, id := range removes {
+		drop(id, s.byID[id].w)
+	}
+	if sync {
+		for id, e := range s.byID {
+			if e.stamp != seen {
+				drop(id, e.w)
+			}
+		}
+	}
+	for _, w := range ups {
+		e, ok := s.byID[w.ID]
+		if ok && e.w == w {
+			continue // unchanged: the ranking already holds it
+		}
+		s.byID[w.ID] = entry{w, seen}
+		if !rebuild {
+			if ok {
+				s.goneEnt = s.appendRanked(s.goneEnt, e.w)
+			}
+			s.insEnt = s.appendRanked(s.insEnt, w)
+		}
 	}
 
 	if rebuild {
@@ -287,13 +353,22 @@ func (s *AuctionState) Apply(d WorkerDelta) error {
 	} else {
 		sp.SetAttr("mode", "repair")
 		s.repairs.Inc()
-		s.repairRanked(d) // splices st.remaining and sets repairFrom
+		s.repairRanked() // splices st.remaining and sets repairFrom
 		if s.capsValid {
-			s.repairCaps(d)
+			s.repairCaps()
 		}
 	}
 	s.refreshStream(s.repairFrom)
 	return nil
+}
+
+// appendRanked appends w with its ranking density when it qualifies;
+// unqualified workers never enter the ranking.
+func (s *AuctionState) appendRanked(dst []rankEntry, w Worker) []rankEntry {
+	if !s.cfg.Qualifies(w) {
+		return dst
+	}
+	return append(dst, rankEntry{w, w.Quality / w.Bid.Cost})
 }
 
 // refreshStream points the fully-materialized rank stream at the current
@@ -369,28 +444,22 @@ func (s *rankedSorter) Less(i, j int) bool {
 func (s *AuctionState) rebuildRanked() {
 	s.ranked = s.ranked[:0]
 	s.density = s.density[:0]
-	for _, w := range s.byID {
-		if s.cfg.Qualifies(w) {
-			s.ranked = append(s.ranked, w)
-			s.density = append(s.density, w.Quality/w.Bid.Cost)
+	for _, e := range s.byID {
+		if s.cfg.Qualifies(e.w) {
+			s.ranked = append(s.ranked, e.w)
+			s.density = append(s.density, e.w.Quality/e.w.Bid.Cost)
 		}
 	}
 	sort.Sort(&rankedSorter{s.ranked, s.density})
 }
 
-// repairRanked merges the delta into the sorted ranking. Outgoing entries
-// are pinned by binary search on their pre-delta sort key (the ranking is a
-// strict total order, so each key names exactly one slot), insert slots
-// likewise; the rebuild is then pure chunked copies between breakpoints —
-// O(u log n + u log u) comparisons plus one O(n) memmove, with no
-// per-element map lookups on the sweep.
-func (s *AuctionState) repairRanked(d WorkerDelta) {
-	s.insEnt = s.insEnt[:0]
-	for _, w := range d.Upserts {
-		if s.cfg.Qualifies(w) {
-			s.insEnt = append(s.insEnt, rankEntry{w, w.Quality / w.Bid.Cost})
-		}
-	}
+// repairRanked merges the delta held in insEnt and goneEnt into the sorted
+// ranking. Outgoing entries are pinned by binary search on their pre-delta
+// sort key (the ranking is a strict total order, so each key names exactly
+// one slot), insert slots likewise; the rebuild is then pure chunked copies
+// between breakpoints — O(u log n + u log u) comparisons plus one O(n)
+// memmove, with no per-element map lookups on the sweep.
+func (s *AuctionState) repairRanked() {
 	// pdqsort over the packed entries: measurably faster than sort.Sort's
 	// interface dispatch on the u=10^4-scale deltas of the churn kernels.
 	slices.SortFunc(s.insEnt, func(a, b rankEntry) int {
@@ -409,12 +478,6 @@ func (s *AuctionState) repairRanked(d WorkerDelta) {
 	// Outgoing entries, located by galloping right through the ranking in
 	// old-key order: sorting the keys first makes the probe sequence
 	// monotone (and cache-friendly) and yields gonePos already sorted.
-	s.goneEnt = s.goneEnt[:0]
-	for _, w := range s.oldRec {
-		if s.cfg.Qualifies(w) { // unqualified records never were in the ranking
-			s.goneEnt = append(s.goneEnt, rankEntry{w, w.Quality / w.Bid.Cost})
-		}
-	}
 	slices.SortFunc(s.goneEnt, func(a, b rankEntry) int {
 		if rankedBefore(a.w, a.d, b.w, b.d) {
 			return -1
@@ -487,9 +550,9 @@ func (s *AuctionState) repairRanked(d WorkerDelta) {
 // rebuildCaps resorts the OPT-UB capacity order from scratch.
 func (s *AuctionState) rebuildCaps() {
 	s.caps = s.caps[:0]
-	for _, w := range s.byID {
-		if s.cfg.Qualifies(w) {
-			s.caps = append(s.caps, ubCapOf(w))
+	for _, e := range s.byID {
+		if s.cfg.Qualifies(e.w) {
+			s.caps = append(s.caps, ubCapOf(e.w))
 		}
 	}
 	sort.Sort(&ubCapSorter{s.caps})
@@ -501,13 +564,12 @@ func (s *AuctionState) rebuildCaps() {
 }
 
 // repairCaps merges the delta into the sorted capacity order, mirroring
-// repairRanked's search-and-splice under the OPT-UB comparator.
-func (s *AuctionState) repairCaps(d WorkerDelta) {
+// repairRanked's search-and-splice under the OPT-UB comparator. It runs
+// after repairRanked, whose inserts are the delta's qualified upserts.
+func (s *AuctionState) repairCaps() {
 	s.insCaps = s.insCaps[:0]
-	for _, w := range d.Upserts {
-		if s.cfg.Qualifies(w) {
-			s.insCaps = append(s.insCaps, ubCapOf(w))
-		}
+	for _, w := range s.inserts {
+		s.insCaps = append(s.insCaps, ubCapOf(w))
 	}
 	slices.SortFunc(s.insCaps, func(a, b ubCap) int {
 		if ubCapBefore(a, b) {
@@ -517,11 +579,8 @@ func (s *AuctionState) repairCaps(d WorkerDelta) {
 	})
 
 	s.gonePos = s.gonePos[:0]
-	for _, w := range s.oldRec {
-		if !s.cfg.Qualifies(w) {
-			continue
-		}
-		c := ubCapOf(w)
+	for _, e := range s.goneEnt {
+		c := ubCapOf(e.w)
 		p := sort.Search(len(s.caps), func(i int) bool {
 			return !ubCapBefore(s.caps[i], c)
 		})

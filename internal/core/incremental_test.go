@@ -384,8 +384,93 @@ func TestAuctionStateApplyErrors(t *testing.T) {
 		})
 	}
 
+	bad := Worker{ID: "x", Bid: Bid{Cost: -1, Frequency: 1}, Quality: 2}
+	fresh := Worker{ID: "b", Bid: Bid{Cost: 1, Frequency: 2}, Quality: 3}
+	changed := Worker{ID: "a", Bid: Bid{Cost: 1.5, Frequency: 1}, Quality: 2}
+	syncCases := []struct {
+		name string
+		ws   []Worker
+		want string
+	}{
+		{"sync invalid worker", []Worker{ok, bad}, "cost"},
+		{"sync invalid after join and change", []Worker{fresh, changed, bad}, "cost"},
+		{"sync duplicate registered", []Worker{ok, fresh, ok}, "twice"},
+		{"sync duplicate joiner", []Worker{fresh, ok, fresh}, "twice"},
+		{"sync duplicate changed", []Worker{changed, changed}, "twice"},
+	}
+	for _, tc := range syncCases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := NewAuctionState(cfg, AuctionStateOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Sync([]Worker{ok}); err != nil {
+				t.Fatal(err)
+			}
+			before := st.Snapshot()
+			if err := st.Sync(tc.ws); err == nil {
+				t.Fatal("want error, got nil")
+			} else if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+			if !reflect.DeepEqual(st.Snapshot(), before) {
+				t.Fatal("failed Sync mutated the registry")
+			}
+			// The failed call's stamps must not count as the next call's:
+			// a sync naming only b drops a.
+			if err := st.Sync([]Worker{fresh}); err != nil {
+				t.Fatal(err)
+			}
+			if got := st.Snapshot(); !reflect.DeepEqual(got, []Worker{fresh}) {
+				t.Fatalf("registry after a valid sync = %+v, want only %+v", got, fresh)
+			}
+		})
+	}
+
 	if _, err := NewAuctionState(cfg, AuctionStateOptions{ChurnThreshold: 2}); err == nil {
 		t.Fatal("want churn threshold validation error")
+	}
+}
+
+// TestSyncDropsDepartedWorkers syncs 1,000 workers and then 1,000 others,
+// through the repair and the rebuild path, and requires the kernel to hold
+// entries for the second set only: a worker that stops bidding leaves no
+// trace behind, however many workers have come and gone.
+func TestSyncDropsDepartedWorkers(t *testing.T) {
+	cfg := diffConfig()
+	set := func(prefix string) []Worker {
+		ws := make([]Worker, 1000)
+		for i := range ws {
+			ws[i] = Worker{ID: fmt.Sprintf("%s%04d", prefix, i), Bid: Bid{Cost: 1 + float64(i%7)/10, Frequency: 1 + i%3}, Quality: 2 + float64(i%5)/2}
+		}
+		return ws
+	}
+	first, second := set("a"), set("b")
+	for _, threshold := range []float64{1, 1e-9} {
+		st, err := NewAuctionState(cfg, AuctionStateOptions{ChurnThreshold: threshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ws := range [][]Worker{first, second} {
+			if err := st.Sync(ws); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(st.byID) != len(second) {
+			t.Errorf("threshold %v: kernel holds %d worker entries, want %d", threshold, len(st.byID), len(second))
+		}
+		for id := range st.byID {
+			if id[0] != 'b' {
+				t.Errorf("threshold %v: kernel still holds departed worker %q", threshold, id)
+				break
+			}
+		}
+		if !reflect.DeepEqual(st.Snapshot(), second) {
+			t.Errorf("threshold %v: registry is not the second set", threshold)
+		}
+		if want := rankWorkers(second, cfg); !reflect.DeepEqual(append([]Worker{}, st.ranked...), append([]Worker{}, want...)) {
+			t.Errorf("threshold %v: ranking is not the second set's", threshold)
+		}
 	}
 }
 

@@ -118,10 +118,10 @@ type RunResult struct {
 // Engine drives the multi-run loop. Not safe for concurrent use.
 //
 // When the configured mechanism is the stateless MELODY or MELODY-DUAL, the
-// engine transparently runs it through a persistent core.AuctionState:
-// between runs it diffs the active worker set against the previous run's and
-// feeds the auction only the delta (bid/posterior updates, joins, leaves),
-// so steady-state runs repair the ranked structures locally instead of
+// engine transparently runs it through a persistent core.AuctionState: each
+// run syncs the state to the active worker set, which applies only the
+// delta from the previous run (bid/posterior updates, joins, leaves), so
+// steady-state runs repair the ranked structures locally instead of
 // re-sorting the population. Outcomes are byte-identical to calling
 // Mechanism.Run directly (pinned by TestEngineStatefulMatchesStateless).
 type Engine struct {
@@ -131,8 +131,6 @@ type Engine struct {
 	// Incremental auction fast path; state is nil for mechanisms without a
 	// stateful adapter (RANDOM, OPT-UB, test doubles).
 	state *core.AuctionState
-	prev  map[string]core.Worker
-	delta core.WorkerDelta
 }
 
 // NewEngine validates the configuration and returns a ready engine.
@@ -157,7 +155,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("market: %w", err)
 	}
 	e.state = state
-	e.prev = make(map[string]core.Worker)
 	return e, nil
 }
 
@@ -167,32 +164,8 @@ func (e *Engine) runAuction(in core.Instance) (*core.Outcome, error) {
 	if e.state == nil {
 		return e.cfg.Mechanism.Run(in)
 	}
-	d := e.delta
-	d.Upserts = d.Upserts[:0]
-	d.Removes = d.Removes[:0]
-	seen := make(map[string]bool, len(in.Workers))
-	for _, w := range in.Workers {
-		seen[w.ID] = true
-		if prev, ok := e.prev[w.ID]; !ok || prev != w {
-			d.Upserts = append(d.Upserts, w)
-		}
-	}
-	for id := range e.prev {
-		if !seen[id] {
-			d.Removes = append(d.Removes, id)
-		}
-	}
-	e.delta = d
-	if err := e.state.Apply(d); err != nil {
+	if err := e.state.Sync(in.Workers); err != nil {
 		return nil, err
-	}
-	// Sync the mirror only after Apply committed, so a rejected delta leaves
-	// mirror and state agreeing.
-	for _, w := range d.Upserts {
-		e.prev[w.ID] = w
-	}
-	for _, id := range d.Removes {
-		delete(e.prev, id)
 	}
 	switch m := e.cfg.Mechanism.(type) {
 	case *core.Melody:

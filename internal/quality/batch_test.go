@@ -334,11 +334,21 @@ func TestWindowMemoryBounded(t *testing.T) {
 // TestScoreHistoryRingOrder checks chronological ordering across the ring's
 // wrap and the score slice's in-place compaction, with runs of varying
 // length (empty ones included), and that every evicted run is returned
-// intact before its space is reused.
+// intact before its space is reused. After a few wraps of short runs come
+// runs of 254, 0, 255 and 300 scores: the ring keeps one byte per run,
+// allocated at the window's length, until the 255-score run widens it in
+// mid-wrap.
 func TestScoreHistoryRingOrder(t *testing.T) {
 	const window = 3
+	length := func(i int) int {
+		if i > 20 {
+			return []int{254, 0, 255, 300, 1}[(i-21)%5]
+		}
+		return i % 4
+	}
 	var h scoreWindow
 	var pushed [][]float64
+	wide := false
 	for i := 1; i <= 40; i++ {
 		ev, ok := h.evict(window)
 		if ok != (i > window) {
@@ -349,12 +359,19 @@ func TestScoreHistoryRingOrder(t *testing.T) {
 				t.Fatalf("push %d: evicted %v, want %v", i, ev, want)
 			}
 		}
-		run := make([]float64, i%4)
+		run := make([]float64, length(i))
 		for k := range run {
 			run[k] = float64(i) + float64(k)/10
 		}
 		pushed = append(pushed, run)
 		h.push(window, run)
+		wide = wide || len(run) >= 255
+		switch {
+		case wide && (h.wide == nil || h.counts != nil):
+			t.Fatalf("push %d: a %d-score run left the ring narrow", i, len(run))
+		case !wide && (h.wide != nil || cap(h.counts) != window):
+			t.Fatalf("push %d: narrow ring is wide or holds %d byte slots, want %d", i, cap(h.counts), window)
+		}
 
 		view := h.view(nil)
 		want := pushed[max(0, len(pushed)-window):]

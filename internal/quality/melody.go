@@ -59,18 +59,34 @@ func (c MelodyConfig) Validate() error {
 // so a long deployment holds O(window) memory and steady-state pushes
 // allocate nothing. With window zero the history grows unboundedly, as the
 // paper's full-history variant requires.
+//
+// The ring takes one byte per run, allocated at the window's length on the
+// first push. A run of 255 or more scores widens it to int32 for good:
+// wide then holds the ring and counts is nil.
 type scoreWindow struct {
-	counts []int32 // ring of run score counts; full once len == window
+	counts []uint8 // ring of run score counts; full once its length is the window
+	wide   []int32 // the ring once a run brought 255 or more scores
 	start  int     // ring index of the oldest run
 	runs   int
 	vals   []float64
 	lo     int // vals[lo:] are the retained runs' scores
 }
 
-// ring maps the i-th oldest retained run to its slot in counts.
+// slots is the ring's length.
+func (h *scoreWindow) slots() int { return len(h.counts) + len(h.wide) }
+
+// count is the score count in ring slot i.
+func (h *scoreWindow) count(i int) int {
+	if h.wide != nil {
+		return int(h.wide[i])
+	}
+	return int(h.counts[i])
+}
+
+// ring maps the i-th oldest retained run to its slot in the ring.
 func (h *scoreWindow) ring(i int) int {
-	if i += h.start; i >= len(h.counts) {
-		i -= len(h.counts)
+	if i += h.start; i >= h.slots() {
+		i -= h.slots()
 	}
 	return i
 }
@@ -82,7 +98,7 @@ func (h *scoreWindow) evict(window int) ([]float64, bool) {
 	if window <= 0 || h.runs < window {
 		return nil, false
 	}
-	n := int(h.counts[h.start])
+	n := h.count(h.start)
 	ev := h.vals[h.lo : h.lo+n]
 	h.lo += n
 	h.start = h.ring(1)
@@ -92,10 +108,27 @@ func (h *scoreWindow) evict(window int) ([]float64, bool) {
 
 // push appends the newest run's scores (copied).
 func (h *scoreWindow) push(window int, scores []float64) {
-	if window <= 0 || len(h.counts) < window {
-		h.counts = append(h.counts, int32(len(scores)))
-	} else {
-		h.counts[h.ring(h.runs)] = int32(len(scores))
+	n := len(scores)
+	if n >= 255 && h.wide == nil {
+		h.wide = make([]int32, len(h.counts), max(window, cap(h.counts)))
+		for i, c := range h.counts {
+			h.wide[i] = int32(c)
+		}
+		h.counts = nil
+	}
+	full := window > 0 && h.slots() >= window
+	switch {
+	case h.wide != nil && full:
+		h.wide[h.ring(h.runs)] = int32(n)
+	case h.wide != nil:
+		h.wide = append(h.wide, int32(n))
+	case full:
+		h.counts[h.ring(h.runs)] = uint8(n)
+	default:
+		if h.counts == nil && window > 0 {
+			h.counts = make([]uint8, 0, window)
+		}
+		h.counts = append(h.counts, uint8(n))
 	}
 	h.runs++
 	if len(h.vals)+len(scores) > cap(h.vals) && h.lo > 0 {
@@ -107,7 +140,7 @@ func (h *scoreWindow) push(window int, scores []float64) {
 
 // clear empties the window, keeping its backing arrays.
 func (h *scoreWindow) clear() {
-	*h = scoreWindow{counts: h.counts[:0], vals: h.vals[:0]}
+	*h = scoreWindow{counts: h.counts[:0], wide: h.wide[:0], vals: h.vals[:0]}
 }
 
 // hasScores reports whether any retained run carries at least one score.
@@ -118,7 +151,7 @@ func (h *scoreWindow) hasScores() bool { return len(h.vals) > h.lo }
 func (h *scoreWindow) view(dst [][]float64) [][]float64 {
 	dst = dst[:0]
 	for i, off := 0, h.lo; i < h.runs; i++ {
-		n := int(h.counts[h.ring(i)])
+		n := h.count(h.ring(i))
 		dst = append(dst, h.vals[off:off+n:off+n])
 		off += n
 	}

@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strconv"
 
 	"melody/internal/core"
@@ -11,10 +12,11 @@ import (
 
 // This file verifies the stateful incremental auction kernel
 // (core.AuctionState) against the stateless mechanisms and the naive
-// reference oracle: a churn sequence is replayed through the cache while a
-// shadow registry is maintained independently, and every run's outcome must
-// be byte-identical across all three implementations. The same machinery
-// backs TestStatefulMatchesStateless and the FuzzIncrementalAuction target.
+// reference oracle: a churn sequence is replayed through one kernel by
+// Apply and through another by Sync while a shadow registry is maintained
+// independently, and every run's outcome must be byte-identical across all
+// four. The same machinery backs TestStatefulMatchesStateless and the
+// FuzzIncrementalAuction target.
 
 // ChurnStep is one run of a long-term churn sequence: the registry delta
 // applied before the auction, the published task set and budget, and the
@@ -98,16 +100,23 @@ func RandomChurnSequence(r *stats.RNG, runs, n, m int, churn float64) []ChurnSte
 	return steps
 }
 
-// CheckStatefulSequence replays a churn sequence through one persistent
-// AuctionState and demands, at every step and for every mechanism (MELODY,
-// MELODY-DUAL, OPT-UB), a byte-identical outcome to the stateless mechanism
-// run from scratch on the registry snapshot — and, for MELODY, to the naive
-// reference oracle. A nil return means the whole sequence agreed.
+// CheckStatefulSequence replays a churn sequence through two persistent
+// AuctionStates, one fed each step's delta by Apply and one the step's full
+// worker set by Sync, and demands, at every step and for every mechanism
+// (MELODY, MELODY-DUAL, OPT-UB), that both kernels hold the shadow registry
+// and return outcomes byte-identical to the stateless mechanism run from
+// scratch on it — and, for MELODY, to the naive reference oracle. A nil
+// return means the whole sequence agreed.
 func CheckStatefulSequence(cfg core.Config, steps []ChurnStep, opts core.AuctionStateOptions) error {
 	st, err := core.NewAuctionState(cfg, opts)
 	if err != nil {
 		return err
 	}
+	synced, err := core.NewAuctionState(cfg, opts)
+	if err != nil {
+		return err
+	}
+	shadow := make(map[string]core.Worker)
 	melody, err := core.NewMelody(cfg)
 	if err != nil {
 		return err
@@ -120,53 +129,82 @@ func CheckStatefulSequence(cfg core.Config, steps []ChurnStep, opts core.Auction
 		if err := st.Apply(step.Delta); err != nil {
 			return fmt.Errorf("run %d: apply: %w", run, err)
 		}
-		in := core.Instance{Workers: st.Snapshot(), Tasks: step.Tasks, Budget: step.Budget}
+		for _, id := range step.Delta.Removes {
+			delete(shadow, id)
+		}
+		for _, w := range step.Delta.Upserts {
+			shadow[w.ID] = w
+		}
+		workers := make([]core.Worker, 0, len(shadow))
+		for _, w := range shadow {
+			workers = append(workers, w)
+		}
+		sort.Slice(workers, func(i, j int) bool { return workers[i].ID < workers[j].ID })
+		// Sync reads the set in any order; rotating it by the run moves
+		// joiners, stayers and changed workers around the list.
+		rotated := workers
+		if len(workers) > 0 {
+			shift := run % len(workers)
+			rotated = append(workers[shift:len(workers):len(workers)], workers[:shift]...)
+		}
+		if err := synced.Sync(rotated); err != nil {
+			return fmt.Errorf("run %d: sync: %w", run, err)
+		}
+		for _, kernel := range []*core.AuctionState{st, synced} {
+			if got := kernel.Snapshot(); !reflect.DeepEqual(got, workers) {
+				return fmt.Errorf("run %d: kernel registry diverged from the shadow\n got: %+v\nwant: %+v", run, got, workers)
+			}
+		}
+		in := core.Instance{Workers: workers, Tasks: step.Tasks, Budget: step.Budget}
 
 		want, err := melody.Run(in)
 		if err != nil {
 			return fmt.Errorf("run %d: stateless melody: %w", run, err)
 		}
-		got, err := st.RunMelody(step.Tasks, step.Budget)
-		if err != nil {
-			return fmt.Errorf("run %d: stateful melody: %w", run, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("run %d: stateful MELODY diverged from stateless\n got: %+v\nwant: %+v", run, got, want)
-		}
 		ref, err := ReferenceMelody(cfg, in)
 		if err != nil {
 			return fmt.Errorf("run %d: reference: %w", run, err)
 		}
-		if !reflect.DeepEqual(got, ref) {
-			return fmt.Errorf("run %d: stateful MELODY diverged from reference\n got: %+v\nwant: %+v", run, got, ref)
-		}
-
 		dual, err := core.NewMelodyDual(cfg, step.Target)
 		if err != nil {
 			return fmt.Errorf("run %d: %w", run, err)
 		}
-		want, err = dual.Run(in)
+		wantDual, err := dual.Run(in)
 		if err != nil {
 			return fmt.Errorf("run %d: stateless dual: %w", run, err)
 		}
-		got, err = st.RunDual(step.Target, step.Tasks)
-		if err != nil {
-			return fmt.Errorf("run %d: stateful dual: %w", run, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("run %d: stateful MELODY-DUAL diverged from stateless\n got: %+v\nwant: %+v", run, got, want)
-		}
-
-		want, err = optub.Run(in)
+		wantUB, err := optub.Run(in)
 		if err != nil {
 			return fmt.Errorf("run %d: stateless optub: %w", run, err)
 		}
-		got, err = st.RunOptUB(step.Tasks, step.Budget)
-		if err != nil {
-			return fmt.Errorf("run %d: stateful optub: %w", run, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("run %d: stateful OPT-UB diverged from stateless\n got: %+v\nwant: %+v", run, got, want)
+		for _, k := range []struct {
+			name string
+			st   *core.AuctionState
+		}{{"apply", st}, {"sync", synced}} {
+			got, err := k.st.RunMelody(step.Tasks, step.Budget)
+			if err != nil {
+				return fmt.Errorf("run %d: %s kernel melody: %w", run, k.name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("run %d: %s kernel MELODY diverged from stateless\n got: %+v\nwant: %+v", run, k.name, got, want)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				return fmt.Errorf("run %d: %s kernel MELODY diverged from reference\n got: %+v\nwant: %+v", run, k.name, got, ref)
+			}
+			got, err = k.st.RunDual(step.Target, step.Tasks)
+			if err != nil {
+				return fmt.Errorf("run %d: %s kernel dual: %w", run, k.name, err)
+			}
+			if !reflect.DeepEqual(got, wantDual) {
+				return fmt.Errorf("run %d: %s kernel MELODY-DUAL diverged from stateless\n got: %+v\nwant: %+v", run, k.name, got, wantDual)
+			}
+			got, err = k.st.RunOptUB(step.Tasks, step.Budget)
+			if err != nil {
+				return fmt.Errorf("run %d: %s kernel optub: %w", run, k.name, err)
+			}
+			if !reflect.DeepEqual(got, wantUB) {
+				return fmt.Errorf("run %d: %s kernel OPT-UB diverged from stateless\n got: %+v\nwant: %+v", run, k.name, got, wantUB)
+			}
 		}
 	}
 	return nil

@@ -147,12 +147,6 @@ type Platform struct {
 	// alone). Lock order: p.mu before estMu; registry stripes innermost.
 	estMu sync.RWMutex
 
-	// bidders mirrors the worker set last applied to the auction state, so
-	// each CloseAuction feeds the kernel only the run-over-run delta
-	// (changed bids or estimates, joins, leaves) instead of the full
-	// registry.
-	bidders map[string]Worker
-
 	// tracked lists, sorted by ID, the workers whose bids have reached one
 	// of this platform's closes: the workers each finish observes, as
 	// Algorithm 3 keeps an LDS per worker the requester observes. A
@@ -275,7 +269,6 @@ func newPlatform(cfg PlatformConfig, reg *workerRegistry) (*Platform, error) {
 		money:         cfg.Ledger,
 		settler:       cfg.Settler,
 		registry:      reg,
-		bidders:       make(map[string]Worker),
 		runsCompleted: cfg.Metrics.Counter(obs.MetricRunsCompletedTotal, "Completed platform runs."),
 		tracer:        cfg.Tracer,
 	}, nil
@@ -554,31 +547,29 @@ func (p *Platform) CloseAuction(ctx context.Context) (*Outcome, error) {
 	if p.open.outcome != nil {
 		return p.open.outcome, nil // retried close: replay the outcome
 	}
-	// Feed the incremental kernel this run's bidder delta: new and changed
-	// (bid, estimate) pairs re-enter the cached ranking, absent bidders
-	// leave it. Delta order does not matter — the kernel's sorted structures
-	// are a pure function of the worker multiset. A bidder the platform
-	// does not track yet joins the tracked set before its estimate is read.
-	delta := core.WorkerDelta{Upserts: make([]Worker, 0, len(p.open.bids))}
+	// Sync the incremental kernel to this run's bidders: the kernel diffs
+	// them against the set it last ran, so new and changed (bid, estimate)
+	// pairs re-enter the cached ranking and absent bidders leave it. Order
+	// does not matter — the kernel's sorted structures are a pure function
+	// of the worker multiset. A bidder the kernel does not hold and the
+	// platform does not track yet joins the tracked set before its
+	// estimate is read.
+	workers := make([]Worker, 0, len(p.open.bids))
 	var joining []string
 	p.estMu.RLock()
 	for id, bid := range p.open.bids {
-		prev, ok := p.bidders[id]
-		if !ok && !p.isTracked(id) {
+		if _, ok := p.auction.Lookup(id); !ok && !p.isTracked(id) {
 			joining = append(joining, id)
 			continue
 		}
-		w := Worker{ID: id, Bid: bid, Quality: p.est.Estimate(id)}
-		if !ok || prev != w {
-			delta.Upserts = append(delta.Upserts, w)
-		}
+		workers = append(workers, Worker{ID: id, Bid: bid, Quality: p.est.Estimate(id)})
 	}
 	p.estMu.RUnlock()
 	if joining != nil {
 		p.estMu.Lock()
 		err := p.track(joining)
 		for _, id := range joining {
-			delta.Upserts = append(delta.Upserts, Worker{ID: id, Bid: p.open.bids[id], Quality: p.est.Estimate(id)})
+			workers = append(workers, Worker{ID: id, Bid: p.open.bids[id], Quality: p.est.Estimate(id)})
 		}
 		p.estMu.Unlock()
 		if err != nil {
@@ -586,19 +577,8 @@ func (p *Platform) CloseAuction(ctx context.Context) (*Outcome, error) {
 		}
 	}
 	p.auction.SetTracer(p.tracerFor(ctx))
-	for id := range p.bidders {
-		if _, ok := p.open.bids[id]; !ok {
-			delta.Removes = append(delta.Removes, id)
-		}
-	}
-	if err := p.auction.Apply(delta); err != nil {
+	if err := p.auction.Sync(workers); err != nil {
 		return nil, err
-	}
-	for _, w := range delta.Upserts {
-		p.bidders[w.ID] = w
-	}
-	for _, id := range delta.Removes {
-		delete(p.bidders, id)
 	}
 	out, err := p.auction.RunMelody(p.open.tasks, p.open.budget)
 	if err != nil {

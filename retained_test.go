@@ -28,6 +28,14 @@ const retainedPerRunMax = 450
 // payments a run and, every 8 runs, one payout per paid worker.
 const retainedPerAuctionRunMax = 14000
 
+// retainedPerPairMax bounds the live heap one (tenant, worker) pair holds
+// on the auction shape once the estimator windows are full. It sits
+// between the 1,102 B measured while each tenant platform mirrored its
+// auction kernel's bidders and EM windows counted runs in int32 rings,
+// and the 720 B measured with the kernel as the only bidder table and
+// byte counts.
+const retainedPerPairMax = 900
+
 // TestRetainedBytesPerRun runs a lifecycle-shaped season through the run
 // scheduler with a ledger and epoch settlement every 8 runs: 2 tenants of
 // 16 workers, one bid each per run at a cost drawn per run, 2 tasks of
@@ -55,6 +63,29 @@ func TestRetainedBytesPerAuctionRun(t *testing.T) {
 	}
 }
 
+// TestRetainedBytesPerTrackedWorker measures the live heap per (tenant,
+// worker) pair on the auction_wal benchmark's shape: 2 tenants sharing a
+// pool, 100 tasks of threshold 10 and budget 2,000. After 130 runs, 65
+// finishes per tenant, every worker's EM window of 60 runs is full, and
+// the slope of the season's retained heap between a 1,000- and a
+// 2,000-worker pool is what each pair costs: its auction kernel entry and
+// ranking slots, its estimator state and its share of the registry. The
+// runs' own records cancel, as both pools win about the same tasks.
+func TestRetainedBytesPerTrackedWorker(t *testing.T) {
+	const runs = 130
+	held := func(workers int) float64 {
+		base, _, end := seasonHeap(t, retainedSeason{workers: workers, shared: true, tasks: 100, budget: 2000, from: runs, to: runs})
+		return float64(end) - float64(base)
+	}
+	small, large := held(1000), held(2000)
+	perPair := (large - small) / (2 * 1000)
+	t.Logf("live heap per (tenant, worker) pair: %.0f B (bound %d B; seasons hold %.2f and %.2f MB)",
+		perPair, retainedPerPairMax, small/1e6, large/1e6)
+	if perPair > retainedPerPairMax {
+		t.Errorf("each (tenant, worker) pair retains %.0f B, want at most %d B", perPair, retainedPerPairMax)
+	}
+}
+
 // retainedSeason is the shape of a retained-heap season: workers per
 // tenant, or one pool both tenants share, and each run's tasks and budget.
 // Runs from to to are measured.
@@ -66,12 +97,20 @@ type retainedSeason struct {
 	from, to int
 }
 
-// retainedPerRun runs a season of 2 tenants through the run scheduler with
-// a ledger and epoch settlement every 8 runs: every worker of the tenant's
-// pool bids once per run at a cost drawn per run, every task has threshold
-// 10 and every assignment is scored. It returns the live heap per run
-// finished between runs from and to.
+// retainedPerRun returns the live heap per run finished between runs from
+// and to of season.
 func retainedPerRun(t *testing.T, season retainedSeason) float64 {
+	_, from, to := seasonHeap(t, season)
+	return float64(to-from) / float64(season.to-season.from)
+}
+
+// seasonHeap runs a season of 2 tenants through the run scheduler with a
+// ledger and epoch settlement every 8 runs: every worker of the tenant's
+// pool bids once per run at a cost drawn per run, every task has threshold
+// 10 and every assignment is scored. It returns the live heap before the
+// season's scheduler is built, after run from and after run to.
+func seasonHeap(t *testing.T, season retainedSeason) (base, from, to uint64) {
+	base = liveHeap()
 	ctx := context.Background()
 	const tenants = 2
 	money := NewLedger()
@@ -144,16 +183,16 @@ func retainedPerRun(t *testing.T, season retainedSeason) float64 {
 	for ; n < season.from; n++ {
 		run(n)
 	}
-	before := liveHeap()
+	from = liveHeap()
 	for ; n < season.to; n++ {
 		run(n)
 	}
-	perRun := float64(liveHeap()-before) / float64(season.to-season.from)
+	to = liveHeap()
 	t.Logf("the archive holds %d runs in %d chunk bytes, %.0f B each", s.archive.n, s.archive.Size,
 		float64(s.archive.Size)/float64(s.archive.n))
-	// The season must still be reachable when the second measurement runs.
+	// The season must still be reachable when the last measurement runs.
 	runtime.KeepAlive(s)
-	return perRun
+	return base, from, to
 }
 
 // latentScore scores an assignment as the worker's fixed latent quality in

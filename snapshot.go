@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 
-	"melody/internal/core"
 	"melody/internal/ledger"
 )
 
@@ -253,10 +252,9 @@ func (p *Platform) exportState(tenant string) (TenantSnapshot, error) {
 	for _, m := range p.marks {
 		ts.Marks = append(ts.Marks, [2]int{m.regs, m.finish})
 	}
-	for _, w := range p.bidders {
-		ts.Bidders = append(ts.Bidders, w)
+	if p.auction.Size() > 0 {
+		ts.Bidders = p.auction.Snapshot()
 	}
-	sort.Slice(ts.Bidders, func(i, j int) bool { return ts.Bidders[i].ID < ts.Bidders[j].ID })
 	return ts, nil
 }
 
@@ -265,7 +263,7 @@ func (p *Platform) exportState(tenant string) (TenantSnapshot, error) {
 func (p *Platform) importState(ts TenantSnapshot) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.run != 0 || p.open != nil || len(p.bidders) != 0 {
+	if p.run != 0 || p.open != nil || p.auction.Size() != 0 {
 		return errors.New("melody: restore target is not a fresh platform")
 	}
 	for i, id := range ts.Tracked {
@@ -293,14 +291,11 @@ func (p *Platform) importState(ts TenantSnapshot) error {
 	if len(ts.Bidders) > 0 {
 		// The auction kernel's cached ranking is derived state: a pure
 		// function of the bidder multiset. Reseeding it through the same
-		// delta path CloseAuction uses reproduces it exactly; a restore
-		// records no span.
+		// Sync CloseAuction uses reproduces it exactly; a restore records
+		// no span.
 		p.auction.SetTracer(nil)
-		if err := p.auction.Apply(core.WorkerDelta{Upserts: slices.Clone(ts.Bidders)}); err != nil {
+		if err := p.auction.Sync(ts.Bidders); err != nil {
 			return fmt.Errorf("melody: restore auction state: %w", err)
-		}
-		for _, w := range ts.Bidders {
-			p.bidders[w.ID] = w
 		}
 	}
 	p.run, p.finishes = ts.Runs, ts.Runs
