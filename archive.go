@@ -3,6 +3,7 @@ package melody
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"melody/internal/chunk"
 )
@@ -52,11 +53,13 @@ type runArchive struct {
 	chunk.Log
 	n    int
 	hash func(string) uint64
-	// index maps a run ID's hash to its record's position, the chunk in
-	// the high 32 bits and the offset in the low ones. An ID whose hash an
-	// earlier ID took is in overflow instead. Both are made at first use.
-	index    map[uint64]uint64
-	overflow map[string]uint64
+	// index is an open-addressed table of the records, a power of two
+	// long, made at the first add. A used slot holds the run ID's
+	// fingerprint (the top fpBits of its hash) over its record's position
+	// plus one, so 0 marks an empty slot; a lookup probes linearly from
+	// the fingerprint's home slot and reads the head of each record whose
+	// fingerprint matches. The table doubles past 7/8 load.
+	index []uint64
 	// names interns tenants and worker IDs.
 	names []string
 	ids   map[string]uint32
@@ -81,6 +84,19 @@ const archiveName = "run archive"
 // linearTasks is the longest task list whose references are found by a
 // scan; a longer one is indexed in taskAt.
 const linearTasks = 8
+
+// An index slot holds a fingerprint of fpBits over a position plus one of
+// posBits. A position is its chunk's index times chunk.Full plus the
+// record's offset, which is below chunk.Full: a record starts inside a
+// full-sized chunk or at offset 0 of a chunk of its own.
+const (
+	fpBits  = 24
+	posBits = 64 - fpBits
+	posMask = 1<<posBits - 1
+)
+
+// firstIndex is the index's length at the first add.
+const firstIndex = 16
 
 // newRunArchive returns an empty archive that indexes run IDs by hash.
 func newRunArchive(hash func(string) uint64) runArchive {
@@ -161,24 +177,48 @@ func (a *runArchive) add(r RunSnapshot) {
 	start := binary.MaxVarintLen64 - k
 	copy(b[start:], n[:k])
 	c, off := a.Append(b[start:])
-	pos := uint64(c)<<32 | uint64(off)
-	if a.index == nil {
-		a.index = make(map[uint64]uint64)
+	pos := uint64(c)*chunk.Full + uint64(off)
+	if pos >= posMask {
+		panic("melody: run archive outgrew its index's positions")
 	}
-	h := a.hash(r.ID)
-	if _, taken := a.index[h]; taken {
-		if a.overflow == nil {
-			a.overflow = make(map[string]uint64)
-		}
-		a.overflow[r.ID] = pos
-	} else {
-		a.index[h] = pos
+	if (a.n+1)*8 > len(a.index)*7 {
+		a.growIndex()
 	}
+	a.place(a.hash(r.ID)>>posBits<<posBits | (pos + 1))
 	a.n++
 	if cap(b) > chunk.Full {
 		b = nil // a run longer than a chunk does not keep its buffer
 	}
 	a.buf = b
+}
+
+// growIndex doubles the index, or makes it, and re-places every slot from
+// its stored fingerprint, reading no record.
+func (a *runArchive) growIndex() {
+	old := a.index
+	a.index = make([]uint64, max(2*len(old), firstIndex))
+	for _, s := range old {
+		if s != 0 {
+			a.place(s)
+		}
+	}
+}
+
+// place stores slot s in the first empty slot from its home on.
+func (a *runArchive) place(s uint64) {
+	mask := len(a.index) - 1
+	i := a.home(s >> posBits)
+	for a.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	a.index[i] = s
+}
+
+// home returns fingerprint fp's home slot: the top bits of fp times a
+// 64-bit odd constant. hash64's own top bits barely depend on an ID's last
+// characters, so IDs that differ only there would share a neighbourhood.
+func (a *runArchive) home(fp uint64) int {
+	return int(fp * 0x9E3779B97F4A7C15 >> (64 - bits.TrailingZeros(uint(len(a.index)))))
 }
 
 // appendTaskRef appends the reference to task ID id of a run with tasks.
@@ -224,23 +264,30 @@ const readAhead = 128
 // head(id)+more bytes, or fewer at its chunk's end. A spilled chunk is read
 // back into *buf.
 func (a *runArchive) find(id string, more int, buf *[]byte) (uint64, []byte, bool) {
-	pos, ok := a.index[a.hash(id)]
-	if !ok {
+	if a.index == nil {
 		return 0, nil, false
 	}
-	if h := a.record(pos, head(id)+more, buf); holdsID(h, id) {
-		return pos, h, true
+	fp := a.hash(id) >> posBits
+	mask := len(a.index) - 1
+	for i := a.home(fp); ; i = (i + 1) & mask {
+		s := a.index[i]
+		if s == 0 {
+			return 0, nil, false
+		}
+		if s>>posBits != fp {
+			continue
+		}
+		pos := s&posMask - 1
+		if h := a.record(pos, head(id)+more, buf); holdsID(h, id) {
+			return pos, h, true
+		}
 	}
-	if pos, ok = a.overflow[id]; !ok {
-		return 0, nil, false
-	}
-	return pos, a.record(pos, head(id)+more, buf), true
 }
 
 // record returns n bytes of the record at pos, or fewer at its chunk's
 // end.
 func (a *runArchive) record(pos uint64, n int, buf *[]byte) []byte {
-	return a.Read(int(pos>>32), int(uint32(pos)), n, buf)
+	return a.Read(int(pos/chunk.Full), int(pos%chunk.Full), n, buf)
 }
 
 // head bounds the length of a record's head when its run ID is id: the

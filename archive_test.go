@@ -26,22 +26,29 @@ import (
 // and empty slices, and arbitrary float bits (−0, subnormals and
 // infinities; NaN is left out only because it never equals itself under
 // DeepEqual). The same sequence then goes through an archive whose hash is
-// constant, so every ID after the first takes the collision path. Both
-// then run again on archives that spill closed chunks to a sink, where the
-// input also chooses runs before which the open chunk closes, so every
-// read goes through spilled chunks and records land at any offset.
+// constant, so every ID shares one fingerprint and one home slot, and
+// through one whose fingerprints take four values, so a lookup walks past
+// records of other fingerprints that share its probe run and records of
+// its own that are other runs', across the table's end. All three then run
+// again on archives that spill closed chunks to a sink, where the input
+// also chooses runs before which the open chunk closes, so every read goes
+// through spilled chunks and records land at any offset.
 func FuzzRunArchive(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("\x03lifecycle\x01\x07\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x44\x40\x02"))
 	f.Add([]byte("\x01long\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x80\x0f\x02\x06\x02\x06\x03\x05"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runs, closes := fuzzRuns(data)
-		for _, hash := range []func(string) uint64{hash64, func(string) uint64 { return 7 }} {
+		for _, hash := range []func(string) uint64{hash64, func(string) uint64 { return 7 }, fourPrints} {
 			checkArchive(t, newRunArchive(hash), runs, nil)
 			checkArchive(t, spillingArchive(hash, new(chunktest.File)), runs, closes)
 		}
 	})
 }
+
+// fourPrints is hash64 with all but its top two bits cleared, so run IDs
+// take four fingerprints and at most four home slots.
+func fourPrints(id string) uint64 { return hash64(id) & (3 << 62) }
 
 // spillingArchive returns an empty archive that spills closed chunks to f.
 func spillingArchive(hash func(string) uint64, f chunk.File) runArchive {
@@ -256,6 +263,112 @@ func (in *fuzzInput) task(tasks []Task) string {
 		return tasks[int(b)%len(tasks)].ID
 	}
 	return "absent-" + in.text()
+}
+
+// TestArchiveIndexGrowth archives 5,000 lifecycle-shaped runs, over which
+// the index is made and doubles nine times, to 8,192 slots, under hash64
+// and under fourPrints, in the heap and spilling closed chunks to a sink. After each growth, and after
+// the last run, every run added so far must decode equal to the one added,
+// and runs never added must not be found, among them runs whose
+// fingerprint a stored run shares. Under fourPrints every lookup walks past
+// records of other fingerprints and other runs' records of its own, and
+// some probe runs cross the table's end.
+func TestArchiveIndexGrowth(t *testing.T) {
+	const runs = 5000
+	added := make([]RunSnapshot, runs)
+	for n := range added {
+		added[n] = lifecycleRun(n)
+	}
+	for _, hash := range []struct {
+		name string
+		fn   func(string) uint64
+	}{{"hash64", hash64}, {"fourPrints", fourPrints}} {
+		absent := absentRuns(hash.fn, added, 16)
+		for _, spill := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/spill=%v", hash.name, spill), func(t *testing.T) {
+				a := newRunArchive(hash.fn)
+				if spill {
+					a = spillingArchive(hash.fn, new(chunktest.File))
+				}
+				growths, wrapped := 0, false
+				for n, r := range added {
+					size := len(a.index)
+					a.add(r)
+					if len(a.index) != size {
+						growths++
+					} else if n < runs-1 {
+						continue
+					}
+					wrapped = wrapped || indexWraps(&a)
+					for _, r := range added[:n+1] {
+						if got, ok := a.run(r.ID); !ok || !reflect.DeepEqual(got, r) {
+							t.Fatalf("%d runs in %d slots: run %s decodes to %+v, %v; want %+v", n+1, len(a.index), r.ID, got, ok, r)
+						}
+					}
+					for _, id := range absent {
+						if a.has(id) {
+							t.Fatalf("%d runs in %d slots: the archive holds %s, which was never added", n+1, len(a.index), id)
+						}
+					}
+				}
+				if growths != 10 || len(a.index) != 8192 {
+					t.Errorf("the index was made and doubled %d times, to %d slots; want 10 times, to 8,192", growths, len(a.index))
+				}
+				if hash.name == "fourPrints" && !wrapped {
+					t.Error("no run sits below its home slot; the test wants probe runs that cross the table's end")
+				}
+			})
+		}
+	}
+}
+
+// lifecycleRun returns run n of a lifecycle-shaped season: the tenant
+// alternates between two, and the run has 2 tasks of threshold 10, budget
+// 40 and three of the tenant's 16 workers as winners.
+func lifecycleRun(n int) RunSnapshot {
+	tn := n % 2
+	id := fmt.Sprintf("t%d-r%06d", tn, n/2)
+	tasks := []Task{{ID: id + "-k0", Threshold: 10}, {ID: id + "-k1", Threshold: 10}}
+	worker := func(k int) string { return fmt.Sprintf("t%d-w%02d", tn, (n+5*k)%16) }
+	return RunSnapshot{ID: id, Tenant: "t" + strconv.Itoa(tn), Num: n + 1, Budget: 40, Tasks: tasks,
+		Outcome: &Outcome{
+			TotalPayment:  4.75,
+			SelectedTasks: []string{tasks[0].ID, tasks[1].ID},
+			TaskPayments:  []float64{3.25, 1.5},
+			Assignments: []Assignment{
+				{WorkerID: worker(0), TaskID: tasks[0].ID, Payment: 1.625},
+				{WorkerID: worker(1), TaskID: tasks[0].ID, Payment: 1.625},
+				{WorkerID: worker(2), TaskID: tasks[1].ID, Payment: 1.5},
+			},
+		}}
+}
+
+// absentRuns returns k run IDs that none of runs has, named like a third
+// tenant's: the first k/4 such names, and then names that share a
+// fingerprint under hash with one of runs.
+func absentRuns(hash func(string) uint64, runs []RunSnapshot, k int) []string {
+	prints := make(map[uint64]bool, len(runs))
+	for _, r := range runs {
+		prints[hash(r.ID)>>posBits] = true
+	}
+	var ids []string
+	for n := 0; len(ids) < k; n++ {
+		if id := fmt.Sprintf("t2-r%06d", n); n < k/4 || prints[hash(id)>>posBits] {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// indexWraps reports whether some slot of a's index sits below its home,
+// its probe run having crossed the table's end.
+func indexWraps(a *runArchive) bool {
+	for i, s := range a.index {
+		if s != 0 && a.home(s>>posBits) > i {
+			return true
+		}
+	}
+	return false
 }
 
 // TestFinishedRunsMoveToArchive: a finish moves the run from the open runs
@@ -523,8 +636,8 @@ func TestSpilledRunReadsItsRecord(t *testing.T) {
 	for n := 0; n < runs; n++ {
 		id := "r" + strconv.Itoa(n)
 		s.mu.RLock()
-		pos := s.archive.index[s.archive.hash(id)]
-		inHeap := s.archive.Chunks[pos>>32] != nil
+		pos, _, _ := s.archive.find(id, 0, new([]byte))
+		inHeap := s.archive.Chunks[pos/chunk.Full] != nil
 		snap, _ := s.archive.run(id)
 		s.mu.RUnlock()
 		if inHeap {
@@ -544,5 +657,76 @@ func TestSpilledRunReadsItsRecord(t *testing.T) {
 	}
 	if spilled < runs/2 {
 		t.Fatalf("%d of %d runs spilled; the test wants most of them in closed chunks", spilled, runs)
+	}
+}
+
+// BenchmarkArchiveIndex measures the run-ID index on in-heap archives of
+// 10^4 and 10^6 lifecycle-shaped runs. add is one run's add, its record's
+// encoding included, while an archive fills to that size, starting over
+// once it holds them all, so it needs that many iterations to reach the
+// full size; hit decodes a run the full archive holds and miss looks up
+// one it never held, both in a scattered order. The runs share one pair of
+// task IDs and name their workers from a fixed pool, so an add allocates
+// only what the archive does.
+func BenchmarkArchiveIndex(b *testing.B) {
+	const width = len("t0-r000000")
+	tenants := []string{"t0", "t1"}
+	var workers [2][16]string
+	for tn := range workers {
+		for w := range workers[tn] {
+			workers[tn][w] = fmt.Sprintf("t%d-w%02d", tn, w)
+		}
+	}
+	tasks := []Task{{ID: "k0", Threshold: 10}, {ID: "k1", Threshold: 10}}
+	out := &Outcome{TotalPayment: 4.75, SelectedTasks: []string{"k0", "k1"}, TaskPayments: []float64{3.25, 1.5},
+		Assignments: []Assignment{{TaskID: "k0", Payment: 1.625}, {TaskID: "k0", Payment: 1.625}, {TaskID: "k1", Payment: 1.5}}}
+	for _, n := range []int{10_000, 1_000_000} {
+		b.Run("runs="+strconv.Itoa(n), func(b *testing.B) {
+			// Run i is run i/2 of tenant i%2; the misses are a third
+			// tenant's. Both lists are one string, width bytes per ID.
+			var held, never []byte
+			for i := range n {
+				held = fmt.Appendf(held, "t%d-r%06d", i%2, i/2)
+				never = fmt.Appendf(never, "t2-r%06d", i)
+			}
+			hits, misses := string(held), string(never)
+			id := func(ids string, i int) string { return ids[i*width : (i+1)*width] }
+			add := func(a *runArchive, i int) {
+				tn := i % 2
+				for k := range out.Assignments {
+					out.Assignments[k].WorkerID = workers[tn][(i+5*k)%16]
+				}
+				a.add(RunSnapshot{ID: id(hits, i), Tenant: tenants[tn], Num: i + 1, Budget: 40, Tasks: tasks, Outcome: out})
+			}
+			b.Run("add", func(b *testing.B) {
+				var a runArchive
+				for i := range b.N {
+					if i%n == 0 {
+						a = newRunArchive(hash64)
+					}
+					add(&a, i%n)
+				}
+			})
+			a := newRunArchive(hash64)
+			for i := range n {
+				add(&a, i)
+			}
+			// A stride coprime to n visits every run once per n lookups.
+			const stride = 7919
+			b.Run("hit", func(b *testing.B) {
+				for i, k := 0, 0; i < b.N; i, k = i+1, (k+stride)%n {
+					if _, ok := a.run(id(hits, k)); !ok {
+						b.Fatalf("run %s not found", id(hits, k))
+					}
+				}
+			})
+			b.Run("miss", func(b *testing.B) {
+				for i, k := 0, 0; i < b.N; i, k = i+1, (k+stride)%n {
+					if a.has(id(misses, k)) {
+						b.Fatalf("the archive holds %s, which was never added", id(misses, k))
+					}
+				}
+			})
+		})
 	}
 }

@@ -26,10 +26,11 @@ import (
 // retainedPerDurableRunMax bounds the live heap one finished
 // lifecycle-shaped run adds to a scheduler behind a write-ahead log. Its
 // closed ledger-journal and run-archive chunks spill to the scratch file
-// beside the WAL, so what stays is the archive's index entry: 41–45 B
-// measured, most of it the index map's doubling between runs 5,000 and
-// 15,000, against 290 B while every chunk stayed in the heap.
-const retainedPerDurableRunMax = 64
+// beside the WAL, so what stays is the archive's index of 8-byte slots,
+// whose table doubles twice between runs 5,000 and 15,000, from 8,192 to
+// 32,768 slots. It reads 20 B, against 41–45 B while the index was a Go
+// map and 290 B while every chunk stayed in the heap.
+const retainedPerDurableRunMax = 32
 
 // retainedPerDurableAuctionRunMax bounds the live heap one finished
 // auction-shaped run adds behind a write-ahead log. It sits between the

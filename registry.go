@@ -57,7 +57,11 @@ const (
 // hash64 is FNV-1a over the worker ID, inlined to avoid the hash.Hash
 // allocation on the hot membership path. Its low bits mix every byte,
 // the last ones included; its high bits barely depend on an ID's last
-// characters, which is why the stripe is chosen by the low bits.
+// characters, which is why the stripe is chosen by the low bits. The run
+// archive's index keeps the top 24 bits as a run ID's fingerprint and
+// multiplies them by an odd constant before taking a home slot from the
+// product's top bits: from the raw top bits, IDs that differ only in
+// their last characters would crowd into neighbouring slots.
 func hash64(id string) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(id); i++ {
